@@ -16,9 +16,11 @@ import numpy as np
 from . import __version__
 from .exact import InfiniteValueError
 from .experiments import (ExperimentConfig, TAYLOR_HOOD_REF, csv_text,
-                          emit_svg, run_exp1_square, run_exp2_lshape,
-                          run_exp3_stokes)
-from .mesh import dump_mesh, load_mesh, lshape_mesh, unit_square_mesh
+                          eigen_rows, emit_svg, run_exp1_square,
+                          run_exp2_lshape, run_exp3_stokes, stokes_load,
+                          stokes_mesh, stokes_row)
+from .mesh import (dump_mesh, load_mesh, lshape_mesh, refine_uniform,
+                   unit_square_mesh)
 from .quadrature import integral_mean, is_finite_index
 from .solvers import (NoConvergenceError, NotPositiveDefiniteError,
                       SingularSystemError)
@@ -80,52 +82,32 @@ def cmd_quad(args):
     return 0
 
 
+def _config(args):
+    """The parsed arguments for a CSV header, without the handler function."""
+    return {k: v for k, v in vars(args).items() if k != "func"}
+
+
 def cmd_biharmonic(args):
-    from .mesh import refine_uniform
-    from .zienkiewicz import assemble_biharmonic, solve_biharmonic_eigen
     quad = _parse_quadrature(args.quadrature)
+    cfg = ExperimentConfig(variant=args.variant,
+                           ns=() if quad == "exact" else (quad,))
     mesh = unit_square_mesh() if args.domain == "square" else lshape_mesh()
     rows = []
     for level in range(1, args.levels + 1):
         mesh = refine_uniform(mesh)
-        system = assemble_biharmonic(mesh, variant=args.variant)
-        lam, vec = solve_biharmonic_eigen(system)
-        if quad == "exact":
-            rows.append({"level": level, "ndof": system.ndof, "lambda": lam,
-                         "lambda_bar": lam, "rel_gap": 0.0})
-        else:
-            inexact = assemble_biharmonic(mesh, variant=args.variant,
-                                          quadrature=quad)
-            lam_bar, _ = solve_biharmonic_eigen(inexact, x0=vec)
-            rows.append({"level": level, "ndof": system.ndof, "lambda": lam,
-                         "lambda_bar": lam_bar,
-                         "rel_gap": abs(lam - lam_bar) / lam})
+        rows.append(eigen_rows(mesh, cfg, level)[-1])
     cols = ["level", "ndof", "lambda", "lambda_bar", "rel_gap"]
-    _write(args.out, csv_text(vars(args), cols, rows))
+    _write(args.out, csv_text(_config(args), cols, rows))
     return 0
 
 
 def cmd_stokes(args):
-    cfg = ExperimentConfig(variant=args.variant, elements=args.elements)
+    from .guzman_neilan import assemble_stokes
     quad = _parse_quadrature(args.quadrature)
-    from .experiments import stokes_load, _pressure_error
-    from .guzman_neilan import (assemble_stokes, divergence_l2, grad_norm,
-                                solve_stokes)
-    from .mesh import refine_uniform
-    mesh = unit_square_mesh()
-    while 2 * mesh.num_elements <= cfg.elements:
-        mesh = refine_uniform(mesh)
-    exact = assemble_stokes(mesh, f=stokes_load, variant=cfg.variant)
-    system = exact if quad == "exact" else assemble_stokes(
-        mesh, f=stokes_load, variant=cfg.variant, quadrature=quad)
-    u, pressure = solve_stokes(system)
-    row = {"n": 0 if quad == "exact" else quad,
-           "grad_err": grad_norm(exact, u),
-           "div_err": divergence_l2(exact, u),
-           "pressure_err": _pressure_error(mesh, pressure)}
-    config = dict(vars(args))
-    config["taylor_hood_ref"] = args.taylor_hood_ref
-    _write(args.out, csv_text(config, ["n", "grad_err", "div_err",
+    mesh = stokes_mesh(args.elements)
+    exact = assemble_stokes(mesh, f=stokes_load, variant=args.variant)
+    row = stokes_row(mesh, exact, 0 if quad == "exact" else quad, args.variant)
+    _write(args.out, csv_text(_config(args), ["n", "grad_err", "div_err",
                                        "pressure_err"], [row]))
     print(f"grad_err = {row['grad_err']!r} "
           f"(Taylor-Hood reference {args.taylor_hood_ref!r})")
@@ -206,7 +188,6 @@ def cmd_dump_tables(args):
 def cmd_mesh(args):
     if args.action == "dump":
         mesh = unit_square_mesh() if args.domain == "square" else lshape_mesh()
-        from .mesh import refine_uniform
         for _ in range(args.refine):
             mesh = refine_uniform(mesh)
         _write(args.out, dump_mesh(mesh))

@@ -35,7 +35,7 @@ class ExperimentConfig:
     uniform_interval: int = 2       # every k-th grading round refines globally
     elements: int = 8192
     stokes_ns: tuple = tuple(range(1, 17))
-    load_degree: int = 2
+    load_degree: int = 2            # fixed P2 load interpolation; CSV header only
 
     def items(self):
         return sorted(self.__dict__.items())
@@ -68,7 +68,8 @@ def fit_slope(points):
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def _eigen_row(mesh, cfg: ExperimentConfig, level):
+def eigen_rows(mesh, cfg: ExperimentConfig, level):
+    """Exact eigenvalue row (n = 0), then one row per rule n in cfg.ns."""
     system = assemble_biharmonic(mesh, variant=cfg.variant)
     lam, vec = solve_biharmonic_eigen(system)
     rows = [{"n": 0, "level": level, "ndof": system.ndof, "lambda": lam,
@@ -88,7 +89,7 @@ def run_exp1_square(cfg: ExperimentConfig):
     mesh = unit_square_mesh()
     for level in range(1, cfg.levels + 1):
         mesh = refine_uniform(mesh)
-        rows += _eigen_row(mesh, cfg, level)
+        rows += eigen_rows(mesh, cfg, level)
     return rows
 
 
@@ -123,12 +124,16 @@ def run_exp2_lshape(cfg: ExperimentConfig):
     """Graded L-shape: exact vs Gauss eigenvalues along the AFEM sequence."""
     rows = []
     for level, mesh in graded_lshape_meshes(cfg):
-        rows += _eigen_row(mesh, cfg, level)
+        rows += eigen_rows(mesh, cfg, level)
     return rows
 
 
 def stokes_load(x, y):
-    """Gradient-field load of the pressure-robustness study."""
+    """Gradient-field load of the pressure-robustness study.
+
+    Takes coordinate arrays (or scalars) and returns (f_x, f_y), each
+    broadcastable to their shape.
+    """
     return (0.0, 100.0 * (1.0 - y + 3.0 * y * y))
 
 
@@ -150,30 +155,34 @@ def _pressure_error(mesh, pressure):
     return float(np.sqrt(sq.sum()))
 
 
+def stokes_mesh(elements: int):
+    """Uniform refinement of the unit square to at least elements/2 elements."""
+    mesh = unit_square_mesh()
+    while 2 * mesh.num_elements <= elements:
+        mesh = refine_uniform(mesh)
+    return mesh
+
+
+def stokes_row(mesh, exact, n, variant):
+    """Solve with rule n (0: the `exact` system) and measure with `exact`."""
+    system = exact if n == 0 else assemble_stokes(
+        mesh, f=stokes_load, variant=variant, quadrature=n)
+    u, pressure = solve_stokes(system)
+    return {"n": n, "grad_err": grad_norm(exact, u),
+            "div_err": divergence_l2(exact, u),
+            "pressure_err": _pressure_error(mesh, pressure)}
+
+
 def run_exp3_stokes(cfg: ExperimentConfig):
     """Pressure robustness: velocity error of the Guzman-Neilan FEM vs n.
 
     Velocity and divergence errors are always measured with the exact
     assembly, so inexact solves do not grade their own homework.
     """
-    mesh = unit_square_mesh()
-    while 2 * mesh.num_elements <= cfg.elements:
-        mesh = refine_uniform(mesh)
-    exact = assemble_stokes(mesh, f=stokes_load, variant=cfg.variant,
-                            load_degree=cfg.load_degree)
-    rows = []
-    u, pressure = solve_stokes(exact)
-    rows.append({"n": 0, "grad_err": grad_norm(exact, u),
-                 "div_err": divergence_l2(exact, u),
-                 "pressure_err": _pressure_error(mesh, pressure)})
-    for n in cfg.stokes_ns:
-        system = assemble_stokes(mesh, f=stokes_load, variant=cfg.variant,
-                                 quadrature=n, load_degree=cfg.load_degree)
-        u, pressure = solve_stokes(system)
-        rows.append({"n": n, "grad_err": grad_norm(exact, u),
-                     "div_err": divergence_l2(exact, u),
-                     "pressure_err": _pressure_error(mesh, pressure)})
-    return rows
+    mesh = stokes_mesh(cfg.elements)
+    exact = assemble_stokes(mesh, f=stokes_load, variant=cfg.variant)
+    return [stokes_row(mesh, exact, n, cfg.variant)
+            for n in (0,) + tuple(cfg.stokes_ns)]
 
 
 # -- SVG emission -----------------------------------------------------------------

@@ -1,21 +1,29 @@
-"""Element-type-independent machinery: exact moment tensors, the generalized
-Vandermonde basis change, right-hand-side moment matrices and triplet assembly.
+"""Element-type-independent machinery: exact moment tensors, Gauss-rule
+points, right-hand-side moment matrices, load evaluation, reduced-element
+bubble corrections and triplet assembly.
 
-All reference tensors are computed once per process by exact rational
+All exact reference tensors are computed once per process by exact rational
 quadrature and floated at the very end, so recomputation is bit-reproducible.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import scipy.sparse as sp
 
-from .quadrature import MemoCache, integral_mean_combo
+from .quadrature import MemoCache, gauss_rule, integral_mean_combo
 from .ratfun import RatCombo
 
-
-class SingularVandermondeError(np.linalg.LinAlgError):
-    pass
+_HALF = Fraction(1, 2)
+#: Barycentric vertices, then edge midpoints (edge j is opposite vertex j).
+VERTS = [(Fraction(1), Fraction(0), Fraction(0)),
+         (Fraction(0), Fraction(1), Fraction(0)),
+         (Fraction(0), Fraction(0), Fraction(1))]
+MIDS = [(Fraction(0), _HALF, _HALF),
+        (_HALF, Fraction(0), _HALF),
+        (_HALF, _HALF, Fraction(0))]
 
 
 def moment_tensor(left, right, cache: MemoCache | None = None) -> np.ndarray:
@@ -42,34 +50,12 @@ def moment_tensor(left, right, cache: MemoCache | None = None) -> np.ndarray:
     return out
 
 
-def vandermonde_invert(V: np.ndarray) -> np.ndarray:
-    """Inverse of the generalized Vandermonde matrix with a refinement step.
-
-    One step of iterative refinement keeps the delta-property of the shape
-    functions robust on badly shaped elements.
-    """
-    V = np.asarray(V, dtype=float)
-    try:
-        Vinv = np.linalg.inv(V)
-    except np.linalg.LinAlgError as exc:
-        raise SingularVandermondeError(str(exc)) from exc
-    # refinement: Vinv <- Vinv (2I - V Vinv)
-    Vinv = Vinv @ (2.0 * np.eye(V.shape[0]) - V @ Vinv)
-    resid = np.abs(V @ Vinv - np.eye(V.shape[0])).max()
-    if not np.isfinite(resid) or resid > 1e-6:
-        raise SingularVandermondeError(f"residual {resid} after refinement")
-    return Vinv
-
-
 def lagrange_nodes(degree: int):
     """Barycentric Lagrange nodes: vertices, then edge midpoints for degree 2."""
-    from fractions import Fraction as F
-    vertices = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
     if degree == 1:
-        return vertices
+        return VERTS
     if degree == 2:
-        h = F(1, 2)
-        return vertices + [(F(0), h, h), (h, F(0), h), (h, h, F(0))]
+        return VERTS + MIDS
     raise ValueError(f"unsupported Lagrange degree {degree}")
 
 
@@ -89,6 +75,83 @@ def rhs_moments(degree: int, basis, cache: MemoCache | None = None) -> np.ndarra
     """Moment matrix (J, L) of the degree-r Lagrange basis against `basis`."""
     phi = lagrange_basis(degree)
     return moment_tensor(phi, list(basis), cache)
+
+
+def gauss_points(n: int):
+    """Barycentric points (Q, 3) and mean weights 2 w_q of the rule-n.
+
+    The mean weights sum to one, so a sum against them is the rule's value of
+    an integral mean; a rule-n reference tensor is such a sum of products of
+    basis values at the points.
+    """
+    rule = gauss_rule(n)
+    return rule.bary_points(), 2.0 * rule.weights
+
+
+def load_values(f, tria, bary, components: int | None = None) -> np.ndarray:
+    """A load f(X, Y) at barycentric points `bary` (Q, 3) of every element.
+
+    `f` is called once, on coordinate arrays X, Y of shape (p, Q).  It returns
+    an array broadcastable to that shape, or for `components` = k a sequence
+    of k such arrays.  The result has shape (p, Q) or (p, k, Q).
+    """
+    verts = tria.c4n[tria.n4e]                         # (p, 3, 2)
+    bary = np.asarray(bary, dtype=float)
+    X, Y = verts[:, :, 0] @ bary.T, verts[:, :, 1] @ bary.T
+    try:
+        vals = f(X, Y)
+    except (TypeError, ValueError) as exc:
+        raise TypeError("load callbacks are called once per assembly as "
+                        f"f(X, Y) on coordinate arrays of shape {X.shape}; "
+                        f"this one failed on arrays: {exc}") from exc
+    parts = [vals] if components is None else list(vals)
+    if len(parts) != (components or 1):
+        raise TypeError(f"load callback returned {len(parts)} components, "
+                        f"expected {components}")
+    try:
+        parts = [np.broadcast_to(np.asarray(v, dtype=float), X.shape)
+                 for v in parts]
+    except ValueError as exc:
+        raise TypeError("load callback values must broadcast to the "
+                        f"coordinate shape {X.shape}: {exc}") from exc
+    out = np.stack(parts, axis=1)
+    return out[:, 0] if components is None else out
+
+
+def edge_corrections(V, frames, rows, error) -> np.ndarray:
+    """Bubble weights gamma (p,3,3) that make an edge dof affine.
+
+    Rows 9+j of the Vandermonde V hold a dof on edge j (opposite vertex j):
+    a vector quantity taken along frames[:, j] at the edge midpoint.  Rows
+    rows[0]+i and rows[1]+i hold its x and y components at vertex i.  For
+    cubic column 6+k the weight on bubble j is (that midpoint dof minus the
+    endpoint average) divided by the bubble's own dof; `error` is raised if
+    that vanishes.
+    """
+    diag = np.stack([V[:, 9 + j, 9 + j] for j in range(3)], axis=1)
+    if np.any(np.abs(diag) < 1e-14):
+        raise error("a bubble's own edge dof vanished at an edge midpoint")
+    rx, ry = rows
+    gamma = np.empty((V.shape[0], 3, 3))
+    for j in range(3):
+        i1, i2 = (j + 1) % 3, (j + 2) % 3
+        avg = 0.5 * (
+            frames[:, j, 0, None] * (V[:, rx + i1, 6:9] + V[:, rx + i2, 6:9])
+            + frames[:, j, 1, None] * (V[:, ry + i1, 6:9] + V[:, ry + i2, 6:9]))
+        gamma[:, j, :] = (V[:, 9 + j, 6:9] - avg) / V[:, 9 + j, 9 + j, None]
+    return gamma
+
+
+def reduced_shape_coefficients(V, gamma) -> np.ndarray:
+    """Shape-function coefficients (p,12,9) of a reduced element.
+
+    The identity on the first nine basis functions, with cubic columns 6..8
+    corrected by the bubbles with weights -gamma, times inv(V[:, :9, :9]).
+    """
+    red = np.zeros((V.shape[0], 12, 9))
+    red[:, :9, :] = np.eye(9)[None, :, :]
+    red[:, 9:12, 6:9] = -gamma
+    return red @ np.linalg.inv(V[:, :9, :9])
 
 
 def assemble_matrix(l2g: np.ndarray, local: np.ndarray, ndof: int) -> sp.csr_matrix:

@@ -13,116 +13,92 @@ frames so they are single-valued across neighbours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fecore import assemble_matrix, assemble_vector, lagrange_nodes, rhs_moments
+from . import zienkiewicz
+from .fecore import (MIDS, assemble_matrix, assemble_vector, edge_corrections,
+                     gauss_points, lagrange_basis, lagrange_nodes, load_values,
+                     reduced_shape_coefficients, rhs_moments)
 from .mesh import Triangulation
-from .quadrature import (gauss_rule, gradient_values, hessian_values,
-                         integral_mean_combo)
+from .quadrature import gradient_values, integral_mean_combo
 from .ratfun import RatCombo
-from .zienkiewicz import zienkiewicz_basis
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])   # curl g = ROT grad g
-
-_HALF = Fraction(1, 2)
-_VERTS = [(Fraction(1), Fraction(0), Fraction(0)),
-          (Fraction(0), Fraction(1), Fraction(0)),
-          (Fraction(0), Fraction(0), Fraction(1))]
-_MIDS = [(Fraction(0), _HALF, _HALF),
-         (_HALF, Fraction(0), _HALF),
-         (_HALF, _HALF, Fraction(0))]
 
 
 def stream_potentials():
     """The six scalar potentials whose curls extend P1^2 to the velocity space."""
-    return zienkiewicz_basis()[6:12]
+    return zienkiewicz.zienkiewicz_basis()[6:12]
 
 
 @dataclass(frozen=True)
 class GNTables:
+    """Reference tables of one quadrature: exact means, or a rule-n's sums.
+
+    The load is sampled at `load_points`: the P2 Lagrange nodes for exact
+    tables (the load is interpolated there), the rule points for a rule.
+    """
     rho: list
     Rhat: np.ndarray      # (6,6,3,3,3,3) Hessian-product means, R_T layout
     Mhat: np.ndarray      # (6,6,2,3,3,3) P1-gradient x Hessian means
     That_gv: np.ndarray   # (3,6,3) potential lam-gradients at vertices
     That_ge: np.ndarray   # (3,6,3) potential lam-gradients at edge midpoints
     val_mid: np.ndarray   # (3,6,2) P1 vector basis values at edge midpoints
-    bhat1: np.ndarray     # (J,3) Lagrange x lam moments
-    bhat2: np.ndarray     # (J,3,6) Lagrange x potential-gradient moments
+    load_points: np.ndarray   # (J,3) barycentric points the load is taken at
+    bhat1: np.ndarray     # (J,3) load-point x lam moments
+    bhat2: np.ndarray     # (J,3,6) load-point x potential-gradient moments
+    mean_one: float       # mean of the constant 1 (2 sum w_q under a rule)
 
 
-_TABLES: GNTables | None = None
+_TABLES: dict = {}
 
 
-def get_tables() -> GNTables:
-    global _TABLES
-    if _TABLES is None:
-        _TABLES = _compute_tables()
-    return _TABLES
+def get_tables(quadrature="exact") -> GNTables:
+    """Exact tables, or those of the n-point Gauss rule for an integer n.
+
+    Each is built on first use and kept for the process.
+    """
+    key = "exact" if quadrature == "exact" else int(quadrature)
+    tables = _TABLES.get(key)
+    if tables is None:
+        tables = _TABLES[key] = (_compute_tables() if key == "exact"
+                                 else _rule_tables(key))
+    return tables
 
 
-def _compute_tables() -> GNTables:
-    rho = stream_potentials()
-    grads = [r.grad() for r in rho]
-    hess = [r.hessian() for r in rho]
+def _curl_tensors(zt):
+    """Rhat and Mhat from the Zienkiewicz tables of the same quadrature.
 
-    # means of H_r[i,k] * H_s[j,l]; entries depend on the unordered pairs
-    pairs = [(i, k) for i in range(3) for k in range(i, 3)]
-    prod_mean: dict = {}
-    for r in range(6):
-        for s in range(r, 6):
-            for (i, k) in pairs:
-                for (j, l) in pairs:
-                    val = integral_mean_combo(hess[r][i][k] * hess[s][j][l]).to_float()
-                    prod_mean[(r, i, k, s, j, l)] = val
-                    prod_mean[(s, j, l, r, i, k)] = val
-
-    def pm(r, i, k, s, j, l):
-        i, k = min(i, k), max(i, k)
-        j, l = min(j, l), max(j, l)
-        return prod_mean[(r, i, k, s, j, l)]
-
-    Rhat = np.empty((6, 6, 3, 3, 3, 3))
-    for r in range(6):
-        for s in range(6):
-            for i in range(3):
-                for j in range(3):
-                    for k in range(3):
-                        for l in range(3):
-                            Rhat[r, s, i, j, k, l] = pm(r, i, k, s, j, l)
-
-    mean_h = np.empty((6, 3, 3))
-    for s in range(6):
-        for j in range(3):
-            for l in range(j, 3):
-                mean_h[s, j, l] = mean_h[s, l, j] = \
-                    integral_mean_combo(hess[s][j][l]).to_float()
-
-    # P1 field r is lam_{r mod 3} e_{r//3}; its gradient is the constant
-    # delta_{i, r//3} delta_{k, r mod 3}, so Mhat is a placed copy of mean_h
+    The potentials are Zienkiewicz basis functions 6..11, so
+    Rhat[r,s,i,j,k,l] = mean(H_r[i,k] H_s[j,l]) is a transpose of Ahat, and
+    Mhat places the Hessian means: P1 field r is lam_{r mod 3} e_{r//3}, its
+    gradient the constant delta_{i, r//3} delta_{k, r mod 3}.
+    """
+    Rhat = np.ascontiguousarray(zt.Ahat[6:, 6:].transpose(0, 1, 2, 4, 3, 5))
     Mhat = np.zeros((6, 6, 2, 3, 3, 3))
     for r in range(6):
         comp, node = divmod(r, 3)
-        for s in range(6):
-            Mhat[r, s, comp, :, node, :] = mean_h[s]
+        Mhat[r, :, comp, :, node, :] = zt.Hmean[6:]
+    return Rhat, Mhat
 
-    That_gv = np.array([[[float(grads[s][k].evaluate(v)) for k in range(3)]
-                         for s in range(6)] for v in _VERTS])
-    That_ge = np.array([[[float(grads[s][k].evaluate(mid)) for k in range(3)]
-                         for s in range(6)] for mid in _MIDS])
+
+def _compute_tables() -> GNTables:
+    zt = zienkiewicz.get_tables()
+    rho = stream_potentials()
+    grads = [r.grad() for r in rho]
+    Rhat, Mhat = _curl_tensors(zt)
 
     val_mid = np.zeros((3, 6, 2))
-    for i, mid in enumerate(_MIDS):
+    for i, mid in enumerate(MIDS):
         for r in range(6):
             comp, node = divmod(r, 3)
             val_mid[i, r, comp] = float(mid[node])
 
     lam = [RatCombo.lam(j) for j in range(3)]
     bhat1 = rhs_moments(2, lam)
-    from .fecore import lagrange_basis
     phi = lagrange_basis(2)
     bhat2 = np.empty((len(phi), 3, 6))
     for j, ph in enumerate(phi):
@@ -130,18 +106,37 @@ def _compute_tables() -> GNTables:
             for s in range(6):
                 bhat2[j, k, s] = integral_mean_combo(ph * grads[s][k]).to_float()
 
-    return GNTables(rho, Rhat, Mhat, That_gv, That_ge, val_mid, bhat1, bhat2)
+    nodes = np.array(lagrange_nodes(2), dtype=float)
+    return GNTables(rho, Rhat, Mhat, zt.That_gv[:, 6:], zt.That_ge[:, 6:],
+                    val_mid, nodes, bhat1, bhat2, 1.0)
+
+
+def _rule_tables(n: int) -> GNTables:
+    """The exact tables with every mean replaced by the rule-n sum."""
+    exact = get_tables()
+    Rhat, Mhat = _curl_tensors(zienkiewicz.get_tables(n))
+    bary, w2 = gauss_points(n)
+    Gq = gradient_values(exact.rho, bary)                     # (Q,6,3)
+    return replace(exact, Rhat=Rhat, Mhat=Mhat, load_points=bary,
+                   bhat1=w2[:, None] * bary,
+                   bhat2=w2[:, None, None] * Gq.transpose(0, 2, 1),
+                   mean_one=float(w2.sum()))
 
 
 # -- local matrices --------------------------------------------------------------
 
 def local_matrices(area, G, GG, tables=None):
-    """Batched stiffness A_T (p,12,12) and divergence vector B_T (p,12)."""
+    """Batched stiffness A_T (p,12,12) and divergence vector B_T (p,12).
+
+    The curl fields are divergence-free, so B_T[:, 6:] is exactly zero under
+    every quadrature.
+    """
     tables = tables or get_tables()
     p = G.shape[0]
+    scale = tables.mean_one * area
     RGt = np.einsum("ab,ekb->eak", ROT, G)          # (p,2,3)
     A_T = np.zeros((p, 12, 12))
-    A_T[:, 0:3, 0:3] = area[:, None, None] * GG
+    A_T[:, 0:3, 0:3] = scale[:, None, None] * GG
     A_T[:, 3:6, 3:6] = A_T[:, 0:3, 0:3]
     Q = np.einsum("eij,ekl->eijkl", GG, GG).reshape(p, 81)
     A_T[:, 6:12, 6:12] = area[:, None, None] * (
@@ -152,9 +147,30 @@ def local_matrices(area, G, GG, tables=None):
     A_T[:, 6:12, 0:6] = M.transpose(0, 2, 1)
 
     B_T = np.zeros((p, 12))
-    B_T[:, 0:3] = area[:, None] * G[:, :, 0]
-    B_T[:, 3:6] = area[:, None] * G[:, :, 1]
+    B_T[:, 0:3] = scale[:, None] * G[:, :, 0]
+    B_T[:, 3:6] = scale[:, None] * G[:, :, 1]
     return A_T, B_T
+
+
+def local_load(f, tria, G, tables=None) -> np.ndarray:
+    """Batched load means b_T (p,12) of the vector field f = (f_x, f_y).
+
+    f is sampled once at the tables' load points; one GEMM against
+    [bhat1 | bhat2] gives each component's moments.
+    """
+    tables = tables or get_tables()
+    fvals = load_values(f, tria, tables.load_points, components=2)  # (p,2,J)
+    p, _, J = fvals.shape
+    bload = np.concatenate([tables.bhat1, tables.bhat2.reshape(J, 18)], axis=1)
+    T = (fvals.reshape(2 * p, J) @ bload).reshape(p, 2, 21)
+    b_T = np.empty((p, 12))
+    b_T[:, 0:3] = T[:, 0, :3]
+    b_T[:, 3:6] = T[:, 1, :3]
+    # f . curl rho = f_x d_y rho - f_y d_x rho, physical gradients G^T grad
+    grad = T[:, :, 3:].reshape(p, 2, 3, 6)
+    b_T[:, 6:12] = (np.einsum("ek,eks->es", G[:, :, 1], grad[:, 0])
+                    - np.einsum("ek,eks->es", G[:, :, 0], grad[:, 1]))
+    return b_T
 
 
 def local_vandermonde(G, normals, tangents, tables=None) -> np.ndarray:
@@ -180,31 +196,18 @@ class ZeroBubbleTangentialTraceError(ArithmeticError):
 
 
 def reduced_coefficients(V, tangents) -> np.ndarray:
-    """Bubble-curl corrections making the tangential edge traces affine."""
-    p = V.shape[0]
-    diag = np.stack([V[:, 9 + j, 9 + j] for j in range(3)], axis=1)
-    if np.any(np.abs(diag) < 1e-14):
-        raise ZeroBubbleTangentialTraceError(
-            "curl-bubble tangential trace vanished at an edge midpoint")
-    gamma = np.empty((p, 3, 3))
-    for j in range(3):
-        i1, i2 = (j + 1) % 3, (j + 2) % 3
-        avg = 0.5 * (
-            tangents[:, j, 0, None] * (V[:, i1, 6:9] + V[:, i2, 6:9])
-            + tangents[:, j, 1, None] * (V[:, 3 + i1, 6:9] + V[:, 3 + i2, 6:9]))
-        gamma[:, j, :] = (V[:, 9 + j, 6:9] - avg) / V[:, 9 + j, 9 + j, None]
-    return gamma
+    """Bubble-curl corrections making the tangential edge traces affine.
+
+    Vertex values sit in rows 0..2 (x) and 3..5 (y); see
+    :func:`fecore.edge_corrections`.
+    """
+    return edge_corrections(V, tangents, (0, 3), ZeroBubbleTangentialTraceError)
 
 
 def shape_coefficients(V, variant, tangents=None) -> np.ndarray:
     if variant == "full":
         return np.linalg.inv(V)
-    gamma = reduced_coefficients(V, tangents)
-    p = V.shape[0]
-    red = np.zeros((p, 12, 9))
-    red[:, :9, :] = np.eye(9)[None, :, :]
-    red[:, 9:12, 6:9] = -gamma
-    return red @ np.linalg.inv(V[:, :9, :9])
+    return reduced_shape_coefficients(V, reduced_coefficients(V, tangents))
 
 
 # -- global system ---------------------------------------------------------------
@@ -245,31 +248,19 @@ def dof_layout(tria: Triangulation, variant: str):
     return ndof, l2g, ~constrained
 
 
-_GAUSS_EVAL_CACHE: dict = {}
-
-
-def _gauss_tables(n: int):
-    """Potential gradients/Hessians and P2 values at the rule points."""
-    cached = _GAUSS_EVAL_CACHE.get(n)
-    if cached is None:
-        rule = gauss_rule(n)
-        bary = rule.bary_points()
-        rho = get_tables().rho
-        Gq = gradient_values(rho, bary)
-        Hq = hessian_values(rho, bary)
-        cached = _GAUSS_EVAL_CACHE[n] = (rule, bary, Gq, Hq)
-    return cached
-
-
 def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
-                    quadrature="exact", load_degree: int = 2) -> StokesSystem:
+                    quadrature="exact") -> StokesSystem:
     """Assemble the Stokes saddle system for the Guzman-Neilan pair.
 
-    Under an integer `quadrature` every local integral (stiffness blocks,
-    divergence entries and load) is replaced by the n-point tensorized Gauss
-    rule applied to the physical integrands; the Vandermonde stays exact.
+    `quadrature` is "exact" or an integer n selecting the tensorized Gauss
+    rule.  It only selects the reference tables (:func:`get_tables`): on
+    affine elements the rule applied to every local integral (stiffness
+    blocks, divergence entries, load) is the same contraction with rule-n
+    tables.  The Vandermonde stays exact.  The load `f` returns the pair
+    (f_x, f_y); it is called once, as f(X, Y) on coordinate arrays of the
+    tables' load points (see :func:`local_load`).
     """
-    tables = get_tables()
+    tables = get_tables(quadrature)
     _, area, G = tria.geometry_arrays()
     GG = np.einsum("eic,ejc->eij", G, G)
     normals = tria.normal4s[tria.s4e]
@@ -279,43 +270,7 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
     ndof, l2g, free = dof_layout(tria, variant)
     p = tria.num_elements
 
-    if quadrature == "exact":
-        A_T, B_T = local_matrices(area, G, GG, tables)
-    else:
-        n = int(quadrature)
-        rule, bary, Gq, Hq = _gauss_tables(n)
-        w = rule.weights
-        wsum = w.sum()
-        A_T = np.zeros((p, 12, 12))
-        A_T[:, 0:3, 0:3] = 2.0 * wsum * area[:, None, None] * GG
-        A_T[:, 3:6, 3:6] = A_T[:, 0:3, 0:3]
-        B_T = np.zeros((p, 12))
-        B_T[:, 0:3] = 2.0 * wsum * area[:, None] * G[:, :, 0]
-        B_T[:, 3:6] = 2.0 * wsum * area[:, None] * G[:, :, 1]
-        chunk = max(1, 2 ** 22 // (len(w) * 24))
-        for lo in range(0, p, chunk):
-            hi = min(lo + chunk, p)
-            Gc, ac = G[lo:hi], area[lo:hi]
-            # physical Hessians of the potentials at the rule points
-            S = np.einsum("eia,qsik,ekb->eqsab", Gc, Hq, Gc, optimize=True)
-            Sw = S * w[None, :, None, None, None]
-            A_T[lo:hi, 6:12, 6:12] = 2.0 * ac[:, None, None] * np.einsum(
-                "eqrab,eqsab->ers", Sw, S, optimize=True)
-            RS = np.empty_like(S)   # R @ S pointwise
-            RS[..., 0, :] = S[..., 1, :]
-            RS[..., 1, :] = -S[..., 0, :]
-            M = np.zeros((hi - lo, 6, 6))
-            for r in range(6):
-                comp, node = divmod(r, 3)
-                M[:, r, :] = 2.0 * ac[:, None] * np.einsum(
-                    "ec,eqsc,q->es", Gc[:, node, :], RS[:, :, :, comp, :], w)
-            A_T[lo:hi, 0:6, 6:12] = M
-            A_T[lo:hi, 6:12, 0:6] = M.transpose(0, 2, 1)
-            # div curl rho vanishes pointwise; the rule sees only roundoff
-            div_curl = S[..., 1, 0] - S[..., 0, 1]
-            B_T[lo:hi, 6:12] = 2.0 * ac[:, None] * np.einsum(
-                "eqs,q->es", div_curl, w)
-
+    A_T, B_T = local_matrices(area, G, GG, tables)
     A_loc = np.einsum("eri,ers,esj->eij", C, A_T, C, optimize=True)
     A = assemble_matrix(l2g, A_loc, ndof)
     bt = np.einsum("eri,er->ei", C, B_T)
@@ -325,44 +280,7 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
 
     b = np.zeros(ndof)
     if f is not None:
-        if quadrature == "exact":
-            nodes = np.array([[float(x) for x in pt]
-                              for pt in lagrange_nodes(load_degree)])
-            verts = tria.c4n[tria.n4e]
-            pts = np.einsum("jk,ekc->ejc", nodes, verts)
-            fvals = np.array([[f(x, y) for (x, y) in elem_pts]
-                              for elem_pts in pts])
-            if load_degree == 2:
-                bhat1, bhat2 = tables.bhat1, tables.bhat2
-            else:
-                lam = [RatCombo.lam(j) for j in range(3)]
-                bhat1 = rhs_moments(load_degree, lam)
-                from .fecore import lagrange_basis
-                phi = lagrange_basis(load_degree)
-                grads = [r.grad() for r in tables.rho]
-                bhat2 = np.array([[[integral_mean_combo(ph * grads[s][k]).to_float()
-                                    for s in range(6)] for k in range(3)]
-                                  for ph in phi])
-            b_T = np.empty((p, 12))
-            b_T[:, 0:3] = np.einsum("jn,ej->en", bhat1, fvals[:, :, 0])
-            b_T[:, 3:6] = np.einsum("jn,ej->en", bhat1, fvals[:, :, 1])
-            b2 = np.einsum("ekm,jks->emjs", G, bhat2)
-            b_T[:, 6:12] = (np.einsum("ejs,ej->es", b2[:, 1], fvals[:, :, 0])
-                            - np.einsum("ejs,ej->es", b2[:, 0], fvals[:, :, 1]))
-        else:
-            n = int(quadrature)
-            rule, bary, Gq, Hq = _gauss_tables(n)
-            w = rule.weights
-            verts = tria.c4n[tria.n4e]
-            pts = np.einsum("qk,ekc->eqc", bary, verts)
-            fq = np.array([[f(x, y) for (x, y) in elem_pts]
-                           for elem_pts in pts])      # (p, Q, 2)
-            RGt = np.einsum("ab,ekb->eak", ROT, G)
-            curlq = np.einsum("eck,qsk->eqsc", RGt, Gq)
-            b_T = np.empty((p, 12))
-            b_T[:, 0:3] = 2.0 * np.einsum("eq,q,qn->en", fq[:, :, 0], w, bary)
-            b_T[:, 3:6] = 2.0 * np.einsum("eq,q,qn->en", fq[:, :, 1], w, bary)
-            b_T[:, 6:12] = 2.0 * np.einsum("eqc,eqsc,q->es", fq, curlq, w)
+        b_T = local_load(f, tria, G, tables)
         b = assemble_vector(l2g, area[:, None] * np.einsum(
             "eri,er->ei", C, b_T), ndof)
 

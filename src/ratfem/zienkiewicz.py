@@ -11,24 +11,17 @@ at edge midpoints (global edge normals).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fecore import assemble_matrix, assemble_vector, lagrange_nodes, rhs_moments
+from .fecore import (MIDS, VERTS, assemble_matrix, assemble_vector,
+                     edge_corrections, gauss_points, lagrange_basis,
+                     lagrange_nodes, load_values, reduced_shape_coefficients,
+                     rhs_moments)
 from .mesh import Triangulation
-from .quadrature import (combo_values, gauss_rule, hessian_values,
-                         integral_mean_combo)
+from .quadrature import combo_values, hessian_values, integral_mean_combo
 from .ratfun import RatCombo, bubble
-
-_HALF = Fraction(1, 2)
-_VERTS = [(Fraction(1), Fraction(0), Fraction(0)),
-          (Fraction(0), Fraction(1), Fraction(0)),
-          (Fraction(0), Fraction(0), Fraction(1))]
-_MIDS = [(Fraction(0), _HALF, _HALF),
-         (_HALF, Fraction(0), _HALF),
-         (_HALF, _HALF, Fraction(0))]
 
 
 def zienkiewicz_basis():
@@ -44,6 +37,11 @@ def zienkiewicz_basis():
 
 @dataclass(frozen=True)
 class ZienkiewiczTables:
+    """Reference tables of one quadrature: exact means, or a rule-n's sums.
+
+    The point-evaluation tables (That_*) are the same for every quadrature;
+    Ahat, Mhat, bhat and Hmean are means, taken exactly or by the rule.
+    """
     basis: list
     hessians: list
     Ahat: np.ndarray     # (12,12,3,3,3,3) means of Hessian-entry products
@@ -52,16 +50,23 @@ class ZienkiewiczTables:
     That_gv: np.ndarray  # (3,12,3) lam-gradients at vertices
     That_ge: np.ndarray  # (3,12,3) lam-gradients at edge midpoints
     bhat: np.ndarray     # (6,12) P2 Lagrange moments
+    Hmean: np.ndarray    # (12,3,3) means of the lam-Hessian entries
 
 
-_TABLES: ZienkiewiczTables | None = None
+_TABLES: dict = {}
 
 
-def get_tables() -> ZienkiewiczTables:
-    global _TABLES
-    if _TABLES is None:
-        _TABLES = _compute_tables()
-    return _TABLES
+def get_tables(quadrature="exact") -> ZienkiewiczTables:
+    """Exact tables, or those of the n-point Gauss rule for an integer n.
+
+    Each is built on first use and kept for the process.
+    """
+    key = "exact" if quadrature == "exact" else int(quadrature)
+    tables = _TABLES.get(key)
+    if tables is None:
+        tables = _TABLES[key] = (_compute_tables() if key == "exact"
+                                 else _rule_tables(key))
+    return tables
 
 
 def _compute_tables() -> ZienkiewiczTables:
@@ -81,19 +86,43 @@ def _compute_tables() -> ZienkiewiczTables:
                             Ahat[r, s, ii, jj, kk, ll] = val
                             Ahat[s, r, kk, ll, ii, jj] = val
 
+    Hmean = np.empty((12, 3, 3))
+    for r in range(12):
+        for (i, j) in pairs:
+            Hmean[r, i, j] = Hmean[r, j, i] = \
+                integral_mean_combo(hess[r][i][j]).to_float()
+
     Mhat = np.empty((12, 12))
     for r in range(12):
         for s in range(r, 12):
             Mhat[r, s] = Mhat[s, r] = integral_mean_combo(basis[r] * basis[s]).to_float()
 
-    That_v = np.array([[float(b.evaluate(v)) for b in basis] for v in _VERTS])
+    That_v = np.array([[float(b.evaluate(v)) for b in basis] for v in VERTS])
     That_gv = np.array([[[float(grads[r][k].evaluate(v)) for k in range(3)]
-                         for r in range(12)] for v in _VERTS])
+                         for r in range(12)] for v in VERTS])
     That_ge = np.array([[[float(grads[r][k].evaluate(mid)) for k in range(3)]
-                         for r in range(12)] for mid in _MIDS])
+                         for r in range(12)] for mid in MIDS])
     bhat = rhs_moments(2, basis)
     return ZienkiewiczTables(basis, hess, Ahat, Mhat, That_v, That_gv,
-                             That_ge, bhat)
+                             That_ge, bhat, Hmean)
+
+
+def _rule_tables(n: int) -> ZienkiewiczTables:
+    """The exact tables with every mean replaced by the rule-n sum."""
+    exact = get_tables()
+    bary, w2 = gauss_points(n)
+    Vq = combo_values(exact.basis, bary)                        # (Q,12)
+    Hq = hessian_values(exact.basis, bary).reshape(len(w2), 108)
+    phi = combo_values(lagrange_basis(2), bary)                 # (Q,6)
+    # einsum sums over q in one fixed order; a BLAS GEMM's order can
+    # depend on its thread count, and these tables feed every rule-n result
+    return replace(
+        exact,
+        Ahat=np.einsum("q,qa,qb->ab", w2, Hq, Hq).reshape(
+            12, 3, 3, 12, 3, 3).transpose(0, 3, 1, 2, 4, 5).copy(),
+        Mhat=np.einsum("q,qr,qs->rs", w2, Vq, Vq),
+        bhat=np.einsum("q,qj,qr->jr", w2, phi, Vq),
+        Hmean=np.einsum("q,qa->a", w2, Hq).reshape(12, 3, 3))
 
 
 # -- local matrices -------------------------------------------------------------
@@ -105,6 +134,12 @@ def local_stiffness(area, GG, tables=None) -> np.ndarray:
     Q = np.einsum("eij,ekl->eijkl", GG, GG).reshape(p, 81)
     flat = tables.Ahat.reshape(144, 81)
     return area[:, None, None] * (Q @ flat.T).reshape(p, 12, 12)
+
+
+def local_load(f, tria, tables=None) -> np.ndarray:
+    """Batched load means b_T (p,12) of f, interpolated in P2 at the nodes."""
+    tables = tables or get_tables()
+    return load_values(f, tria, lagrange_nodes(2)) @ tables.bhat
 
 
 def local_vandermonde_batch(G, normals, tables=None) -> np.ndarray:
@@ -128,23 +163,10 @@ class ZeroBubbleNormalDerivativeError(ArithmeticError):
 def reduced_coefficients(V, normals) -> np.ndarray:
     """Bubble corrections making the edge normal derivative affine.
 
-    For each cubic column k = 7, 8, 9 the correction weight on bubble j is
-    (normal derivative at mid(f_j) minus the endpoint average) divided by the
-    bubble's own midpoint normal derivative.
+    Gradients sit in rows 3..5 (x) and 6..8 (y); see
+    :func:`fecore.edge_corrections`.
     """
-    p = V.shape[0]
-    diag = np.stack([V[:, 9 + j, 9 + j] for j in range(3)], axis=1)
-    if np.any(np.abs(diag) < 1e-14):
-        raise ZeroBubbleNormalDerivativeError(
-            "bubble normal derivative vanished at an edge midpoint")
-    gamma = np.empty((p, 3, 3))
-    for j in range(3):
-        i1, i2 = (j + 1) % 3, (j + 2) % 3
-        avg = 0.5 * (
-            normals[:, j, 0, None] * (V[:, 3 + i1, 6:9] + V[:, 3 + i2, 6:9])
-            + normals[:, j, 1, None] * (V[:, 6 + i1, 6:9] + V[:, 6 + i2, 6:9]))
-        gamma[:, j, :] = (V[:, 9 + j, 6:9] - avg) / V[:, 9 + j, 9 + j, None]
-    return gamma
+    return edge_corrections(V, normals, (3, 6), ZeroBubbleNormalDerivativeError)
 
 
 def shape_coefficients(V, variant: str, normals=None) -> np.ndarray:
@@ -155,13 +177,7 @@ def shape_coefficients(V, variant: str, normals=None) -> np.ndarray:
     """
     if variant == "full":
         return np.linalg.inv(V)
-    gamma = reduced_coefficients(V, normals)
-    p = V.shape[0]
-    red = np.zeros((p, 12, 9))
-    red[:, :9, :] = np.eye(9)[None, :, :]
-    red[:, 9:12, 6:9] = -gamma
-    V9inv = np.linalg.inv(V[:, :9, :9])
-    return red @ V9inv
+    return reduced_shape_coefficients(V, reduced_coefficients(V, normals))
 
 
 # -- global assembly ------------------------------------------------------------
@@ -200,31 +216,18 @@ def dof_layout(tria: Triangulation, variant: str):
     return ndof, l2g, ~constrained
 
 
-_GAUSS_EVAL_CACHE: dict = {}
-
-
-def _gauss_tables(n: int):
-    """Basis values and lam-Hessians at the n^2 Fubini-Gauss points."""
-    cached = _GAUSS_EVAL_CACHE.get(n)
-    if cached is None:
-        rule = gauss_rule(n)
-        bary = rule.bary_points()
-        tables = get_tables()
-        Vq = combo_values(tables.basis, bary)
-        Hq = hessian_values(tables.basis, bary)
-        cached = _GAUSS_EVAL_CACHE[n] = (rule, Vq, Hq)
-    return cached
-
-
 def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
-                        quadrature="exact", load_degree: int = 2) -> BiharmonicSystem:
+                        quadrature="exact") -> BiharmonicSystem:
     """Assemble stiffness (Laplacian form), mass and load for the plate problem.
 
     `quadrature` is "exact" or an integer n selecting the tensorized Gauss
-    rule; the inexact rule replaces the stiffness and mass integrands, while
-    the Vandermonde basis change stays exact (point evaluations).
+    rule.  It only selects the reference tables (:func:`get_tables`): on
+    affine elements the rule applied to the stiffness, mass and load
+    integrands is the same contraction with rule-n tables.  The Vandermonde
+    basis change stays exact (point evaluations).  The load `f` is called
+    once, as f(X, Y) on coordinate arrays (see :func:`local_load`).
     """
-    tables = get_tables()
+    tables = get_tables(quadrature)
     _, area, G = tria.geometry_arrays()
     GG = np.einsum("eic,ejc->eij", G, G)
     normals = tria.normal4s[tria.s4e]
@@ -232,26 +235,8 @@ def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
     C = shape_coefficients(V, variant, normals)
     ndof, l2g, free = dof_layout(tria, variant)
 
-    p = tria.num_elements
-    if quadrature == "exact":
-        A_T = local_stiffness(area, GG, tables)
-        M_T = area[:, None, None] * tables.Mhat[None, :, :]
-    else:
-        n = int(quadrature)
-        rule, Vq, Hq = _gauss_tables(n)
-        w = rule.weights
-        A_T = np.empty((p, 12, 12))
-        chunk = max(1, 2 ** 22 // (len(w) * 12))
-        for lo in range(0, p, chunk):
-            hi = min(lo + chunk, p)
-            # Delta b(x_q) on element e is the contraction Hq[q,r,:,:] : GG[e]
-            D = np.einsum("qrij,eij->eqr", Hq, GG[lo:hi])
-            Dw = D * w[None, :, None]
-            A_T[lo:hi] = 2.0 * area[lo:hi, None, None] * np.matmul(
-                D.transpose(0, 2, 1), Dw)
-        Vw = Vq * w[:, None]
-        M_T = 2.0 * area[:, None, None] * (Vw.T @ Vq)[None, :, :]
-
+    A_T = local_stiffness(area, GG, tables)
+    M_T = area[:, None, None] * tables.Mhat[None, :, :]
     A_loc = np.einsum("eri,ers,esj->eij", C, A_T, C, optimize=True)
     M_loc = np.einsum("eri,ers,esj->eij", C, M_T, C, optimize=True)
     A = assemble_matrix(l2g, A_loc, ndof)
@@ -259,28 +244,10 @@ def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
 
     b = np.zeros(ndof)
     if f is not None:
-        nodes = np.array([[float(x) for x in pt] for pt in lagrange_nodes(load_degree)])
-        verts = tria.c4n[tria.n4e]
-        pts = np.einsum("jk,ekc->ejc", nodes, verts)
-        fvals = np.array([[f(x, y) for (x, y) in elem_pts] for elem_pts in pts])
-        if quadrature == "exact":
-            bhat = tables.bhat if load_degree == 2 else rhs_moments(load_degree, tables.basis)
-            b_T = np.einsum("jr,ej->er", bhat, fvals)
-        else:
-            n = int(quadrature)
-            rule, Vq, _ = _gauss_tables(n)
-            bary = rule.bary_points()
-            phi = combo_values(_lagrange_combos(load_degree), bary)
-            fq = np.einsum("qj,ej->eq", phi, fvals)
-            b_T = 2.0 * np.einsum("eq,qr,q->er", fq, Vq, rule.weights)
+        b_T = local_load(f, tria, tables)
         b = assemble_vector(l2g, area[:, None] * np.einsum("eri,er->ei", C, b_T), ndof)
 
     return BiharmonicSystem(tria, variant, ndof, l2g, free, A, M, b, C)
-
-
-def _lagrange_combos(degree):
-    from .fecore import lagrange_basis
-    return lagrange_basis(degree)
 
 
 def solve_biharmonic_eigen(system: BiharmonicSystem, tol: float = 1e-12,

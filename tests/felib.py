@@ -2,7 +2,10 @@
 
 import numpy as np
 
+from ratfem.fecore import lagrange_basis, lagrange_nodes
 from ratfem.mesh import Triangulation
+from ratfem.quadrature import (combo_values, gauss_rule, gradient_values,
+                               hessian_values)
 
 
 def random_shape_regular_triangle(rng, min_angle_deg=20.0, max_tries=200):
@@ -24,3 +27,68 @@ def bary_coords(verts, xy):
     T = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
     loc = np.linalg.solve(T, np.asarray(xy, dtype=float) - verts[0])
     return (1.0 - loc[0] - loc[1], loc[0], loc[1])
+
+
+def _rule_data(basis, n):
+    rule = gauss_rule(n)
+    bary = rule.bary_points()
+    return rule.weights, bary, combo_values(basis, bary), \
+        gradient_values(basis, bary), hessian_values(basis, bary)
+
+
+def _p2_load(f, verts):
+    """Scalar f at the P2 Lagrange nodes of one element, one call per node."""
+    nodes = np.array(lagrange_nodes(2), dtype=float)
+    return np.array([f(x, y) for x, y in nodes @ verts])
+
+
+def gauss_reference_zienkiewicz(tri, n, f):
+    """A_T, M_T and b_T of one element by the n-point rule at the points.
+
+    The per-point formula: Laplacians of the basis at every rule point, then
+    weighted sums; the load is interpolated in P2 and evaluated per point.
+    """
+    from ratfem.zienkiewicz import get_tables
+    w, bary, Vq, _, Hq = _rule_data(get_tables().basis, n)
+    _, area, G = tri.geometry_arrays()
+    a, GG = area[0], G[0] @ G[0].T
+    D = np.einsum("qrij,ij->qr", Hq, GG)
+    A_T = 2.0 * a * (D.T * w) @ D
+    M_T = 2.0 * a * (Vq.T * w) @ Vq
+    fq = combo_values(lagrange_basis(2), bary) @ _p2_load(f, tri.c4n[tri.n4e[0]])
+    b_T = 2.0 * (Vq.T * w) @ fq
+    return A_T, M_T, b_T
+
+
+def gauss_reference_guzman_neilan(tri, n, f):
+    """A_T, B_T and b_T of one element by the n-point rule at the points.
+
+    The per-point formula: physical Hessians and curls of the potentials at
+    every rule point, and the load f(x, y) = (f_x, f_y) called per point.
+    """
+    from ratfem.guzman_neilan import ROT, get_tables
+    w, bary, _, Gq, Hq = _rule_data(get_tables().rho, n)
+    _, area, G = tri.geometry_arrays()
+    a, Gm = area[0], G[0]
+    GG = Gm @ Gm.T
+    S = np.einsum("ia,qsik,kb->qsab", Gm, Hq, Gm)     # physical Hessians
+    RS = np.einsum("cd,qsdb->qscb", ROT, S)           # gradients of the curls
+    A_T = np.zeros((12, 12))
+    A_T[0:3, 0:3] = A_T[3:6, 3:6] = 2.0 * w.sum() * a * GG
+    A_T[6:12, 6:12] = 2.0 * a * np.einsum("qrab,qsab,q->rs", S, S, w)
+    for r in range(6):
+        comp, node = divmod(r, 3)
+        A_T[r, 6:12] = A_T[6:12, r] = 2.0 * a * np.einsum(
+            "c,qsc,q->s", Gm[node], RS[:, :, comp, :], w)
+    B_T = np.zeros(12)
+    B_T[0:3] = 2.0 * w.sum() * a * Gm[:, 0]
+    B_T[3:6] = 2.0 * w.sum() * a * Gm[:, 1]
+    B_T[6:12] = 2.0 * a * np.einsum("qs,q->s", S[:, :, 1, 0] - S[:, :, 0, 1], w)
+    xy = bary @ tri.c4n[tri.n4e[0]]
+    fq = np.array([f(x, y) for x, y in xy], dtype=float)     # (Q, 2)
+    curl = np.einsum("ab,kb,qsk->qsa", ROT, Gm, Gq)
+    b_T = np.empty(12)
+    b_T[0:3] = 2.0 * (bary.T * w) @ fq[:, 0]
+    b_T[3:6] = 2.0 * (bary.T * w) @ fq[:, 1]
+    b_T[6:12] = 2.0 * np.einsum("qc,qsc,q->s", fq, curl, w)
+    return A_T, B_T, b_T

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -100,6 +101,17 @@ def test_stokes_cli(tmp_path):
     assert "n,grad_err,div_err,pressure_err" in text
 
 
+def test_single_solve_headers_hold_only_the_configuration(tmp_path):
+    # a handler's repr carries a memory address, which would break reruns
+    for argv in (["biharmonic-eig", "--levels", "1", "--quadrature", "gauss:2"],
+                 ["stokes", "--elements", "32"]):
+        out = tmp_path / "single.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        header = [ln for ln in out.read_text().splitlines() if ln.startswith("#")]
+        assert not any("func" in ln or " at 0x" in ln for ln in header)
+        assert any(ln.startswith("# variant = ") for ln in header)
+
+
 def test_rerun_byte_identical_in_fresh_processes(tmp_path):
     # fresh interpreter each time: exercises table recomputation determinism
     outputs = []
@@ -109,6 +121,24 @@ def test_rerun_byte_identical_in_fresh_processes(tmp_path):
             [sys.executable, "-m", "ratfem.cli", "exp1", "--levels", "1",
              "--ns", "2", "--out", str(out)],
             capture_output=True, text=True)
+        assert code.returncode == 0, code.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("args", [["exp3", "--elements", "128"],
+                                  ["exp1", "--levels", "2"]])
+def test_csv_bytes_independent_of_blas_threads(tmp_path, args):
+    # assembly contracts through BLAS GEMMs; their thread count must not
+    # change a single CSV byte
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{args[0]}_{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        code = subprocess.run(
+            [sys.executable, "-m", "ratfem.cli", *args, "--out", str(out)],
+            capture_output=True, text=True, env=env)
         assert code.returncode == 0, code.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]

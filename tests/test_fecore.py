@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from oracle import duffy_mean
-from ratfem.fecore import (SingularVandermondeError, assemble_matrix,
-                           assemble_vector, lagrange_basis, lagrange_nodes,
-                           moment_tensor, rhs_moments, vandermonde_invert)
+from ratfem.fecore import (assemble_matrix, assemble_vector, lagrange_basis,
+                           lagrange_nodes, moment_tensor, rhs_moments)
 from ratfem.quadrature import integral_mean_combo
 from ratfem.ratfun import RatCombo
 
@@ -36,18 +35,6 @@ def test_bubble_hessian_moment_against_oracle():
     h00 = rho4.hessian()[0][0]
     ref = sum(float(c) * duffy_mean(a, b) for (a, b), c in (h00 * h00).terms.items())
     assert entry == pytest.approx(ref, rel=1e-9)
-
-
-def test_vandermonde_invert():
-    assert np.allclose(vandermonde_invert(np.eye(5)), np.eye(5))
-    d = np.diag([2.0, 4.0, 8.0])
-    assert np.allclose(vandermonde_invert(d), np.diag([0.5, 0.25, 0.125]))
-    rng = np.random.default_rng(1)
-    V = rng.standard_normal((12, 12)) + 5 * np.eye(12)
-    Vinv = vandermonde_invert(V)
-    assert np.abs(V @ Vinv - np.eye(12)).max() <= 1e-10
-    with pytest.raises(SingularVandermondeError):
-        vandermonde_invert(np.zeros((3, 3)))
 
 
 def test_lagrange_bases():
