@@ -69,14 +69,6 @@ class ExactValue:
             self.q1 = Fraction(q1)
             self.infinite = False
 
-    @classmethod
-    def rational(cls, q) -> "ExactValue":
-        return cls(q, 0)
-
-    @classmethod
-    def pi2_multiple(cls, q) -> "ExactValue":
-        return cls(0, q)
-
     def __add__(self, other: "ExactValue") -> "ExactValue":
         if not isinstance(other, ExactValue):
             return NotImplemented
@@ -144,6 +136,3 @@ class ExactValue:
 
 #: The absorbing infinite value returned for non-integrable indices.
 INFINITE = ExactValue(infinite=True)
-
-ZERO = ExactValue(0, 0)
-ONE = ExactValue(1, 0)

@@ -8,7 +8,7 @@ byte-identical CSV output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

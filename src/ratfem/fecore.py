@@ -1,6 +1,7 @@
 """Element-type-independent machinery: exact moment tensors, Gauss-rule
 points, right-hand-side moment matrices, load evaluation, reduced-element
-bubble corrections and triplet assembly.
+bubble corrections, shape coefficients, dof layouts, the per-quadrature
+table cache and triplet assembly.
 
 All exact reference tensors are computed once per process by exact rational
 quadrature and floated at the very end, so recomputation is bit-reproducible.
@@ -142,16 +143,60 @@ def edge_corrections(V, frames, rows, error) -> np.ndarray:
     return gamma
 
 
-def reduced_shape_coefficients(V, gamma) -> np.ndarray:
-    """Shape-function coefficients (p,12,9) of a reduced element.
+def shape_coefficients(V, gamma=None) -> np.ndarray:
+    """Coefficient matrices of the nodal shape functions in the 12-basis.
 
-    The identity on the first nine basis functions, with cubic columns 6..8
-    corrected by the bubbles with weights -gamma, times inv(V[:, :9, :9]).
+    Full element (gamma None): inv(V), shape (p,12,12).  Reduced element:
+    (p,12,9), the identity on the first nine basis functions with cubic
+    columns 6..8 corrected by the bubbles with weights -gamma (see
+    :func:`edge_corrections`), times inv(V[:, :9, :9]).
     """
+    if gamma is None:
+        return np.linalg.inv(V)
     red = np.zeros((V.shape[0], 12, 9))
     red[:, :9, :] = np.eye(9)[None, :, :]
     red[:, 9:12, 6:9] = -gamma
     return red @ np.linalg.inv(V[:, :9, :9])
+
+
+def dof_layout(tria, variant: str, layouts: dict):
+    """Global dof count, local-to-global map (p, L) and free-dof mask.
+
+    layouts[variant] lists the dof blocks in global order: "v" is one dof per
+    vertex (local order n4e), "e" one per edge (local order s4e).  Every dof
+    on a boundary vertex or edge is constrained.
+    """
+    if variant not in layouts:
+        raise ValueError(f"unknown variant {variant!r}")
+    entities = {"v": (tria.n4e, tria.num_vertices, tria.boundary_vertex),
+                "e": (tria.s4e, tria.num_edges, tria.boundary_edge)}
+    ndof, l2g, boundary = 0, [], []
+    for block in layouts[variant]:
+        local, count, on_boundary = entities[block]
+        l2g.append(ndof + local)
+        boundary.append(on_boundary)
+        ndof += count
+    return ndof, np.hstack(l2g), ~np.concatenate(boundary)
+
+
+def pad_free(free, x) -> np.ndarray:
+    """A vector on all dofs: `x` on the free ones, zero on the constrained."""
+    full = np.zeros(free.shape[0])
+    full[free] = x
+    return full
+
+
+def cached_tables(cache: dict, quadrature, exact, rule):
+    """The reference tables of `quadrature` from `cache`, built on first use.
+
+    `quadrature` is "exact", built by exact(), or an integer n, built by
+    rule(n); each is kept in `cache` for the process.
+    """
+    key = "exact" if quadrature == "exact" else int(quadrature)
+    tables = cache.get(key)
+    if tables is None:
+        tables = cache[key] = exact() if key == "exact" else rule(key)
+    return tables
 
 
 def assemble_matrix(l2g: np.ndarray, local: np.ndarray, ndof: int) -> sp.csr_matrix:

@@ -18,13 +18,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from . import zienkiewicz
-from .fecore import (MIDS, assemble_matrix, assemble_vector, edge_corrections,
-                     gauss_points, lagrange_basis, lagrange_nodes, load_values,
-                     reduced_shape_coefficients, rhs_moments)
+from . import fecore, zienkiewicz
+from .fecore import (MIDS, assemble_matrix, assemble_vector, cached_tables,
+                     edge_corrections, gauss_points, lagrange_basis,
+                     lagrange_nodes, load_values, moment_tensor, pad_free,
+                     rhs_moments)
 from .mesh import Triangulation
-from .quadrature import gradient_values, integral_mean_combo
-from .ratfun import RatCombo
+from .ratfun import RatCombo, gradient_values, hessian_values
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])   # curl g = ROT grad g
 
@@ -61,12 +61,7 @@ def get_tables(quadrature="exact") -> GNTables:
 
     Each is built on first use and kept for the process.
     """
-    key = "exact" if quadrature == "exact" else int(quadrature)
-    tables = _TABLES.get(key)
-    if tables is None:
-        tables = _TABLES[key] = (_compute_tables() if key == "exact"
-                                 else _rule_tables(key))
-    return tables
+    return cached_tables(_TABLES, quadrature, _compute_tables, _rule_tables)
 
 
 def _curl_tensors(zt):
@@ -88,23 +83,15 @@ def _curl_tensors(zt):
 def _compute_tables() -> GNTables:
     zt = zienkiewicz.get_tables()
     rho = stream_potentials()
-    grads = [r.grad() for r in rho]
     Rhat, Mhat = _curl_tensors(zt)
 
+    # P1 field r = (comp, node) is lam_node e_comp
     val_mid = np.zeros((3, 6, 2))
-    for i, mid in enumerate(MIDS):
-        for r in range(6):
-            comp, node = divmod(r, 3)
-            val_mid[i, r, comp] = float(mid[node])
+    val_mid[:, 0:3, 0] = val_mid[:, 3:6, 1] = np.array(MIDS, dtype=float)
 
-    lam = [RatCombo.lam(j) for j in range(3)]
-    bhat1 = rhs_moments(2, lam)
-    phi = lagrange_basis(2)
-    bhat2 = np.empty((len(phi), 3, 6))
-    for j, ph in enumerate(phi):
-        for k in range(3):
-            for s in range(6):
-                bhat2[j, k, s] = integral_mean_combo(ph * grads[s][k]).to_float()
+    bhat1 = rhs_moments(2, [RatCombo.lam(j) for j in range(3)])
+    bhat2 = moment_tensor(lagrange_basis(2),
+                          [[r.diff(k) for r in rho] for k in range(3)])
 
     nodes = np.array(lagrange_nodes(2), dtype=float)
     return GNTables(rho, Rhat, Mhat, zt.That_gv[:, 6:], zt.That_ge[:, 6:],
@@ -205,9 +192,9 @@ def reduced_coefficients(V, tangents) -> np.ndarray:
 
 
 def shape_coefficients(V, variant, tangents=None) -> np.ndarray:
-    if variant == "full":
-        return np.linalg.inv(V)
-    return reduced_shape_coefficients(V, reduced_coefficients(V, tangents))
+    """Shape coefficients (see :func:`fecore.shape_coefficients`)."""
+    return fecore.shape_coefficients(
+        V, None if variant == "full" else reduced_coefficients(V, tangents))
 
 
 # -- global system ---------------------------------------------------------------
@@ -227,25 +214,8 @@ class StokesSystem:
 
 
 def dof_layout(tria: Triangulation, variant: str):
-    m, n = tria.num_vertices, tria.num_edges
-    if variant == "full":
-        ndof = 2 * m + 2 * n
-        l2g = np.hstack([tria.n4e, m + tria.n4e,
-                         2 * m + tria.s4e, 2 * m + n + tria.s4e])
-    elif variant == "reduced":
-        ndof = 2 * m + n
-        l2g = np.hstack([tria.n4e, m + tria.n4e, 2 * m + tria.s4e])
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    constrained = np.zeros(ndof, dtype=bool)
-    bv = np.where(tria.boundary_vertex)[0]
-    bs = np.where(tria.boundary_edge)[0]
-    constrained[bv] = True
-    constrained[m + bv] = True
-    constrained[2 * m + bs] = True
-    if variant == "full":
-        constrained[2 * m + n + bs] = True
-    return ndof, l2g, ~constrained
+    """Vector values at vertices, then edge normals, then (full) tangentials."""
+    return fecore.dof_layout(tria, variant, {"full": "vvee", "reduced": "vve"})
 
 
 def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
@@ -302,8 +272,7 @@ def solve_stokes(system: StokesSystem):
     K = sp.bmat([[A, -B], [-B.T, None]], format="csc")
     rhs = np.concatenate([system.b[free], np.zeros(p - 1)])
     sol = sym_indef_solve(K, rhs)
-    u = np.zeros(system.ndof)
-    u[free] = sol[:nf]
+    u = pad_free(free, sol[:nf])
     pressure = np.concatenate([[0.0], sol[nf:]])
     total = float(system.areas.sum())
     pressure -= float(system.areas @ pressure) / total
@@ -329,40 +298,20 @@ def divergence_l2(exact_system: StokesSystem, u: np.ndarray) -> float:
 
 def divergence_pointwise(system: StokesSystem, e: int, u: np.ndarray, bary_pts):
     """div u_h at barycentric points of element e, evaluated literally."""
-    tables = get_tables()
-    _, _, G = system.tria.geometry_arrays()
+    rho = get_tables().rho
+    G = system.tria.geometry_arrays()[2][e]
     w = system.coeffs[e] @ u[system.l2g[e]]
-    out = []
-    for pt in bary_pts:
-        lam = tuple(float(x) for x in pt)
-        val = 0.0
-        for r in range(6):
-            comp, node = divmod(r, 3)
-            val += w[r] * G[e][node, comp]
-        for s in range(6):
-            H = np.array([[tables.rho[s].hessian()[i][j].eval_float(lam)
-                           for j in range(3)] for i in range(3)])
-            Sp = G[e].T @ H @ G[e]
-            val += w[6 + s] * (Sp[1, 0] - Sp[0, 1])
-        out.append(val)
-    return np.array(out)
+    S = np.einsum("ia,qsik,kb->qsab", G, hessian_values(rho, bary_pts), G)
+    # P1 field r = (comp, node) has divergence G[node, comp]
+    return w[:6] @ G.T.ravel() + (S[:, :, 1, 0] - S[:, :, 0, 1]) @ w[6:]
 
 
 def velocity_eval(system: StokesSystem, e: int, u: np.ndarray, bary_pts):
     """Velocity vectors at barycentric points of element e."""
-    tables = get_tables()
-    _, _, G = system.tria.geometry_arrays()
+    rho = get_tables().rho
+    G = system.tria.geometry_arrays()[2][e]
     w = system.coeffs[e] @ u[system.l2g[e]]
-    out = []
-    for pt in bary_pts:
-        lam = tuple(float(x) for x in pt)
-        vec = np.zeros(2)
-        for r in range(6):
-            comp, node = divmod(r, 3)
-            vec[comp] += w[r] * lam[node]
-        for s in range(6):
-            glam = np.array([tables.rho[s].grad()[k].eval_float(lam)
-                             for k in range(3)])
-            vec += w[6 + s] * (ROT @ (G[e].T @ glam))
-        out.append(vec)
-    return np.array(out)
+    lam = np.asarray(bary_pts, dtype=float)
+    glam = gradient_values(rho, lam)
+    curl = np.einsum("ab,kb,qsk,s->qa", ROT, G, glam, w[6:])
+    return lam @ w[:6].reshape(2, 3).T + curl

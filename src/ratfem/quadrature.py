@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import INFINITE, ExactValue, factorial
-from .ratfun import RatCombo
+from .ratfun import _E, RatCombo, midx_add, midx_sub
 
 
 class IndexNotFiniteError(ArithmeticError):
@@ -132,17 +132,6 @@ class MemoCache:
 #: Shared default cache; computations are pure so sharing is safe.
 DEFAULT_CACHE = MemoCache()
 
-_V = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def _sub(idx, v):
-    return (idx[0] - v[0], idx[1] - v[1], idx[2] - v[2])
-
-
-def _add(idx, v):
-    return (idx[0] + v[0], idx[1] + v[1], idx[2] + v[2])
-
-
 def integral_mean(alpha, beta, cache: MemoCache | None = None) -> ExactValue:
     """Mean of lam^alpha/(1-lam)^beta over any triangle (exact).
 
@@ -178,28 +167,28 @@ def _integral_mean_impl(alpha, beta, cache) -> ExactValue:
     if beta[0] >= 1:
         acc = ExactValue(0)
         for j in range(3):
-            acc = acc + integral_mean(alpha, _sub(beta, _V[j]), cache)
+            acc = acc + integral_mean(alpha, midx_sub(beta, _E[j]), cache)
         return acc.scale(Fraction(1, 2))
 
     if alpha[0] == 0:
         return compute_J(alpha[1], alpha[2], beta[1], beta[2])
 
+    lowered = midx_sub(alpha, _E[0])
     if alpha[1] + beta[1] < asum + 1:
-        return (integral_mean(_sub(alpha, _V[0]), _sub(beta, _V[2]), cache)
-                - integral_mean(_add(_sub(alpha, _V[0]), _V[1]), beta, cache))
+        return (integral_mean(lowered, midx_sub(beta, _E[2]), cache)
+                - integral_mean(midx_add(lowered, _E[1]), beta, cache))
 
     if alpha[2] + beta[2] < asum + 1:
-        return (integral_mean(_sub(alpha, _V[0]), _sub(beta, _V[1]), cache)
-                - integral_mean(_add(_sub(alpha, _V[0]), _V[2]), beta, cache))
+        return (integral_mean(lowered, midx_sub(beta, _E[1]), cache)
+                - integral_mean(midx_add(lowered, _E[2]), beta, cache))
 
     acc = ExactValue(0)
     for j in (1, 2):
-        acc = acc + integral_mean(alpha, _sub(beta, _V[j]), cache)
-        acc = acc + integral_mean(_add(_sub(alpha, _V[0]), _V[j]),
-                                  _sub(beta, _V[j]), cache)
+        acc = acc + integral_mean(alpha, midx_sub(beta, _E[j]), cache)
+        acc = acc + integral_mean(midx_add(lowered, _E[j]),
+                                  midx_sub(beta, _E[j]), cache)
     acc = acc.scale(Fraction(1, 2))
-    return acc - integral_mean(_add(_add(_sub(alpha, _V[0]), _V[1]), _V[2]),
-                               beta, cache)
+    return acc - integral_mean(midx_add(lowered, (0, 1, 1)), beta, cache)
 
 
 def integral_mean_combo(f: RatCombo, cache: MemoCache | None = None) -> ExactValue:
@@ -310,44 +299,3 @@ def gauss_integrate(f, rule: GaussRule2D, vertices=None) -> float:
         xy = v[0] + pts @ df.T
     vals = np.array([f(p[0], p[1]) for p in xy])
     return jac * float(np.dot(rule.weights, vals))
-
-
-def combo_values(funcs, bary) -> np.ndarray:
-    """Float values of a list of RatCombos at barycentric points (Q,3) -> (Q,L)."""
-    bary = np.asarray(bary, dtype=float)
-    out = np.zeros((bary.shape[0], len(funcs)))
-    for r, f in enumerate(funcs):
-        for (alpha, beta), coeff in f.terms.items():
-            term = float(coeff) * np.ones(bary.shape[0])
-            for i in range(3):
-                if alpha[i]:
-                    term = term * bary[:, i] ** alpha[i]
-                if beta[i]:
-                    term = term / (1.0 - bary[:, i]) ** beta[i]
-            out[:, r] += term
-    return out
-
-
-def hessian_values(funcs, bary) -> np.ndarray:
-    """Float lam-Hessians of RatCombos at barycentric points -> (Q, L, 3, 3)."""
-    bary = np.asarray(bary, dtype=float)
-    out = np.zeros((bary.shape[0], len(funcs), 3, 3))
-    for r, f in enumerate(funcs):
-        hess = f.hessian()
-        for i in range(3):
-            for j in range(i, 3):
-                vals = combo_values([hess[i][j]], bary)[:, 0]
-                out[:, r, i, j] = vals
-                if i != j:
-                    out[:, r, j, i] = vals
-    return out
-
-
-def gradient_values(funcs, bary) -> np.ndarray:
-    """Float lam-gradients of RatCombos at barycentric points -> (Q, L, 3)."""
-    bary = np.asarray(bary, dtype=float)
-    out = np.zeros((bary.shape[0], len(funcs), 3))
-    for r, f in enumerate(funcs):
-        for k, g in enumerate(f.grad()):
-            out[:, r, k] = combo_values([g], bary)[:, 0]
-    return out

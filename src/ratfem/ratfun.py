@@ -4,12 +4,16 @@ A :class:`RatCombo` is a finite linear combination of terms
 ``coeff * lam0^a0 lam1^a1 lam2^a2 / ((1-lam0)^b0 (1-lam1)^b1 (1-lam2)^b2)``
 with rational coefficients.  The class is closed under multiplication and
 differentiation with respect to the barycentric coordinates, which is all the
-finite element tables need.
+finite element tables need.  :func:`combo_values` and its gradient and Hessian
+forms evaluate lists of them in floating point at arrays of points.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+
+import numpy as np
 
 
 class SingularEvaluationError(ArithmeticError):
@@ -71,16 +75,7 @@ class RatCombo:
     def __add__(self, other):
         if not isinstance(other, RatCombo):
             return NotImplemented
-        acc = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = acc.get(key, 0) + coeff
-            if new == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = new
-        out = RatCombo()
-        out.terms = acc
-        return out
+        return _collect(itertools.chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
         out = RatCombo()
@@ -111,18 +106,9 @@ class RatCombo:
             return self.scale(other)
         if not isinstance(other, RatCombo):
             return NotImplemented
-        acc: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (midx_add(a1, a2), midx_add(b1, b2))
-                new = acc.get(key, 0) + c1 * c2
-                if new == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = new
-        out = RatCombo()
-        out.terms = acc
-        return out
+        return _collect(((midx_add(a1, a2), midx_add(b1, b2)), c1 * c2)
+                        for (a1, b1), c1 in self.terms.items()
+                        for (a2, b2), c2 in other.terms.items())
 
     def diff(self, j: int) -> "RatCombo":
         """Partial derivative with respect to lam_j.
@@ -133,23 +119,13 @@ class RatCombo:
         the denominator term enters with a PLUS sign since
         d/dt (1-t)^(-b) = +b (1-t)^(-b-1).
         """
-        acc: dict = {}
-
-        def bump(key, coeff):
-            new = acc.get(key, 0) + coeff
-            if new == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = new
-
-        for (alpha, beta), coeff in self.terms.items():
-            if alpha[j] > 0:
-                bump((midx_sub(alpha, _E[j]), beta), coeff * alpha[j])
-            if beta[j] > 0:
-                bump((alpha, midx_add(beta, _E[j])), coeff * beta[j])
-        out = RatCombo()
-        out.terms = acc
-        return out
+        def terms():
+            for (alpha, beta), coeff in self.terms.items():
+                if alpha[j] > 0:
+                    yield (midx_sub(alpha, _E[j]), beta), coeff * alpha[j]
+                if beta[j] > 0:
+                    yield (alpha, midx_add(beta, _E[j])), coeff * beta[j]
+        return _collect(terms())
 
     def grad(self):
         """Gradient with respect to (lam0, lam1, lam2) as a triple."""
@@ -203,28 +179,8 @@ class RatCombo:
         return num
 
     def eval_float(self, l) -> float:
-        """Float evaluation; applies the same vertex rule when 1-lam_i == 0."""
-        total = 0.0
-        for (alpha, beta), coeff in self.terms.items():
-            term = float(coeff)
-            singular = False
-            for i in range(3):
-                if beta[i] > 0 and l[i] == 1.0:
-                    order = sum(alpha[k] for k in range(3) if k != i)
-                    if order > beta[i]:
-                        singular = True
-                        break
-                    raise SingularEvaluationError(
-                        f"term lam^{alpha}/(1-lam)^{beta} singular at vertex {i}")
-            if singular:
-                continue
-            for i in range(3):
-                if alpha[i]:
-                    term *= l[i] ** alpha[i]
-                if beta[i]:
-                    term /= (1.0 - l[i]) ** beta[i]
-            total += term
-        return total
+        """Float evaluation at one point; see :func:`combo_values`."""
+        return float(combo_values([self], [l])[0, 0])
 
     def __eq__(self, other):
         if not isinstance(other, RatCombo):
@@ -242,6 +198,65 @@ class RatCombo:
             for (alpha, beta), coeff in sorted(self.terms.items())
         ]
         return "RatCombo<" + " + ".join(parts) + ">"
+
+
+def _collect(pairs) -> RatCombo:
+    """The RatCombo of summed (key, coeff) pairs; terms summing to 0 dropped."""
+    acc: dict = {}
+    for key, coeff in pairs:
+        new = acc[key] + coeff if key in acc else coeff
+        if new == 0:
+            acc.pop(key, None)
+        else:
+            acc[key] = new
+    out = RatCombo()
+    out.terms = acc
+    return out
+
+
+def combo_values(funcs, bary) -> np.ndarray:
+    """Float values of a list of RatCombos at barycentric points (Q,3) -> (Q,L).
+
+    This is the one float evaluator.  At a vertex, where lam_i == 1.0, a term
+    with beta_i > 0 follows the rule of :meth:`RatCombo.evaluate`: it is 0 if
+    its numerator vanishing order sum(alpha_k, k != i) exceeds beta_i, and
+    otherwise SingularEvaluationError is raised.
+    """
+    bary = np.asarray(bary, dtype=float)
+    at_vertex = bary == 1.0
+    vertices = [i for i in range(3) if at_vertex[:, i].any()]
+    out = np.zeros((bary.shape[0], len(funcs)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r, f in enumerate(funcs):
+            for (alpha, beta), coeff in f.terms.items():
+                vanish = [i for i in vertices if beta[i]]
+                for i in vanish:
+                    if sum(alpha) - alpha[i] <= beta[i]:
+                        raise SingularEvaluationError(
+                            f"term lam^{alpha}/(1-lam)^{beta} singular "
+                            f"at vertex {i}")
+                term = float(coeff) * np.ones(bary.shape[0])
+                for i in range(3):
+                    if alpha[i]:
+                        term = term * bary[:, i] ** alpha[i]
+                    if beta[i]:
+                        term = term / (1.0 - bary[:, i]) ** beta[i]
+                if vanish:
+                    term[at_vertex[:, vanish].any(axis=1)] = 0.0
+                out[:, r] += term
+    return out
+
+
+def gradient_values(funcs, bary) -> np.ndarray:
+    """Float lam-gradients of RatCombos at barycentric points -> (Q, L, 3)."""
+    parts = [g for f in funcs for g in f.grad()]
+    return combo_values(parts, bary).reshape(-1, len(funcs), 3)
+
+
+def hessian_values(funcs, bary) -> np.ndarray:
+    """Float lam-Hessians of RatCombos at barycentric points -> (Q, L, 3, 3)."""
+    parts = [h for f in funcs for row in f.hessian() for h in row]
+    return combo_values(parts, bary).reshape(-1, len(funcs), 3, 3)
 
 
 def sobolev_member(alpha, beta, m: int, p) -> bool:

@@ -31,33 +31,32 @@ def _factorize(A: sp.spmatrix):
         raise SingularSystemError(str(exc)) from exc
 
 
-def spd_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Direct solve for symmetric positive definite A; residual <= 1e-12 rel."""
+def _checked_solve(A: sp.spmatrix, b: np.ndarray, error) -> np.ndarray:
+    """LU solve of A x = b; raises `error` if A is singular or the relative
+    residual ||A x - b|| / ||b|| is not finite or exceeds 1e-10."""
     b = np.asarray(b, dtype=float)
     try:
         lu = _factorize(A)
     except SingularSystemError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
+        raise error(str(exc)) from exc
     x = lu.solve(b)
     nb = np.linalg.norm(b)
     if nb > 0:
         resid = np.linalg.norm(A @ x - b) / nb
         if not np.isfinite(resid) or resid > 1e-10:
-            raise NotPositiveDefiniteError(f"relative residual {resid}")
+            raise error(f"relative residual {resid}")
     return x
+
+
+def spd_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
+    """Direct solve for SPD A, relative residual checked <= 1e-10."""
+    return _checked_solve(A, b, NotPositiveDefiniteError)
 
 
 def sym_indef_solve(K: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Direct solve for a symmetric, possibly indefinite, nonsingular system."""
-    rhs = np.asarray(rhs, dtype=float)
-    lu = _factorize(K)
-    x = lu.solve(rhs)
-    nb = np.linalg.norm(rhs)
-    if nb > 0:
-        resid = np.linalg.norm(K @ x - rhs) / nb
-        if not np.isfinite(resid) or resid > 1e-10:
-            raise SingularSystemError(f"relative residual {resid}")
-    return x
+    """Direct solve for a symmetric, possibly indefinite, nonsingular system;
+    relative residual checked <= 1e-10."""
+    return _checked_solve(K, rhs, SingularSystemError)
 
 
 def gen_eig_smallest(A: sp.spmatrix, M: sp.spmatrix, tol: float = 1e-12,

@@ -15,13 +15,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import fecore
 from .fecore import (MIDS, VERTS, assemble_matrix, assemble_vector,
-                     edge_corrections, gauss_points, lagrange_basis,
-                     lagrange_nodes, load_values, reduced_shape_coefficients,
-                     rhs_moments)
+                     cached_tables, edge_corrections, gauss_points,
+                     lagrange_basis, lagrange_nodes, load_values,
+                     moment_tensor, pad_free, rhs_moments)
 from .mesh import Triangulation
-from .quadrature import combo_values, hessian_values, integral_mean_combo
-from .ratfun import RatCombo, bubble
+from .ratfun import (RatCombo, bubble, combo_values, gradient_values,
+                     hessian_values)
 
 
 def zienkiewicz_basis():
@@ -61,12 +62,7 @@ def get_tables(quadrature="exact") -> ZienkiewiczTables:
 
     Each is built on first use and kept for the process.
     """
-    key = "exact" if quadrature == "exact" else int(quadrature)
-    tables = _TABLES.get(key)
-    if tables is None:
-        tables = _TABLES[key] = (_compute_tables() if key == "exact"
-                                 else _rule_tables(key))
-    return tables
+    return cached_tables(_TABLES, quadrature, _compute_tables, _rule_tables)
 
 
 def _compute_tables() -> ZienkiewiczTables:
@@ -74,29 +70,10 @@ def _compute_tables() -> ZienkiewiczTables:
     grads = [b.grad() for b in basis]
     hess = [b.hessian() for b in basis]
 
-    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
-    Ahat = np.empty((12, 12, 3, 3, 3, 3))
-    for r in range(12):
-        for s in range(r, 12):
-            for (i, j) in pairs:
-                for (k, l) in pairs:
-                    val = integral_mean_combo(hess[r][i][j] * hess[s][k][l]).to_float()
-                    for ii, jj in {(i, j), (j, i)}:
-                        for kk, ll in {(k, l), (l, k)}:
-                            Ahat[r, s, ii, jj, kk, ll] = val
-                            Ahat[s, r, kk, ll, ii, jj] = val
-
-    Hmean = np.empty((12, 3, 3))
-    for r in range(12):
-        for (i, j) in pairs:
-            Hmean[r, i, j] = Hmean[r, j, i] = \
-                integral_mean_combo(hess[r][i][j]).to_float()
-
-    Mhat = np.empty((12, 12))
-    for r in range(12):
-        for s in range(r, 12):
-            Mhat[r, s] = Mhat[s, r] = integral_mean_combo(basis[r] * basis[s]).to_float()
-
+    # moment_tensor(hess, hess) is indexed [r, i, j, s, k, l]
+    Ahat = moment_tensor(hess, hess).transpose(0, 3, 1, 2, 4, 5).copy()
+    Hmean = moment_tensor(hess, [RatCombo.one()])[..., 0]
+    Mhat = moment_tensor(basis, basis)
     That_v = np.array([[float(b.evaluate(v)) for b in basis] for v in VERTS])
     That_gv = np.array([[[float(grads[r][k].evaluate(v)) for k in range(3)]
                          for r in range(12)] for v in VERTS])
@@ -170,14 +147,9 @@ def reduced_coefficients(V, normals) -> np.ndarray:
 
 
 def shape_coefficients(V, variant: str, normals=None) -> np.ndarray:
-    """Coefficient matrices of the nodal shape functions in the 12-basis.
-
-    Full variant: inv(V), shape (p,12,12).  Reduced: (p,12,9) built from the
-    identity on the first nine basis functions minus bubble corrections.
-    """
-    if variant == "full":
-        return np.linalg.inv(V)
-    return reduced_shape_coefficients(V, reduced_coefficients(V, normals))
+    """Shape coefficients (see :func:`fecore.shape_coefficients`)."""
+    return fecore.shape_coefficients(
+        V, None if variant == "full" else reduced_coefficients(V, normals))
 
 
 # -- global assembly ------------------------------------------------------------
@@ -196,24 +168,8 @@ class BiharmonicSystem:
 
 
 def dof_layout(tria: Triangulation, variant: str):
-    m = tria.num_vertices
-    if variant == "full":
-        ndof = 3 * m + tria.num_edges
-        l2g = np.hstack([tria.n4e, m + tria.n4e, 2 * m + tria.n4e,
-                         3 * m + tria.s4e])
-    elif variant == "reduced":
-        ndof = 3 * m
-        l2g = np.hstack([tria.n4e, m + tria.n4e, 2 * m + tria.n4e])
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    constrained = np.zeros(ndof, dtype=bool)
-    bv = np.where(tria.boundary_vertex)[0]
-    constrained[bv] = True
-    constrained[m + bv] = True
-    constrained[2 * m + bv] = True
-    if variant == "full":
-        constrained[3 * m + np.where(tria.boundary_edge)[0]] = True
-    return ndof, l2g, ~constrained
+    """Values and gradients at vertices, plus edge normals in the full variant."""
+    return fecore.dof_layout(tria, variant, {"full": "vvve", "reduced": "vvv"})
 
 
 def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
@@ -259,36 +215,25 @@ def solve_biharmonic_eigen(system: BiharmonicSystem, tol: float = 1e-12,
     M = system.M[free][:, free].tocsc()
     lam, x = gen_eig_smallest(A, M, tol=tol,
                               x0=None if x0 is None else x0[free])
-    full = np.zeros(system.ndof)
-    full[free] = x
-    return lam, full
+    return lam, pad_free(free, x)
 
 
 def solve_biharmonic_source(system: BiharmonicSystem) -> np.ndarray:
     from .solvers import spd_solve
     free = system.free
-    x = spd_solve(system.A[free][:, free].tocsc(), system.b[free])
-    full = np.zeros(system.ndof)
-    full[free] = x
-    return full
+    return pad_free(free, spd_solve(system.A[free][:, free].tocsc(),
+                                    system.b[free]))
 
 
 # -- pointwise evaluation (tests, conformity checks) ----------------------------
 
 def element_eval(system: BiharmonicSystem, e: int, u: np.ndarray, bary_pts):
     """Values and physical gradients of the global function on element e."""
-    tables = get_tables()
+    basis = get_tables().basis
     w = system.coeffs[e] @ u[system.l2g[e]]
-    _, _, G = system.tria.geometry_arrays()
-    vals, grads = [], []
-    for pt in bary_pts:
-        lam = tuple(float(x) for x in pt)
-        vals.append(sum(float(c) * tables.basis[r].eval_float(lam)
-                        for r, c in enumerate(w)))
-        glam = np.array([sum(float(c) * tables.basis[r].grad()[k].eval_float(lam)
-                             for r, c in enumerate(w)) for k in range(3)])
-        grads.append(G[e].T @ glam)
-    return np.array(vals), np.array(grads)
+    G = system.tria.geometry_arrays()[2][e]
+    glam = np.einsum("qrk,r->qk", gradient_values(basis, bary_pts), w)
+    return combo_values(basis, bary_pts) @ w, glam @ G
 
 
 def hermite_psi(fun: RatCombo, vertices=None) -> float:
@@ -302,15 +247,11 @@ def hermite_psi(fun: RatCombo, vertices=None) -> float:
     v = np.asarray(vertices, dtype=float)
     df = np.column_stack([v[1] - v[0], v[2] - v[0]])
     G = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]) @ np.linalg.inv(df)
-    mid = v.mean(axis=0)
-    val = 6.0 * fun.eval_float((1 / 3, 1 / 3, 1 / 3))
-    bary_verts = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-    grads = fun.grad()
-    for j in range(3):
-        val -= 2.0 * fun.eval_float(bary_verts[j])
-        glam = np.array([grads[k].eval_float(bary_verts[j]) for k in range(3)])
-        val += float((G.T @ glam) @ (v[j] - mid))
-    return val
+    pts = np.vstack([np.full(3, 1 / 3), np.eye(3)])    # centroid, vertices
+    vals = combo_values([fun], pts)[:, 0]
+    glam = gradient_values([fun], pts[1:])[:, 0]        # (3 vertices, 3)
+    return float(6.0 * vals[0] - 2.0 * vals[1:].sum()
+                 + np.einsum("jk,kc,jc->", glam, G, v - v.mean(axis=0)))
 
 
 def nodal_interpolant(tria: Triangulation, g, grad_g, variant: str = "full"):

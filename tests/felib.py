@@ -4,8 +4,8 @@ import numpy as np
 
 from ratfem.fecore import lagrange_basis, lagrange_nodes
 from ratfem.mesh import Triangulation
-from ratfem.quadrature import (combo_values, gauss_rule, gradient_values,
-                               hessian_values)
+from ratfem.quadrature import gauss_rule
+from ratfem.ratfun import combo_values, gradient_values, hessian_values
 
 
 def random_shape_regular_triangle(rng, min_angle_deg=20.0, max_tries=200):
@@ -92,3 +92,76 @@ def gauss_reference_guzman_neilan(tri, n, f):
     b_T[3:6] = 2.0 * (bary.T * w) @ fq[:, 1]
     b_T[6:12] = 2.0 * np.einsum("qc,qsc,q->s", fq, curl, w)
     return A_T, B_T, b_T
+
+
+# -- per-point references for the vectorised evaluators -------------------------
+# Each is the per-point formula the vectorised function replaced, and also
+# returns the size of its terms (the same sums of absolute values), against
+# which the agreement is measured.
+
+def element_eval_reference(system, e, u, bary_pts):
+    """Values and physical gradients of element e, one point at a time."""
+    from ratfem.zienkiewicz import get_tables
+    basis = get_tables().basis
+    w = system.coeffs[e] @ u[system.l2g[e]]
+    G = system.tria.geometry_arrays()[2][e]
+    vals, grads, size = [], [], 0.0
+    for pt in bary_pts:
+        lam = tuple(float(x) for x in pt)
+        terms = np.array([float(c) * basis[r].eval_float(lam)
+                          for r, c in enumerate(w)])
+        gterms = np.array([[float(c) * basis[r].grad()[k].eval_float(lam)
+                            for k in range(3)] for r, c in enumerate(w)])
+        vals.append(sum(terms))
+        grads.append(G.T @ sum(gterms))
+        size = max(size, np.abs(terms).sum(),
+                   (np.abs(gterms) @ np.abs(G)).sum(axis=0).max())
+    return np.array(vals), np.array(grads), size
+
+
+def velocity_eval_reference(system, e, u, bary_pts):
+    """Guzman-Neilan velocity vectors of element e, one point at a time."""
+    from ratfem.guzman_neilan import ROT, get_tables
+    rho = get_tables().rho
+    w = system.coeffs[e] @ u[system.l2g[e]]
+    G = system.tria.geometry_arrays()[2][e]
+    out, size = [], 0.0
+    for pt in bary_pts:
+        lam = tuple(float(x) for x in pt)
+        vec, mag = np.zeros(2), np.zeros(2)
+        for r in range(6):
+            comp, node = divmod(r, 3)
+            vec[comp] += w[r] * lam[node]
+            mag[comp] += abs(w[r] * lam[node])
+        for s in range(6):
+            glam = np.array([rho[s].grad()[k].eval_float(lam) for k in range(3)])
+            vec += w[6 + s] * (ROT @ (G.T @ glam))
+            mag += np.abs(w[6 + s]) * (np.abs(ROT) @ (np.abs(G.T) @ np.abs(glam)))
+        out.append(vec)
+        size = max(size, mag.max())
+    return np.array(out), size
+
+
+def divergence_pointwise_reference(system, e, u, bary_pts):
+    """div u_h of element e, one point at a time."""
+    from ratfem.guzman_neilan import get_tables
+    rho = get_tables().rho
+    w = system.coeffs[e] @ u[system.l2g[e]]
+    G = system.tria.geometry_arrays()[2][e]
+    out, size = [], 0.0
+    for pt in bary_pts:
+        lam = tuple(float(x) for x in pt)
+        val, mag = 0.0, 0.0
+        for r in range(6):
+            comp, node = divmod(r, 3)
+            val += w[r] * G[node, comp]
+            mag += abs(w[r] * G[node, comp])
+        for s in range(6):
+            H = np.array([[rho[s].hessian()[i][j].eval_float(lam)
+                           for j in range(3)] for i in range(3)])
+            Sp = G.T @ H @ G
+            val += w[6 + s] * (Sp[1, 0] - Sp[0, 1])
+            mag += abs(w[6 + s]) * 2 * (np.abs(G.T) @ np.abs(H) @ np.abs(G)).max()
+        out.append(val)
+        size = max(size, mag)
+    return np.array(out), size

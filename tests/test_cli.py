@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -52,6 +53,33 @@ def test_dump_tables(tmp_path):
     assert "gn_Rhat.csv" in files
     header = (target / "zienkiewicz_That_v.csv").read_text().splitlines()[0]
     assert header == "i0,i1,value"
+
+
+#: SHA-256 of every ``dump-tables`` file.  The exact tables come from exact
+#: arithmetic with one rounding per entry, so their bytes depend on neither
+#: the BLAS build nor its thread count; a refactor must leave them alone.
+TABLE_DIGESTS = {
+    "gn_Mhat.csv": "5d55695f62ac73c21ae95780266905f94af8faef817f1fe8c396cae4feebbabe",
+    "gn_Rhat.csv": "a937ae0f4ae0500c5c4df81f37c24c6793837dbd9b0b0769eb9e02de3f7c73f8",
+    "gn_That_ge.csv": "0f2de4568af21b4f19f28a6179f305a5e1e94500e21e7a1b97ebe6edc4a4240c",
+    "gn_That_gv.csv": "76f5badf9d48407da665befbc4fc458aa11bf064b877875ee3cffd096b1fc648",
+    "gn_bhat1.csv": "5342f40cd64796f0e3534a669de81dff15330a59c285ac1430997e0a49edf5a7",
+    "gn_bhat2.csv": "5a8ec5be3446ddcc40890a86baec9193b1c3d8a6f690d1bafe367e55479515d9",
+    "gn_val_mid.csv": "1f16bd46f6674c4cd01e648c85e4643191e349fbbbc58141ee6be034548c21ed",
+    "zienkiewicz_Ahat.csv": "8fc1ee84cfa6551aa2c52cb0efa71ecf4b2e00ce54d7699f664a985b10e24289",
+    "zienkiewicz_Mhat.csv": "84bae59deaca84245ba759a951d98481e0876a1777b119c605c673b853aab375",
+    "zienkiewicz_That_ge.csv": "51670f4160c25cc602ddaa662c0d8b80992764985fa2391f71cda76ce7d8298d",
+    "zienkiewicz_That_gv.csv": "e2df98db6eb6deb3796fca3417380d71c052fd1b626d4c4cc83769b3f563d349",
+    "zienkiewicz_That_v.csv": "01b5fd65f3d5425313dddfd4ab7c93c9746d14a869506588edc99f9b3fa3f58b",
+    "zienkiewicz_bhat.csv": "875b40d38d82012b0fe5ef1777d5770e020811977a3498b3b505fe6749f3cdb6",
+}
+
+
+def test_dump_tables_match_golden_digests(tmp_path):
+    assert main(["dump-tables", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == TABLE_DIGESTS
 
 
 def test_exp1_csv(tmp_path):

@@ -282,7 +282,8 @@ def test_exact_blocks_against_quadrature_reference():
     # the mixed entries with cubic potentials have polynomial integrands, so
     # a tensor rule reproduces the exact values to roundoff; bubble entries
     # converge slowly and are only checked structurally
-    from ratfem.quadrature import gauss_rule, gradient_values, hessian_values
+    from ratfem.quadrature import gauss_rule
+    from ratfem.ratfun import hessian_values
     rng = np.random.default_rng(17)
     tri = random_shape_regular_triangle(rng)
     _, area, G = tri.geometry_arrays()

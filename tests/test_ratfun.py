@@ -2,9 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ratfem.ratfun import RatCombo, SingularEvaluationError, bubble, sobolev_member
+from ratfem.ratfun import (RatCombo, SingularEvaluationError, bubble,
+                           combo_values, gradient_values, sobolev_member)
 
 F = Fraction
 
@@ -152,3 +154,65 @@ def test_basis_evaluations_never_singular():
 def test_negative_multiindex_rejected():
     with pytest.raises(ValueError):
         RatCombo.monomial((-1, 0, 0))
+
+
+def _evaluation_points(seed=21, count=8):
+    """Vertices, edge midpoints and seeded rational interior points."""
+    from ratfem.fecore import MIDS, VERTS
+    rng = random.Random(seed)
+    interior = []
+    for _ in range(count):
+        a, b, c = (rng.randint(1, 40) for _ in range(3))
+        interior.append((F(a, a + b + c), F(b, a + b + c), F(c, a + b + c)))
+    return list(VERTS) + list(MIDS) + interior
+
+
+def _outcome(evaluate):
+    try:
+        return float(evaluate())
+    except SingularEvaluationError as exc:
+        return str(exc)
+
+
+def test_float_evaluators_follow_the_vertex_rule():
+    # the 12 Zienkiewicz basis functions and their lam-gradients are finite
+    # at the vertices: every singular-looking term vanishes there
+    from ratfem.zienkiewicz import zienkiewicz_basis
+    basis = zienkiewicz_basis()
+    points = _evaluation_points()
+    fpts = np.array(points, dtype=float)
+    vals = combo_values(basis, fpts)
+    grads = gradient_values(basis, fpts)
+    assert np.all(np.isfinite(vals)) and np.all(np.isfinite(grads))
+    for q, (pt, fpt) in enumerate(zip(points, map(tuple, fpts))):
+        for r, b in enumerate(basis):
+            exact = float(b.evaluate(pt))
+            assert vals[q, r] == pytest.approx(b.eval_float(fpt), rel=1e-14)
+            assert vals[q, r] == pytest.approx(exact, rel=1e-13, abs=1e-15)
+            for k, g in enumerate(b.grad()):
+                exact = float(g.evaluate(pt))
+                assert grads[q, r, k] == pytest.approx(g.eval_float(fpt),
+                                                       rel=1e-14)
+                assert grads[q, r, k] == pytest.approx(exact, rel=1e-13,
+                                                       abs=1e-15)
+
+
+def test_float_and_exact_evaluation_refuse_the_same_terms():
+    # second lam-derivatives of the bubbles have no limit at some vertices
+    from ratfem.zienkiewicz import zienkiewicz_basis
+    funcs = [h for b in zienkiewicz_basis() for row in b.hessian() for h in row]
+    funcs.append(RatCombo.monomial((1, 0, 0), (0, 1, 0)))
+    refused = 0
+    for pt in _evaluation_points(count=3):
+        fpt = tuple(float(x) for x in pt)
+        for f in funcs:
+            exact = _outcome(lambda: f.evaluate(pt))
+            single = _outcome(lambda: f.eval_float(fpt))
+            batch = _outcome(lambda: combo_values([f], np.array([fpt]))[0, 0])
+            if isinstance(exact, str):
+                refused += 1
+                assert single == batch == exact
+            else:
+                assert single == pytest.approx(exact, rel=1e-13, abs=1e-15)
+                assert batch == pytest.approx(exact, rel=1e-13, abs=1e-15)
+    assert refused > 0
