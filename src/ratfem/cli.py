@@ -192,8 +192,9 @@ def cmd_mesh(args):
             mesh = refine_uniform(mesh)
         _write(args.out, dump_mesh(mesh))
     else:
-        text = Path(args.file).read_text()
-        mesh = load_mesh(text)
+        if args.file is None:
+            raise ConfigError("mesh load needs --file")
+        mesh = load_mesh(Path(args.file).read_text())
         print(f"nodes {mesh.num_vertices} elements {mesh.num_elements} "
               f"edges {mesh.num_edges} area {float(mesh.areas().sum())!r}")
     return 0

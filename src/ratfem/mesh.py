@@ -9,7 +9,8 @@ from its lower- to its higher-numbered vertex) so that edge degrees of freedom
 are single-valued across neighbouring elements.
 
 The refinement edge for newest-vertex bisection is the edge between the first
-two vertices of each element row.
+two vertices of each element row.  Edges are numbered in order of first
+appearance and new vertices in order of first use, element by element.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ class Triangulation:
             raise MeshFormatError("c4n must be (m, 2)")
         if self.n4e.ndim != 2 or self.n4e.shape[1] != 3:
             raise MeshFormatError("n4e must be (p, 3)")
+        if not np.all(np.isfinite(self.c4n)):
+            raise MeshFormatError("vertex coordinates must be finite")
+        if np.any((self.n4e < 0) | (self.n4e >= self.c4n.shape[0])):
+            raise MeshFormatError(
+                f"vertex index outside [0, {self.c4n.shape[0]})")
         self._check_orientation()
         self._build_edges()
         self.c4n.setflags(write=False)
@@ -49,46 +55,31 @@ class Triangulation:
     # -- construction helpers -------------------------------------------------
 
     def _check_orientation(self):
-        v = self.c4n[self.n4e]
-        det = ((v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
-               - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1]))
+        det = _det(self.c4n[self.n4e])
         if np.any(det <= 0):
             bad = int(np.argmin(det))
             raise DegenerateElementError(
                 f"element {bad} not positively oriented (det={det[bad]})")
 
     def _build_edges(self):
-        edge_index: dict = {}
-        edges = []
-        count = []
-        p = self.n4e.shape[0]
-        s4e = np.empty((p, 3), dtype=int)
-        for e in range(p):
-            tri = self.n4e[e]
-            for j in range(3):
-                a, b = tri[(j + 1) % 3], tri[(j + 2) % 3]
-                key = (a, b) if a < b else (b, a)
-                idx = edge_index.get(key)
-                if idx is None:
-                    idx = edge_index[key] = len(edges)
-                    edges.append(key)
-                    count.append(0)
-                count[idx] += 1
-                s4e[e, j] = idx
-        self.n4s = np.array(edges, dtype=int)
-        self.s4e = s4e
-        counts = np.array(count)
+        # edge j joins local vertices j+1 and j+2; number edges by first
+        # appearance, element by element
+        keys = np.sort(self.n4e[:, [[1, 2], [2, 0], [0, 1]]], axis=2)
+        uniq, first, inverse, counts = np.unique(
+            keys.reshape(-1, 2), axis=0, return_index=True,
+            return_inverse=True, return_counts=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self.n4s = uniq[order]
+        self.s4e = rank[inverse].reshape(-1, 3)
         if np.any(counts > 2):
             raise MeshFormatError("edge shared by more than two elements")
-        self.boundary_edge = counts == 1
+        self.boundary_edge = counts[order] == 1
         self.boundary_vertex = np.zeros(self.c4n.shape[0], dtype=bool)
-        for (a, b), is_bd in zip(self.n4s, self.boundary_edge):
-            if is_bd:
-                self.boundary_vertex[a] = True
-                self.boundary_vertex[b] = True
+        self.boundary_vertex[self.n4s[self.boundary_edge]] = True
         tang = self.c4n[self.n4s[:, 1]] - self.c4n[self.n4s[:, 0]]
-        norms = np.linalg.norm(tang, axis=1)
-        tang = tang / norms[:, None]
+        tang /= np.linalg.norm(tang, axis=1)[:, None]
         # global normal: clockwise rotation of the min->max tangent
         self.normal4s = np.column_stack([tang[:, 1], -tang[:, 0]])
         self.tangent4s = tang
@@ -110,10 +101,7 @@ class Triangulation:
         return self.n4s.shape[0]
 
     def areas(self) -> np.ndarray:
-        v = self.c4n[self.n4e]
-        det = ((v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
-               - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1]))
-        return det / 2.0
+        return _det(self.c4n[self.n4e]) / 2.0
 
     def midpoints(self) -> np.ndarray:
         return self.c4n[self.n4e].mean(axis=1)
@@ -131,18 +119,24 @@ class Triangulation:
 
     def geometry_arrays(self):
         """Vectorized per-element geometry: DF (p,2,2), area (p,), G=Dlam (p,3,2)."""
-        v = self.c4n[self.n4e]
-        df = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
-        det = df[:, 0, 0] * df[:, 1, 1] - df[:, 0, 1] * df[:, 1, 0]
-        inv = np.empty_like(df)
-        inv[:, 0, 0] = df[:, 1, 1]
-        inv[:, 0, 1] = -df[:, 0, 1]
-        inv[:, 1, 0] = -df[:, 1, 0]
-        inv[:, 1, 1] = df[:, 0, 0]
-        inv /= det[:, None, None]
-        gref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        g = np.einsum("ik,ekj->eij", gref, inv)
-        return df, det / 2.0, g
+        return _affine(self.c4n[self.n4e])
+
+
+def _det(v):
+    """det DF = twice the signed area, for vertex triples v of shape (..., 3, 2)."""
+    return ((v[..., 1, 0] - v[..., 0, 0]) * (v[..., 2, 1] - v[..., 0, 1])
+            - (v[..., 2, 0] - v[..., 0, 0]) * (v[..., 1, 1] - v[..., 0, 1]))
+
+
+def _affine(v):
+    """DF (p,2,2), area (p,) and G = Dlam (p,3,2) of vertex triples v (p,3,2)."""
+    df = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
+    det = _det(v)
+    inv = np.stack([df[:, 1, 1], -df[:, 0, 1], -df[:, 1, 0], df[:, 0, 0]],
+                   axis=1).reshape(-1, 2, 2) / det[:, None, None]
+    gref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    g = np.einsum("ik,ekj->eij", gref, inv)
+    return df, det / 2.0, g
 
 
 @dataclass
@@ -158,17 +152,15 @@ class ElementGeometry:
 
 def element_geometry(t: Triangulation, e: int) -> ElementGeometry:
     v = t.c4n[t.n4e[e]]
-    df = np.column_stack([v[1] - v[0], v[2] - v[0]])
-    det = float(np.linalg.det(df))
     scale = max(np.linalg.norm(v[1] - v[0]), np.linalg.norm(v[2] - v[0]))
-    if abs(det) < 1e-14 * scale ** 2:
+    if abs(_det(v)) < 1e-14 * scale ** 2:
         raise DegenerateElementError(f"element {e} is degenerate")
-    g = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]) @ np.linalg.inv(df)
+    df, area, g = (a[0] for a in _affine(v[None]))
     # outward normal of edge f_j is the negative normalized gradient of lam_j
     outward = -g / np.linalg.norm(g, axis=1)[:, None]
     rot_t = np.array([[0.0, -1.0], [1.0, 0.0]])   # R^T for tau = R^T nu
     tangents = outward @ rot_t.T
-    return ElementGeometry(df, det / 2.0, g, outward, tangents)
+    return ElementGeometry(df, float(area), g, outward, tangents)
 
 
 # -- coarse meshes -------------------------------------------------------------
@@ -198,43 +190,33 @@ def domain_area(t: Triangulation) -> float:
 # -- refinement ----------------------------------------------------------------
 
 def refine_uniform(t: Triangulation) -> Triangulation:
-    """Red refinement: each triangle splits into four congruent children."""
-    coords = [tuple(p) for p in t.c4n]
-    mid_of_edge = {}
-    m = t.num_vertices
-    new_coords = list(coords)
-    for idx, (a, b) in enumerate(t.n4s):
-        mid_of_edge[idx] = m + idx
-        new_coords.append(tuple((t.c4n[a] + t.c4n[b]) / 2.0))
-    children = []
-    for e in range(t.num_elements):
-        v0, v1, v2 = t.n4e[e]
-        m12 = mid_of_edge[t.s4e[e, 0]]   # opposite v0: edge (v1, v2)
-        m02 = mid_of_edge[t.s4e[e, 1]]
-        m01 = mid_of_edge[t.s4e[e, 2]]
-        children += [[v0, m01, m02], [m01, v1, m12],
-                     [m02, m12, v2], [m12, m02, m01]]
-    return Triangulation(np.array(new_coords), np.array(children))
+    """Red refinement: each triangle splits into four congruent children.
+
+    The midpoint of edge k becomes vertex num_vertices + k.
+    """
+    mids = (t.c4n[t.n4s[:, 0]] + t.c4n[t.n4s[:, 1]]) / 2.0
+    v0, v1, v2 = t.n4e.T
+    m12, m02, m01 = (t.num_vertices + t.s4e).T   # edge j is opposite v_j
+    children = np.stack([v0, m01, m02, m01, v1, m12,
+                         m02, m12, v2, m12, m02, m01], axis=1)
+    return Triangulation(np.vstack([t.c4n, mids]), children.reshape(-1, 3))
 
 
 def dorfler_mark(eta2, theta: float):
     """Greedy minimal set carrying a theta-fraction of the total indicator.
 
-    Ties are broken toward the lower element index via a stable sort.
+    Elements are taken by decreasing indicator, ties toward the lower element
+    index (stable sort), while the sum of those taken before stays below
+    theta times the total.
     """
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
     eta2 = np.asarray(eta2, dtype=float)
     order = np.argsort(-eta2, kind="stable")
-    total = eta2.sum()
-    acc = 0.0
-    marked = []
-    for e in order:
-        if acc >= theta * total:
-            break
-        marked.append(int(e))
-        acc += eta2[e]
-    return marked
+    # np.cumsum adds in sequence, so before[k] is the greedy running sum
+    before = np.cumsum(np.concatenate([[0.0], eta2[order]]))[:-1]
+    stop = np.flatnonzero(before >= theta * eta2.sum())
+    return order[:stop[0] if stop.size else order.size].tolist()
 
 
 def grading_indicator(t: Triangulation) -> np.ndarray:
@@ -249,63 +231,33 @@ def grading_indicator(t: Triangulation) -> np.ndarray:
 def refine_bisect(t: Triangulation, marked) -> Triangulation:
     """Newest-vertex bisection of the marked elements with conforming closure.
 
-    The refinement edge of element (a, b, c) is (a, b).  Closure iterates
-    until every element with any marked edge also has its refinement edge
-    marked; bisection then recurses into children whose refinement edges are
-    marked parent edges.
+    The refinement edge of element (a, b, c) is (a, b), its local edge 2.
+    Closure marks the refinement edge of every element with a marked edge.
+    A marked element splits at m, the midpoint of (a, b), into (c, a, m) and
+    (b, c, m); each child splits again at the midpoint of its refinement edge
+    (c, a) or (b, c) when that parent edge is marked.  New vertices are
+    numbered in order of first use: element by element, (a, b) before
+    (c, a) before (b, c).
     """
-    marked = set(int(e) for e in marked)
-    if not marked:
-        return Triangulation(t.c4n.copy(), t.n4e.copy())
-
-    def edge_key(a, b):
-        return (a, b) if a < b else (b, a)
-
-    marked_edges = set()
-    for e in marked:
-        a, b, _ = t.n4e[e]
-        marked_edges.add(edge_key(a, b))
-
-    # conforming closure on refinement edges
-    changed = True
-    while changed:
-        changed = False
-        for e in range(t.num_elements):
-            a, b, c = t.n4e[e]
-            if (edge_key(b, c) in marked_edges or edge_key(c, a) in marked_edges) \
-                    and edge_key(a, b) not in marked_edges:
-                marked_edges.add(edge_key(a, b))
-                changed = True
-
-    new_coords = [tuple(p) for p in t.c4n]
-    midpoint_index: dict = {}
-
-    def midpoint(a, b):
-        key = edge_key(a, b)
-        idx = midpoint_index.get(key)
-        if idx is None:
-            idx = midpoint_index[key] = len(new_coords)
-            new_coords.append(tuple((t.c4n[a] + t.c4n[b]) / 2.0))
-        return idx
-
-    children = []
-
-    def split(a, b, c, allow):
-        # bisect (a,b,c) at the midpoint of (a,b) when marked; children keep
-        # the opposite original edges as their refinement edges
-        if edge_key(a, b) in allow:
-            m = midpoint(a, b)
-            split(c, a, m, allow)
-            split(b, c, m, allow)
-        else:
-            children.append([a, b, c])
-
-    for e in range(t.num_elements):
-        a, b, c = t.n4e[e]
-        # only the parent's own edges can be marked; grandchildren edges never are
-        split(a, b, c, marked_edges)
-
-    return Triangulation(np.array(new_coords), np.array(children))
+    refine = np.zeros(t.num_edges, dtype=bool)
+    refine[t.s4e[np.fromiter(marked, dtype=int), 2]] = True
+    while (need := refine[t.s4e[:, :2]].any(axis=1)
+           & ~refine[t.s4e[:, 2]]).any():
+        refine[t.s4e[need, 2]] = True
+    marks = refine[t.s4e]
+    bc, ca, ab = marks.T
+    uses = t.s4e[:, ::-1][marks[:, ::-1]]
+    new = uses[np.sort(np.unique(uses, return_index=True)[1])]
+    mid = np.full(t.num_edges, -1)
+    mid[new] = t.num_vertices + np.arange(new.size)
+    mids = (t.c4n[t.n4s[new, 0]] + t.c4n[t.n4s[new, 1]]) / 2.0
+    a, b, c = t.n4e.T
+    m0, m1, m = mid[t.s4e].T
+    kids = np.stack([[a, b, c], [c, a, m], [m, c, m1], [a, m, m1],
+                     [b, c, m], [m, b, m0], [c, m, m0]], axis=0)
+    keep = np.stack([~ab, ab & ~ca, ca, ca, ab & ~bc, bc, bc], axis=1)
+    return Triangulation(np.vstack([t.c4n, mids]),
+                         kids.transpose(2, 0, 1)[keep])
 
 
 # -- text format ----------------------------------------------------------------
@@ -320,20 +272,23 @@ def dump_mesh(t: Triangulation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fields(rows, width, kind):
+    """The first `width` fields of every row, each converted by `kind`."""
+    if any(len(r) < width for r in rows):
+        raise MeshFormatError(f"expected {width} fields per line")
+    try:
+        return [[kind(x) for x in r[:width]] for r in rows]
+    except ValueError as exc:
+        raise MeshFormatError(f"bad mesh line: {exc}") from None
+
+
 def load_mesh(text: str) -> Triangulation:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
+    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+    head = rows[0] if rows else []
     if len(head) < 6 or head[0] != "nodes" or head[2] != "elements":
-        raise MeshFormatError(f"bad header: {lines[0]!r}")
-    m, p = int(head[1]), int(head[3])
-    if len(lines) < 1 + m + p:
+        raise MeshFormatError(f"bad header: {' '.join(head)!r}")
+    [[m, p]] = _fields([head[1:4:2]], 2, int)
+    if len(rows) < 1 + m + p:
         raise MeshFormatError("truncated mesh file")
-    coords = []
-    for ln in lines[1:1 + m]:
-        parts = ln.split()
-        coords.append([float(parts[0]), float(parts[1])])
-    elems = []
-    for ln in lines[1 + m:1 + m + p]:
-        parts = ln.split()
-        elems.append([int(parts[0]), int(parts[1]), int(parts[2])])
-    return Triangulation(np.array(coords), np.array(elems))
+    return Triangulation(_fields(rows[1:1 + m], 2, float),
+                         _fields(rows[1 + m:1 + m + p], 3, int))

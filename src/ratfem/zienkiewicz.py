@@ -44,7 +44,6 @@ class ZienkiewiczTables:
     Ahat, Mhat, bhat and Hmean are means, taken exactly or by the rule.
     """
     basis: list
-    hessians: list
     Ahat: np.ndarray     # (12,12,3,3,3,3) means of Hessian-entry products
     Mhat: np.ndarray     # (12,12) means of value products
     That_v: np.ndarray   # (3,12) values at vertices
@@ -80,8 +79,8 @@ def _compute_tables() -> ZienkiewiczTables:
     That_ge = np.array([[[float(grads[r][k].evaluate(mid)) for k in range(3)]
                          for r in range(12)] for mid in MIDS])
     bhat = rhs_moments(2, basis)
-    return ZienkiewiczTables(basis, hess, Ahat, Mhat, That_v, That_gv,
-                             That_ge, bhat, Hmean)
+    return ZienkiewiczTables(basis, Ahat, Mhat, That_v, That_gv, That_ge,
+                             bhat, Hmean)
 
 
 def _rule_tables(n: int) -> ZienkiewiczTables:

@@ -45,6 +45,17 @@ def test_mesh_roundtrip(tmp_path, capsys):
     assert "elements 24" in out and "area 3.0" in out
 
 
+@pytest.mark.parametrize("elements", ["0 1 -1", "0 1 4", "0 2", None])
+def test_malformed_mesh_load_is_a_configuration_error(tmp_path, capsys,
+                                                      elements):
+    path = tmp_path / "mesh.txt"
+    path.write_text("nodes 4 elements 2 edges 5\n0.0 0.0 1\n1.0 0.0 1\n"
+                    f"1.0 1.0 1\n0.0 1.0 1\n2 0 1\n{elements or '0 2 3'}\n")
+    args = ["mesh", "load"] + (["--file", str(path)] if elements else [])
+    assert main(args) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_dump_tables(tmp_path):
     target = tmp_path / "tables"
     assert main(["dump-tables", str(target)]) == 0

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from ratfem.experiments import ExperimentConfig, graded_lshape_meshes, stokes_mesh
 from ratfem.mesh import (DegenerateBarycenterError, DegenerateElementError,
                          MeshFormatError, Triangulation, domain_area,
                          dorfler_mark, dump_mesh, element_geometry,
@@ -66,6 +69,7 @@ def test_dorfler_examples():
     assert dorfler_mark([4, 1, 1, 1, 1], 0.5) == [0]
     assert sorted(dorfler_mark([1, 1, 1], 1.0)) == [0, 1, 2]
     assert dorfler_mark([1, 1], 0.5) == [0]
+    assert dorfler_mark([], 0.5) == []
     with pytest.raises(ValueError):
         dorfler_mark([1.0], 0.0)
 
@@ -148,3 +152,49 @@ def test_grading_indicator_congruent_symmetry():
         [[0, 1, 2], [3, 4, 5]])
     eta2 = grading_indicator(tri)
     assert eta2[0] == pytest.approx(eta2[1], rel=1e-14)
+
+
+def mesh_digest(meshes):
+    """SHA-256 over the numbering and geometry arrays of a mesh sequence."""
+    h = hashlib.sha256()
+    for t in meshes:
+        for a in (t.c4n, t.n4e, t.n4s, t.s4e, t.boundary_edge,
+                  t.boundary_vertex, t.normal4s):
+            a = np.ascontiguousarray(a, dtype="<f8")
+            h.update(repr(a.shape).encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+#: Digest of every mesh the exp2 grading yields up to budget 10000, followed
+#: by the 2048-element Stokes mesh.  Vertex, edge and element numbers fix the
+#: dof numbering, and with the coordinate bits the order and values of every
+#: floating-point sum behind the CSVs, so a rewrite of the mesh layer must
+#: leave them alone.
+GRADED_AND_STOKES_DIGEST = (
+    "fcea2e9b4998a6acc309f1765845daeadc86540769bc661b7b0b56077e12dc31")
+
+
+def test_mesh_sequence_matches_golden_digest():
+    meshes = [m for _, m in graded_lshape_meshes(ExperimentConfig(budget=10000))]
+    assert len(meshes) == 6
+    meshes.append(stokes_mesh(2048))
+    assert mesh_digest(meshes) == GRADED_AND_STOKES_DIGEST
+
+
+def test_malformed_input_is_a_mesh_format_error():
+    square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    for n4e in ([[0, 1, -1]], [[0, 1, 4]]):
+        with pytest.raises(MeshFormatError, match="vertex index"):
+            Triangulation(square, n4e)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(MeshFormatError, match="finite"):
+            Triangulation([[0.0, 0.0], [1.0, 0.0], [0.0, bad]], [[0, 1, 2]])
+    head = "nodes 3 elements 1 edges 3\n0.0 0.0 1\n1.0 0.0 1\n0.0 1.0 1\n"
+    assert load_mesh(head + "0 1 2\n").num_elements == 1
+    for tail in ("0 2\n", "0 1 x\n", "0 1 2.5\n"):
+        with pytest.raises(MeshFormatError):
+            load_mesh(head + tail)
+    for text in ("", "nodes x elements 1 edges 3\n", "nodes 3 elements 1 edges 3\n0.0\n"):
+        with pytest.raises(MeshFormatError):
+            load_mesh(text)
