@@ -6,7 +6,7 @@ built on top of it.
 __version__ = "0.1.0"
 
 from .exact import INFINITE, ExactValue, factorial
-from .quadrature import (MemoCache, compute_J, gauss_rule, integral_mean,
+from .quadrature import (MemoCache, compute_J, gauss_points, integral_mean,
                          integral_mean_beta2, integral_mean_combo,
                          integral_mean_poly, is_finite_index)
 from .ratfun import RatCombo, bubble, sobolev_member
@@ -16,5 +16,5 @@ __all__ = [
     "RatCombo", "bubble", "sobolev_member",
     "MemoCache", "compute_J", "integral_mean", "integral_mean_beta2",
     "integral_mean_combo", "integral_mean_poly", "is_finite_index",
-    "gauss_rule",
+    "gauss_points",
 ]

@@ -58,6 +58,13 @@ def _write(path, text):
         Path(path).write_text(text)
 
 
+def _mean(alpha, beta):
+    try:
+        return integral_mean(alpha, beta)
+    except RecursionError:
+        raise ConfigError("indices too large for the exact recursion") from None
+
+
 def cmd_quad(args):
     if args.table:
         rows = []
@@ -65,7 +72,7 @@ def cmd_quad(args):
             for beta in itertools.product(range(args.bmax + 1), repeat=3):
                 if not is_finite_index(alpha, beta):
                     continue
-                val = integral_mean(alpha, beta)
+                val = _mean(alpha, beta)
                 rows.append(",".join(map(str, alpha + beta)) + "," +
                             f"{val.q0.numerator},{val.q0.denominator},"
                             f"{val.q1.numerator},{val.q1.denominator}")
@@ -74,7 +81,7 @@ def cmd_quad(args):
         return 0
     if args.alpha is None or args.beta is None:
         raise ConfigError("either --table or both --alpha and --beta")
-    val = integral_mean(_parse_midx(args.alpha), _parse_midx(args.beta))
+    val = _mean(_parse_midx(args.alpha), _parse_midx(args.beta))
     try:
         print(f"{val} = {val.to_float()!r}")
     except InfiniteValueError:
@@ -280,7 +287,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (NoConvergenceError, NotPositiveDefiniteError,

@@ -1,7 +1,7 @@
-"""Element-type-independent machinery: exact moment tensors, Gauss-rule
-points, right-hand-side moment matrices, load evaluation, reduced-element
-bubble corrections, shape coefficients, dof layouts, the per-quadrature
-table cache and triplet assembly.
+"""Element-type-independent machinery: moment tensors (exact or by a Gauss
+rule), load evaluation, reduced-element bubble corrections, shape
+coefficients, dof layouts, the per-quadrature table cache and triplet
+assembly.
 
 All exact reference tensors are computed once per process by exact rational
 quadrature and floated at the very end, so recomputation is bit-reproducible.
@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .quadrature import MemoCache, gauss_rule, integral_mean_combo
-from .ratfun import RatCombo
+from .quadrature import gauss_points, integral_mean_combo
+from .ratfun import RatCombo, combo_values
 
 _HALF = Fraction(1, 2)
 #: Barycentric vertices, then edge midpoints (edge j is opposite vertex j).
@@ -27,16 +27,24 @@ MIDS = [(Fraction(0), _HALF, _HALF),
         (_HALF, _HALF, Fraction(0))]
 
 
-def moment_tensor(left, right, cache: MemoCache | None = None) -> np.ndarray:
+def moment_tensor(left, right, quadrature="exact") -> np.ndarray:
     """Means of pairwise products of two RatCombo families.
 
     `left` and `right` are arbitrarily nested sequences of RatCombos; the
-    result has shape left_shape + right_shape with every entry the floated
-    exact mean of the product.  A product-level memo avoids recomputing
-    symmetric entries.
+    result has shape left_shape + right_shape.  Under "exact" every entry is
+    the floated exact mean of the product, and a product-level memo avoids
+    recomputing symmetric entries.  Under an integer n every entry is the
+    n-point Gauss rule's mean (:func:`quadrature.gauss_points`).
     """
     larr = np.asarray(left, dtype=object)
-    rarr = np.asarray(right, dtype=object)
+    rarr = larr if right is left else np.asarray(right, dtype=object)
+    if quadrature != "exact":
+        bary, w2 = gauss_points(int(quadrature))
+        L = combo_values(larr.ravel(), bary)
+        R = L if right is left else combo_values(rarr.ravel(), bary)
+        # einsum sums over q in one fixed order; a BLAS GEMM's order can
+        # depend on its thread count, and these tables feed every rule-n result
+        return np.einsum("q,qa,qb->ab", w2, L, R).reshape(larr.shape + rarr.shape)
     out = np.empty(larr.shape + rarr.shape)
     memo: dict = {}
     for il in np.ndindex(larr.shape):
@@ -46,7 +54,7 @@ def moment_tensor(left, right, cache: MemoCache | None = None) -> np.ndarray:
             key = (id(f), id(g)) if id(f) <= id(g) else (id(g), id(f))
             val = memo.get(key)
             if val is None:
-                val = memo[key] = integral_mean_combo(f * g, cache).to_float()
+                val = memo[key] = integral_mean_combo(f * g).to_float()
             out[il + ir] = val
     return out
 
@@ -70,23 +78,6 @@ def lagrange_basis(degree: int):
         edge = [4 * (lam[(j + 1) % 3] * lam[(j + 2) % 3]) for j in range(3)]
         return vertex + edge
     raise ValueError(f"unsupported Lagrange degree {degree}")
-
-
-def rhs_moments(degree: int, basis, cache: MemoCache | None = None) -> np.ndarray:
-    """Moment matrix (J, L) of the degree-r Lagrange basis against `basis`."""
-    phi = lagrange_basis(degree)
-    return moment_tensor(phi, list(basis), cache)
-
-
-def gauss_points(n: int):
-    """Barycentric points (Q, 3) and mean weights 2 w_q of the rule-n.
-
-    The mean weights sum to one, so a sum against them is the rule's value of
-    an integral mean; a rule-n reference tensor is such a sum of products of
-    basis values at the points.
-    """
-    rule = gauss_rule(n)
-    return rule.bary_points(), 2.0 * rule.weights
 
 
 def load_values(f, tria, bary, components: int | None = None) -> np.ndarray:
@@ -186,16 +177,16 @@ def pad_free(free, x) -> np.ndarray:
     return full
 
 
-def cached_tables(cache: dict, quadrature, exact, rule):
+def cached_tables(cache: dict, quadrature, build):
     """The reference tables of `quadrature` from `cache`, built on first use.
 
-    `quadrature` is "exact", built by exact(), or an integer n, built by
-    rule(n); each is kept in `cache` for the process.
+    `quadrature` is "exact" or an integer n; build(quadrature) makes the
+    tables, which are kept in `cache` for the process.
     """
     key = "exact" if quadrature == "exact" else int(quadrature)
     tables = cache.get(key)
     if tables is None:
-        tables = cache[key] = exact() if key == "exact" else rule(key)
+        tables = cache[key] = build(key)
     return tables
 
 

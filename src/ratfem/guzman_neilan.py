@@ -20,11 +20,11 @@ import scipy.sparse as sp
 
 from . import fecore, zienkiewicz
 from .fecore import (MIDS, assemble_matrix, assemble_vector, cached_tables,
-                     edge_corrections, gauss_points, lagrange_basis,
-                     lagrange_nodes, load_values, moment_tensor, pad_free,
-                     rhs_moments)
+                     edge_corrections, lagrange_basis, lagrange_nodes,
+                     load_values, moment_tensor, pad_free)
 from .mesh import Triangulation
-from .ratfun import RatCombo, gradient_values, hessian_values
+from .quadrature import gauss_points
+from .ratfun import gradient_values, hessian_values
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])   # curl g = ROT grad g
 
@@ -61,53 +61,40 @@ def get_tables(quadrature="exact") -> GNTables:
 
     Each is built on first use and kept for the process.
     """
-    return cached_tables(_TABLES, quadrature, _compute_tables, _rule_tables)
+    return cached_tables(_TABLES, quadrature, _compute_tables)
 
 
-def _curl_tensors(zt):
-    """Rhat and Mhat from the Zienkiewicz tables of the same quadrature.
-
-    The potentials are Zienkiewicz basis functions 6..11, so
-    Rhat[r,s,i,j,k,l] = mean(H_r[i,k] H_s[j,l]) is a transpose of Ahat, and
-    Mhat places the Hessian means: P1 field r is lam_{r mod 3} e_{r//3}, its
-    gradient the constant delta_{i, r//3} delta_{k, r mod 3}.
-    """
+def _compute_tables(quadrature="exact") -> GNTables:
+    # The potentials are Zienkiewicz basis functions 6..11, so
+    # Rhat[r,s,i,j,k,l] = mean(H_r[i,k] H_s[j,l]) is a transpose of Ahat, and
+    # Mhat places the Hessian means: P1 field r = (comp, node) is
+    # lam_node e_comp, its gradient the constant delta_{i,comp} delta_{k,node}.
+    zt = zienkiewicz.get_tables(quadrature)
     Rhat = np.ascontiguousarray(zt.Ahat[6:, 6:].transpose(0, 1, 2, 4, 3, 5))
     Mhat = np.zeros((6, 6, 2, 3, 3, 3))
     for r in range(6):
         comp, node = divmod(r, 3)
         Mhat[r, :, comp, :, node, :] = zt.Hmean[6:]
-    return Rhat, Mhat
 
+    if quadrature != "exact":
+        # the load is sampled at the rule points instead of interpolated
+        exact = get_tables()
+        bary, w2 = gauss_points(quadrature)
+        Gq = gradient_values(exact.rho, bary)                 # (Q,6,3)
+        return replace(exact, Rhat=Rhat, Mhat=Mhat, load_points=bary,
+                       bhat1=w2[:, None] * bary,
+                       bhat2=w2[:, None, None] * Gq.transpose(0, 2, 1),
+                       mean_one=float(w2.sum()))
 
-def _compute_tables() -> GNTables:
-    zt = zienkiewicz.get_tables()
     rho = stream_potentials()
-    Rhat, Mhat = _curl_tensors(zt)
-
-    # P1 field r = (comp, node) is lam_node e_comp
     val_mid = np.zeros((3, 6, 2))
     val_mid[:, 0:3, 0] = val_mid[:, 3:6, 1] = np.array(MIDS, dtype=float)
-
-    bhat1 = rhs_moments(2, [RatCombo.lam(j) for j in range(3)])
+    bhat1 = moment_tensor(lagrange_basis(2), lagrange_basis(1))
     bhat2 = moment_tensor(lagrange_basis(2),
                           [[r.diff(k) for r in rho] for k in range(3)])
-
     nodes = np.array(lagrange_nodes(2), dtype=float)
     return GNTables(rho, Rhat, Mhat, zt.That_gv[:, 6:], zt.That_ge[:, 6:],
                     val_mid, nodes, bhat1, bhat2, 1.0)
-
-
-def _rule_tables(n: int) -> GNTables:
-    """The exact tables with every mean replaced by the rule-n sum."""
-    exact = get_tables()
-    Rhat, Mhat = _curl_tensors(zienkiewicz.get_tables(n))
-    bary, w2 = gauss_points(n)
-    Gq = gradient_values(exact.rho, bary)                     # (Q,6,3)
-    return replace(exact, Rhat=Rhat, Mhat=Mhat, load_points=bary,
-                   bhat1=w2[:, None] * bary,
-                   bhat2=w2[:, None, None] * Gq.transpose(0, 2, 1),
-                   mean_one=float(w2.sum()))
 
 
 # -- local matrices --------------------------------------------------------------

@@ -15,6 +15,7 @@ triangle used by the quadrature-error experiments.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -207,15 +208,12 @@ def integral_mean_combo(f: RatCombo, cache: MemoCache | None = None) -> ExactVal
 # Inexact quadrature: tensorized 1D Gauss via Fubini on the reference triangle.
 
 def _legendre_and_derivative(n: int, x: np.ndarray):
-    # three-term recurrence for P_n and its derivative on (-1, 1)
+    # three-term recurrence for P_n (n >= 1) and its derivative on (-1, 1)
     p0 = np.ones_like(x)
     p1 = x.copy()
     for m in range(2, n + 1):
         p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-    if n == 0:
-        return p0, np.zeros_like(x)
-    dp = n * (x * p1 - p0) / (x * x - 1.0)
-    return p1, dp
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 
 def gauss_legendre_01(n: int):
@@ -243,59 +241,20 @@ def gauss_legendre_01(n: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-class GaussRule2D:
+@functools.cache
+def gauss_points(n: int):
     """Fubini-Gauss rule on the reference triangle [(0,0), (1,0), (0,1)].
 
     Outer axis: n Gauss points x_i on [0,1]; inner axis: n Gauss points on
     [0, 1-x_i] with weights scaled by (1-x_i).  Exact for polynomials of total
-    degree up to 2n-2.  Weights sum to 1/2 (the reference area).
+    degree up to 2n-2.  Returns the read-only barycentric points (n*n, 3) and
+    mean weights 2 w_q, which sum to one: a sum against them is the rule's
+    value of an integral mean.
     """
-
-    __slots__ = ("n", "points", "weights")
-
-    def __init__(self, n: int):
-        x, wx = gauss_legendre_01(n)
-        pts = np.empty((n * n, 2))
-        wts = np.empty(n * n)
-        for i in range(n):
-            yi = x * (1.0 - x[i])
-            pts[i * n:(i + 1) * n, 0] = x[i]
-            pts[i * n:(i + 1) * n, 1] = yi
-            wts[i * n:(i + 1) * n] = wx[i] * wx * (1.0 - x[i])
-        self.n = n
-        self.points = pts
-        self.weights = wts
-
-    def bary_points(self):
-        """Barycentric coordinates of the rule points, shape (n*n, 3)."""
-        x, y = self.points[:, 0], self.points[:, 1]
-        return np.column_stack([1.0 - x - y, x, y])
-
-
-_RULE_CACHE: dict = {}
-
-
-def gauss_rule(n: int) -> GaussRule2D:
-    rule = _RULE_CACHE.get(n)
-    if rule is None:
-        rule = _RULE_CACHE[n] = GaussRule2D(n)
-    return rule
-
-
-def gauss_integrate(f, rule: GaussRule2D, vertices=None) -> float:
-    """Integrate a callable f(x, y) over a physical triangle with the rule.
-
-    `vertices` is a 3x2 array; None means the reference triangle.  The affine
-    map contributes the factor |det DF| = 2*area.
-    """
-    pts = rule.points
-    if vertices is None:
-        xy = pts
-        jac = 1.0
-    else:
-        v = np.asarray(vertices, dtype=float)
-        df = np.column_stack([v[1] - v[0], v[2] - v[0]])
-        jac = abs(float(np.linalg.det(df)))
-        xy = v[0] + pts @ df.T
-    vals = np.array([f(p[0], p[1]) for p in xy])
-    return jac * float(np.dot(rule.weights, vals))
+    x, wx = gauss_legendre_01(n)
+    xi, scale = np.repeat(x, n), 1.0 - np.repeat(x, n)
+    y = np.tile(x, n) * scale
+    bary = np.column_stack([1.0 - xi - y, xi, y])
+    w2 = 2.0 * (np.repeat(wx, n) * np.tile(wx, n) * scale)
+    bary.flags.writeable = w2.flags.writeable = False
+    return bary, w2

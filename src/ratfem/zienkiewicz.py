@@ -11,18 +11,16 @@ at edge midpoints (global edge normals).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fecore
 from .fecore import (MIDS, VERTS, assemble_matrix, assemble_vector,
-                     cached_tables, edge_corrections, gauss_points,
-                     lagrange_basis, lagrange_nodes, load_values,
-                     moment_tensor, pad_free, rhs_moments)
+                     cached_tables, edge_corrections, lagrange_basis,
+                     lagrange_nodes, load_values, moment_tensor, pad_free)
 from .mesh import Triangulation
-from .ratfun import (RatCombo, bubble, combo_values, gradient_values,
-                     hessian_values)
+from .ratfun import RatCombo, bubble, combo_values, gradient_values
 
 
 def zienkiewicz_basis():
@@ -61,44 +59,22 @@ def get_tables(quadrature="exact") -> ZienkiewiczTables:
 
     Each is built on first use and kept for the process.
     """
-    return cached_tables(_TABLES, quadrature, _compute_tables, _rule_tables)
+    return cached_tables(_TABLES, quadrature, _compute_tables)
 
 
-def _compute_tables() -> ZienkiewiczTables:
+def _compute_tables(quadrature="exact") -> ZienkiewiczTables:
     basis = zienkiewicz_basis()
-    grads = [b.grad() for b in basis]
     hess = [b.hessian() for b in basis]
 
     # moment_tensor(hess, hess) is indexed [r, i, j, s, k, l]
-    Ahat = moment_tensor(hess, hess).transpose(0, 3, 1, 2, 4, 5).copy()
-    Hmean = moment_tensor(hess, [RatCombo.one()])[..., 0]
-    Mhat = moment_tensor(basis, basis)
-    That_v = np.array([[float(b.evaluate(v)) for b in basis] for v in VERTS])
-    That_gv = np.array([[[float(grads[r][k].evaluate(v)) for k in range(3)]
-                         for r in range(12)] for v in VERTS])
-    That_ge = np.array([[[float(grads[r][k].evaluate(mid)) for k in range(3)]
-                         for r in range(12)] for mid in MIDS])
-    bhat = rhs_moments(2, basis)
-    return ZienkiewiczTables(basis, Ahat, Mhat, That_v, That_gv, That_ge,
-                             bhat, Hmean)
-
-
-def _rule_tables(n: int) -> ZienkiewiczTables:
-    """The exact tables with every mean replaced by the rule-n sum."""
-    exact = get_tables()
-    bary, w2 = gauss_points(n)
-    Vq = combo_values(exact.basis, bary)                        # (Q,12)
-    Hq = hessian_values(exact.basis, bary).reshape(len(w2), 108)
-    phi = combo_values(lagrange_basis(2), bary)                 # (Q,6)
-    # einsum sums over q in one fixed order; a BLAS GEMM's order can
-    # depend on its thread count, and these tables feed every rule-n result
-    return replace(
-        exact,
-        Ahat=np.einsum("q,qa,qb->ab", w2, Hq, Hq).reshape(
-            12, 3, 3, 12, 3, 3).transpose(0, 3, 1, 2, 4, 5).copy(),
-        Mhat=np.einsum("q,qr,qs->rs", w2, Vq, Vq),
-        bhat=np.einsum("q,qj,qr->jr", w2, phi, Vq),
-        Hmean=np.einsum("q,qa->a", w2, Hq).reshape(12, 3, 3))
+    Ahat = moment_tensor(hess, hess, quadrature).transpose(0, 3, 1, 2, 4, 5).copy()
+    Hmean = moment_tensor(hess, [RatCombo.one()], quadrature)[..., 0]
+    Mhat = moment_tensor(basis, basis, quadrature)
+    bhat = moment_tensor(lagrange_basis(2), basis, quadrature)
+    # every value at a vertex or edge midpoint is dyadic, so floats are exact
+    return ZienkiewiczTables(basis, Ahat, Mhat, combo_values(basis, VERTS),
+                             gradient_values(basis, VERTS),
+                             gradient_values(basis, MIDS), bhat, Hmean)
 
 
 # -- local matrices -------------------------------------------------------------

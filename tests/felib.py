@@ -4,7 +4,7 @@ import numpy as np
 
 from ratfem.fecore import lagrange_basis, lagrange_nodes
 from ratfem.mesh import Triangulation
-from ratfem.quadrature import gauss_rule
+from ratfem.quadrature import gauss_points
 from ratfem.ratfun import combo_values, gradient_values, hessian_values
 
 
@@ -30,9 +30,8 @@ def bary_coords(verts, xy):
 
 
 def _rule_data(basis, n):
-    rule = gauss_rule(n)
-    bary = rule.bary_points()
-    return rule.weights, bary, combo_values(basis, bary), \
+    bary, w2 = gauss_points(n)
+    return 0.5 * w2, bary, combo_values(basis, bary), \
         gradient_values(basis, bary), hessian_values(basis, bary)
 
 

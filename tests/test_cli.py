@@ -56,6 +56,23 @@ def test_malformed_mesh_load_is_a_configuration_error(tmp_path, capsys,
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["mesh", "load", "--file", "{tmp}/missing.txt"],
+    ["mesh", "dump", "--out", "{tmp}/missing/mesh.txt"],
+    ["exp1", "--levels", "1", "--ns", "2", "--out", "{tmp}/exp1.csv",
+     "--svg", "{tmp}/missing/exp1.svg"],
+])
+def test_io_failures_are_configuration_errors(tmp_path, capsys, args):
+    assert main([a.format(tmp=tmp_path) for a in args]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+
+
+def test_deep_indices_are_a_configuration_error(capsys):
+    assert main(["quad", "--alpha", "0,2000,2000", "--beta", "0,1,2000"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: indices too large for the exact recursion\n")
+
+
 def test_dump_tables(tmp_path):
     target = tmp_path / "tables"
     assert main(["dump-tables", str(target)]) == 0

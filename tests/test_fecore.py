@@ -3,7 +3,7 @@ import pytest
 
 from oracle import duffy_mean
 from ratfem.fecore import (assemble_matrix, assemble_vector, lagrange_basis,
-                           lagrange_nodes, moment_tensor, rhs_moments)
+                           lagrange_nodes, moment_tensor)
 from ratfem.quadrature import integral_mean_combo
 from ratfem.ratfun import RatCombo
 
@@ -55,9 +55,9 @@ def test_lagrange_bases():
 
 
 def test_rhs_moments():
-    ones = rhs_moments(1, [RatCombo.one()])
+    ones = moment_tensor(lagrange_basis(1), [RatCombo.one()])
     assert np.allclose(ones, 1.0 / 3.0)
-    lam0 = rhs_moments(1, [RatCombo.lam(0)])
+    lam0 = moment_tensor(lagrange_basis(1), [RatCombo.lam(0)])
     assert lam0[0, 0] == pytest.approx(1.0 / 6.0)
     # partition of unity: row sums over the Lagrange index give the mean of b
     from ratfem.zienkiewicz import get_tables

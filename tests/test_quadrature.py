@@ -8,11 +8,11 @@ import pytest
 from oracle import duffy_mean
 from ratfem.exact import INFINITE, ExactValue
 from ratfem.quadrature import (IndexNotFiniteError, InfiniteTermError,
-                               MemoCache, compute_J, gauss_integrate,
-                               gauss_legendre_01, gauss_rule, integral_mean,
+                               MemoCache, compute_J, gauss_legendre_01,
+                               gauss_points, integral_mean,
                                integral_mean_beta2, integral_mean_combo,
                                integral_mean_poly, is_finite_index)
-from ratfem.ratfun import RatCombo, bubble
+from ratfem.ratfun import RatCombo, bubble, combo_values
 
 F = Fraction
 
@@ -133,31 +133,27 @@ def test_gauss_legendre_nodes():
 
 
 def test_gauss_rule_geometry():
-    rule = gauss_rule(1)
-    assert gauss_integrate(lambda x, y: 1.0, rule) == pytest.approx(0.5)
     for n in (1, 2, 3, 7):
-        r = gauss_rule(n)
-        assert r.weights.sum() == pytest.approx(0.5, rel=1e-13)
-        x, y = r.points[:, 0], r.points[:, 1]
-        assert np.all(x > 0) and np.all(y > 0) and np.all(x + y < 1)
+        bary, w2 = gauss_points(n)
+        assert bary.shape == (n * n, 3) and w2.shape == (n * n,)
+        assert w2.sum() == pytest.approx(1.0, rel=1e-13)
+        assert np.all(bary > 0) and np.allclose(bary.sum(axis=1), 1.0)
+        assert not bary.flags.writeable and not w2.flags.writeable
+        assert gauss_points(n)[0] is bary
 
 
 def test_gauss_rule_polynomial_exactness():
-    # n = 3 integrates P4 exactly: lam1^4 has mean 1/15, integral 1/30
-    val = gauss_integrate(lambda x, y: x ** 4, gauss_rule(3))
-    assert val == pytest.approx(1.0 / 30.0, rel=1e-14)
-    # physical triangle with doubled area
-    tri = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-    val = gauss_integrate(lambda x, y: 1.0, gauss_rule(2), tri)
-    assert val == pytest.approx(1.0, rel=1e-14)
+    # n = 3 integrates P4 exactly: lam1^4 has mean 1/15
+    bary, w2 = gauss_points(3)
+    assert w2 @ bary[:, 1] ** 4 == pytest.approx(1.0 / 15.0, rel=1e-14)
 
 
 def test_gauss_rule_not_exact_on_bubble():
-    exact = integral_mean((1, 2, 2), (0, 1, 1)).to_float() * 0.5
-    b = bubble(0)
-    approx = gauss_integrate(
-        lambda x, y: b.eval_float((1.0 - x - y, x, y)), gauss_rule(2))
-    assert abs(approx - exact) > 1e-7
+    exact = integral_mean((1, 2, 2), (0, 1, 1)).to_float()
+    bary, w2 = gauss_points(2)
+    approx = w2 @ combo_values([bubble(0)], bary)[:, 0]
+    # the integrals over the reference triangle (area 1/2) differ by > 1e-7
+    assert 0.5 * abs(approx - exact) > 1e-7
 
 
 def test_finiteness_guard_matches_characterization():

@@ -5,6 +5,8 @@ exact path's contraction with rule-n tables.  These tests compare that path
 with the per-point formula in felib, and pin down the load-callback contract.
 """
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -78,6 +80,48 @@ def test_rule_tables_are_cached_and_share_the_exact_point_tables():
         ahat = zk.get_tables(quadrature).Ahat[6:, 6:]
         rhat = gn.get_tables(quadrature).Rhat
         assert np.array_equal(rhat, ahat.transpose(0, 1, 2, 4, 3, 5))
+
+
+#: One SHA-256 per quadrature over every array field (name, shape, bytes) of
+#: both elements' tables, plus mean_one.  The rule-n tables feed every
+#: lambda_bar and grad_err, so a refactor must leave their bytes alone.
+TABLE_DIGESTS = {
+    "exact": "9010ad5c86e38a7f8b5f1d4f07110adcef661885e45e042af3c8f09917055232",
+    1: "1a30180c3ec799d44defc138e2965f4bd90bdb629b67d870614985fe0fe2a032",
+    2: "7b2fa3ceba702c62d4aa96924bf1881e176298e54c4be8f34d2383577ee9eaa0",
+    3: "637b3d6a60b75de45e57460eb69c96869a0ddd28aa95a7eb52e7ec4d7ad6109c",
+    4: "1c015bf17e41fb44d5729030a75663df1f9e05ce25a20e6c9bf49c35e34d0bc7",
+    5: "d1ed7e3c160edbee6d771df0c54a11c173744665ed30151057d118d8723d68b0",
+    6: "43aad4bd8d8aa6641024324d848dcb0e1a537aa8d326160cd51b2ddf36a5aa97",
+    7: "acf3b5b3a97f9b678f010f8977665b0c824d9876abd295da5a54e728f0a751a9",
+    8: "31fee96581cb3f7476fa878343f3fd474f503eafa3abb0878c1df53c5ea34eca",
+    9: "2e422a58700b960555d81ce91e4e827fb08d8be1d6669bbeeb118d241aae6a7c",
+    10: "88e66e0efe5453030c6147f3e3dfdde5b9df9e6579630e077fc3c6ada8d687be",
+    11: "b9403780a712aeb57ed7f86010528bb01e04ab38828101c6c7f0642748d5225f",
+    12: "7299106307881f4eb8e0287a28e6ef08b2b0c34b1690fc7c72c1d43e6b3f30a5",
+    13: "599af878d0d52642a92c26e42e5bcc471c85655baea2384edd0bacdc17f39787",
+    14: "6bc95141797f395b80d37b4c042d1d3ec68c54d52c7a4dc35365ab887168f444",
+    15: "9dd5ac7ed117038a32619999005dc5c9ed0d74cec0b4851eda50e38584324888",
+    16: "7fa550c938c983e424397ee86eee91a03ccbcb0cacda945ef325f05bfa1f69d2",
+}
+
+
+def _tables_digest(quadrature):
+    digest = hashlib.sha256()
+    for tables in (zk.get_tables(quadrature), gn.get_tables(quadrature)):
+        for field in dataclasses.fields(tables):
+            value = getattr(tables, field.name)
+            if isinstance(value, np.ndarray):
+                digest.update(f"{field.name}{value.shape}".encode())
+                digest.update(np.ascontiguousarray(value).tobytes())
+            elif isinstance(value, float):
+                digest.update(f"{field.name}={value!r}".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("quadrature", list(TABLE_DIGESTS))
+def test_tables_match_golden_digests(quadrature):
+    assert _tables_digest(quadrature) == TABLE_DIGESTS[quadrature]
 
 
 def test_divergence_matrix_is_the_exact_one_under_every_rule():
