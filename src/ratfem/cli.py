@@ -58,6 +58,14 @@ def _write(path, text):
         Path(path).write_text(text)
 
 
+def _check_output_dirs(args):
+    """Fail before any work if an output file's directory does not exist."""
+    for path in (getattr(args, "out", None), getattr(args, "svg", None)):
+        if path not in (None, "-") and not Path(path).parent.is_dir():
+            raise FileNotFoundError(
+                f"No such file or directory: '{Path(path).parent}'")
+
+
 def _mean(alpha, beta):
     try:
         return integral_mean(alpha, beta)
@@ -286,14 +294,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_output_dirs(args)
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    # the solver errors first: the LinAlgError ones are also ValueErrors
     except (NoConvergenceError, NotPositiveDefiniteError,
             SingularSystemError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except (ConfigError, ValueError, OSError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ class GNTables:
     The load is sampled at `load_points`: the P2 Lagrange nodes for exact
     tables (the load is interpolated there), the rule points for a rule.
     """
-    rho: list
+    rho: tuple
     Rhat: np.ndarray      # (6,6,3,3,3,3) Hessian-product means, R_T layout
     Mhat: np.ndarray      # (6,6,2,3,3,3) P1-gradient x Hessian means
     That_gv: np.ndarray   # (3,6,3) potential lam-gradients at vertices

@@ -29,6 +29,7 @@ def midx_sub(a, b):
 
 
 _E = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_UPPER = [(i, j) for i in range(3) for j in range(i, 3)]   # Hessian entries
 
 
 class RatCombo:
@@ -36,13 +37,15 @@ class RatCombo:
 
     Terms are collected eagerly: no two stored terms share a multi-index pair
     and zero coefficients are dropped, so structural equality of the term maps
-    is equality of the represented functions within this class.
+    is equality of the represented functions within this class.  A combo is
+    not changed once built, so its gradient and Hessian are kept on first use.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_grad", "_hessian")
 
     def __init__(self, terms=None):
         self.terms: dict = {}
+        self._grad = self._hessian = None
         if terms:
             for (alpha, beta), coeff in terms.items():
                 if coeff != 0:
@@ -129,19 +132,18 @@ class RatCombo:
 
     def grad(self):
         """Gradient with respect to (lam0, lam1, lam2) as a triple."""
-        return (self.diff(0), self.diff(1), self.diff(2))
+        if self._grad is None:
+            self._grad = (self.diff(0), self.diff(1), self.diff(2))
+        return self._grad
 
     def hessian(self):
         """Symmetric 3x3 array of second lam-derivatives (nested tuples)."""
-        first = self.grad()
-        rows = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(i, 3):
-                rows[i][j] = first[i].diff(j)
-        for i in range(3):
-            for j in range(i):
-                rows[i][j] = rows[j][i]
-        return tuple(tuple(r) for r in rows)
+        if self._hessian is None:
+            first = self.grad()
+            upper = {(i, j): first[i].diff(j) for i, j in _UPPER}
+            self._hessian = tuple(tuple(upper[min(i, j), max(i, j)]
+                                        for j in range(3)) for i in range(3))
+        return self._hessian
 
     def evaluate(self, point) -> Fraction:
         """Exact evaluation at a barycentric point (triple of rationals).
@@ -253,10 +255,16 @@ def gradient_values(funcs, bary) -> np.ndarray:
     return combo_values(parts, bary).reshape(-1, len(funcs), 3)
 
 
+_MIRROR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])   # (i, j) -> _UPPER index
+
+
 def hessian_values(funcs, bary) -> np.ndarray:
-    """Float lam-Hessians of RatCombos at barycentric points -> (Q, L, 3, 3)."""
-    parts = [h for f in funcs for row in f.hessian() for h in row]
-    return combo_values(parts, bary).reshape(-1, len(funcs), 3, 3)
+    """Float lam-Hessians of RatCombos at barycentric points -> (Q, L, 3, 3).
+
+    Only the six upper-triangle entries are evaluated, then mirrored.
+    """
+    parts = [f.hessian()[i][j] for f in funcs for i, j in _UPPER]
+    return combo_values(parts, bary).reshape(-1, len(funcs), 6)[:, :, _MIRROR]
 
 
 def sobolev_member(alpha, beta, m: int, p) -> bool:

@@ -1,8 +1,17 @@
 """Deterministic sparse linear algebra: direct SPD and symmetric-indefinite
 solves plus the smallest generalized eigenpair by inverse power iteration.
 
-Everything runs through a sequential sparse LU factorization, so identical
-inputs give bit-identical outputs.
+SPD matrices get a symmetric factorization without pivoting: a multiple
+minimum degree ordering of A + A^T, applied to rows and columns alike, with
+unrelaxed supernodes.  With no pivoting, a symmetric matrix is positive
+definite exactly when every pivot is positive, so the factorization is its
+own certificate: a row interchange (SuperLU's answer to a zero pivot) or a
+pivot <= 0 raises NotPositiveDefiniteError.  Symmetric-indefinite (saddle)
+systems keep SuperLU's default column ordering with threshold pivoting.
+
+Everything runs through a sequential sparse LU factorization and the inverse
+iteration reduces with einsum, not BLAS, so identical inputs give
+bit-identical outputs whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -24,19 +33,32 @@ class NoConvergenceError(RuntimeError):
     pass
 
 
-def _factorize(A: sp.spmatrix):
+def _factorize(A: sp.spmatrix, **options):
     try:
-        return spla.splu(sp.csc_matrix(A))
+        return spla.splu(sp.csc_matrix(A), **options)
     except RuntimeError as exc:  # SuperLU reports singularity this way
         raise SingularSystemError(str(exc)) from exc
 
 
-def _checked_solve(A: sp.spmatrix, b: np.ndarray, error) -> np.ndarray:
+def _factorize_spd(A: sp.spmatrix):
+    """No-pivot LU of symmetric A; raises NotPositiveDefiniteError unless
+    every pivot is positive, i.e. unless A is positive definite."""
+    lu = _factorize(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    relax=1, options=dict(SymmetricMode=True))
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NotPositiveDefiniteError("zero pivot: rows were interchanged")
+    pivots = lu.U.diagonal()
+    if not (pivots > 0).all():
+        raise NotPositiveDefiniteError(f"pivot {pivots.min()!r} is not positive")
+    return lu
+
+
+def _checked_solve(A: sp.spmatrix, b: np.ndarray, factorize, error) -> np.ndarray:
     """LU solve of A x = b; raises `error` if A is singular or the relative
     residual ||A x - b|| / ||b|| is not finite or exceeds 1e-10."""
     b = np.asarray(b, dtype=float)
     try:
-        lu = _factorize(A)
+        lu = factorize(A)
     except SingularSystemError as exc:
         raise error(str(exc)) from exc
     x = lu.solve(b)
@@ -49,39 +71,45 @@ def _checked_solve(A: sp.spmatrix, b: np.ndarray, error) -> np.ndarray:
 
 
 def spd_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Direct solve for SPD A, relative residual checked <= 1e-10."""
-    return _checked_solve(A, b, NotPositiveDefiniteError)
+    """Direct solve for SPD A, certified by its pivots; relative residual
+    checked <= 1e-10."""
+    return _checked_solve(A, b, _factorize_spd, NotPositiveDefiniteError)
 
 
 def sym_indef_solve(K: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     """Direct solve for a symmetric, possibly indefinite, nonsingular system;
     relative residual checked <= 1e-10."""
-    return _checked_solve(K, rhs, SingularSystemError)
+    return _checked_solve(K, rhs, _factorize, SingularSystemError)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v in a fixed summation order (BLAS ddot splits it by thread)."""
+    return float(np.einsum("i,i->", u, v))
 
 
 def gen_eig_smallest(A: sp.spmatrix, M: sp.spmatrix, tol: float = 1e-12,
                      maxit: int = 500, x0: np.ndarray | None = None):
     """Smallest eigenpair of A x = lambda M x by inverse power iteration.
 
-    One factorization of A is reused across iterations; the start vector is
-    M times the all-ones vector (or the given x0), so runs are deterministic.
-    The returned vector is M-normalized.
+    A must be SPD (NotPositiveDefiniteError otherwise).  One factorization of
+    A is reused across iterations; the start vector is M times the all-ones
+    vector (or the given x0), so runs are deterministic.  The returned vector
+    is M-normalized.
     """
     n = A.shape[0]
-    lu = _factorize(A)
+    lu = _factorize_spd(A)
     x = M @ np.ones(n) if x0 is None else np.array(x0, dtype=float)
-    x = x / np.sqrt(abs(x @ (M @ x)))
+    x = x / np.sqrt(abs(_dot(x, M @ x)))
     lam_old = np.inf
     for _ in range(maxit):
         y = lu.solve(M @ x)
-        my = M @ y
-        nrm = np.sqrt(abs(y @ my))
+        nrm = np.sqrt(abs(_dot(y, M @ y)))
         if nrm == 0.0:
             raise NoConvergenceError("inverse iteration collapsed to zero")
         x = y / nrm
-        lam = float(x @ (A @ x)) / float(x @ (M @ x))
+        mx = _dot(x, M @ x)
+        lam = _dot(x, A @ x) / mx
         if abs(lam - lam_old) <= tol * abs(lam):
-            mx = float(x @ (M @ x))
             return lam, x / np.sqrt(mx)
         lam_old = lam
     raise NoConvergenceError(f"no convergence in {maxit} iterations")

@@ -12,6 +12,7 @@ at edge midpoints (global edge normals).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -23,15 +24,17 @@ from .mesh import Triangulation
 from .ratfun import RatCombo, bubble, combo_values, gradient_values
 
 
-def zienkiewicz_basis():
-    """The 12 local basis functions of the singular Zienkiewicz space."""
+@cache
+def zienkiewicz_basis() -> tuple:
+    """The 12 local basis functions of the singular Zienkiewicz space, built
+    once per process so that every table shares their kept derivatives."""
     lam = [RatCombo.lam(j) for j in range(3)]
     quad = [lam[2] * lam[2], lam[1] * lam[2], lam[1] * lam[1],
             lam[0] * lam[2], lam[0] * lam[1], lam[0] * lam[0]]
     cubic = [lam[j] * lam[j] * lam[(j + 1) % 3]
              - lam[j] * lam[(j + 1) % 3] * lam[(j + 1) % 3] for j in range(3)]
     bubbles = [bubble(j) for j in range(3)]
-    return quad + cubic + bubbles
+    return tuple(quad + cubic + bubbles)
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,7 @@ class ZienkiewiczTables:
     The point-evaluation tables (That_*) are the same for every quadrature;
     Ahat, Mhat, bhat and Hmean are means, taken exactly or by the rule.
     """
-    basis: list
+    basis: tuple
     Ahat: np.ndarray     # (12,12,3,3,3,3) means of Hessian-entry products
     Mhat: np.ndarray     # (12,12) means of value products
     That_v: np.ndarray   # (3,12) values at vertices

@@ -5,8 +5,11 @@ import sys
 
 import pytest
 
+from ratfem import cli
 from ratfem.cli import main
 from ratfem.experiments import EmptySeriesError, emit_svg
+from ratfem.solvers import (NoConvergenceError, NotPositiveDefiniteError,
+                            SingularSystemError)
 
 
 def test_quad_value(capsys):
@@ -65,6 +68,19 @@ def test_malformed_mesh_load_is_a_configuration_error(tmp_path, capsys,
 def test_io_failures_are_configuration_errors(tmp_path, capsys, args):
     assert main([a.format(tmp=tmp_path) for a in args]) == 2
     assert "No such file or directory" in capsys.readouterr().err
+    # output directories are checked before the run, so no CSV is left behind
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("error", [NotPositiveDefiniteError,
+                                   SingularSystemError, NoConvergenceError])
+def test_solver_failures_exit_3(monkeypatch, capsys, error):
+    def fail(cfg):
+        raise error("no factorization")
+    monkeypatch.setattr(cli, "run_exp1_square", fail)
+    assert main(["exp1", "--levels", "1", "--ns", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "solver failure: no factorization\n")
 
 
 def test_deep_indices_are_a_configuration_error(capsys):
@@ -183,10 +199,13 @@ def test_rerun_byte_identical_in_fresh_processes(tmp_path):
 
 
 @pytest.mark.parametrize("args", [["exp3", "--elements", "128"],
-                                  ["exp1", "--levels", "2"]])
+                                  ["exp1", "--levels", "2"],
+                                  # the smallest budget whose last mesh has
+                                  # vectors long enough for threaded BLAS dots
+                                  ["exp2", "--budget", "6731"]])
 def test_csv_bytes_independent_of_blas_threads(tmp_path, args):
-    # assembly contracts through BLAS GEMMs; their thread count must not
-    # change a single CSV byte
+    # assembly contracts through BLAS GEMMs and inverse iteration reduces
+    # long vectors; the thread count must not change a single CSV byte
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"{args[0]}_{threads}.csv"

@@ -31,6 +31,19 @@ def test_spd_solve_singular_raises():
         spd_solve(A, np.ones(3))
 
 
+@pytest.mark.parametrize("dense", [np.diag([1.0, -2.0, 3.0]),
+                                   # SuperLU swaps the rows of this one and
+                                   # returns a positive U diagonal
+                                   np.array([[0.0, 1.0], [1.0, 0.0]])])
+def test_indefinite_is_not_positive_definite(dense):
+    A = sp.csc_matrix(dense)
+    n = A.shape[0]
+    with pytest.raises(NotPositiveDefiniteError):
+        spd_solve(A, np.ones(n))
+    with pytest.raises(NotPositiveDefiniteError):
+        gen_eig_smallest(A, sp.eye(n, format="csc"))
+
+
 def test_sym_indef_solve():
     K = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(sym_indef_solve(K, np.array([1.0, 2.0])), [2.0, 1.0])
