@@ -130,6 +130,8 @@ def cmd_stokes(args):
 
 
 def _experiment(args, runner, cols):
+    if min(args.ns) < 1:
+        raise ConfigError(f"--ns takes rules n >= 1, got {args.ns}")
     cfg = ExperimentConfig(
         levels=args.levels, ns=tuple(args.ns), variant=args.variant,
         theta=args.theta, budget=args.budget, elements=args.elements,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 
 class InfiniteValueError(ArithmeticError):
@@ -27,26 +28,27 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def _atan_inv(x: int, digits: int) -> Fraction:
-    # arctan(1/x) by its alternating series; truncation error is below the
-    # first omitted term, so stop once x^(2k+1) exceeds 10^digits.
-    terms = int(digits / (2 * math.log10(x))) + 2
-    acc = Fraction(0)
-    for k in range(terms):
-        acc += Fraction((-1) ** k, (2 * k + 1) * x ** (2 * k + 1))
-    return acc
+def _atan_inv_scaled(x: int, bits: int) -> tuple[int, int]:
+    """2^bits * arctan(1/x) summed in integers, and a bound on its error.
 
-def _pi_squared(digits: int = 90) -> Fraction:
-    # Machin: pi = 16 arctan(1/5) - 4 arctan(1/239).
-    pi = 16 * _atan_inv(5, digits) - 4 * _atan_inv(239, digits)
-    return pi * pi
+    Each term floor(2^bits / ((2k+1) x^(2k+1))) is within one of its value,
+    and the alternating tail after the first term that floors to zero is
+    below one, so k terms are off by less than k + 1.
+    """
+    acc, k, power = 0, 0, x
+    while term := (1 << bits) // power:
+        acc += (-1) ** k * (term // (2 * k + 1))
+        k, power = k + 1, power * x * x
+    return acc, k + 1
 
 
-#: Rational approximation of pi^2, accurate to far more than double precision.
-PI_SQUARED = _pi_squared()
-
-#: Nearest double of pi^2.
-PI_SQUARED_FLOAT = float(PI_SQUARED)
+@lru_cache(maxsize=None)
+def _pi_squared_bracket(bits: int) -> tuple[int, int]:
+    """Integers lo, hi with lo <= pi^2 * 4^bits <= hi (Machin's formula)."""
+    a5, e5 = _atan_inv_scaled(5, bits)
+    a239, e239 = _atan_inv_scaled(239, bits)
+    pi, err = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
+    return (pi - err) ** 2, (pi + err) ** 2
 
 
 class ExactValue:
@@ -102,10 +104,28 @@ class ExactValue:
         return self.scale(c)
 
     def to_float(self) -> float:
-        """Nearest double of q0 + q1*pi^2."""
+        """Nearest double of q0 + q1*pi^2, correctly rounded (Ziv's loop).
+
+        With pi^2 * 4^bits in [lo, hi], the value lies between two quotients
+        of integers, which Python rounds correctly.  Once both round to the
+        same double, so does the value; until then the bits double.  Unless
+        q1 = 0 the value is irrational, so it is never a tie between doubles
+        and the loop ends.
+        """
         if self.infinite:
             raise InfiniteValueError("infinite value has no float")
-        return float(self.q0 + self.q1 * PI_SQUARED)
+        a, b = self.q0.numerator, self.q0.denominator
+        c, d = self.q1.numerator, self.q1.denominator
+        if c == 0:
+            return a / b
+        bits = 128
+        while True:
+            lo, hi = _pi_squared_bracket(bits)
+            base, den = a * d << 2 * bits, b * d << 2 * bits
+            x, y = (base + c * b * lo) / den, (base + c * b * hi) / den
+            if x == y and math.copysign(1.0, x) == math.copysign(1.0, y):
+                return x
+            bits *= 2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactValue):

@@ -59,16 +59,6 @@ def _fmt(x):
     return str(x)
 
 
-def fit_slope(points):
-    """Least-squares slope of log(y) against log(x)."""
-    pts = [(x, y) for x, y in points if y > 0]
-    if len(pts) < 2:
-        raise ValueError("need at least two positive points for a slope")
-    lx = np.log([p[0] for p in pts])
-    ly = np.log([p[1] for p in pts])
-    return float(np.polyfit(lx, ly, 1)[0])
-
-
 def eigen_rows(mesh, cfg: ExperimentConfig, level):
     """Exact eigenvalue row (n = 0), then one row per rule n in cfg.ns."""
     system = assemble_biharmonic(mesh, variant=cfg.variant)

@@ -1,7 +1,6 @@
 """Element-type-independent machinery: moment tensors (exact or by a Gauss
 rule), load evaluation, reduced-element bubble corrections, shape
-coefficients, dof layouts, the per-quadrature table cache and triplet
-assembly.
+coefficients, dof layouts, the mesh phase and triplet assembly.
 
 All exact reference tensors are computed once per process by exact rational
 quadrature and floated at the very end, so recomputation is bit-reproducible.
@@ -170,24 +169,24 @@ def dof_layout(tria, variant: str, layouts: dict):
     return ndof, np.hstack(l2g), ~np.concatenate(boundary)
 
 
+def mesh_phase(tria, variant: str, layouts: dict, coefficients):
+    """What assembly needs that no quadrature changes: area, G = Dlam, G G^T,
+    the shape coefficients C = coefficients(G, normals, tangents) (edge frames
+    in local order) and (ndof, l2g, free); read-only, as systems share them."""
+    ndof, l2g, free = dof_layout(tria, variant, layouts)
+    _, area, G = tria.geometry_arrays()
+    C = coefficients(G, tria.normal4s[tria.s4e], tria.tangent4s[tria.s4e])
+    GG = np.einsum("eic,ejc->eij", G, G)
+    for array in (area, G, GG, C, l2g, free):
+        array.setflags(write=False)
+    return area, G, GG, C, ndof, l2g, free
+
+
 def pad_free(free, x) -> np.ndarray:
     """A vector on all dofs: `x` on the free ones, zero on the constrained."""
     full = np.zeros(free.shape[0])
     full[free] = x
     return full
-
-
-def cached_tables(cache: dict, quadrature, build):
-    """The reference tables of `quadrature` from `cache`, built on first use.
-
-    `quadrature` is "exact" or an integer n; build(quadrature) makes the
-    tables, which are kept in `cache` for the process.
-    """
-    key = "exact" if quadrature == "exact" else int(quadrature)
-    tables = cache.get(key)
-    if tables is None:
-        tables = cache[key] = build(key)
-    return tables
 
 
 def assemble_matrix(l2g: np.ndarray, local: np.ndarray, ndof: int) -> sp.csr_matrix:

@@ -14,17 +14,18 @@ frames so they are single-valued across neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import fecore, zienkiewicz
-from .fecore import (MIDS, assemble_matrix, assemble_vector, cached_tables,
+from .fecore import (MIDS, assemble_matrix, assemble_vector,
                      edge_corrections, lagrange_basis, lagrange_nodes,
                      load_values, moment_tensor, pad_free)
 from .mesh import Triangulation
 from .quadrature import gauss_points
-from .ratfun import gradient_values, hessian_values
+from .ratfun import gradient_values
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])   # curl g = ROT grad g
 
@@ -53,18 +54,16 @@ class GNTables:
     mean_one: float       # mean of the constant 1 (2 sum w_q under a rule)
 
 
-_TABLES: dict = {}
-
-
 def get_tables(quadrature="exact") -> GNTables:
     """Exact tables, or those of the n-point Gauss rule for an integer n.
 
     Each is built on first use and kept for the process.
     """
-    return cached_tables(_TABLES, quadrature, _compute_tables)
+    return _compute_tables("exact" if quadrature == "exact" else int(quadrature))
 
 
-def _compute_tables(quadrature="exact") -> GNTables:
+@cache
+def _compute_tables(quadrature) -> GNTables:
     # The potentials are Zienkiewicz basis functions 6..11, so
     # Rhat[r,s,i,j,k,l] = mean(H_r[i,k] H_s[j,l]) is a transpose of Ahat, and
     # Mhat places the Hessian means: P1 field r = (comp, node) is
@@ -99,13 +98,12 @@ def _compute_tables(quadrature="exact") -> GNTables:
 
 # -- local matrices --------------------------------------------------------------
 
-def local_matrices(area, G, GG, tables=None):
+def local_matrices(area, G, GG, tables):
     """Batched stiffness A_T (p,12,12) and divergence vector B_T (p,12).
 
     The curl fields are divergence-free, so B_T[:, 6:] is exactly zero under
     every quadrature.
     """
-    tables = tables or get_tables()
     p = G.shape[0]
     scale = tables.mean_one * area
     RGt = np.einsum("ab,ekb->eak", ROT, G)          # (p,2,3)
@@ -126,13 +124,12 @@ def local_matrices(area, G, GG, tables=None):
     return A_T, B_T
 
 
-def local_load(f, tria, G, tables=None) -> np.ndarray:
+def local_load(f, tria, G, tables) -> np.ndarray:
     """Batched load means b_T (p,12) of the vector field f = (f_x, f_y).
 
     f is sampled once at the tables' load points; one GEMM against
     [bhat1 | bhat2] gives each component's moments.
     """
-    tables = tables or get_tables()
     fvals = load_values(f, tria, tables.load_points, components=2)  # (p,2,J)
     p, _, J = fvals.shape
     bload = np.concatenate([tables.bhat1, tables.bhat2.reshape(J, 18)], axis=1)
@@ -147,9 +144,9 @@ def local_load(f, tria, G, tables=None) -> np.ndarray:
     return b_T
 
 
-def local_vandermonde(G, normals, tangents, tables=None) -> np.ndarray:
-    """Batched 12x12 Vandermonde of the velocity dofs."""
-    tables = tables or get_tables()
+def local_vandermonde(G, normals, tangents) -> np.ndarray:
+    """Batched 12x12 Vandermonde of the velocity dofs (exact point tables)."""
+    tables = get_tables()
     p = G.shape[0]
     RGt = np.einsum("ab,ekb->eak", ROT, G)
     V = np.empty((p, 12, 12))
@@ -200,9 +197,16 @@ class StokesSystem:
     areas: np.ndarray
 
 
-def dof_layout(tria: Triangulation, variant: str):
-    """Vector values at vertices, then edge normals, then (full) tangentials."""
-    return fecore.dof_layout(tria, variant, {"full": "vvee", "reduced": "vve"})
+#: Dof blocks (fecore.dof_layout): vertex vectors, edge normals, tangentials.
+LAYOUTS = {"full": "vvee", "reduced": "vve"}
+
+
+@lru_cache(maxsize=1)
+def mesh_phase(tria: Triangulation, variant: str):
+    """:func:`fecore.mesh_phase` of this element, once per (mesh, variant)."""
+    return fecore.mesh_phase(
+        tria, variant, LAYOUTS, lambda G, normals, tangents: shape_coefficients(
+            local_vandermonde(G, normals, tangents), variant, tangents))
 
 
 def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
@@ -213,18 +217,12 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
     rule.  It only selects the reference tables (:func:`get_tables`): on
     affine elements the rule applied to every local integral (stiffness
     blocks, divergence entries, load) is the same contraction with rule-n
-    tables.  The Vandermonde stays exact.  The load `f` returns the pair
-    (f_x, f_y); it is called once, as f(X, Y) on coordinate arrays of the
-    tables' load points (see :func:`local_load`).
+    tables.  The exact basis change is :func:`mesh_phase`'s.  The load `f`
+    returns the pair (f_x, f_y); it is called once, as f(X, Y) on coordinate
+    arrays of the tables' load points (see :func:`local_load`).
     """
+    area, G, GG, C, ndof, l2g, free = mesh_phase(tria, variant)
     tables = get_tables(quadrature)
-    _, area, G = tria.geometry_arrays()
-    GG = np.einsum("eic,ejc->eij", G, G)
-    normals = tria.normal4s[tria.s4e]
-    tangents = tria.tangent4s[tria.s4e]
-    V = local_vandermonde(G, normals, tangents, tables)
-    C = shape_coefficients(V, variant, tangents)
-    ndof, l2g, free = dof_layout(tria, variant)
     p = tria.num_elements
 
     A_T, B_T = local_matrices(area, G, GG, tables)
@@ -281,24 +279,3 @@ def divergence_l2(exact_system: StokesSystem, u: np.ndarray) -> float:
     """L2 norm of div u_h; the elementwise divergence is constant."""
     means = (exact_system.B.T @ u) / exact_system.areas
     return float(np.sqrt(np.sum(exact_system.areas * means ** 2)))
-
-
-def divergence_pointwise(system: StokesSystem, e: int, u: np.ndarray, bary_pts):
-    """div u_h at barycentric points of element e, evaluated literally."""
-    rho = get_tables().rho
-    G = system.tria.geometry_arrays()[2][e]
-    w = system.coeffs[e] @ u[system.l2g[e]]
-    S = np.einsum("ia,qsik,kb->qsab", G, hessian_values(rho, bary_pts), G)
-    # P1 field r = (comp, node) has divergence G[node, comp]
-    return w[:6] @ G.T.ravel() + (S[:, :, 1, 0] - S[:, :, 0, 1]) @ w[6:]
-
-
-def velocity_eval(system: StokesSystem, e: int, u: np.ndarray, bary_pts):
-    """Velocity vectors at barycentric points of element e."""
-    rho = get_tables().rho
-    G = system.tria.geometry_arrays()[2][e]
-    w = system.coeffs[e] @ u[system.l2g[e]]
-    lam = np.asarray(bary_pts, dtype=float)
-    glam = gradient_values(rho, lam)
-    curl = np.einsum("ab,kb,qsk,s->qa", ROT, G, glam, w[6:])
-    return lam @ w[:6].reshape(2, 3).T + curl

@@ -15,8 +15,6 @@ appearance and new vertices in order of first use, element by element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -139,30 +137,6 @@ def _affine(v):
     return df, det / 2.0, g
 
 
-@dataclass
-class ElementGeometry:
-    """Affine data of one element: Jacobian, area, Dlam and edge frames."""
-
-    DF: np.ndarray          # (2,2)
-    area: float
-    G: np.ndarray           # (3,2), rows are the physical gradients of lam_j
-    outward_normals: np.ndarray  # (3,2), edge j opposite vertex j
-    tangents: np.ndarray         # (3,2), rotated outward normals
-
-
-def element_geometry(t: Triangulation, e: int) -> ElementGeometry:
-    v = t.c4n[t.n4e[e]]
-    scale = max(np.linalg.norm(v[1] - v[0]), np.linalg.norm(v[2] - v[0]))
-    if abs(_det(v)) < 1e-14 * scale ** 2:
-        raise DegenerateElementError(f"element {e} is degenerate")
-    df, area, g = (a[0] for a in _affine(v[None]))
-    # outward normal of edge f_j is the negative normalized gradient of lam_j
-    outward = -g / np.linalg.norm(g, axis=1)[:, None]
-    rot_t = np.array([[0.0, -1.0], [1.0, 0.0]])   # R^T for tau = R^T nu
-    tangents = outward @ rot_t.T
-    return ElementGeometry(df, float(area), g, outward, tangents)
-
-
 # -- coarse meshes -------------------------------------------------------------
 
 def unit_square_mesh() -> Triangulation:
@@ -181,10 +155,6 @@ def lshape_mesh() -> Triangulation:
            [5, 1, 2], [1, 5, 4],
            [7, 3, 4], [3, 7, 6]]
     return Triangulation(c4n, n4e)
-
-
-def domain_area(t: Triangulation) -> float:
-    return float(t.areas().sum())
 
 
 # -- refinement ----------------------------------------------------------------

@@ -11,15 +11,15 @@ at edge midpoints (global edge normals).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, replace
+from functools import cache, lru_cache
 
 import numpy as np
 
 from . import fecore
 from .fecore import (MIDS, VERTS, assemble_matrix, assemble_vector,
-                     cached_tables, edge_corrections, lagrange_basis,
-                     lagrange_nodes, load_values, moment_tensor, pad_free)
+                     edge_corrections, lagrange_basis, lagrange_nodes,
+                     load_values, moment_tensor, pad_free)
 from .mesh import Triangulation
 from .ratfun import RatCombo, bubble, combo_values, gradient_values
 
@@ -41,7 +41,7 @@ def zienkiewicz_basis() -> tuple:
 class ZienkiewiczTables:
     """Reference tables of one quadrature: exact means, or a rule-n's sums.
 
-    The point-evaluation tables (That_*) are the same for every quadrature;
+    Every quadrature shares the exact point-evaluation tables (That_*);
     Ahat, Mhat, bhat and Hmean are means, taken exactly or by the rule.
     """
     basis: tuple
@@ -54,52 +54,50 @@ class ZienkiewiczTables:
     Hmean: np.ndarray    # (12,3,3) means of the lam-Hessian entries
 
 
-_TABLES: dict = {}
-
-
 def get_tables(quadrature="exact") -> ZienkiewiczTables:
     """Exact tables, or those of the n-point Gauss rule for an integer n.
 
     Each is built on first use and kept for the process.
     """
-    return cached_tables(_TABLES, quadrature, _compute_tables)
+    return _compute_tables("exact" if quadrature == "exact" else int(quadrature))
 
 
-def _compute_tables(quadrature="exact") -> ZienkiewiczTables:
+@cache
+def _compute_tables(quadrature) -> ZienkiewiczTables:
     basis = zienkiewicz_basis()
     hess = [b.hessian() for b in basis]
-
     # moment_tensor(hess, hess) is indexed [r, i, j, s, k, l]
-    Ahat = moment_tensor(hess, hess, quadrature).transpose(0, 3, 1, 2, 4, 5).copy()
-    Hmean = moment_tensor(hess, [RatCombo.one()], quadrature)[..., 0]
-    Mhat = moment_tensor(basis, basis, quadrature)
-    bhat = moment_tensor(lagrange_basis(2), basis, quadrature)
+    means = dict(
+        Ahat=moment_tensor(hess, hess, quadrature).transpose(0, 3, 1, 2, 4, 5).copy(),
+        Hmean=moment_tensor(hess, [RatCombo.one()], quadrature)[..., 0],
+        Mhat=moment_tensor(basis, basis, quadrature),
+        bhat=moment_tensor(lagrange_basis(2), basis, quadrature))
+    if quadrature != "exact":
+        return replace(get_tables(), **means)
     # every value at a vertex or edge midpoint is dyadic, so floats are exact
-    return ZienkiewiczTables(basis, Ahat, Mhat, combo_values(basis, VERTS),
-                             gradient_values(basis, VERTS),
-                             gradient_values(basis, MIDS), bhat, Hmean)
+    return ZienkiewiczTables(basis, That_v=combo_values(basis, VERTS),
+                             That_gv=gradient_values(basis, VERTS),
+                             That_ge=gradient_values(basis, MIDS), **means)
 
 
 # -- local matrices -------------------------------------------------------------
 
-def local_stiffness(area, GG, tables=None) -> np.ndarray:
+def local_stiffness(area, GG, tables) -> np.ndarray:
     """Batched A_T = |T| * Ahat : (GG x GG) with GG = G G^T per element."""
-    tables = tables or get_tables()
     p = GG.shape[0]
     Q = np.einsum("eij,ekl->eijkl", GG, GG).reshape(p, 81)
     flat = tables.Ahat.reshape(144, 81)
     return area[:, None, None] * (Q @ flat.T).reshape(p, 12, 12)
 
 
-def local_load(f, tria, tables=None) -> np.ndarray:
+def local_load(f, tria, tables) -> np.ndarray:
     """Batched load means b_T (p,12) of f, interpolated in P2 at the nodes."""
-    tables = tables or get_tables()
     return load_values(f, tria, lagrange_nodes(2)) @ tables.bhat
 
 
-def local_vandermonde_batch(G, normals, tables=None) -> np.ndarray:
-    """Batched 12x12 Vandermonde: values, physical gradients, edge normals."""
-    tables = tables or get_tables()
+def local_vandermonde_batch(G, normals) -> np.ndarray:
+    """Batched 12x12 Vandermonde: values, gradients, edge normals (exact)."""
+    tables = get_tables()
     p = G.shape[0]
     V = np.empty((p, 12, 12))
     V[:, 0:3, :] = tables.That_v[None, :, :]
@@ -145,9 +143,16 @@ class BiharmonicSystem:
     coeffs: np.ndarray    # (p, 12, L) shape-function coefficients
 
 
-def dof_layout(tria: Triangulation, variant: str):
-    """Values and gradients at vertices, plus edge normals in the full variant."""
-    return fecore.dof_layout(tria, variant, {"full": "vvve", "reduced": "vvv"})
+#: Dof blocks (fecore.dof_layout): vertex values and gradients, edge normals.
+LAYOUTS = {"full": "vvve", "reduced": "vvv"}
+
+
+@lru_cache(maxsize=1)
+def mesh_phase(tria: Triangulation, variant: str):
+    """:func:`fecore.mesh_phase` of this element, once per (mesh, variant)."""
+    return fecore.mesh_phase(
+        tria, variant, LAYOUTS, lambda G, normals, _: shape_coefficients(
+            local_vandermonde_batch(G, normals), variant, normals))
 
 
 def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
@@ -157,18 +162,12 @@ def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
     `quadrature` is "exact" or an integer n selecting the tensorized Gauss
     rule.  It only selects the reference tables (:func:`get_tables`): on
     affine elements the rule applied to the stiffness, mass and load
-    integrands is the same contraction with rule-n tables.  The Vandermonde
-    basis change stays exact (point evaluations).  The load `f` is called
-    once, as f(X, Y) on coordinate arrays (see :func:`local_load`).
+    integrands is the same contraction with rule-n tables.  The exact basis
+    change is :func:`mesh_phase`'s, shared by every quadrature.  The load `f`
+    is called once, as f(X, Y) on coordinate arrays (see :func:`local_load`).
     """
+    area, _, GG, C, ndof, l2g, free = mesh_phase(tria, variant)
     tables = get_tables(quadrature)
-    _, area, G = tria.geometry_arrays()
-    GG = np.einsum("eic,ejc->eij", G, G)
-    normals = tria.normal4s[tria.s4e]
-    V = local_vandermonde_batch(G, normals, tables)
-    C = shape_coefficients(V, variant, normals)
-    ndof, l2g, free = dof_layout(tria, variant)
-
     A_T = local_stiffness(area, GG, tables)
     M_T = area[:, None, None] * tables.Mhat[None, :, :]
     A_loc = np.einsum("eri,ers,esj->eij", C, A_T, C, optimize=True)
@@ -201,45 +200,3 @@ def solve_biharmonic_source(system: BiharmonicSystem) -> np.ndarray:
     free = system.free
     return pad_free(free, spd_solve(system.A[free][:, free].tocsc(),
                                     system.b[free]))
-
-
-# -- pointwise evaluation (tests, conformity checks) ----------------------------
-
-def element_eval(system: BiharmonicSystem, e: int, u: np.ndarray, bary_pts):
-    """Values and physical gradients of the global function on element e."""
-    basis = get_tables().basis
-    w = system.coeffs[e] @ u[system.l2g[e]]
-    G = system.tria.geometry_arrays()[2][e]
-    glam = np.einsum("qrk,r->qk", gradient_values(basis, bary_pts), w)
-    return combo_values(basis, bary_pts) @ w, glam @ G
-
-
-def hermite_psi(fun: RatCombo, vertices=None) -> float:
-    """The cubic-Hermite constraint functional on one triangle.
-
-    6 f(mid) - 2 sum_j f(v_j) + sum_k grad f(v_k) . (v_k - mid), evaluated
-    with physical gradients; affine-invariant.
-    """
-    if vertices is None:
-        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    v = np.asarray(vertices, dtype=float)
-    df = np.column_stack([v[1] - v[0], v[2] - v[0]])
-    G = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]) @ np.linalg.inv(df)
-    pts = np.vstack([np.full(3, 1 / 3), np.eye(3)])    # centroid, vertices
-    vals = combo_values([fun], pts)[:, 0]
-    glam = gradient_values([fun], pts[1:])[:, 0]        # (3 vertices, 3)
-    return float(6.0 * vals[0] - 2.0 * vals[1:].sum()
-                 + np.einsum("jk,kc,jc->", glam, G, v - v.mean(axis=0)))
-
-
-def nodal_interpolant(tria: Triangulation, g, grad_g, variant: str = "full"):
-    """Global dof vector of a smooth function (value, gradient, edge-normal dofs)."""
-    m = tria.num_vertices
-    vals = np.array([g(x, y) for x, y in tria.c4n])
-    grads = np.array([grad_g(x, y) for x, y in tria.c4n])
-    out = [vals, grads[:, 0], grads[:, 1]]
-    if variant == "full":
-        mids = (tria.c4n[tria.n4s[:, 0]] + tria.c4n[tria.n4s[:, 1]]) / 2.0
-        gm = np.array([grad_g(x, y) for x, y in mids])
-        out.append(np.sum(gm * tria.normal4s, axis=1))
-    return np.concatenate(out)

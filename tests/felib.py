@@ -1,9 +1,13 @@
-"""Shared helpers for the element test modules."""
+"""Shared helpers for the test modules: random elements, per-point rule
+references, and the pointwise evaluators and geometry helpers that only
+verification uses."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from ratfem.fecore import lagrange_basis, lagrange_nodes
-from ratfem.mesh import Triangulation
+from ratfem.mesh import DegenerateElementError, Triangulation
 from ratfem.quadrature import gauss_points
 from ratfem.ratfun import combo_values, gradient_values, hessian_values
 
@@ -164,3 +168,106 @@ def divergence_pointwise_reference(system, e, u, bary_pts):
         out.append(val)
         size = max(size, mag)
     return np.array(out), size
+
+
+# -- verification helpers: pointwise evaluation, geometry, slopes ---------------
+
+def element_eval(system, e, u, bary_pts):
+    """Zienkiewicz values and physical gradients of u on element e."""
+    from ratfem.zienkiewicz import get_tables
+    basis = get_tables().basis
+    w = system.coeffs[e] @ u[system.l2g[e]]
+    G = system.tria.geometry_arrays()[2][e]
+    glam = np.einsum("qrk,r->qk", gradient_values(basis, bary_pts), w)
+    return combo_values(basis, bary_pts) @ w, glam @ G
+
+
+def hermite_psi(fun, vertices=None):
+    """The cubic-Hermite constraint functional on one triangle.
+
+    6 f(mid) - 2 sum_j f(v_j) + sum_k grad f(v_k) . (v_k - mid), evaluated
+    with physical gradients; affine-invariant.
+    """
+    if vertices is None:
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    v = np.asarray(vertices, dtype=float)
+    df = np.column_stack([v[1] - v[0], v[2] - v[0]])
+    G = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]) @ np.linalg.inv(df)
+    pts = np.vstack([np.full(3, 1 / 3), np.eye(3)])    # centroid, vertices
+    vals = combo_values([fun], pts)[:, 0]
+    glam = gradient_values([fun], pts[1:])[:, 0]        # (3 vertices, 3)
+    return float(6.0 * vals[0] - 2.0 * vals[1:].sum()
+                 + np.einsum("jk,kc,jc->", glam, G, v - v.mean(axis=0)))
+
+
+def nodal_interpolant(tria, g, grad_g, variant="full"):
+    """Zienkiewicz dof vector of a smooth function (value, gradient, normals)."""
+    vals = np.array([g(x, y) for x, y in tria.c4n])
+    grads = np.array([grad_g(x, y) for x, y in tria.c4n])
+    out = [vals, grads[:, 0], grads[:, 1]]
+    if variant == "full":
+        mids = (tria.c4n[tria.n4s[:, 0]] + tria.c4n[tria.n4s[:, 1]]) / 2.0
+        gm = np.array([grad_g(x, y) for x, y in mids])
+        out.append(np.sum(gm * tria.normal4s, axis=1))
+    return np.concatenate(out)
+
+
+def divergence_pointwise(system, e, u, bary_pts):
+    """Guzman-Neilan div u_h at barycentric points of element e."""
+    from ratfem.guzman_neilan import get_tables
+    rho = get_tables().rho
+    G = system.tria.geometry_arrays()[2][e]
+    w = system.coeffs[e] @ u[system.l2g[e]]
+    S = np.einsum("ia,qsik,kb->qsab", G, hessian_values(rho, bary_pts), G)
+    # P1 field r = (comp, node) has divergence G[node, comp]
+    return w[:6] @ G.T.ravel() + (S[:, :, 1, 0] - S[:, :, 0, 1]) @ w[6:]
+
+
+def velocity_eval(system, e, u, bary_pts):
+    """Guzman-Neilan velocity vectors at barycentric points of element e."""
+    from ratfem.guzman_neilan import ROT, get_tables
+    rho = get_tables().rho
+    G = system.tria.geometry_arrays()[2][e]
+    w = system.coeffs[e] @ u[system.l2g[e]]
+    lam = np.asarray(bary_pts, dtype=float)
+    glam = gradient_values(rho, lam)
+    curl = np.einsum("ab,kb,qsk,s->qa", ROT, G, glam, w[6:])
+    return lam @ w[:6].reshape(2, 3).T + curl
+
+
+@dataclass
+class ElementGeometry:
+    """Affine data of one element: Jacobian, area, Dlam and edge frames."""
+
+    DF: np.ndarray          # (2,2)
+    area: float
+    G: np.ndarray           # (3,2), rows are the physical gradients of lam_j
+    outward_normals: np.ndarray  # (3,2), edge j opposite vertex j
+    tangents: np.ndarray         # (3,2), rotated outward normals
+
+
+def element_geometry(t, e):
+    v = t.c4n[t.n4e[e]]
+    df, area, g = (a[e] for a in t.geometry_arrays())
+    scale = max(np.linalg.norm(v[1] - v[0]), np.linalg.norm(v[2] - v[0]))
+    if 2.0 * area < 1e-14 * scale ** 2:
+        raise DegenerateElementError(f"element {e} is degenerate")
+    # outward normal of edge f_j is the negative normalized gradient of lam_j
+    outward = -g / np.linalg.norm(g, axis=1)[:, None]
+    rot_t = np.array([[0.0, -1.0], [1.0, 0.0]])   # R^T for tau = R^T nu
+    tangents = outward @ rot_t.T
+    return ElementGeometry(df, float(area), g, outward, tangents)
+
+
+def domain_area(t):
+    return float(t.areas().sum())
+
+
+def fit_slope(points):
+    """Least-squares slope of log(y) against log(x)."""
+    pts = [(x, y) for x, y in points if y > 0]
+    if len(pts) < 2:
+        raise ValueError("need at least two positive points for a slope")
+    lx = np.log([p[0] for p in pts])
+    ly = np.log([p[1] for p in pts])
+    return float(np.polyfit(lx, ly, 1)[0])

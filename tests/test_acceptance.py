@@ -9,11 +9,12 @@ import time
 import numpy as np
 import pytest
 
-from felib import bary_coords, random_shape_regular_triangle
+from felib import (bary_coords, divergence_pointwise, element_eval, fit_slope,
+                   hermite_psi, random_shape_regular_triangle)
 from oracle import duffy_mean
 from ratfem.exact import ExactValue
 from ratfem.experiments import (ExperimentConfig, TAYLOR_HOOD_REF, csv_text,
-                                fit_slope, run_exp1_square, run_exp2_lshape,
+                                run_exp1_square, run_exp2_lshape,
                                 run_exp3_stokes)
 from ratfem.quadrature import (compute_J, integral_mean, integral_mean_beta2,
                                integral_mean_poly, is_finite_index)
@@ -73,8 +74,7 @@ def test_criterion_3_pi2_base_cases():
 
 
 def test_criterion_4_zienkiewicz_unisolvence_and_hermite():
-    from ratfem.zienkiewicz import (get_tables, hermite_psi,
-                                    local_vandermonde_batch,
+    from ratfem.zienkiewicz import (get_tables, local_vandermonde_batch,
                                     shape_coefficients, zienkiewicz_basis)
     rng = np.random.default_rng(42)
     basis = get_tables().basis
@@ -119,7 +119,7 @@ def test_criterion_4_zienkiewicz_unisolvence_and_hermite():
 
 def test_criterion_5_c1_conformity():
     from ratfem.mesh import unit_square_mesh
-    from ratfem.zienkiewicz import assemble_biharmonic, element_eval
+    from ratfem.zienkiewicz import assemble_biharmonic
     mesh = unit_square_mesh()
     shared = int(np.where(~mesh.boundary_edge)[0][0])
     a, b = mesh.n4s[shared]
@@ -170,13 +170,13 @@ def test_criterion_5_c1_conformity():
 
 def test_criterion_6_guzman_neilan_divergence():
     import scipy.linalg as sla
-    from ratfem.guzman_neilan import (assemble_stokes, divergence_pointwise,
+    from ratfem.guzman_neilan import (assemble_stokes, get_tables,
                                       local_matrices)
     from ratfem.mesh import refine_uniform, unit_square_mesh
     mesh = refine_uniform(refine_uniform(unit_square_mesh()))
     _, area, G = mesh.geometry_arrays()
     GG = np.einsum("eic,ejc->eij", G, G)
-    _, B_T = local_matrices(area, G, GG)
+    _, B_T = local_matrices(area, G, GG, get_tables())
     assert np.all(B_T[:, 6:] == 0.0)
 
     system = assemble_stokes(mesh)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ratfem import cli
+from ratfem import cli, experiments
 from ratfem.cli import main
 from ratfem.experiments import EmptySeriesError, emit_svg
 from ratfem.solvers import (NoConvergenceError, NotPositiveDefiniteError,
@@ -81,6 +81,21 @@ def test_solver_failures_exit_3(monkeypatch, capsys, error):
     assert main(["exp1", "--levels", "1", "--ns", "2"]) == 3
     assert capsys.readouterr().err == (
         "solver failure: no factorization\n")
+
+
+@pytest.mark.parametrize("which", ["exp1", "exp2", "exp3"])
+def test_rules_below_one_are_rejected_before_any_work(monkeypatch, capsys,
+                                                      tmp_path, which):
+    def started(*args, **kwargs):
+        raise AssertionError("the experiment started")
+    monkeypatch.setattr(experiments, "assemble_biharmonic", started)
+    monkeypatch.setattr(experiments, "assemble_stokes", started)
+    out = tmp_path / "rows.csv"
+    assert main([which, "--levels", "1", "--elements", "8", "--ns", "2", "0",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: --ns takes rules n >= 1, got [2, 0]\n")
+    assert not out.exists()
 
 
 def test_deep_indices_are_a_configuration_error(capsys):

@@ -2,11 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratfem.exact import (INFINITE, ExactValue, InfiniteValueError,
-                          PI_SQUARED, PI_SQUARED_FLOAT,
-                          ScaleInfiniteByNonpositiveError, factorial)
+                          ScaleInfiniteByNonpositiveError,
+                          _pi_squared_bracket, factorial)
 
 
 def test_factorial_values():
@@ -22,9 +25,12 @@ def test_pi_squared_against_independent_series():
     def atan_inv(x, terms):
         return sum(Fraction((-1) ** k, (2 * k + 1) * x ** (2 * k + 1))
                    for k in range(terms))
-    pi = 4 * (atan_inv(2, 140) + atan_inv(3, 90))
-    assert abs(PI_SQUARED - pi * pi) < Fraction(1, 10 ** 60)
-    assert PI_SQUARED_FLOAT == pytest.approx(math.pi ** 2, abs=1e-15)
+    pi = 4 * (atan_inv(2, 140) + atan_inv(3, 90))     # within 1e-85 of pi
+    for bits in (128, 256):
+        lo, hi = (Fraction(x, 4 ** bits) for x in _pi_squared_bracket(bits))
+        assert lo - Fraction(1, 10 ** 80) < pi * pi < hi + Fraction(1, 10 ** 80)
+        assert hi - lo < Fraction(1, 2 ** (bits - 16))
+    assert ExactValue(0, 1).to_float() == math.pi ** 2
 
 
 def test_add():
@@ -61,8 +67,40 @@ def test_float_agreement_within_ulps():
         a = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
         b = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
         exact = ExactValue(a, b).to_float()
-        naive = float(a) + float(b) * PI_SQUARED_FLOAT
+        naive = float(a) + float(b) * math.pi ** 2
         assert abs(exact - naive) <= 4 * math.ulp(max(abs(exact), abs(naive), 1e-300))
+
+
+def mp_float(q0, q1):
+    """q0 + q1*pi^2 at 400 digits, rounded once to a double by mpmath."""
+    with mpmath.workdps(400):
+        return float(mpmath.mpf(q0.numerator) / q0.denominator
+                     + mpmath.mpf(q1.numerator) / q1.denominator * mpmath.pi ** 2)
+
+
+def pi_squared_digits(digits):
+    """floor(pi^2 * 10^digits), from mpmath at 400 digits."""
+    with mpmath.workdps(400):
+        return int(mpmath.floor(mpmath.pi ** 2 * 10 ** digits))
+
+
+def test_to_float_under_cancellation():
+    # pi^2 minus its 120-digit truncation: a fixed 90-digit pi^2 gave -7.9e-94
+    r = Fraction(pi_squared_digits(120), 10 ** 120)
+    value = ExactValue(-r, 1).to_float()
+    assert value == mp_float(-r, Fraction(1))
+    assert 7.72e-121 < value < 7.73e-121
+
+
+@settings(max_examples=300, deadline=None)
+@given(q1=st.fractions(-10 ** 12, 10 ** 12, max_denominator=10 ** 40),
+       digits=st.integers(0, 150), offset=st.integers(-10 ** 6, 10 ** 6),
+       shift=st.fractions(-10 ** 12, 10 ** 12, max_denominator=10 ** 40))
+def test_to_float_is_correctly_rounded(q1, digits, offset, shift):
+    # q0 cancels q1*pi^2 to about `digits` digits; `shift` is a generic q0
+    near = -q1 * Fraction(pi_squared_digits(digits) + offset, 10 ** digits)
+    for q0 in (near, shift):
+        assert ExactValue(q0, q1).to_float() == mp_float(q0, q1)
 
 
 def test_ring_laws_random():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from felib import fit_slope
 from ratfem.experiments import (ExperimentConfig, TAYLOR_HOOD_REF, csv_text,
-                                fit_slope, graded_lshape_meshes,
-                                run_exp2_lshape, stokes_exact_pressure,
-                                stokes_load)
+                                graded_lshape_meshes, run_exp2_lshape,
+                                stokes_exact_pressure, stokes_load)
 
 
 def test_fit_slope():

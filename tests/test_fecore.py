@@ -115,8 +115,9 @@ def test_rhs_pipeline_exactness():
 
 def test_table_recompute_is_bit_reproducible():
     from ratfem import guzman_neilan as gn
-    first = gn._compute_tables()
-    second = gn._compute_tables()
+    # the uncached builder: every call recomputes
+    first = gn._compute_tables.__wrapped__("exact")
+    second = gn._compute_tables.__wrapped__("exact")
     assert np.array_equal(first.Rhat, second.Rhat)
     assert np.array_equal(first.Mhat, second.Mhat)
     assert np.array_equal(first.bhat2, second.bhat2)

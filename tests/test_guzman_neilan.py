@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from felib import bary_coords, random_shape_regular_triangle
-from ratfem.guzman_neilan import (ROT, assemble_stokes, divergence_l2,
-                                  divergence_pointwise, dof_layout,
-                                  get_tables, grad_norm, local_matrices,
-                                  local_vandermonde, reduced_coefficients,
-                                  shape_coefficients, solve_stokes,
-                                  stream_potentials, velocity_eval)
+from felib import (bary_coords, divergence_pointwise,
+                   random_shape_regular_triangle, velocity_eval)
+from ratfem.fecore import dof_layout
+from ratfem.guzman_neilan import (LAYOUTS, ROT, assemble_stokes,
+                                  divergence_l2, get_tables, grad_norm,
+                                  local_matrices, local_vandermonde,
+                                  reduced_coefficients, shape_coefficients,
+                                  solve_stokes, stream_potentials)
 from ratfem.mesh import Triangulation, refine_uniform, unit_square_mesh
 from ratfem.ratfun import RatCombo, bubble
 
@@ -35,7 +36,7 @@ def test_potentials_are_zienkiewicz_tail():
 
 def test_divergence_row_structure():
     area, G, GG, normals, tangents, V = element_setup(REF)
-    A_T, B_T = local_matrices(area, G, GG)
+    A_T, B_T = local_matrices(area, G, GG, get_tables())
     assert np.all(B_T[0, 6:] == 0.0)
     assert np.allclose(B_T[0, 0:3], area[0] * G[0, :, 0])
     assert np.allclose(B_T[0, 3:6], area[0] * G[0, :, 1])
@@ -45,7 +46,7 @@ def test_local_stiffness_structure():
     rng = np.random.default_rng(0)
     tri = random_shape_regular_triangle(rng)
     area, G, GG, normals, tangents, V = element_setup(tri)
-    A_T, B_T = local_matrices(area, G, GG)
+    A_T, B_T = local_matrices(area, G, GG, get_tables())
     A = A_T[0]
     assert np.abs(A - A.T).max() <= 1e-13 * np.abs(A).max()
     eigs = np.linalg.eigvalsh(A)
@@ -67,7 +68,7 @@ def test_bubble_stiffness_entry_against_oracle():
     rng = np.random.default_rng(5)
     tri = random_shape_regular_triangle(rng)
     area, G, GG, normals, tangents, V = element_setup(tri)
-    A_T, _ = local_matrices(area, G, GG)
+    A_T, _ = local_matrices(area, G, GG, get_tables())
     rho4 = get_tables().rho[3]
     hess = rho4.hessian()
     combo = RatCombo.zero()
@@ -187,7 +188,7 @@ def test_reduced_element():
             avg_t = 0.5 * (vel(v[i1]) + vel(v[i2])) @ tau
             assert mid_t == pytest.approx(avg_t, abs=1e-10)
     mesh = refine_uniform(unit_square_mesh())
-    ndof, _, _ = dof_layout(mesh, "reduced")
+    ndof, _, _ = dof_layout(mesh, "reduced", LAYOUTS)
     assert ndof == 2 * mesh.num_vertices + mesh.num_edges
 
 
@@ -288,7 +289,7 @@ def test_exact_blocks_against_quadrature_reference():
     tri = random_shape_regular_triangle(rng)
     _, area, G = tri.geometry_arrays()
     GG = np.einsum("eic,ejc->eij", G, G)
-    A_T, _ = local_matrices(area, G, GG)
+    A_T, _ = local_matrices(area, G, GG, get_tables())
     A_T = A_T[0]
     tab = get_tables()
     bary, w2 = gauss_points(24)

@@ -3,11 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from felib import domain_area, element_geometry
 from ratfem.experiments import ExperimentConfig, graded_lshape_meshes, stokes_mesh
 from ratfem.mesh import (DegenerateBarycenterError, DegenerateElementError,
-                         MeshFormatError, Triangulation, domain_area,
-                         dorfler_mark, dump_mesh, element_geometry,
-                         grading_indicator, load_mesh, lshape_mesh,
+                         MeshFormatError, Triangulation, dorfler_mark,
+                         dump_mesh, grading_indicator, load_mesh, lshape_mesh,
                          refine_bisect, refine_uniform, unit_square_mesh)
 
 

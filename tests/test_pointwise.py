@@ -1,18 +1,20 @@
 """The vectorised pointwise evaluators and the shared dof layout.
 
-element_eval, velocity_eval and divergence_pointwise contract basis values
-at all points at once; tests/felib.py keeps the per-point formulas they
-replaced as references.
+element_eval, velocity_eval and divergence_pointwise (tests/felib.py)
+contract basis values at all points at once; felib also keeps the per-point
+formulas they replaced as references.
 """
 
 import numpy as np
 import pytest
 
-from felib import (divergence_pointwise_reference, element_eval_reference,
-                   random_shape_regular_triangle, velocity_eval_reference)
+from felib import (divergence_pointwise, divergence_pointwise_reference,
+                   element_eval, element_eval_reference,
+                   random_shape_regular_triangle, velocity_eval,
+                   velocity_eval_reference)
 from ratfem import guzman_neilan as gn
 from ratfem import zienkiewicz as zk
-from ratfem.fecore import MIDS, VERTS
+from ratfem.fecore import MIDS, VERTS, dof_layout
 from ratfem.mesh import lshape_mesh, refine_bisect
 from ratfem.ratfun import SingularEvaluationError
 
@@ -37,7 +39,7 @@ def test_element_eval_matches_per_point_formula(seed, variant):
     system = zk.assemble_biharmonic(tri, variant=variant)
     u = u[:system.ndof]
     pts = np.vstack([VERTEX_POINTS, pts])
-    vals, grads = zk.element_eval(system, 0, u, pts)
+    vals, grads = element_eval(system, 0, u, pts)
     ref_vals, ref_grads, size = element_eval_reference(system, 0, u, pts)
     assert vals.shape == (len(pts),) and grads.shape == (len(pts), 2)
     assert np.abs(vals - ref_vals).max() <= 1e-12 * size
@@ -51,18 +53,18 @@ def test_stokes_evaluators_match_per_point_formulas(seed, variant):
     system = gn.assemble_stokes(tri, variant=variant)
     u = u[:system.ndof]
     with_vertices = np.vstack([VERTEX_POINTS, pts])
-    vel = gn.velocity_eval(system, 0, u, with_vertices)
+    vel = velocity_eval(system, 0, u, with_vertices)
     ref_vel, size = velocity_eval_reference(system, 0, u, with_vertices)
     assert vel.shape == (len(with_vertices), 2)
     assert np.abs(vel - ref_vel).max() <= 1e-12 * size
-    div = gn.divergence_pointwise(system, 0, u, pts)
+    div = divergence_pointwise(system, 0, u, pts)
     ref_div, size = divergence_pointwise_reference(system, 0, u, pts)
     assert div.shape == (len(pts),)
     assert np.abs(div - ref_div).max() <= 1e-12 * size
     # the bubble Hessians have no limit at a vertex: both forms refuse it
     for vertex in VERTEX_POINTS:
         with pytest.raises(SingularEvaluationError):
-            gn.divergence_pointwise(system, 0, u, [vertex])
+            divergence_pointwise(system, 0, u, [vertex])
         with pytest.raises(SingularEvaluationError):
             divergence_pointwise_reference(system, 0, u, [vertex])
 
@@ -89,7 +91,7 @@ def test_dof_layout_frees_exactly_the_interior_dofs(module, variant, blocks):
     edge_bd = (on_lshape_boundary(ends).all(axis=1)
                & on_lshape_boundary(ends.mean(axis=1)))
     assert vertex_bd.any() and (~vertex_bd).any() and (~edge_bd).any()
-    ndof, l2g, free = module.dof_layout(mesh, variant)
+    ndof, l2g, free = dof_layout(mesh, variant, module.LAYOUTS)
     expected_free, expected_l2g, offset = [], [], 0
     for block in blocks:
         on_bd, local = ((vertex_bd, mesh.n4e) if block == "v"
@@ -106,4 +108,4 @@ def test_dof_layout_frees_exactly_the_interior_dofs(module, variant, blocks):
 def test_dof_layout_rejects_unknown_variant():
     for module in (zk, gn):
         with pytest.raises(ValueError):
-            module.dof_layout(lshape_mesh(), "mixed")
+            dof_layout(lshape_mesh(), "mixed", module.LAYOUTS)

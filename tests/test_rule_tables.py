@@ -73,6 +73,12 @@ def test_rule_tables_are_cached_and_share_the_exact_point_tables():
     assert gn.get_tables(3) is gn.get_tables(np.int64(3))
     exact, rule = gn.get_tables(), gn.get_tables(3)
     assert rule.That_gv is exact.That_gv and rule.val_mid is exact.val_mid
+    zexact, zrule = zk.get_tables(), zk.get_tables(3)
+    for name in ("basis", "That_v", "That_gv", "That_ge"):
+        assert getattr(zrule, name) is getattr(zexact, name)
+    # the potentials' point tables are views of the Zienkiewicz ones
+    assert np.shares_memory(exact.That_gv, zexact.That_gv)
+    assert np.shares_memory(exact.That_ge, zexact.That_ge)
     assert exact.mean_one == 1.0
     assert rule.mean_one == pytest.approx(1.0, abs=1e-15)
     # the Guzman-Neilan curl tensors are the Zienkiewicz ones, transposed
