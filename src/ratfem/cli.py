@@ -16,9 +16,9 @@ import numpy as np
 from . import __version__
 from .exact import InfiniteValueError
 from .experiments import (ExperimentConfig, TAYLOR_HOOD_REF, csv_text,
-                          eigen_rows, emit_svg, run_exp1_square,
-                          run_exp2_lshape, run_exp3_stokes, stokes_load,
-                          stokes_mesh, stokes_row)
+                          emit_svg, run_exp1_square, run_exp2_lshape,
+                          run_exp3_stokes, stokes_load, stokes_mesh,
+                          stokes_row)
 from .mesh import (dump_mesh, load_mesh, lshape_mesh, refine_uniform,
                    unit_square_mesh)
 from .quadrature import integral_mean, is_finite_index
@@ -41,8 +41,9 @@ def _parse_midx(text):
 
 
 def _parse_quadrature(text):
+    """Rule n of 'gauss:N', or 0 (the exact system's row n) for 'exact'."""
     if text == "exact":
-        return "exact"
+        return 0
     if text.startswith("gauss:"):
         n = int(text.split(":", 1)[1])
         if n < 1:
@@ -66,13 +67,6 @@ def _check_output_dirs(args):
                 f"No such file or directory: '{Path(path).parent}'")
 
 
-def _mean(alpha, beta):
-    try:
-        return integral_mean(alpha, beta)
-    except RecursionError:
-        raise ConfigError("indices too large for the exact recursion") from None
-
-
 def cmd_quad(args):
     if args.table:
         rows = []
@@ -80,7 +74,7 @@ def cmd_quad(args):
             for beta in itertools.product(range(args.bmax + 1), repeat=3):
                 if not is_finite_index(alpha, beta):
                     continue
-                val = _mean(alpha, beta)
+                val = integral_mean(alpha, beta)
                 rows.append(",".join(map(str, alpha + beta)) + "," +
                             f"{val.q0.numerator},{val.q0.denominator},"
                             f"{val.q1.numerator},{val.q1.denominator}")
@@ -89,7 +83,7 @@ def cmd_quad(args):
         return 0
     if args.alpha is None or args.beta is None:
         raise ConfigError("either --table or both --alpha and --beta")
-    val = _mean(_parse_midx(args.alpha), _parse_midx(args.beta))
+    val = integral_mean(_parse_midx(args.alpha), _parse_midx(args.beta))
     try:
         print(f"{val} = {val.to_float()!r}")
     except InfiniteValueError:
@@ -103,14 +97,10 @@ def _config(args):
 
 
 def cmd_biharmonic(args):
-    quad = _parse_quadrature(args.quadrature)
-    cfg = ExperimentConfig(variant=args.variant,
-                           ns=() if quad == "exact" else (quad,))
-    mesh = unit_square_mesh() if args.domain == "square" else lshape_mesh()
-    rows = []
-    for level in range(1, args.levels + 1):
-        mesh = refine_uniform(mesh)
-        rows.append(eigen_rows(mesh, cfg, level)[-1])
+    n = _parse_quadrature(args.quadrature)
+    cfg = ExperimentConfig(domain=args.domain, levels=args.levels,
+                           variant=args.variant, ns=(n,) if n else ())
+    rows = [row for row in run_exp1_square(cfg) if row["n"] == n]
     cols = ["level", "ndof", "lambda", "lambda_bar", "rel_gap"]
     _write(args.out, csv_text(_config(args), cols, rows))
     return 0
@@ -118,10 +108,10 @@ def cmd_biharmonic(args):
 
 def cmd_stokes(args):
     from .guzman_neilan import assemble_stokes
-    quad = _parse_quadrature(args.quadrature)
+    n = _parse_quadrature(args.quadrature)
     mesh = stokes_mesh(args.elements)
     exact = assemble_stokes(mesh, f=stokes_load, variant=args.variant)
-    row = stokes_row(mesh, exact, 0 if quad == "exact" else quad, args.variant)
+    row = stokes_row(mesh, exact, n, args.variant)
     _write(args.out, csv_text(_config(args), ["n", "grad_err", "div_err",
                                        "pressure_err"], [row]))
     print(f"grad_err = {row['grad_err']!r} "
@@ -130,8 +120,6 @@ def cmd_stokes(args):
 
 
 def _experiment(args, runner, cols):
-    if min(args.ns) < 1:
-        raise ConfigError(f"--ns takes rules n >= 1, got {args.ns}")
     cfg = ExperimentConfig(
         levels=args.levels, ns=tuple(args.ns), variant=args.variant,
         theta=args.theta, budget=args.budget, elements=args.elements,
@@ -224,7 +212,9 @@ def build_parser():
                         version=f"ratfem {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("quad", help="exact integral means")
+    q = sub.add_parser("quad", help="exact integral means", description=(
+        "Exact integral means of lam^alpha/(1-lam)^beta; the indices are "
+        "limited by time and memory, not by recursion depth."))
     q.add_argument("--alpha")
     q.add_argument("--beta")
     q.add_argument("--table", action="store_true")

@@ -38,6 +38,11 @@ class ExperimentConfig:
     stokes_ns: tuple = tuple(range(1, 17))
     load_degree: int = 2            # fixed P2 load interpolation; CSV header only
 
+    def __post_init__(self):
+        for ns in (self.ns, self.stokes_ns):
+            if min(ns, default=1) < 1:
+                raise ValueError(f"quadrature rules need n >= 1, got {tuple(ns)}")
+
     def items(self):
         return sorted(self.__dict__.items())
 
@@ -75,9 +80,10 @@ def eigen_rows(mesh, cfg: ExperimentConfig, level):
 
 
 def run_exp1_square(cfg: ExperimentConfig):
-    """Uniform square refinement: exact vs Gauss eigenvalues per level."""
+    """Uniform refinement of the cfg.domain mesh: exact vs Gauss eigenvalues
+    per level."""
     rows = []
-    mesh = unit_square_mesh()
+    mesh = {"square": unit_square_mesh, "lshape": lshape_mesh}[cfg.domain]()
     for level in range(1, cfg.levels + 1):
         mesh = refine_uniform(mesh)
         rows += eigen_rows(mesh, cfg, level)

@@ -1,13 +1,10 @@
 """Exact integral means of lam^alpha/(1-lam)^beta over a triangle.
 
 The mean is independent of the triangle, so everything here is a function of
-the two multi-indices alone.  Two mutually recursive routines do the work:
-
-* ``compute_J`` handles the Fubini-splittable case alpha0 = beta0 = 0 by
-  iterated 1D integration; its only non-rational base case contributes pi^2/3.
-* ``integral_mean`` reduces the general case to ``compute_J`` and to two
-  factorial closed forms via index-lowering identities, memoized under
-  permutation symmetry.
+the two multi-indices alone.  ``_reduction`` is one step of the recursive
+formula: a closed form, or a linear combination of means with lower indices.
+``integral_mean`` evaluates it with an explicit stack over a memo keyed under
+permutation symmetry; the only non-rational base case contributes pi^2/3.
 
 The module also provides the inexact tensorized Gauss rule on the reference
 triangle used by the quadrature-error experiments.
@@ -63,44 +60,56 @@ def integral_mean_beta2(alpha, beta2: int) -> ExactValue:
     return ExactValue(value)
 
 
-def _harmonic2(n: int) -> Fraction:
-    return sum((Fraction(1, i * i) for i in range(1, n + 1)), Fraction(0))
-
-
 def compute_J(a1: int, a2: int, b1: int, b2: int) -> ExactValue:
     """Mean of x^a1 y^a2 / ((1-x)^b1 (1-y)^b2) over the reference triangle.
 
-    Fubini splits the integral into nested 1D integrals.  The recursion lowers
-    b1 + b2 until it reaches either the polynomial-weight case b1 = 0 or the
-    case b1 = b2 = 1, whose y-integral of log(y)/(1-y) produces the pi^2/3
-    term (a polygamma value); everything else is a factorial ratio.
+    This is the Fubini case alpha0 = beta0 = 0 of :func:`integral_mean`.
     """
-    if max(a1 + b1, a2 + b2) > a1 + a2 + 1:
+    return integral_mean((0, a1, a2), (0, b1, b2))
+
+
+def _reduction(alpha, beta):
+    """One step of the recursive formula for the mean I(alpha, beta).
+
+    Returns INFINITE, a closed-form ExactValue, or (c0, terms), meaning
+    I = c0 + sum(c * I(alpha', beta') for c, alpha', beta' in terms).  After
+    sorting the index pairs so the beta entries increase, the branches are:
+    the factorial closed form when the two smallest beta vanish; a four-term
+    reduction when all beta are positive; for alpha0 = 0, the Fubini case
+    J(a1, a2, b1, b2) of :func:`compute_J`, the pi^2/3 (polygamma) base case
+    b1 = b2 = 1 or a first-order recurrence lowering b1 (b2 when b1 = 1); two
+    three-term reductions lowering alpha0; and a six-term reduction for the
+    remaining tie case.
+    """
+    if not is_finite_index(alpha, beta):
         return INFINITE
-    if b1 > b2:
-        a1, a2, b1, b2 = a2, a1, b2, b1
-    if b1 == 0:
-        value = Fraction(2, a1 + 1) * Fraction(
-            factorial(a2) * factorial(a1 - b2 + 1),
-            factorial(a1 + a2 - b2 + 2))
-        return ExactValue(value)
-    if b1 == 1:
-        if b2 == 1:
-            q0 = -2 * _harmonic2(a2)
-            for j in range(1, a1 + 1):
-                q0 -= Fraction(2, j) * Fraction(
-                    factorial(a2) * factorial(j - 1), factorial(a2 + j))
+    alpha, beta = zip(*sorted(zip(alpha, beta), key=lambda ab: (ab[1], ab[0])))
+    a0, a1, a2 = alpha
+    if beta[1] == 0:
+        return integral_mean_beta2(alpha, beta[2])
+    half = Fraction(1, 2)
+    if beta[0] >= 1:
+        return 0, [(half, alpha, midx_sub(beta, e)) for e in _E]
+    if a0 == 0:
+        if beta[2] == 1:
+            # the y-integral of log(y)/(1-y) gives the pi^2/3 term
+            q0 = -sum(Fraction(2, i * i) for i in range(1, a2 + 1)) - sum(
+                Fraction(2 * factorial(a2) * factorial(j - 1), j * factorial(a2 + j))
+                for j in range(1, a1 + 1))
             return ExactValue(q0, Fraction(1, 3))
-        rec = compute_J(a1, a2, 1, b2 - 1).scale(Fraction(b2 - a2 - 2, b2 - 1))
-        extra = Fraction(2, b2 - 1) * Fraction(
-            factorial(a1 - b2 + 1) * factorial(a2),
-            factorial(a1 - b2 + a2 + 2))
-        return rec + ExactValue(extra)
-    rec = compute_J(a1, a2, b1 - 1, b2).scale(Fraction(b1 - a1 - 2, b1 - 1))
-    extra = Fraction(2, b1 - 1) * Fraction(
-        factorial(a2 - b1 + 1) * factorial(a1 - b2 + 1),
-        factorial(a2 - b1 + a1 - b2 + 3))
-    return rec + ExactValue(extra)
+        k, o = (1, 2) if beta[1] > 1 else (2, 1)
+        ak, bk, ao, bo = alpha[k], beta[k], alpha[o], beta[o]
+        extra = Fraction(2 * factorial(ao - bk + 1) * factorial(ak - bo + 1),
+                         (bk - 1) * factorial(ao - bk + ak - bo + 3))
+        return extra, [(Fraction(bk - ak - 2, bk - 1), alpha, midx_sub(beta, _E[k]))]
+    lowered = midx_sub(alpha, _E[0])
+    for j, k in ((1, 2), (2, 1)):
+        if alpha[j] + beta[j] <= a0 + a1 + a2:
+            return 0, [(1, lowered, midx_sub(beta, _E[k])),
+                       (-1, midx_add(lowered, _E[j]), beta)]
+    return 0, [(half, a, midx_sub(beta, _E[j]))
+               for j in (1, 2) for a in (alpha, midx_add(lowered, _E[j]))
+               ] + [(-1, midx_add(lowered, (0, 1, 1)), beta)]
 
 
 class MemoCache:
@@ -133,63 +142,40 @@ class MemoCache:
 #: Shared default cache; computations are pure so sharing is safe.
 DEFAULT_CACHE = MemoCache()
 
+
 def integral_mean(alpha, beta, cache: MemoCache | None = None) -> ExactValue:
     """Mean of lam^alpha/(1-lam)^beta over any triangle (exact).
 
-    Branches, in order: finiteness guard; sort the index pairs so the beta
-    entries increase; factorial closed form when the two smallest beta vanish;
-    a four-term reduction when all beta are positive; delegation to
-    ``compute_J`` when alpha0 = 0; two three-term reductions lowering alpha0;
-    and a six-term reduction for the remaining tie case.
+    Works through :func:`_reduction` with an explicit stack instead of
+    recursion, so the index size is limited by time and memory alone.  Each
+    index pair is reduced once; its terms are looked up in, or computed into,
+    the memo one after the other.  The terms of a finite mean are finite, so
+    they combine as plain fractions q0 + q1*pi^2.
     """
-    alpha = tuple(alpha)
-    beta = tuple(beta)
     if cache is None:
         cache = DEFAULT_CACHE
-    cached = cache.get(alpha, beta)
-    if cached is not None:
-        return cached
-    value = _integral_mean_impl(alpha, beta, cache)
-    return cache.put(alpha, beta, value)
-
-
-def _integral_mean_impl(alpha, beta, cache) -> ExactValue:
-    asum = sum(alpha)
-    if max(a + b for a, b in zip(alpha, beta)) > asum + 1:
-        return INFINITE
-
-    pairs = sorted(zip(alpha, beta), key=lambda ab: (ab[1], ab[0]))
-    alpha = tuple(a for a, _ in pairs)
-    beta = tuple(b for _, b in pairs)
-
-    if beta[0] == 0 and beta[1] == 0:
-        return integral_mean_beta2(alpha, beta[2])
-
-    if beta[0] >= 1:
-        acc = ExactValue(0)
-        for j in range(3):
-            acc = acc + integral_mean(alpha, midx_sub(beta, _E[j]), cache)
-        return acc.scale(Fraction(1, 2))
-
-    if alpha[0] == 0:
-        return compute_J(alpha[1], alpha[2], beta[1], beta[2])
-
-    lowered = midx_sub(alpha, _E[0])
-    if alpha[1] + beta[1] < asum + 1:
-        return (integral_mean(lowered, midx_sub(beta, _E[2]), cache)
-                - integral_mean(midx_add(lowered, _E[1]), beta, cache))
-
-    if alpha[2] + beta[2] < asum + 1:
-        return (integral_mean(lowered, midx_sub(beta, _E[1]), cache)
-                - integral_mean(midx_add(lowered, _E[2]), beta, cache))
-
-    acc = ExactValue(0)
-    for j in (1, 2):
-        acc = acc + integral_mean(alpha, midx_sub(beta, _E[j]), cache)
-        acc = acc + integral_mean(midx_add(lowered, _E[j]),
-                                  midx_sub(beta, _E[j]), cache)
-    acc = acc.scale(Fraction(1, 2))
-    return acc - integral_mean(midx_add(lowered, (0, 1, 1)), beta, cache)
+    value = cache.get(alpha, beta)
+    stack = []      # frames [alpha, beta, q0, q1, terms left, pending c]
+    while True:
+        if value is None:
+            step = _reduction(alpha, beta)
+            if isinstance(step, ExactValue):
+                value = cache.put(alpha, beta, step)
+                continue
+            stack.append([alpha, beta, step[0], 0, iter(step[1]), None])
+        elif not stack:
+            return value
+        else:
+            frame = stack[-1]
+            frame[2] += frame[5] * value.q0
+            frame[3] += frame[5] * value.q1
+        term = next(stack[-1][4], None)
+        if term is None:
+            alpha, beta, q0, q1 = stack.pop()[:4]
+            value = cache.put(alpha, beta, ExactValue(q0, q1))
+        else:
+            stack[-1][5], alpha, beta = term
+            value = cache.get(alpha, beta)
 
 
 def integral_mean_combo(f: RatCombo, cache: MemoCache | None = None) -> ExactValue:

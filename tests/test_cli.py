@@ -94,14 +94,35 @@ def test_rules_below_one_are_rejected_before_any_work(monkeypatch, capsys,
     assert main([which, "--levels", "1", "--elements", "8", "--ns", "2", "0",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "configuration error: --ns takes rules n >= 1, got [2, 0]\n")
+        "configuration error: quadrature rules need n >= 1, got (2, 0)\n")
     assert not out.exists()
 
 
-def test_deep_indices_are_a_configuration_error(capsys):
-    assert main(["quad", "--alpha", "0,2000,2000", "--beta", "0,1,2000"]) == 2
-    assert capsys.readouterr().err == (
-        "configuration error: indices too large for the exact recursion\n")
+def test_deep_indices_have_a_value(capsys):
+    # 2000 nested reductions: deeper than Python's default recursion limit
+    assert main(["quad", "--alpha", "0,2000,2000", "--beta", "0,1,2000"]) == 0
+    assert capsys.readouterr().out.endswith(" = 2.497500625625155e-10\n")
+
+
+def test_quad_table_matches_golden_digest(tmp_path):
+    out = tmp_path / "table.csv"
+    assert main(["quad", "--table", "--amax", "6", "--bmax", "4",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f9f3293342159e4573b07a36922c5c7c16459657b18df1cde486df7b9d83d7ce")
+
+
+def test_biharmonic_eig_keeps_the_exp1_rows_of_its_rule(tmp_path):
+    out = tmp_path / "eig.csv"
+    assert main(["biharmonic-eig", "--domain", "lshape", "--levels", "2",
+                 "--quadrature", "gauss:2", "--out", str(out)]) == 0
+    rows = experiments.run_exp1_square(
+        experiments.ExperimentConfig(domain="lshape", levels=2, ns=(2,)))
+    cols = ["level", "ndof", "lambda", "lambda_bar", "rel_gap"]
+    expected = experiments.csv_text(
+        {}, cols, [r for r in rows if r["n"] == 2]).splitlines()[2:]
+    lines = out.read_text().splitlines()
+    assert lines[lines.index("level,ndof,lambda,lambda_bar,rel_gap") + 1:] == expected
 
 
 def test_dump_tables(tmp_path):

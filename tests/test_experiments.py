@@ -3,8 +3,10 @@ import pytest
 
 from felib import fit_slope
 from ratfem.experiments import (ExperimentConfig, TAYLOR_HOOD_REF, csv_text,
-                                graded_lshape_meshes, run_exp2_lshape,
-                                stokes_exact_pressure, stokes_load)
+                                graded_lshape_meshes, run_exp1_square,
+                                run_exp2_lshape, stokes_exact_pressure,
+                                stokes_load)
+from ratfem.mesh import lshape_mesh, refine_uniform, unit_square_mesh
 
 
 def test_fit_slope():
@@ -57,3 +59,24 @@ def test_csv_text_format():
     assert lines[0].startswith("# ratfem")
     assert lines[1] == "# a = 1" and lines[2] == "# b = 2"
     assert lines[3] == "x,y" and lines[4] == "1,0.5"
+
+
+@pytest.mark.parametrize("field", ["ns", "stokes_ns"])
+@pytest.mark.parametrize("rules", [(0,), (2, -3)])
+def test_rules_below_one_are_rejected_by_the_config(field, rules):
+    # n = 0 names the exact system's row of an experiment, so it is no rule
+    with pytest.raises(ValueError, match="quadrature rules need n >= 1"):
+        ExperimentConfig(**{field: rules})
+
+
+@pytest.mark.parametrize("domain, coarse", [("square", unit_square_mesh),
+                                            ("lshape", lshape_mesh)])
+def test_exp1_refines_the_configured_domain(domain, coarse):
+    rows = run_exp1_square(ExperimentConfig(domain=domain, levels=1, ns=()))
+    mesh = refine_uniform(coarse())
+    assert [r["ndof"] for r in rows] == [3 * mesh.num_vertices + mesh.num_edges]
+
+
+def test_exp1_rejects_an_unknown_domain():
+    with pytest.raises(KeyError):
+        run_exp1_square(ExperimentConfig(domain="circle", levels=1, ns=()))

@@ -1,10 +1,14 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quadref
 from oracle import duffy_mean
 from ratfem.exact import INFINITE, ExactValue
 from ratfem.quadrature import (IndexNotFiniteError, InfiniteTermError,
@@ -84,6 +88,76 @@ def test_permutation_invariance():
             a = tuple(alpha[i] for i in sigma)
             b = tuple(beta[i] for i in sigma)
             assert integral_mean(a, b) == base
+
+
+def indices(top):
+    return st.tuples(*[st.integers(0, top)] * 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=indices(7), beta=indices(5))
+def test_mean_matches_recursive_reference(alpha, beta):
+    assert integral_mean(alpha, beta, MemoCache()) == quadref.integral_mean(
+        alpha, beta, MemoCache())
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+       b=st.tuples(st.integers(0, 8), st.integers(0, 8)))
+def test_fubini_case_matches_recursive_reference(a, b):
+    value = integral_mean((0, *a), (0, *b), MemoCache())
+    assert value == quadref.compute_J(*a, *b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=indices(10), b2=st.integers(0, 12),
+       sigma=st.permutations(range(3)))
+def test_mean_matches_closed_forms(alpha, b2, sigma):
+    beta = (0, 0, b2)
+    value = integral_mean(tuple(alpha[i] for i in sigma),
+                          tuple(beta[i] for i in sigma), MemoCache())
+    if not is_finite_index(alpha, beta):
+        assert value == INFINITE
+    else:
+        assert value == integral_mean_beta2(alpha, b2)
+    if b2 == 0:
+        assert value == integral_mean_poly(alpha)
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=indices(4), beta=indices(3))
+def test_mean_matches_duffy_oracle(alpha, beta):
+    value = integral_mean(alpha, beta, MemoCache())
+    if not is_finite_index(alpha, beta):
+        assert value == INFINITE
+    else:
+        assert value.to_float() == pytest.approx(duffy_mean(alpha, beta),
+                                                 rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha, beta, expected", [
+    ((0, 2000, 2000), (0, 1, 2000), 2.497500625625155e-10),
+    ((2000, 1, 1), (0, 1, 1), 1.2462565540713195e-13),
+    ((1200, 1, 1), (1, 1, 1), 3.8483919471742835e-10)])
+def test_deep_indices_match_recursive_reference(alpha, beta, expected):
+    # each case nests more reductions than the default recursion limit allows
+    value = integral_mean(alpha, beta)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20000)
+    try:
+        reference = quadref.integral_mean(alpha, beta, MemoCache())
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == reference
+    assert value.to_float() == expected
+
+
+def test_fubini_chain_is_memoized():
+    cache = MemoCache()
+    value = integral_mean((0, 5, 5), (0, 1, 4), cache)
+    for b2 in (1, 2, 3, 4):
+        assert cache.get((0, 5, 5), (0, 1, b2)) is not None
+    assert value == quadref.compute_J(5, 5, 1, 4)
 
 
 def test_memoized_and_fresh_agree():
