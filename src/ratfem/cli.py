@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, guzman_neilan, zienkiewicz
 from .exact import InfiniteValueError
 from .experiments import (ExperimentConfig, TAYLOR_HOOD_REF, csv_text,
                           emit_svg, run_exp1_square, run_exp2_lshape,
@@ -22,8 +22,23 @@ from .experiments import (ExperimentConfig, TAYLOR_HOOD_REF, csv_text,
 from .mesh import (dump_mesh, load_mesh, lshape_mesh, refine_uniform,
                    unit_square_mesh)
 from .quadrature import integral_mean, is_finite_index
-from .solvers import (NoConvergenceError, NotPositiveDefiniteError,
-                      SingularSystemError)
+from .ratfun import SingularEvaluationError
+from .solvers import NoConvergenceError
+
+#: The ExperimentConfig fields each experiment takes besides ns and variant.
+EXPERIMENT_FIELDS = {
+    "exp1": ("levels",),
+    "exp2": ("theta", "budget", "uniform_interval", "solve_start",
+             "solve_factor"),
+    "exp3": ("elements",),
+}
+
+#: exp2's guide lines: header key, label, slope and value at ndof = 1e3.
+GUIDES = [("guide_slow", "O(ndof^-1/2)", -0.5, "2e-2"),
+          ("guide_fast", "O(ndof^-1)", -1.0, "1e-5")]
+
+EIGEN_COLUMNS = ["n", "level", "ndof", "lambda", "lambda_bar", "rel_gap"]
+STOKES_COLUMNS = ["n", "grad_err", "div_err", "pressure_err"]
 
 
 class ConfigError(ValueError):
@@ -92,8 +107,15 @@ def cmd_quad(args):
 
 
 def _config(args):
-    """The parsed arguments for a CSV header, without the handler function."""
-    return {k: v for k, v in vars(args).items() if k != "func"}
+    """A run's CSV header: the command and its options but no output path."""
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("func", "out", "svg")}
+    if args.command == "exp2":
+        for key, label, _, anchor in GUIDES:
+            config[key] = f"{label} through (1e3, {anchor})"
+    if args.command in ("exp3", "stokes"):
+        config["taylor_hood_ref"] = TAYLOR_HOOD_REF
+    return config
 
 
 def cmd_biharmonic(args):
@@ -101,74 +123,58 @@ def cmd_biharmonic(args):
     cfg = ExperimentConfig(domain=args.domain, levels=args.levels,
                            variant=args.variant, ns=(n,) if n else ())
     rows = [row for row in run_exp1_square(cfg) if row["n"] == n]
-    cols = ["level", "ndof", "lambda", "lambda_bar", "rel_gap"]
-    _write(args.out, csv_text(_config(args), cols, rows))
+    _write(args.out, csv_text(_config(args), EIGEN_COLUMNS[1:], rows))
     return 0
 
 
 def cmd_stokes(args):
-    from .guzman_neilan import assemble_stokes
     n = _parse_quadrature(args.quadrature)
     mesh = stokes_mesh(args.elements)
-    exact = assemble_stokes(mesh, f=stokes_load, variant=args.variant)
+    exact = guzman_neilan.assemble_stokes(mesh, f=stokes_load,
+                                          variant=args.variant)
     row = stokes_row(mesh, exact, n, args.variant)
-    _write(args.out, csv_text(_config(args), ["n", "grad_err", "div_err",
-                                       "pressure_err"], [row]))
+    _write(args.out, csv_text(_config(args), STOKES_COLUMNS, [row]))
     print(f"grad_err = {row['grad_err']!r} "
-          f"(Taylor-Hood reference {args.taylor_hood_ref!r})")
+          f"(Taylor-Hood reference {TAYLOR_HOOD_REF!r})")
     return 0
 
 
-def _experiment(args, runner, cols):
-    cfg = ExperimentConfig(
-        levels=args.levels, ns=tuple(args.ns), variant=args.variant,
-        theta=args.theta, budget=args.budget, elements=args.elements,
-        stokes_ns=tuple(args.ns) if args.which == "exp3" else tuple(range(1, 17)),
-        uniform_interval=args.uniform_interval,
-        solve_start=args.solve_start, solve_factor=args.solve_factor)
-    rows = runner(cfg)
-    config = {k: v for k, v in cfg.items()}
-    config["experiment"] = args.which
-    if args.which == "exp2":
-        config["guide_slow"] = "O(ndof^-1/2) through (1e3, 2e-2)"
-        config["guide_fast"] = "O(ndof^-1) through (1e3, 1e-5)"
-    if args.which == "exp3":
-        config["taylor_hood_ref"] = TAYLOR_HOOD_REF
-    _write(args.out, csv_text(config, cols, rows))
-    if args.svg:
-        key = "rel_gap" if args.which != "exp3" else "grad_err"
-        xkey = "ndof" if args.which != "exp3" else "n"
-        series = []
-        ns = sorted({r["n"] for r in rows} - {0})
-        if args.which == "exp3":
-            xs = [r["n"] for r in rows if r["n"] > 0]
-            ys = [r["grad_err"] for r in rows if r["n"] > 0]
-            series.append(("grad_err", xs, ys))
-            series.append(("Taylor-Hood", [min(xs), max(xs)],
-                           [TAYLOR_HOOD_REF, TAYLOR_HOOD_REF], True))
-            svg = emit_svg(series, axes="semilogy")
-        else:
-            for n in ns:
-                pts = [(r[xkey], r[key]) for r in rows
-                       if r["n"] == n and r[key] > 0]
-                if pts:
-                    series.append((f"n={n}", [p[0] for p in pts],
-                                   [p[1] for p in pts]))
-            if args.which == "exp2" and series:
-                lo = min(min(s[1]) for s in series)
-                hi = max(max(s[1]) for s in series)
-                for label, anchor in [("O(ndof^-1/2)", 2e-2), ("O(ndof^-1)", 1e-5)]:
-                    power = -0.5 if "1/2" in label else -1.0
-                    series.append((label, [lo, hi],
-                                   [anchor * (lo / 1e3) ** power,
-                                    anchor * (hi / 1e3) ** power], True))
-            svg = emit_svg(series, axes="loglog")
-        Path(args.svg).write_text(svg)
+def _experiment(args):
+    # the drivers are looked up per call, where a tracer may have wrapped them
+    runner, cols = {"exp1": (run_exp1_square, EIGEN_COLUMNS),
+                    "exp2": (run_exp2_lshape, EIGEN_COLUMNS),
+                    "exp3": (run_exp3_stokes, STOKES_COLUMNS)}[args.command]
+    fields = ("ns", "variant") + EXPERIMENT_FIELDS[args.command]
+    rows = runner(ExperimentConfig(**{k: getattr(args, k) for k in fields}))
+    _write(args.out, csv_text(_config(args), cols, rows))
+    if not args.svg:
+        return 0
+    if args.command == "exp3":
+        xs = [r["n"] for r in rows if r["n"] > 0]
+        ys = [r["grad_err"] for r in rows if r["n"] > 0]
+        series = [("grad_err", xs, ys),
+                  ("Taylor-Hood", [min(xs), max(xs)],
+                   [TAYLOR_HOOD_REF, TAYLOR_HOOD_REF], True)]
+        Path(args.svg).write_text(emit_svg(series, axes="semilogy"))
+        return 0
+    series = []
+    for n in sorted({r["n"] for r in rows} - {0}):
+        pts = [(r["ndof"], r["rel_gap"]) for r in rows
+               if r["n"] == n and r["rel_gap"] > 0]
+        if pts:
+            series.append((f"n={n}", [p[0] for p in pts], [p[1] for p in pts]))
+    if args.command == "exp2" and series:
+        lo = min(min(s[1]) for s in series)
+        hi = max(max(s[1]) for s in series)
+        for _, label, power, anchor in GUIDES:
+            series.append((label, [lo, hi],
+                           [float(anchor) * (lo / 1e3) ** power,
+                            float(anchor) * (hi / 1e3) ** power], True))
+    Path(args.svg).write_text(emit_svg(series))
     return 0
 
 
 def cmd_dump_tables(args):
-    from . import guzman_neilan, zienkiewicz
     out = Path(args.dir)
     out.mkdir(parents=True, exist_ok=True)
     zt = zienkiewicz.get_tables()
@@ -232,38 +238,26 @@ def build_parser():
     b.set_defaults(func=cmd_biharmonic)
 
     s = sub.add_parser("stokes", help="Guzman-Neilan Stokes solve")
-    s.add_argument("--domain", choices=["square"], default="square")
     s.add_argument("--elements", type=int, default=8192)
     s.add_argument("--quadrature", default="exact")
     s.add_argument("--variant", choices=["full", "reduced"], default="reduced")
-    s.add_argument("--taylor-hood-ref", type=float, default=TAYLOR_HOOD_REF)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_stokes)
 
-    for which, runner, cols in [
-        ("exp1", run_exp1_square,
-         ["n", "level", "ndof", "lambda", "lambda_bar", "rel_gap"]),
-        ("exp2", run_exp2_lshape,
-         ["n", "level", "ndof", "lambda", "lambda_bar", "rel_gap"]),
-        ("exp3", run_exp3_stokes, ["n", "grad_err", "div_err", "pressure_err"]),
-    ]:
+    defaults = ExperimentConfig()
+    for which, fields in EXPERIMENT_FIELDS.items():
         e = sub.add_parser(which, help=f"quadrature-error experiment {which}")
-        e.add_argument("--levels", type=int, default=5)
-        e.add_argument("--ns", type=int, nargs="+",
-                       default=list(range(2, 12)) if which != "exp3"
-                       else list(range(1, 17)))
+        for name in fields:
+            default = getattr(defaults, name)
+            e.add_argument("--" + name.replace("_", "-"), type=type(default),
+                           default=default)
+        e.add_argument("--ns", type=int, nargs="+", default=list(defaults.ns))
         e.add_argument("--variant", choices=["full", "reduced"],
-                       default="full" if which != "exp3" else "reduced")
-        e.add_argument("--theta", type=float, default=0.5)
-        e.add_argument("--budget", type=int, default=30000)
-        e.add_argument("--uniform-interval", type=int, default=2)
-        e.add_argument("--solve-start", type=int, default=120)
-        e.add_argument("--solve-factor", type=float, default=1.3)
-        e.add_argument("--elements", type=int, default=8192)
+                       default=defaults.variant)
         e.add_argument("--out", default=None)
         e.add_argument("--svg", default=None)
-        e.set_defaults(func=lambda a, r=runner, c=cols: _experiment(a, r, c),
-                       which=which)
+        e.set_defaults(func=_experiment)
+    sub.choices["exp3"].set_defaults(ns=list(range(1, 17)), variant="reduced")
 
     d = sub.add_parser("dump-tables", help="write reference tensors as CSV")
     d.add_argument("dir")
@@ -288,9 +282,11 @@ def main(argv=None) -> int:
     try:
         _check_output_dirs(args)
         return args.func(args)
-    # the solver errors first: the LinAlgError ones are also ValueErrors
-    except (NoConvergenceError, NotPositiveDefiniteError,
-            SingularSystemError) as exc:
+    # numerical failures first: a LinAlgError is also a ValueError
+    except (np.linalg.LinAlgError, NoConvergenceError,
+            zienkiewicz.ZeroBubbleNormalDerivativeError,
+            guzman_neilan.ZeroBubbleTangentialTraceError,
+            SingularEvaluationError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError, OSError) as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial  # n! as a big integer; ValueError for n < 0
 
 
 class InfiniteValueError(ArithmeticError):
@@ -19,13 +20,6 @@ class InfiniteValueError(ArithmeticError):
 
 class ScaleInfiniteByNonpositiveError(ArithmeticError):
     """Raised when an infinite value is scaled by a factor <= 0."""
-
-
-def factorial(n: int) -> int:
-    """n! as a big integer, n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial of negative index {n}")
-    return math.factorial(n)
 
 
 def _atan_inv_scaled(x: int, bits: int) -> tuple[int, int]:

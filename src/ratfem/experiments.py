@@ -35,16 +35,11 @@ class ExperimentConfig:
     solve_factor: float = 1.3
     uniform_interval: int = 2       # every k-th grading round refines globally
     elements: int = 8192
-    stokes_ns: tuple = tuple(range(1, 17))
-    load_degree: int = 2            # fixed P2 load interpolation; CSV header only
 
     def __post_init__(self):
-        for ns in (self.ns, self.stokes_ns):
-            if min(ns, default=1) < 1:
-                raise ValueError(f"quadrature rules need n >= 1, got {tuple(ns)}")
-
-    def items(self):
-        return sorted(self.__dict__.items())
+        self.ns = tuple(self.ns)
+        if min(self.ns, default=1) < 1:
+            raise ValueError(f"quadrature rules need n >= 1, got {self.ns}")
 
 
 def csv_text(config: dict, columns, rows) -> str:
@@ -176,7 +171,7 @@ def run_exp3_stokes(cfg: ExperimentConfig):
     mesh = stokes_mesh(cfg.elements)
     exact = assemble_stokes(mesh, f=stokes_load, variant=cfg.variant)
     return [stokes_row(mesh, exact, n, cfg.variant)
-            for n in (0,) + tuple(cfg.stokes_ns)]
+            for n in (0,) + cfg.ns]
 
 
 # -- SVG emission -----------------------------------------------------------------
@@ -189,9 +184,8 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
 
 
-def emit_svg(series, axes: str = "loglog", width: int = 640, height: int = 480,
-             title: str = "") -> str:
-    """Standalone SVG line plot.
+def emit_svg(series, axes: str = "loglog") -> str:
+    """Standalone 640x480 SVG line plot, axes "loglog", "semilogy" or linear.
 
     `series` is a list of (label, xs, ys[, dashed]) tuples.  Log axes reject
     nonpositive coordinates.
@@ -199,7 +193,8 @@ def emit_svg(series, axes: str = "loglog", width: int = 640, height: int = 480,
     series = [tuple(s) for s in series]
     if not series or all(len(s[1]) == 0 for s in series):
         raise EmptySeriesError("nothing to plot")
-    logx = axes in ("loglog", "semilogx")
+    width, height = 640, 480
+    logx = axes == "loglog"
     logy = axes in ("loglog", "semilogy")
 
     def tx(v, log):
@@ -228,8 +223,6 @@ def emit_svg(series, axes: str = "loglog", width: int = 640, height: int = 480,
            f'<rect width="{width}" height="{height}" fill="white"/>',
            f'<rect x="{ml}" y="{mt}" width="{width-ml-mr}" '
            f'height="{height-mt-mb}" fill="none" stroke="black"/>']
-    if title:
-        out.append(f'<text x="{ml}" y="20" font-size="13">{title}</text>')
 
     def ticks(a, b, log):
         if log:

@@ -200,7 +200,7 @@ def test_criterion_6_guzman_neilan_divergence():
 def test_criterion_7_pressure_robustness():
     t0 = time.time()
     cfg = ExperimentConfig(variant="reduced", elements=8192,
-                           stokes_ns=(2, 3, 12))
+                           ns=(2, 3, 12))
     rows = run_exp3_stokes(cfg)
     err = {r["n"]: r["grad_err"] for r in rows}
     assert err[0] <= 1e-10
@@ -255,7 +255,7 @@ def test_criterion_9_determinism():
                                               "lambda_bar", "rel_gap"],
                      run_exp1_square(cfg))
     assert text1 == text2
-    cfg3 = ExperimentConfig(variant="reduced", elements=128, stokes_ns=(2,))
+    cfg3 = ExperimentConfig(variant="reduced", elements=128, ns=(2,))
     t1 = csv_text({}, ["n", "grad_err", "div_err", "pressure_err"],
                   run_exp3_stokes(cfg3))
     t2 = csv_text({}, ["n", "grad_err", "div_err", "pressure_err"],

@@ -1,15 +1,21 @@
+import argparse
+import dataclasses
 import hashlib
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ratfem import cli, experiments
 from ratfem.cli import main
 from ratfem.experiments import EmptySeriesError, emit_svg
+from ratfem.guzman_neilan import ZeroBubbleTangentialTraceError
+from ratfem.ratfun import SingularEvaluationError
 from ratfem.solvers import (NoConvergenceError, NotPositiveDefiniteError,
                             SingularSystemError)
+from ratfem.zienkiewicz import ZeroBubbleNormalDerivativeError
 
 
 def test_quad_value(capsys):
@@ -72,8 +78,11 @@ def test_io_failures_are_configuration_errors(tmp_path, capsys, args):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("error", [NotPositiveDefiniteError,
-                                   SingularSystemError, NoConvergenceError])
+@pytest.mark.parametrize("error", [
+    NotPositiveDefiniteError, SingularSystemError, NoConvergenceError,
+    # a singular Vandermonde in np.linalg.inv
+    np.linalg.LinAlgError, ZeroBubbleNormalDerivativeError,
+    ZeroBubbleTangentialTraceError, SingularEvaluationError])
 def test_solver_failures_exit_3(monkeypatch, capsys, error):
     def fail(cfg):
         raise error("no factorization")
@@ -81,6 +90,19 @@ def test_solver_failures_exit_3(monkeypatch, capsys, error):
     assert main(["exp1", "--levels", "1", "--ns", "2"]) == 3
     assert capsys.readouterr().err == (
         "solver failure: no factorization\n")
+
+
+def test_programming_errors_keep_their_traceback(monkeypatch):
+    def fail(cfg):
+        return 1 / 0
+    monkeypatch.setattr(cli, "run_exp1_square", fail)
+    with pytest.raises(ZeroDivisionError):
+        main(["exp1", "--levels", "1", "--ns", "2"])
+
+
+#: A small run of each experiment, with only the options it takes.
+OWN_FLAGS = {"exp1": ["--levels", "1"], "exp2": ["--budget", "100"],
+             "exp3": ["--elements", "8"]}
 
 
 @pytest.mark.parametrize("which", ["exp1", "exp2", "exp3"])
@@ -91,7 +113,7 @@ def test_rules_below_one_are_rejected_before_any_work(monkeypatch, capsys,
     monkeypatch.setattr(experiments, "assemble_biharmonic", started)
     monkeypatch.setattr(experiments, "assemble_stokes", started)
     out = tmp_path / "rows.csv"
-    assert main([which, "--levels", "1", "--elements", "8", "--ns", "2", "0",
+    assert main([which, *OWN_FLAGS[which], "--ns", "2", "0",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "configuration error: quadrature rules need n >= 1, got (2, 0)\n")
@@ -253,3 +275,97 @@ def test_csv_bytes_independent_of_blas_threads(tmp_path, args):
         assert code.returncode == 0, code.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def _data_digest(text):
+    data = "".join(ln + "\n" for ln in text.splitlines() if not ln.startswith("#"))
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+#: argv, SHA-256 of the CSV data lines and of the SVG, and the header keys of
+#: each run command.  The digests were taken before each command was given
+#: only its own options; they hold under 1 and 2 OpenBLAS threads.
+GOLDEN_RUNS = {
+    "exp1": (["exp1", "--levels", "2", "--ns", "2", "4"],
+             "320160a784dd359999654f66daf4f0040e49f34916a0b8bbe88d745b010c56c3",
+             "499b4da39cdf1a3654c97ca09267bfcb67700903f97c5f3d1583c6f7bd2c2315",
+             "command levels ns variant"),
+    "exp2": (["exp2", "--ns", "2", "3", "--budget", "400", "--solve-start", "60"],
+             "c3d1e58cfb44701e6314e9dc814daa2a551433ad9e976eb4c34ba5dcc5962f81",
+             "123cb68947cc61f85888a89d931f68c5f1e78b53a07c1a552bdbcc1189d4f1dd",
+             "budget command guide_fast guide_slow ns solve_factor solve_start "
+             "theta uniform_interval variant"),
+    "exp3": (["exp3", "--elements", "32", "--ns", "1", "2", "3"],
+             "8e0a4fa00e780d787084c5fea8b76ab373419129b9a3fea6698e957d6b0a7d37",
+             "9fb6dc7466cf758947cb4a5ca92e451c98b0d7fb2f2acae9a62d8b35cc8b8cd4",
+             "command elements ns taylor_hood_ref variant"),
+    "biharmonic-eig": (["biharmonic-eig", "--domain", "lshape", "--levels", "2",
+                        "--quadrature", "gauss:2"],
+                       "17e5b8fbac736d8e52a422ba898eba6f72be5ac96c15a297939b689ac8eda5c4",
+                       None, "command domain levels quadrature variant"),
+    "stokes": (["stokes", "--elements", "32", "--quadrature", "gauss:2"],
+               "7b7d2d2ddb1445fe8a377757b888b977b852732c6e1a5c6ad492d858e9f88f61",
+               None, "command elements quadrature taylor_hood_ref variant"),
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_RUNS)
+def test_run_commands_keep_their_bytes_and_header_keys(tmp_path, command):
+    argv, data, svg_digest, keys = GOLDEN_RUNS[command]
+    out, svg = tmp_path / "run.csv", tmp_path / "run.svg"
+    argv = argv + ["--out", str(out)] + (["--svg", str(svg)] if svg_digest else [])
+    assert main(argv) == 0
+    text = out.read_text()
+    assert _data_digest(text) == data
+    if svg_digest:
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_digest
+    header = [ln[2:].split(" = ")[0] for ln in text.splitlines()[1:]
+              if ln.startswith("# ")]
+    assert header == keys.split()
+
+
+@pytest.mark.parametrize("argv", [["exp3", "--budget", "7"],
+                                  ["exp1", "--elements", "8"],
+                                  ["exp2", "--levels", "3"]])
+def test_options_of_other_experiments_are_rejected(monkeypatch, capsys, argv):
+    def started(cfg):
+        raise AssertionError("the experiment started")
+    for name in ("run_exp1_square", "run_exp2_lshape", "run_exp3_stokes"):
+        monkeypatch.setattr(cli, name, started)
+    assert main(argv) == 2
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
+
+
+#: A small configuration of each experiment's driver.
+DRIVERS = {
+    "exp1": (experiments.run_exp1_square, dict(levels=1, ns=(2,))),
+    "exp2": (experiments.run_exp2_lshape, dict(ns=(2,), budget=220, solve_start=60)),
+    "exp3": (experiments.run_exp3_stokes, dict(elements=8, ns=(1,))),
+}
+
+
+def _fields_read(driver, config):
+    """The ExperimentConfig fields that one run of `driver` reads."""
+    read = set()
+
+    class Recorder(experiments.ExperimentConfig):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    cfg = experiments.ExperimentConfig(**config)
+    cfg.__class__ = Recorder
+    driver(cfg)
+    return read & {f.name for f in dataclasses.fields(cfg)}
+
+
+def test_each_experiment_takes_exactly_the_fields_its_driver_reads():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(c for c in sub.choices if c.startswith("exp")) == sorted(DRIVERS)
+    for which, (driver, config) in DRIVERS.items():
+        dests = {a.dest for a in sub.choices[which]._actions} - {"help"}
+        # exp1 is the unit-square study; only biharmonic-eig sets a domain
+        read = _fields_read(driver, config) - {"domain"}
+        assert dests == {"ns", "variant", "out", "svg"} | read, which

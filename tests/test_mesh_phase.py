@@ -112,7 +112,7 @@ def test_vandermonde_built_once_per_mesh_and_variant(monkeypatch):
     assert calls == ["ratfem.zienkiewicz.local_vandermonde_batch",
                      "ratfem.zienkiewicz.shape_coefficients"]
     calls.clear()
-    run_exp3_stokes(ExperimentConfig(elements=128, stokes_ns=(1, 2)))
+    run_exp3_stokes(ExperimentConfig(elements=128, ns=(1, 2)))
     assert calls == ["ratfem.guzman_neilan.local_vandermonde",
                      "ratfem.guzman_neilan.shape_coefficients"]
 
