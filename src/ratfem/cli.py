@@ -19,8 +19,7 @@ from .experiments import (ExperimentConfig, TAYLOR_HOOD_REF, csv_text,
                           emit_svg, run_exp1_square, run_exp2_lshape,
                           run_exp3_stokes, stokes_load, stokes_mesh,
                           stokes_row)
-from .mesh import (dump_mesh, load_mesh, lshape_mesh, refine_uniform,
-                   unit_square_mesh)
+from .mesh import DOMAINS, dump_mesh, load_mesh, refine_uniform
 from .quadrature import integral_mean, is_finite_index
 from .ratfun import SingularEvaluationError
 from .solvers import NoConvergenceError
@@ -146,32 +145,37 @@ def _experiment(args):
                     "exp3": (run_exp3_stokes, STOKES_COLUMNS)}[args.command]
     fields = ("ns", "variant") + EXPERIMENT_FIELDS[args.command]
     rows = runner(ExperimentConfig(**{k: getattr(args, k) for k in fields}))
+    # rendered first: a run with nothing to plot writes neither file
+    svg = _plot(args.command, rows) if args.svg else None
     _write(args.out, csv_text(_config(args), cols, rows))
-    if not args.svg:
-        return 0
-    if args.command == "exp3":
+    if svg is not None:
+        Path(args.svg).write_text(svg)
+    return 0
+
+
+def _plot(command, rows):
+    """The SVG of an experiment's rows."""
+    if command == "exp3":
         xs = [r["n"] for r in rows if r["n"] > 0]
         ys = [r["grad_err"] for r in rows if r["n"] > 0]
         series = [("grad_err", xs, ys),
                   ("Taylor-Hood", [min(xs), max(xs)],
                    [TAYLOR_HOOD_REF, TAYLOR_HOOD_REF], True)]
-        Path(args.svg).write_text(emit_svg(series, axes="semilogy"))
-        return 0
+        return emit_svg(series, axes="semilogy")
     series = []
     for n in sorted({r["n"] for r in rows} - {0}):
         pts = [(r["ndof"], r["rel_gap"]) for r in rows
                if r["n"] == n and r["rel_gap"] > 0]
         if pts:
             series.append((f"n={n}", [p[0] for p in pts], [p[1] for p in pts]))
-    if args.command == "exp2" and series:
+    if command == "exp2" and series:
         lo = min(min(s[1]) for s in series)
         hi = max(max(s[1]) for s in series)
         for _, label, power, anchor in GUIDES:
             series.append((label, [lo, hi],
                            [float(anchor) * (lo / 1e3) ** power,
                             float(anchor) * (hi / 1e3) ** power], True))
-    Path(args.svg).write_text(emit_svg(series))
-    return 0
+    return emit_svg(series)
 
 
 def cmd_dump_tables(args):
@@ -198,7 +202,7 @@ def cmd_dump_tables(args):
 
 def cmd_mesh(args):
     if args.action == "dump":
-        mesh = unit_square_mesh() if args.domain == "square" else lshape_mesh()
+        mesh = DOMAINS[args.domain]()
         for _ in range(args.refine):
             mesh = refine_uniform(mesh)
         _write(args.out, dump_mesh(mesh))
@@ -230,7 +234,7 @@ def build_parser():
     q.set_defaults(func=cmd_quad)
 
     b = sub.add_parser("biharmonic-eig", help="clamped-plate eigenvalue solve")
-    b.add_argument("--domain", choices=["square", "lshape"], default="square")
+    b.add_argument("--domain", choices=DOMAINS, default="square")
     b.add_argument("--quadrature", default="exact")
     b.add_argument("--levels", type=int, default=4)
     b.add_argument("--variant", choices=["full", "reduced"], default="full")
@@ -265,7 +269,7 @@ def build_parser():
 
     m = sub.add_parser("mesh", help="mesh text I/O")
     m.add_argument("action", choices=["dump", "load"])
-    m.add_argument("--domain", choices=["square", "lshape"], default="square")
+    m.add_argument("--domain", choices=DOMAINS, default="square")
     m.add_argument("--refine", type=int, default=0)
     m.add_argument("--file")
     m.add_argument("--out", default=None)

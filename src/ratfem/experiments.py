@@ -15,8 +15,8 @@ import numpy as np
 from . import __version__
 from .guzman_neilan import (assemble_stokes, divergence_l2, grad_norm,
                             solve_stokes)
-from .mesh import (dorfler_mark, grading_indicator, lshape_mesh, refine_bisect,
-                   refine_uniform, unit_square_mesh)
+from .mesh import (DOMAINS, dorfler_mark, grading_indicator, lshape_mesh,
+                   refine_bisect, refine_uniform, unit_square_mesh)
 from .quadrature import gauss_points
 from .zienkiewicz import assemble_biharmonic, solve_biharmonic_eigen
 
@@ -40,6 +40,14 @@ class ExperimentConfig:
         self.ns = tuple(self.ns)
         if min(self.ns, default=1) < 1:
             raise ValueError(f"quadrature rules need n >= 1, got {self.ns}")
+        if not 0 < self.theta <= 1:
+            raise ValueError(f"theta must be in (0, 1], got {self.theta}")
+        for name, low in (("levels", 1), ("elements", 1), ("budget", 1),
+                          ("uniform_interval", 0), ("solve_start", 0),
+                          ("solve_factor", 1)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, "
+                                 f"got {getattr(self, name)}")
 
 
 def csv_text(config: dict, columns, rows) -> str:
@@ -78,7 +86,7 @@ def run_exp1_square(cfg: ExperimentConfig):
     """Uniform refinement of the cfg.domain mesh: exact vs Gauss eigenvalues
     per level."""
     rows = []
-    mesh = {"square": unit_square_mesh, "lshape": lshape_mesh}[cfg.domain]()
+    mesh = DOMAINS[cfg.domain]()
     for level in range(1, cfg.levels + 1):
         mesh = refine_uniform(mesh)
         rows += eigen_rows(mesh, cfg, level)
@@ -146,6 +154,8 @@ def _pressure_error(mesh, pressure):
 
 def stokes_mesh(elements: int):
     """Uniform refinement of the unit square to at least elements/2 elements."""
+    if elements < 1:
+        raise ValueError(f"elements must be >= 1, got {elements}")
     mesh = unit_square_mesh()
     while 2 * mesh.num_elements <= elements:
         mesh = refine_uniform(mesh)

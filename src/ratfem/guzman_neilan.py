@@ -254,7 +254,7 @@ def solve_stokes(system: StokesSystem):
     p = system.B.shape[1]
     A = system.A[free][:, free]
     B = system.B[free][:, 1:]          # pin pressure dof 0
-    K = sp.bmat([[A, -B], [-B.T, None]], format="csc")
+    K = sp.bmat([[A, -B], [-B.T, None]])
     rhs = np.concatenate([system.b[free], np.zeros(p - 1)])
     sol = sym_indef_solve(K, rhs)
     u = pad_free(free, sol[:nf])

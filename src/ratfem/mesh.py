@@ -104,17 +104,6 @@ class Triangulation:
     def midpoints(self) -> np.ndarray:
         return self.c4n[self.n4e].mean(axis=1)
 
-    def min_angle(self) -> float:
-        v = self.c4n[self.n4e]
-        best = np.inf
-        for j in range(3):
-            a = v[:, (j + 1) % 3] - v[:, j]
-            b = v[:, (j + 2) % 3] - v[:, j]
-            cosang = np.sum(a * b, axis=1) / (
-                np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-            best = min(best, float(np.arccos(np.clip(cosang, -1, 1)).min()))
-        return best
-
     def geometry_arrays(self):
         """Vectorized per-element geometry: DF (p,2,2), area (p,), G=Dlam (p,3,2)."""
         return _affine(self.c4n[self.n4e])
@@ -155,6 +144,10 @@ def lshape_mesh() -> Triangulation:
            [5, 1, 2], [1, 5, 4],
            [7, 3, 4], [3, 7, 6]]
     return Triangulation(c4n, n4e)
+
+
+#: The coarse meshes a run can start from, by name.
+DOMAINS = {"square": unit_square_mesh, "lshape": lshape_mesh}
 
 
 # -- refinement ----------------------------------------------------------------

@@ -255,18 +255,6 @@ def gradient_values(funcs, bary) -> np.ndarray:
     return combo_values(parts, bary).reshape(-1, len(funcs), 3)
 
 
-_MIRROR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])   # (i, j) -> _UPPER index
-
-
-def hessian_values(funcs, bary) -> np.ndarray:
-    """Float lam-Hessians of RatCombos at barycentric points -> (Q, L, 3, 3).
-
-    Only the six upper-triangle entries are evaluated, then mirrored.
-    """
-    parts = [f.hessian()[i][j] for f in funcs for i, j in _UPPER]
-    return combo_values(parts, bary).reshape(-1, len(funcs), 6)[:, :, _MIRROR]
-
-
 def sobolev_member(alpha, beta, m: int, p) -> bool:
     """Membership of lam^alpha/(1-lam)^beta in W^{m,p} of a triangle.
 

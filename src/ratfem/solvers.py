@@ -1,5 +1,5 @@
-"""Deterministic sparse linear algebra: direct SPD and symmetric-indefinite
-solves plus the smallest generalized eigenpair by inverse power iteration.
+"""Deterministic sparse linear algebra: a direct symmetric-indefinite solve
+and the smallest generalized eigenpair by inverse power iteration.
 
 SPD matrices get a symmetric factorization without pivoting: a multiple
 minimum degree ordering of A + A^T, applied to rows and columns alike, with
@@ -34,6 +34,7 @@ class NoConvergenceError(RuntimeError):
 
 
 def _factorize(A: sp.spmatrix, **options):
+    """SuperLU LU of A in any sparse format: the one conversion to CSC."""
     try:
         return spla.splu(sp.csc_matrix(A), **options)
     except RuntimeError as exc:  # SuperLU reports singularity this way
@@ -53,33 +54,18 @@ def _factorize_spd(A: sp.spmatrix):
     return lu
 
 
-def _checked_solve(A: sp.spmatrix, b: np.ndarray, factorize, error) -> np.ndarray:
-    """LU solve of A x = b; raises `error` if A is singular or the relative
-    residual ||A x - b|| / ||b|| is not finite or exceeds 1e-10."""
-    b = np.asarray(b, dtype=float)
-    try:
-        lu = factorize(A)
-    except SingularSystemError as exc:
-        raise error(str(exc)) from exc
-    x = lu.solve(b)
-    nb = np.linalg.norm(b)
-    if nb > 0:
-        resid = np.linalg.norm(A @ x - b) / nb
-        if not np.isfinite(resid) or resid > 1e-10:
-            raise error(f"relative residual {resid}")
-    return x
-
-
-def spd_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Direct solve for SPD A, certified by its pivots; relative residual
-    checked <= 1e-10."""
-    return _checked_solve(A, b, _factorize_spd, NotPositiveDefiniteError)
-
-
 def sym_indef_solve(K: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     """Direct solve for a symmetric, possibly indefinite, nonsingular system;
-    relative residual checked <= 1e-10."""
-    return _checked_solve(K, rhs, _factorize, SingularSystemError)
+    raises SingularSystemError if K is singular or the relative residual
+    ||K x - rhs|| / ||rhs|| is not finite or exceeds 1e-10."""
+    rhs = np.asarray(rhs, dtype=float)
+    x = _factorize(K).solve(rhs)
+    nb = np.linalg.norm(rhs)
+    if nb > 0:
+        resid = np.linalg.norm(K @ x - rhs) / nb
+        if not np.isfinite(resid) or resid > 1e-10:
+            raise SingularSystemError(f"relative residual {resid}")
+    return x
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:

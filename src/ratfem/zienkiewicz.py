@@ -183,20 +183,10 @@ def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
     return BiharmonicSystem(tria, variant, ndof, l2g, free, A, M, b, C)
 
 
-def solve_biharmonic_eigen(system: BiharmonicSystem, tol: float = 1e-12,
-                           x0: np.ndarray | None = None):
+def solve_biharmonic_eigen(system: BiharmonicSystem, x0: np.ndarray | None = None):
     """Smallest clamped-plate eigenpair on the free dofs; vector is padded."""
     from .solvers import gen_eig_smallest
     free = system.free
-    A = system.A[free][:, free].tocsc()
-    M = system.M[free][:, free].tocsc()
-    lam, x = gen_eig_smallest(A, M, tol=tol,
+    lam, x = gen_eig_smallest(system.A[free][:, free], system.M[free][:, free],
                               x0=None if x0 is None else x0[free])
     return lam, pad_free(free, x)
-
-
-def solve_biharmonic_source(system: BiharmonicSystem) -> np.ndarray:
-    from .solvers import spd_solve
-    free = system.free
-    return pad_free(free, spd_solve(system.A[free][:, free].tocsc(),
-                                    system.b[free]))

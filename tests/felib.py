@@ -9,7 +9,32 @@ import numpy as np
 from ratfem.fecore import lagrange_basis, lagrange_nodes
 from ratfem.mesh import DegenerateElementError, Triangulation
 from ratfem.quadrature import gauss_points
-from ratfem.ratfun import combo_values, gradient_values, hessian_values
+from ratfem.ratfun import combo_values, gradient_values
+
+_UPPER = [(i, j) for i in range(3) for j in range(i, 3)]   # Hessian entries
+_MIRROR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])      # (i, j) -> _UPPER index
+
+
+def hessian_values(funcs, bary) -> np.ndarray:
+    """Float lam-Hessians of RatCombos at barycentric points -> (Q, L, 3, 3).
+
+    Only the six upper-triangle entries are evaluated, then mirrored.
+    """
+    parts = [f.hessian()[i][j] for f in funcs for i, j in _UPPER]
+    return combo_values(parts, bary).reshape(-1, len(funcs), 6)[:, :, _MIRROR]
+
+
+def min_angle(tria) -> float:
+    """Smallest interior angle (radians) over the elements of a mesh."""
+    v = tria.c4n[tria.n4e]
+    best = np.inf
+    for j in range(3):
+        a = v[:, (j + 1) % 3] - v[:, j]
+        b = v[:, (j + 2) % 3] - v[:, j]
+        cosang = np.sum(a * b, axis=1) / (
+            np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+        best = min(best, float(np.arccos(np.clip(cosang, -1, 1)).min()))
+    return best
 
 
 def random_shape_regular_triangle(rng, min_angle_deg=20.0, max_tries=200):
@@ -22,7 +47,7 @@ def random_shape_regular_triangle(rng, min_angle_deg=20.0, max_tries=200):
         tri = Triangulation(v, [[0, 1, 2]]) if abs(d) > 1e-3 else None
         if tri is None:
             continue
-        if np.degrees(tri.min_angle()) >= min_angle_deg and tri.areas()[0] > 0.05:
+        if np.degrees(min_angle(tri)) >= min_angle_deg and tri.areas()[0] > 0.05:
             return tri
     raise RuntimeError("no shape-regular triangle found")
 

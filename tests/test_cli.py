@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ratfem import cli, experiments
+from ratfem import cli, experiments, guzman_neilan
 from ratfem.cli import main
 from ratfem.experiments import EmptySeriesError, emit_svg
 from ratfem.guzman_neilan import ZeroBubbleTangentialTraceError
@@ -118,6 +118,50 @@ def test_rules_below_one_are_rejected_before_any_work(monkeypatch, capsys,
     assert capsys.readouterr().err == (
         "configuration error: quadrature rules need n >= 1, got (2, 0)\n")
     assert not out.exists()
+
+
+#: Each out-of-range run option with its configuration error.
+BAD_CONFIGS = [
+    # the first mesh of this run is a checkpoint, so it used to be solved
+    # before the grading loop rejected theta
+    (["exp2", "--theta", "1.5", "--solve-start", "0"],
+     "theta must be in (0, 1], got 1.5"),
+    (["exp2", "--theta", "0"], "theta must be in (0, 1], got 0.0"),
+    (["exp1", "--levels", "0"], "levels must be >= 1, got 0"),
+    (["biharmonic-eig", "--levels", "0"], "levels must be >= 1, got 0"),
+    (["exp3", "--elements", "0"], "elements must be >= 1, got 0"),
+    (["stokes", "--elements", "0"], "elements must be >= 1, got 0"),
+    (["exp2", "--budget", "0"], "budget must be >= 1, got 0"),
+    (["exp2", "--uniform-interval", "-1"], "uniform_interval must be >= 0, got -1"),
+    (["exp2", "--solve-start", "-1"], "solve_start must be >= 0, got -1"),
+    (["exp2", "--solve-factor", "0.5"], "solve_factor must be >= 1, got 0.5"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_CONFIGS,
+                         ids=[" ".join(argv) for argv, _ in BAD_CONFIGS])
+def test_bad_run_configurations_are_rejected_before_any_work(
+        monkeypatch, capsys, tmp_path, argv, message):
+    def started(*args, **kwargs):
+        raise AssertionError("the run started")
+    monkeypatch.setattr(experiments, "assemble_biharmonic", started)
+    monkeypatch.setattr(experiments, "assemble_stokes", started)
+    monkeypatch.setattr(guzman_neilan, "assemble_stokes", started)
+    out = tmp_path / "rows.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_run_with_nothing_to_plot_leaves_no_file(monkeypatch, capsys, tmp_path):
+    rows = [{"n": n, "level": 1, "ndof": 9, "lambda": 1.0, "lambda_bar": 1.0,
+             "rel_gap": 0.0} for n in (0, 2)]
+    monkeypatch.setattr(cli, "run_exp1_square", lambda cfg: rows)
+    out, svg = tmp_path / "a.csv", tmp_path / "a.svg"
+    assert main(["exp1", "--levels", "1", "--ns", "2", "--out", str(out),
+                 "--svg", str(svg)]) == 2
+    assert capsys.readouterr().err == "configuration error: nothing to plot\n"
+    assert not out.exists() and not svg.exists()
 
 
 def test_deep_indices_have_a_value(capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from felib import (bary_coords, divergence_pointwise,
+from felib import (bary_coords, divergence_pointwise, hessian_values,
                    random_shape_regular_triangle, velocity_eval)
 from ratfem.fecore import dof_layout
 from ratfem.guzman_neilan import (LAYOUTS, ROT, assemble_stokes,
@@ -284,7 +284,6 @@ def test_exact_blocks_against_quadrature_reference():
     # a tensor rule reproduces the exact values to roundoff; bubble entries
     # converge slowly and are only checked structurally
     from ratfem.quadrature import gauss_points
-    from ratfem.ratfun import hessian_values
     rng = np.random.default_rng(17)
     tri = random_shape_regular_triangle(rng)
     _, area, G = tri.geometry_arrays()

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from felib import domain_area, element_geometry
+from felib import domain_area, element_geometry, min_angle
 from ratfem.experiments import ExperimentConfig, graded_lshape_meshes, stokes_mesh
 from ratfem.mesh import (DegenerateBarycenterError, DegenerateElementError,
                          MeshFormatError, Triangulation, dorfler_mark,
@@ -104,12 +104,12 @@ def test_refine_bisect_basics():
 
 def test_refine_bisect_shape_regularity():
     mesh = lshape_mesh()
-    coarse_angle = mesh.min_angle()
+    coarse_angle = min_angle(mesh)
     worst = np.inf
     for _ in range(10):
         marked = dorfler_mark(grading_indicator(mesh), 0.5)
         mesh = refine_bisect(mesh, marked)
-        worst = min(worst, mesh.min_angle())
+        worst = min(worst, min_angle(mesh))
     assert worst >= coarse_angle / 2 - 1e-12
 
 

@@ -4,31 +4,14 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from ratfem.solvers import (NoConvergenceError, NotPositiveDefiniteError,
-                            SingularSystemError, gen_eig_smallest, spd_solve,
+                            SingularSystemError, gen_eig_smallest,
                             sym_indef_solve)
 
 
-def test_spd_solve_examples():
-    A = sp.eye(4, format="csc")
-    b = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.allclose(spd_solve(A, b), b)
-    A = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(spd_solve(A, np.array([3.0, 3.0])), [1.0, 1.0])
-
-
-def test_spd_solve_random_residual():
-    rng = np.random.default_rng(0)
-    B = rng.standard_normal((50, 50))
-    A = sp.csc_matrix(B @ B.T + 50 * np.eye(50))
-    b = rng.standard_normal(50)
-    x = spd_solve(A, b)
-    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
-
-
-def test_spd_solve_singular_raises():
+def test_singular_system_raises():
     A = sp.csc_matrix(np.zeros((3, 3)))
-    with pytest.raises((NotPositiveDefiniteError, SingularSystemError)):
-        spd_solve(A, np.ones(3))
+    with pytest.raises(SingularSystemError):
+        sym_indef_solve(A, np.ones(3))
 
 
 @pytest.mark.parametrize("dense", [np.diag([1.0, -2.0, 3.0]),
@@ -37,11 +20,8 @@ def test_spd_solve_singular_raises():
                                    np.array([[0.0, 1.0], [1.0, 0.0]])])
 def test_indefinite_is_not_positive_definite(dense):
     A = sp.csc_matrix(dense)
-    n = A.shape[0]
     with pytest.raises(NotPositiveDefiniteError):
-        spd_solve(A, np.ones(n))
-    with pytest.raises(NotPositiveDefiniteError):
-        gen_eig_smallest(A, sp.eye(n, format="csc"))
+        gen_eig_smallest(A, sp.eye(A.shape[0], format="csc"))
 
 
 def test_sym_indef_solve():
@@ -93,6 +73,6 @@ def test_determinism():
     B = rng.standard_normal((40, 40))
     A = sp.csc_matrix(B @ B.T + 40 * np.eye(40))
     b = rng.standard_normal(40)
-    x1 = spd_solve(A, b)
-    x2 = spd_solve(A.copy(), b.copy())
+    x1 = sym_indef_solve(A, b)
+    x2 = sym_indef_solve(A.copy(), b.copy())
     assert np.array_equal(x1, x2)
