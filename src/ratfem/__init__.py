@@ -5,15 +5,15 @@ built on top of it.
 
 __version__ = "0.1.0"
 
-from .exact import INFINITE, ExactValue, factorial
+from .exact import INFINITE, ExactValue
 from .quadrature import (MemoCache, compute_J, gauss_points, integral_mean,
                          integral_mean_beta2, integral_mean_combo,
                          integral_mean_poly, is_finite_index)
-from .ratfun import RatCombo, bubble, sobolev_member
+from .ratfun import RatCombo, bubble
 
 __all__ = [
-    "ExactValue", "INFINITE", "factorial",
-    "RatCombo", "bubble", "sobolev_member",
+    "ExactValue", "INFINITE",
+    "RatCombo", "bubble",
     "MemoCache", "compute_J", "integral_mean", "integral_mean_beta2",
     "integral_mean_combo", "integral_mean_poly", "is_finite_index",
     "gauss_points",

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import __version__, guzman_neilan, zienkiewicz
 from .exact import InfiniteValueError
-from .experiments import (ExperimentConfig, TAYLOR_HOOD_REF, csv_text,
-                          emit_svg, run_exp1_square, run_exp2_lshape,
-                          run_exp3_stokes, stokes_load, stokes_mesh,
-                          stokes_row)
+from .experiments import (ExperimentConfig, TAYLOR_HOOD_REF,
+                          check_lower_bounds, csv_text, emit_svg,
+                          run_exp1_square, run_exp2_lshape, run_exp3_stokes,
+                          stokes_load, stokes_mesh, stokes_row)
 from .mesh import DOMAINS, dump_mesh, load_mesh, refine_uniform
 from .quadrature import integral_mean, is_finite_index
 from .ratfun import SingularEvaluationError
@@ -31,6 +31,9 @@ EXPERIMENT_FIELDS = {
              "solve_factor"),
     "exp3": ("elements",),
 }
+
+#: Lower bounds of the quad and mesh options (see experiments.RUN_BOUNDS).
+COMMAND_BOUNDS = {"amax": 0, "bmax": 0, "refine": 0}
 
 #: exp2's guide lines: header key, label, slope and value at ndof = 1e3.
 GUIDES = [("guide_slow", "O(ndof^-1/2)", -0.5, "2e-2"),
@@ -82,6 +85,9 @@ def _check_output_dirs(args):
 
 
 def cmd_quad(args):
+    given = (args.alpha is not None) + (args.beta is not None)
+    if given != (0 if args.table else 2):
+        raise ConfigError("either --table or both --alpha and --beta")
     if args.table:
         rows = []
         for alpha in itertools.product(range(args.amax + 1), repeat=3):
@@ -95,8 +101,6 @@ def cmd_quad(args):
         header = "a0,a1,a2,b0,b1,b2,q0_num,q0_den,q1_num,q1_den"
         _write(args.out, "\n".join([header] + rows) + "\n")
         return 0
-    if args.alpha is None or args.beta is None:
-        raise ConfigError("either --table or both --alpha and --beta")
     val = integral_mean(_parse_midx(args.alpha), _parse_midx(args.beta))
     try:
         print(f"{val} = {val.to_float()!r}")
@@ -285,6 +289,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         _check_output_dirs(args)
+        check_lower_bounds(args, COMMAND_BOUNDS)
         return args.func(args)
     # numerical failures first: a LinAlgError is also a ValueError
     except (np.linalg.LinAlgError, NoConvergenceError,

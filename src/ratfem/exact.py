@@ -1,9 +1,9 @@
-"""Exact arithmetic: rationals, big factorials and values in the set Q + Q*pi^2.
+"""Exact values in the set Q + Q*pi^2, or +infinity.
 
 Every integral mean produced by the recursive quadrature is either a rational
 number, a rational plus a rational multiple of pi^2, or +infinity.  This module
-provides that value type.  Products of two such values never occur in the
-recursions and are deliberately not implemented.
+provides that value type.  The recursions only add means and scale them by
+rationals, so those are the only operations.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial  # n! as a big integer; ValueError for n < 0
 
 
 class InfiniteValueError(ArithmeticError):
@@ -48,9 +47,8 @@ def _pi_squared_bracket(bits: int) -> tuple[int, int]:
 class ExactValue:
     """An element of Q + Q*pi^2, or +infinity.
 
-    Supports addition, subtraction and scaling by rationals; all operations
-    are exact.  The only rounding in the whole pipeline happens in
-    :meth:`to_float`.
+    Supports addition and scaling by rationals; both are exact.  The only
+    rounding in the whole pipeline happens in :meth:`to_float`.
     """
 
     __slots__ = ("q0", "q1", "infinite")
@@ -72,18 +70,6 @@ class ExactValue:
             return INFINITE
         return ExactValue(self.q0 + other.q0, self.q1 + other.q1)
 
-    def __sub__(self, other: "ExactValue") -> "ExactValue":
-        if not isinstance(other, ExactValue):
-            return NotImplemented
-        if self.infinite or other.infinite:
-            raise InfiniteValueError("subtraction involving an infinite value")
-        return ExactValue(self.q0 - other.q0, self.q1 - other.q1)
-
-    def __neg__(self) -> "ExactValue":
-        if self.infinite:
-            raise InfiniteValueError("negation of an infinite value")
-        return ExactValue(-self.q0, -self.q1)
-
     def scale(self, c) -> "ExactValue":
         """Multiply by a rational scalar c; infinity only admits c > 0."""
         c = Fraction(c)
@@ -93,9 +79,6 @@ class ExactValue:
                     f"cannot scale infinite value by {c}")
             return INFINITE
         return ExactValue(c * self.q0, c * self.q1)
-
-    def __rmul__(self, c) -> "ExactValue":
-        return self.scale(c)
 
     def to_float(self) -> float:
         """Nearest double of q0 + q1*pi^2, correctly rounded (Ziv's loop).
@@ -141,11 +124,6 @@ class ExactValue:
             return f"{self.q1}*pi^2"
         joiner = "+ " if self.q1 > 0 else ""
         return f"{self.q0} {joiner}{pi_part}"
-
-    def __repr__(self) -> str:
-        if self.infinite:
-            return "ExactValue.INFINITE"
-        return f"ExactValue({self.q0!r}, {self.q1!r})"
 
 
 #: The absorbing infinite value returned for non-integrable indices.

@@ -22,6 +22,18 @@ from .zienkiewicz import assemble_biharmonic, solve_biharmonic_eigen
 
 TAYLOR_HOOD_REF = 4.410009e-05
 
+#: Lower bounds of the run options; theta lies in (0, 1] and each rule n >= 1.
+RUN_BOUNDS = {"levels": 1, "elements": 1, "budget": 1, "uniform_interval": 0,
+              "solve_start": 0, "solve_factor": 1}
+
+
+def check_lower_bounds(options, bounds):
+    """ValueError unless each option of `options` named in `bounds` is >= it."""
+    for name, low in bounds.items():
+        value = getattr(options, name, low)
+        if not value >= low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -42,12 +54,7 @@ class ExperimentConfig:
             raise ValueError(f"quadrature rules need n >= 1, got {self.ns}")
         if not 0 < self.theta <= 1:
             raise ValueError(f"theta must be in (0, 1], got {self.theta}")
-        for name, low in (("levels", 1), ("elements", 1), ("budget", 1),
-                          ("uniform_interval", 0), ("solve_start", 0),
-                          ("solve_factor", 1)):
-            if not getattr(self, name) >= low:
-                raise ValueError(f"{name} must be >= {low}, "
-                                 f"got {getattr(self, name)}")
+        check_lower_bounds(self, RUN_BOUNDS)
 
 
 def csv_text(config: dict, columns, rows) -> str:

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
-from .exact import INFINITE, ExactValue, factorial
+from .exact import INFINITE, ExactValue
 from .ratfun import _E, RatCombo, midx_add, midx_sub
 
 

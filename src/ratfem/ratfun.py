@@ -4,8 +4,8 @@ A :class:`RatCombo` is a finite linear combination of terms
 ``coeff * lam0^a0 lam1^a1 lam2^a2 / ((1-lam0)^b0 (1-lam1)^b1 (1-lam2)^b2)``
 with rational coefficients.  The class is closed under multiplication and
 differentiation with respect to the barycentric coordinates, which is all the
-finite element tables need.  :func:`combo_values` and its gradient and Hessian
-forms evaluate lists of them in floating point at arrays of points.
+finite element tables need.  :func:`combo_values` and its gradient form
+evaluate lists of them in floating point at arrays of points.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class RatCombo:
                     self.terms[(tuple(alpha), tuple(beta))] = Fraction(coeff)
 
     @classmethod
-    def zero(cls) -> "RatCombo":
-        return cls()
-
-    @classmethod
     def monomial(cls, alpha, beta=(0, 0, 0), coeff=1) -> "RatCombo":
         """Single term coeff * lam^alpha / (1-lam)^beta."""
         alpha, beta = tuple(alpha), tuple(beta)
@@ -71,9 +67,6 @@ class RatCombo:
     def lam(cls, j: int) -> "RatCombo":
         """The barycentric coordinate lam_j."""
         return cls.monomial(_E[j])
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __add__(self, other):
         if not isinstance(other, RatCombo):
@@ -145,45 +138,6 @@ class RatCombo:
                                         for j in range(3)) for i in range(3))
         return self._hessian
 
-    def evaluate(self, point) -> Fraction:
-        """Exact evaluation at a barycentric point (triple of rationals).
-
-        At a vertex i the denominator factor (1-lam_i)^b_i vanishes; a term is
-        taken as 0 whenever the numerator vanishing order sum(alpha_k, k != i)
-        strictly exceeds b_i, otherwise the termwise limit is undefined and
-        SingularEvaluationError is raised.
-        """
-        l = tuple(Fraction(x) for x in point)
-        if sum(l) != 1:
-            raise ValueError(f"barycentric point must sum to 1, got {point}")
-        total = Fraction(0)
-        for (alpha, beta), coeff in self.terms.items():
-            value = self._term_value(alpha, beta, coeff, l)
-            if value is not None:
-                total += value
-        return total
-
-    @staticmethod
-    def _term_value(alpha, beta, coeff, l):
-        for i in range(3):
-            if beta[i] > 0 and l[i] == 1:
-                order = sum(alpha[k] for k in range(3) if k != i)
-                if order > beta[i]:
-                    return None
-                raise SingularEvaluationError(
-                    f"term lam^{alpha}/(1-lam)^{beta} singular at vertex {i}")
-        num = Fraction(coeff)
-        for i in range(3):
-            if alpha[i]:
-                num *= l[i] ** alpha[i]
-            if beta[i]:
-                num /= (1 - l[i]) ** beta[i]
-        return num
-
-    def eval_float(self, l) -> float:
-        """Float evaluation at one point; see :func:`combo_values`."""
-        return float(combo_values([self], [l])[0, 0])
-
     def __eq__(self, other):
         if not isinstance(other, RatCombo):
             return NotImplemented
@@ -191,15 +145,6 @@ class RatCombo:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "RatCombo<0>"
-        parts = [
-            f"{coeff} * lam^{alpha}/(1-lam)^{beta}"
-            for (alpha, beta), coeff in sorted(self.terms.items())
-        ]
-        return "RatCombo<" + " + ".join(parts) + ">"
 
 
 def _collect(pairs) -> RatCombo:
@@ -219,10 +164,10 @@ def _collect(pairs) -> RatCombo:
 def combo_values(funcs, bary) -> np.ndarray:
     """Float values of a list of RatCombos at barycentric points (Q,3) -> (Q,L).
 
-    This is the one float evaluator.  At a vertex, where lam_i == 1.0, a term
-    with beta_i > 0 follows the rule of :meth:`RatCombo.evaluate`: it is 0 if
+    This is the one float evaluator.  At a vertex, where lam_i == 1.0, the
+    denominator factor (1-lam_i)^beta_i of a term vanishes: the term is 0 if
     its numerator vanishing order sum(alpha_k, k != i) exceeds beta_i, and
-    otherwise SingularEvaluationError is raised.
+    otherwise its limit is undefined and SingularEvaluationError is raised.
     """
     bary = np.asarray(bary, dtype=float)
     at_vertex = bary == 1.0
@@ -253,21 +198,6 @@ def gradient_values(funcs, bary) -> np.ndarray:
     """Float lam-gradients of RatCombos at barycentric points -> (Q, L, 3)."""
     parts = [g for f in funcs for g in f.grad()]
     return combo_values(parts, bary).reshape(-1, len(funcs), 3)
-
-
-def sobolev_member(alpha, beta, m: int, p) -> bool:
-    """Membership of lam^alpha/(1-lam)^beta in W^{m,p} of a triangle.
-
-    The criterion is |alpha| - max_i(alpha_i + beta_i) > m - 2/p for finite p
-    and >= m for p = infinity.
-    """
-    gap = sum(alpha) - max(a + b for a, b in zip(alpha, beta))
-    if p == float("inf"):
-        return gap >= m
-    p = Fraction(p)
-    if p < 1:
-        raise ValueError(f"p must be in [1, inf], got {p}")
-    return gap > m - Fraction(2) / p
 
 
 def bubble(j: int) -> RatCombo:

@@ -3,16 +3,59 @@ references, and the pointwise evaluators and geometry helpers that only
 verification uses."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from ratfem.fecore import lagrange_basis, lagrange_nodes
 from ratfem.mesh import DegenerateElementError, Triangulation
 from ratfem.quadrature import gauss_points
-from ratfem.ratfun import combo_values, gradient_values
+from ratfem.ratfun import SingularEvaluationError, combo_values, gradient_values
 
 _UPPER = [(i, j) for i in range(3) for j in range(i, 3)]   # Hessian entries
 _MIRROR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])      # (i, j) -> _UPPER index
+
+
+def evaluate(combo, point) -> Fraction:
+    """Exact value of a RatCombo at a barycentric point (triple of rationals).
+
+    At a vertex i the denominator factor (1-lam_i)^b_i vanishes; a term is
+    taken as 0 whenever the numerator vanishing order sum(alpha_k, k != i)
+    strictly exceeds b_i, otherwise the termwise limit is undefined and
+    SingularEvaluationError is raised.  This is the reference for the vertex
+    rule of `combo_values`.
+    """
+    l = tuple(Fraction(x) for x in point)
+    if sum(l) != 1:
+        raise ValueError(f"barycentric point must sum to 1, got {point}")
+    total = Fraction(0)
+    for (alpha, beta), coeff in combo.terms.items():
+        value = _term_value(alpha, beta, coeff, l)
+        if value is not None:
+            total += value
+    return total
+
+
+def _term_value(alpha, beta, coeff, l):
+    for i in range(3):
+        if beta[i] > 0 and l[i] == 1:
+            order = sum(alpha[k] for k in range(3) if k != i)
+            if order > beta[i]:
+                return None
+            raise SingularEvaluationError(
+                f"term lam^{alpha}/(1-lam)^{beta} singular at vertex {i}")
+    num = Fraction(coeff)
+    for i in range(3):
+        if alpha[i]:
+            num *= l[i] ** alpha[i]
+        if beta[i]:
+            num /= (1 - l[i]) ** beta[i]
+    return num
+
+
+def eval_float(combo, l) -> float:
+    """Float value of a RatCombo at one barycentric point."""
+    return float(combo_values([combo], [l])[0, 0])
 
 
 def hessian_values(funcs, bary) -> np.ndarray:
@@ -136,9 +179,9 @@ def element_eval_reference(system, e, u, bary_pts):
     vals, grads, size = [], [], 0.0
     for pt in bary_pts:
         lam = tuple(float(x) for x in pt)
-        terms = np.array([float(c) * basis[r].eval_float(lam)
+        terms = np.array([float(c) * eval_float(basis[r], lam)
                           for r, c in enumerate(w)])
-        gterms = np.array([[float(c) * basis[r].grad()[k].eval_float(lam)
+        gterms = np.array([[float(c) * eval_float(basis[r].grad()[k], lam)
                             for k in range(3)] for r, c in enumerate(w)])
         vals.append(sum(terms))
         grads.append(G.T @ sum(gterms))
@@ -162,7 +205,7 @@ def velocity_eval_reference(system, e, u, bary_pts):
             vec[comp] += w[r] * lam[node]
             mag[comp] += abs(w[r] * lam[node])
         for s in range(6):
-            glam = np.array([rho[s].grad()[k].eval_float(lam) for k in range(3)])
+            glam = np.array([eval_float(rho[s].grad()[k], lam) for k in range(3)])
             vec += w[6 + s] * (ROT @ (G.T @ glam))
             mag += np.abs(w[6 + s]) * (np.abs(ROT) @ (np.abs(G.T) @ np.abs(glam)))
         out.append(vec)
@@ -185,7 +228,7 @@ def divergence_pointwise_reference(system, e, u, bary_pts):
             val += w[r] * G[node, comp]
             mag += abs(w[r] * G[node, comp])
         for s in range(6):
-            H = np.array([[rho[s].hessian()[i][j].eval_float(lam)
+            H = np.array([[eval_float(rho[s].hessian()[i][j], lam)
                            for j in range(3)] for i in range(3)])
             Sp = G.T @ H @ G
             val += w[6 + s] * (Sp[1, 0] - Sp[0, 1])

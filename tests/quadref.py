@@ -10,8 +10,9 @@ against ``integral_mean_poly`` and the Duffy oracle.
 """
 
 from fractions import Fraction
+from math import factorial
 
-from ratfem.exact import INFINITE, ExactValue, factorial
+from ratfem.exact import INFINITE, ExactValue
 from ratfem.quadrature import MemoCache, integral_mean_beta2
 from ratfem.ratfun import _E, midx_add, midx_sub
 
@@ -98,11 +99,11 @@ def _integral_mean_impl(alpha, beta, cache) -> ExactValue:
     lowered = midx_sub(alpha, _E[0])
     if alpha[1] + beta[1] < asum + 1:
         return (integral_mean(lowered, midx_sub(beta, _E[2]), cache)
-                - integral_mean(midx_add(lowered, _E[1]), beta, cache))
+                + integral_mean(midx_add(lowered, _E[1]), beta, cache).scale(-1))
 
     if alpha[2] + beta[2] < asum + 1:
         return (integral_mean(lowered, midx_sub(beta, _E[1]), cache)
-                - integral_mean(midx_add(lowered, _E[2]), beta, cache))
+                + integral_mean(midx_add(lowered, _E[2]), beta, cache).scale(-1))
 
     acc = ExactValue(0)
     for j in (1, 2):
@@ -110,4 +111,4 @@ def _integral_mean_impl(alpha, beta, cache) -> ExactValue:
         acc = acc + integral_mean(midx_add(lowered, _E[j]),
                                   midx_sub(beta, _E[j]), cache)
     acc = acc.scale(Fraction(1, 2))
-    return acc - integral_mean(midx_add(lowered, (0, 1, 1)), beta, cache)
+    return acc + integral_mean(midx_add(lowered, (0, 1, 1)), beta, cache).scale(-1)

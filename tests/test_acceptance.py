@@ -9,8 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from felib import (bary_coords, divergence_pointwise, element_eval, fit_slope,
-                   hermite_psi, random_shape_regular_triangle)
+from felib import (bary_coords, divergence_pointwise, element_eval,
+                   eval_float, fit_slope, hermite_psi,
+                   random_shape_regular_triangle)
 from oracle import duffy_mean
 from ratfem.exact import ExactValue
 from ratfem.experiments import (ExperimentConfig, TAYLOR_HOOD_REF, csv_text,
@@ -99,7 +100,7 @@ def test_criterion_4_zienkiewicz_unisolvence_and_hermite():
         for _ in range(20):
             lam = rng.dirichlet([1.5, 1.5, 1.5])
             xy = lam @ v
-            val = sum(float(c) * basis[r].eval_float(tuple(lam))
+            val = sum(float(c) * eval_float(basis[r], tuple(lam))
                       for r, c in enumerate(w))
             worst = max(worst, abs(val - p(*xy)))
     assert worst <= 1e-11

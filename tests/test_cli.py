@@ -1,12 +1,16 @@
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ratfem import cli, experiments, guzman_neilan
 from ratfem.cli import main
@@ -403,13 +407,83 @@ def _fields_read(driver, config):
     return read & {f.name for f in dataclasses.fields(cfg)}
 
 
+def _subcommands():
+    """The subparsers of the ratfem parser, by command name."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_each_experiment_takes_exactly_the_fields_its_driver_reads():
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert sorted(c for c in sub.choices if c.startswith("exp")) == sorted(DRIVERS)
+    sub = _subcommands()
+    assert sorted(c for c in sub if c.startswith("exp")) == sorted(DRIVERS)
     for which, (driver, config) in DRIVERS.items():
-        dests = {a.dest for a in sub.choices[which]._actions} - {"help"}
+        dests = {a.dest for a in sub[which]._actions} - {"help"}
         # exp1 is the unit-square study; only biharmonic-eig sets a domain
         read = _fields_read(driver, config) - {"domain"}
         assert dests == {"ns", "variant", "out", "svg"} | read, which
+
+
+#: What each command needs besides the drawn option to start its work.
+BASE_ARGV = {"quad": ["--table"], "mesh": ["dump"]}
+
+
+def _out_of_range(dest, kind):
+    """Values of option `dest` outside its bound, as command-line words.
+
+    The lower bounds come from experiments.RUN_BOUNDS and cli.COMMAND_BOUNDS;
+    theta must lie in (0, 1] and each rule n in --ns be at least 1.
+    """
+    nan = st.just(float("nan"))
+    if dest == "ns":
+        return st.tuples(st.lists(st.integers(1, 3), max_size=2),
+                         st.integers(max_value=0)).map(
+            lambda t: ["--ns", *map(str, t[0] + [t[1]])])
+    if dest == "theta":
+        values = st.floats(max_value=0) | st.floats(min_value=1,
+                                                    exclude_min=True) | nan
+    else:
+        low = {**experiments.RUN_BOUNDS, **cli.COMMAND_BOUNDS}[dest]
+        values = (st.integers(max_value=low - 1) if kind is int else
+                  st.floats(max_value=low, exclude_max=True) | nan)
+    flag = "--" + dest.replace("_", "-")
+    return values.map(lambda v: [f"{flag}={v}"])
+
+
+def _numeric_options():
+    """(command, dest, type) of every int or float option of every command."""
+    return [(name, a.dest, a.type) for name, p in _subcommands().items()
+            for a in p._actions if a.type in (int, float)]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_numeric_option_out_of_range_is_rejected_before_any_work(
+        monkeypatch, tmp_path, data):
+    def started(*args, **kwargs):
+        raise AssertionError("the command started")
+    for module, name in [(experiments, "assemble_biharmonic"),
+                         (experiments, "assemble_stokes"),
+                         (guzman_neilan, "assemble_stokes"),
+                         (cli, "integral_mean"), (cli, "refine_uniform"),
+                         (cli, "dump_mesh")]:
+        monkeypatch.setattr(module, name, started)
+    command, dest, kind = data.draw(st.sampled_from(_numeric_options()))
+    words = data.draw(_out_of_range(dest, kind))
+    out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    files = ["--out", str(out)] + (["--svg", str(svg)] if command.startswith(
+        "exp") else [])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, *BASE_ARGV.get(command, []), *words, *files])
+    assert code == 2, (command, words)
+    assert err.getvalue().startswith("configuration error: "), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert not out.exists() and not svg.exists()
+
+
+def test_every_numeric_option_has_a_bound():
+    # a new int or float option needs a bound before the draw above can
+    # reach it
+    assert {dest for _, dest, _ in _numeric_options()} == (
+        set(experiments.RUN_BOUNDS) | set(cli.COMMAND_BOUNDS) | {"ns", "theta"})

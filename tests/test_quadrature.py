@@ -186,7 +186,7 @@ def test_oracle_spot_checks():
 def test_integral_mean_combo():
     lam0, lam1 = RatCombo.lam(0), RatCombo.lam(1)
     assert integral_mean_combo(6 * (lam0 * lam1)) == ExactValue(F(1, 2))
-    assert integral_mean_combo(RatCombo.zero()) == ExactValue(0)
+    assert integral_mean_combo(RatCombo()) == ExactValue(0)
     f = RatCombo.monomial((0, 0, 0), (0, 0, 1)) - 2 * RatCombo.one()
     assert integral_mean_combo(f) == ExactValue(0)
     with pytest.raises(InfiniteTermError):

@@ -1,11 +1,14 @@
 """Reachability guard: every module-level function and method in
-`src/ratfem` runs in some command, is public API (`ratfem.__all__`, or a
-method of a class listed there), or is on a one-entry allowlist.
+`src/ratfem` runs in some command, is listed in README's `## Library API`
+section, or is on a one-entry allowlist; and `ratfem.__all__` is exactly the
+top-level names that section lists.
 
 The command forms run in one fresh interpreter, each through `cli.main`
 under `sys.setprofile`: in the test process another test may already have
-filled a memo, and a memoized function would then never be entered.
-Run as a script, this module prints the names that the forms reached.
+filled a memo, and a memoized function would then never be entered.  The
+profiler starts before ratfem is imported, so what runs at import time (the
+shared memo's constructor, say) counts as reached.  Run as a script, this
+module prints the names that the forms reached.
 """
 
 import contextlib
@@ -15,11 +18,12 @@ import io
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-import ratfem
+ROOT = Path(__file__).resolve().parents[1]
 
 #: Kept although no command reaches it: the plate load, which
 #: `assemble_biharmonic(f=...)` evaluates and no command passes.
@@ -53,6 +57,15 @@ def command_forms(tmp):
     ]
 
 
+def library_api(readme):
+    """The names in backticks in README's `## Library API` section: a
+    top-level name, or Class.attribute; a call's arguments are dropped."""
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    spans = re.findall(r"`([^`\n]+)`", section)
+    return {m.group(1) for span in spans
+            if (m := re.fullmatch(r"(\w+(?:\.\w+)?)(?:\(.*\))?", span))}
+
+
 def _code(member, module):
     """The code object of a function, method or property defined in
     `module`'s file, or None (data, or code generated by a decorator)."""
@@ -62,8 +75,10 @@ def _code(member, module):
 
 
 def definitions():
-    """(qualified name, code object, public) of each module-level function
-    and method of src/ratfem."""
+    """(qualified name, code object, public name or None) of each module-level
+    function and method of src/ratfem; the public name is `name` or
+    `Class.attribute` for what ratfem.__all__ exports."""
+    import ratfem
     exported = [getattr(ratfem, name) for name in ratfem.__all__]
     for info in pkgutil.iter_modules(ratfem.__path__):
         module = importlib.import_module(f"ratfem.{info.name}")
@@ -75,14 +90,14 @@ def definitions():
             for attr, member in members:
                 code = _code(member, module)
                 if code is not None:
-                    qualname = f"{module.__name__}.{name}"
-                    yield (qualname if attr is None else f"{qualname}.{attr}",
-                           code, public)
+                    short = name if attr is None else f"{name}.{attr}"
+                    yield (f"{module.__name__}.{short}", code,
+                           short if public else None)
 
 
 def reached_names(tmp):
-    """Run every command form under a profiler; return the names reached."""
-    from ratfem.cli import main
+    """Import ratfem and run every command form under a profiler; return the
+    names reached."""
     entered = set()
 
     def profile(frame, event, arg):
@@ -91,6 +106,7 @@ def reached_names(tmp):
 
     sys.setprofile(profile)
     try:
+        from ratfem.cli import main
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [main(argv) for argv in command_forms(tmp)]
     finally:
@@ -99,17 +115,53 @@ def reached_names(tmp):
     return sorted(name for name, code, _ in definitions() if code in entered)
 
 
-def test_every_function_in_src_is_reached_public_or_allowed(tmp_path):
+def _run(code, *args):
+    """Run python `code` (a file or -c text) in a fresh interpreter with
+    src/ on the path; return its stdout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(ratfem.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, __file__, str(tmp_path)],
-                         capture_output=True, text=True, env=env, timeout=60)
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, *code, *args], capture_output=True,
+                         text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
-    reached = set(json.loads(run.stdout))
-    private = {name for name, _, public in definitions() if not public}
+    return run.stdout
+
+
+def test_every_function_in_src_is_reached_public_or_allowed(tmp_path):
+    import ratfem
+    reached = set(json.loads(_run([__file__], str(tmp_path))))
+    listed = library_api((ROOT / "README.md").read_text())
+    assert set(ratfem.__all__) == {name for name in listed if "." not in name}
+    for name in listed - set(ratfem.__all__):
+        owner, attr = name.split(".")
+        assert owner in ratfem.__all__ and hasattr(getattr(ratfem, owner), attr), name
+    defined = list(definitions())
+    private = {name for name, _, public in defined if public is None}
     assert sorted(private - reached - ALLOWED) == []
+    unlisted = {public for name, _, public in defined
+                if public is not None and name not in reached} - listed
+    assert sorted(unlisted) == []
     # an allowlist entry that a command reaches is stale
     assert not ALLOWED & reached
+
+
+#: What perfbench binds or reads besides the wrappers of `tracer.install`.
+BENCHMARK_READS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer, install
+install(Tracer())
+import ratfem
+from ratfem.quadrature import DEFAULT_CACHE, MemoCache
+value = ratfem.integral_mean((1, 2, 2), (0, 1, 1))
+assert ratfem.is_finite_index((1, 2, 2), (0, 1, 1))
+print(len(DEFAULT_CACHE), len(DEFAULT_CACHE.table), value.q0, value.q1,
+      value.to_float(), MemoCache.key((1, 2, 2), (0, 1, 1)))
+"""
+
+
+def test_the_names_the_benchmark_binds_exist():
+    out = _run(["-c", BENCHMARK_READS], str(ROOT / "perfbench"))
+    assert out.split()[2:4] == ["593/180", "-1/3"]
 
 
 if __name__ == "__main__":
