@@ -84,14 +84,24 @@ def _check_output_dirs(args):
                 f"No such file or directory: '{Path(path).parent}'")
 
 
+def _reject_unread(args, mode, *names):
+    """ConfigError if an option that `mode` of the command never reads was
+    given (such options default to None)."""
+    given = ", ".join(f"--{n}" for n in names if getattr(args, n) is not None)
+    if given:
+        raise ConfigError(f"{args.command} {mode} does not read {given}")
+
+
 def cmd_quad(args):
     given = (args.alpha is not None) + (args.beta is not None)
     if given != (0 if args.table else 2):
         raise ConfigError("either --table or both --alpha and --beta")
     if args.table:
+        amax = 4 if args.amax is None else args.amax
+        bmax = 3 if args.bmax is None else args.bmax
         rows = []
-        for alpha in itertools.product(range(args.amax + 1), repeat=3):
-            for beta in itertools.product(range(args.bmax + 1), repeat=3):
+        for alpha in itertools.product(range(amax + 1), repeat=3):
+            for beta in itertools.product(range(bmax + 1), repeat=3):
                 if not is_finite_index(alpha, beta):
                     continue
                 val = integral_mean(alpha, beta)
@@ -101,11 +111,12 @@ def cmd_quad(args):
         header = "a0,a1,a2,b0,b1,b2,q0_num,q0_den,q1_num,q1_den"
         _write(args.out, "\n".join([header] + rows) + "\n")
         return 0
+    _reject_unread(args, "--alpha/--beta", "amax", "bmax")
     val = integral_mean(_parse_midx(args.alpha), _parse_midx(args.beta))
     try:
-        print(f"{val} = {val.to_float()!r}")
+        _write(args.out, f"{val} = {val.to_float()!r}\n")
     except InfiniteValueError:
-        print("inf")
+        _write(args.out, "inf\n")
     return 0
 
 
@@ -206,11 +217,13 @@ def cmd_dump_tables(args):
 
 def cmd_mesh(args):
     if args.action == "dump":
-        mesh = DOMAINS[args.domain]()
-        for _ in range(args.refine):
+        _reject_unread(args, "dump", "file")
+        mesh = DOMAINS[args.domain or "square"]()
+        for _ in range(args.refine or 0):
             mesh = refine_uniform(mesh)
         _write(args.out, dump_mesh(mesh))
     else:
+        _reject_unread(args, "load", "domain", "refine", "out")
         if args.file is None:
             raise ConfigError("mesh load needs --file")
         mesh = load_mesh(Path(args.file).read_text())
@@ -232,8 +245,8 @@ def build_parser():
     q.add_argument("--alpha")
     q.add_argument("--beta")
     q.add_argument("--table", action="store_true")
-    q.add_argument("--amax", type=int, default=4)
-    q.add_argument("--bmax", type=int, default=3)
+    q.add_argument("--amax", type=int, help="--table only (default 4)")
+    q.add_argument("--bmax", type=int, help="--table only (default 3)")
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_quad)
 
@@ -273,10 +286,10 @@ def build_parser():
 
     m = sub.add_parser("mesh", help="mesh text I/O")
     m.add_argument("action", choices=["dump", "load"])
-    m.add_argument("--domain", choices=DOMAINS, default="square")
-    m.add_argument("--refine", type=int, default=0)
-    m.add_argument("--file")
-    m.add_argument("--out", default=None)
+    m.add_argument("--domain", choices=DOMAINS, help="dump only (default square)")
+    m.add_argument("--refine", type=int, help="dump only (default 0)")
+    m.add_argument("--file", help="load only")
+    m.add_argument("--out", help="dump only")
     m.set_defaults(func=cmd_mesh)
     return parser
 

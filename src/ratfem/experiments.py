@@ -28,10 +28,11 @@ RUN_BOUNDS = {"levels": 1, "elements": 1, "budget": 1, "uniform_interval": 0,
 
 
 def check_lower_bounds(options, bounds):
-    """ValueError unless each option of `options` named in `bounds` is >= it."""
+    """ValueError unless each option of `options` named in `bounds` is >= it
+    (an option that is absent or None is not checked)."""
     for name, low in bounds.items():
-        value = getattr(options, name, low)
-        if not value >= low:
+        value = getattr(options, name, None)
+        if value is not None and not value >= low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
 
 

@@ -248,15 +248,14 @@ def solve_stokes(system: StokesSystem):
     One pressure value is pinned during the solve (kernel gauge) and the
     result is shifted to zero mean afterwards.
     """
-    from .solvers import sym_indef_solve
+    from .solvers import saddle_solve
     free = system.free
     nf = int(free.sum())
     p = system.B.shape[1]
     A = system.A[free][:, free]
     B = system.B[free][:, 1:]          # pin pressure dof 0
-    K = sp.bmat([[A, -B], [-B.T, None]])
     rhs = np.concatenate([system.b[free], np.zeros(p - 1)])
-    sol = sym_indef_solve(K, rhs)
+    sol = saddle_solve(A, B, rhs)
     u = pad_free(free, sol[:nf])
     pressure = np.concatenate([[0.0], sol[nf:]])
     total = float(system.areas.sum())
@@ -272,7 +271,8 @@ def grad_norm(system: StokesSystem, u: np.ndarray) -> float:
     Pass a system assembled with exact quadrature so the measurement does not
     inherit the defect of an inexact solve.
     """
-    return float(np.sqrt(max(u @ (system.A @ u), 0.0)))
+    # einsum, not a BLAS dot, whose sum order depends on the thread count
+    return float(np.sqrt(max(np.einsum("i,i->", u, system.A @ u), 0.0)))
 
 
 def divergence_l2(exact_system: StokesSystem, u: np.ndarray) -> float:

@@ -28,6 +28,14 @@ def test_quad_value(capsys):
     assert "593/180 - 1/3*pi^2" in out
 
 
+def test_quad_value_goes_to_out(tmp_path, capsys):
+    out = tmp_path / "value.txt"
+    assert main(["quad", "--alpha", "1,2,2", "--beta", "0,1,1",
+                 "--out", str(out)]) == 0
+    assert "593/180 - 1/3*pi^2" in out.read_text()
+    assert capsys.readouterr().out == ""
+
+
 def test_quad_infinite(capsys):
     assert main(["quad", "--alpha", "0,0,0", "--beta", "0,0,2"]) == 0
     assert capsys.readouterr().out.strip() == "inf"
@@ -67,6 +75,23 @@ def test_malformed_mesh_load_is_a_configuration_error(tmp_path, capsys,
     args = ["mesh", "load"] + (["--file", str(path)] if elements else [])
     assert main(args) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["quad", "--alpha", "1,2,2", "--beta", "0,1,1", "--amax", "3"],
+    ["quad", "--alpha", "1,2,2", "--beta", "0,1,1", "--bmax", "0"],
+    ["mesh", "dump", "--file", "mesh.txt"],
+    ["mesh", "load", "--file", "mesh.txt", "--refine", "3", "--domain", "lshape"],
+    ["mesh", "load", "--file", "mesh.txt", "--refine", "0"],
+    ["mesh", "load", "--file", "mesh.txt", "--out", "summary.txt"],
+])
+def test_options_a_mode_never_reads_are_rejected(monkeypatch, capsys, argv):
+    def started(*args, **kwargs):
+        raise AssertionError("the command started")
+    for name in ("integral_mean", "refine_uniform", "dump_mesh", "load_mesh"):
+        monkeypatch.setattr(cli, name, started)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
 
 
 @pytest.mark.parametrize("args", [
@@ -308,7 +333,12 @@ def test_rerun_byte_identical_in_fresh_processes(tmp_path):
                                   ["exp1", "--levels", "2"],
                                   # the smallest budget whose last mesh has
                                   # vectors long enough for threaded BLAS dots
-                                  ["exp2", "--budget", "6731"]])
+                                  ["exp2", "--budget", "6731"],
+                                  # the saddle solve and its measurements on
+                                  # vectors of about 7,000 entries, then of
+                                  # 20,866, past OpenBLAS's threaded-dot size
+                                  ["exp3", "--elements", "2048", "--ns", "1", "2"],
+                                  ["exp3", "--elements", "8192", "--ns", "1"]])
 def test_csv_bytes_independent_of_blas_threads(tmp_path, args):
     # assembly contracts through BLAS GEMMs and inverse iteration reduces
     # long vectors; the thread count must not change a single CSV byte
@@ -332,7 +362,10 @@ def _data_digest(text):
 
 #: argv, SHA-256 of the CSV data lines and of the SVG, and the header keys of
 #: each run command.  The digests were taken before each command was given
-#: only its own options; they hold under 1 and 2 OpenBLAS threads.
+#: only its own options, except the exp3 and stokes data, re-taken when the
+#: saddle solve moved to a refined quasi-definite factorization and grad_err
+#: to an einsum dot (roundoff moves); they hold under 1 and 2 OpenBLAS
+#: threads.
 GOLDEN_RUNS = {
     "exp1": (["exp1", "--levels", "2", "--ns", "2", "4"],
              "320160a784dd359999654f66daf4f0040e49f34916a0b8bbe88d745b010c56c3",
@@ -344,7 +377,7 @@ GOLDEN_RUNS = {
              "budget command guide_fast guide_slow ns solve_factor solve_start "
              "theta uniform_interval variant"),
     "exp3": (["exp3", "--elements", "32", "--ns", "1", "2", "3"],
-             "8e0a4fa00e780d787084c5fea8b76ab373419129b9a3fea6698e957d6b0a7d37",
+             "8ef36bc32df9d5ccf5480251cb258ea03a403d2d533f53782df7caa0453d0fc7",
              "9fb6dc7466cf758947cb4a5ca92e451c98b0d7fb2f2acae9a62d8b35cc8b8cd4",
              "command elements ns taylor_hood_ref variant"),
     "biharmonic-eig": (["biharmonic-eig", "--domain", "lshape", "--levels", "2",
@@ -352,7 +385,7 @@ GOLDEN_RUNS = {
                        "17e5b8fbac736d8e52a422ba898eba6f72be5ac96c15a297939b689ac8eda5c4",
                        None, "command domain levels quadrature variant"),
     "stokes": (["stokes", "--elements", "32", "--quadrature", "gauss:2"],
-               "7b7d2d2ddb1445fe8a377757b888b977b852732c6e1a5c6ad492d858e9f88f61",
+               "dc6d304728d6a8db6ec3e729e285e6d5075b1eb83bf48c17202b1126732967f7",
                None, "command elements quadrature taylor_hood_ref variant"),
 }
 

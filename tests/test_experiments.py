@@ -4,8 +4,8 @@ import pytest
 from felib import fit_slope
 from ratfem.experiments import (ExperimentConfig, TAYLOR_HOOD_REF, csv_text,
                                 graded_lshape_meshes, run_exp1_square,
-                                run_exp2_lshape, stokes_exact_pressure,
-                                stokes_load)
+                                run_exp2_lshape, run_exp3_stokes,
+                                stokes_exact_pressure, stokes_load)
 from ratfem.mesh import lshape_mesh, refine_uniform, unit_square_mesh
 
 
@@ -26,6 +26,16 @@ def test_stokes_problem_data():
         assert fx == pytest.approx(px, abs=1e-6)
         assert fy == pytest.approx(py, abs=1e-4)
     assert TAYLOR_HOOD_REF == 4.410009e-05
+
+
+def test_pressure_robust_to_roundoff():
+    # the load is a gradient, so the exact system's velocity and every
+    # system's divergence are exactly zero; what is left is the solver's
+    rows = run_exp3_stokes(ExperimentConfig(elements=512, ns=(1, 2),
+                                            variant="reduced"))
+    assert [r["n"] for r in rows] == [0, 1, 2]
+    assert rows[0]["grad_err"] <= 1e-13
+    assert all(r["div_err"] <= 1e-13 for r in rows)
 
 
 def test_graded_meshes_shrink_and_stay_conforming():

@@ -5,13 +5,18 @@ import scipy.sparse as sp
 
 from ratfem.solvers import (NoConvergenceError, NotPositiveDefiniteError,
                             SingularSystemError, gen_eig_smallest,
-                            sym_indef_solve)
+                            saddle_solve)
+
+
+def _no_columns(n):
+    """A B block without columns: saddle_solve then solves A x = rhs."""
+    return sp.csr_matrix((n, 0))
 
 
 def test_singular_system_raises():
     A = sp.csc_matrix(np.zeros((3, 3)))
     with pytest.raises(SingularSystemError):
-        sym_indef_solve(A, np.ones(3))
+        saddle_solve(A, _no_columns(3), np.ones(3))
 
 
 @pytest.mark.parametrize("dense", [np.diag([1.0, -2.0, 3.0]),
@@ -24,19 +29,52 @@ def test_indefinite_is_not_positive_definite(dense):
         gen_eig_smallest(A, sp.eye(A.shape[0], format="csc"))
 
 
-def test_sym_indef_solve():
-    K = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(sym_indef_solve(K, np.array([1.0, 2.0])), [2.0, 1.0])
-    assert np.allclose(sym_indef_solve(sp.eye(3, format="csc"), np.ones(3)), 1.0)
+def _random_saddle(seed, nf=20, m=7):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((nf, nf))
+    A = sp.csc_matrix(B @ B.T + nf * np.eye(nf))
+    return A, sp.csc_matrix(rng.standard_normal((nf, m))), rng.standard_normal(nf + m)
+
+
+def test_saddle_solve():
+    # [[0, 1], [1, 0]] as a saddle system: its A block has no positive pivot
+    with pytest.raises(NotPositiveDefiniteError):
+        saddle_solve(sp.csc_matrix([[0.0]]), sp.csc_matrix([[-1.0]]),
+                     np.array([1.0, 2.0]))
+    assert np.allclose(saddle_solve(sp.eye(3, format="csc"), _no_columns(3),
+                                    np.ones(3)), 1.0)
     # random gauged saddle system
-    rng = np.random.default_rng(1)
-    B = rng.standard_normal((20, 20))
-    A = B @ B.T + 20 * np.eye(20)
-    C = rng.standard_normal((20, 7))
-    K = sp.bmat([[sp.csc_matrix(A), C], [C.T, None]], format="csc")
-    rhs = rng.standard_normal(27)
-    x = sym_indef_solve(K, rhs)
+    A, B, rhs = _random_saddle(1)
+    K = sp.bmat([[A, -B], [-B.T, None]], format="csc")
+    x = saddle_solve(A, B, rhs)
     assert np.linalg.norm(K @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_saddle_with_indefinite_a_block_raises():
+    # -2 sits on the kernel of B^T, so no shift of the pressure block helps
+    A = sp.csc_matrix(np.diag([1.0, -2.0, 3.0]))
+    B = sp.csc_matrix(np.array([[1.0], [0.0], [0.0]]))
+    with pytest.raises(SingularSystemError, match="inertia"):
+        saddle_solve(A, B, np.ones(4))
+
+
+def test_ungauged_saddle_raises():
+    # the columns of B sum to zero: constant pressures are in its kernel
+    A, B, rhs = _random_saddle(4, m=6)
+    B = sp.csc_matrix(np.hstack([B.toarray(), -B.toarray().sum(axis=1, keepdims=True)]))
+    with pytest.raises(SingularSystemError):
+        saddle_solve(A, B, np.concatenate([rhs, [1.0]]))
+
+
+@pytest.mark.parametrize("gap, stop", [(1e-7, "stalled"),
+                                       (3e-5, "still correcting")])
+def test_schur_complement_near_the_shift_raises(gap, stop):
+    # two nearly parallel columns of B: the smallest Schur eigenvalue is far
+    # below the shift (no progress) or a few times above it (too slow)
+    A = sp.csc_matrix(np.diag([2.0, 3.0, 4.0, 5.0]))
+    B = sp.csc_matrix(np.array([[1.0, 1.0], [0.0, gap], [1.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(SingularSystemError, match=stop):
+        saddle_solve(A, B, np.array([1.0, 2.0, 3.0, 4.0, 1.0, 0.0]))
 
 
 def test_gen_eig_examples():
@@ -73,6 +111,6 @@ def test_determinism():
     B = rng.standard_normal((40, 40))
     A = sp.csc_matrix(B @ B.T + 40 * np.eye(40))
     b = rng.standard_normal(40)
-    x1 = sym_indef_solve(A, b)
-    x2 = sym_indef_solve(A.copy(), b.copy())
+    x1 = saddle_solve(A, _no_columns(40), b)
+    x2 = saddle_solve(A.copy(), _no_columns(40), b.copy())
     assert np.array_equal(x1, x2)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from felib import (bary_coords, element_eval, element_geometry, eval_float,
                    hermite_psi, nodal_interpolant,
@@ -8,7 +9,7 @@ from ratfem.fecore import pad_free
 from ratfem.mesh import Triangulation, refine_uniform, unit_square_mesh
 from ratfem.quadrature import integral_mean_combo
 from ratfem.ratfun import RatCombo, bubble
-from ratfem.solvers import sym_indef_solve
+from ratfem.solvers import saddle_solve
 from ratfem.zienkiewicz import (assemble_biharmonic, get_tables,
                                 local_stiffness, local_vandermonde_batch,
                                 reduced_coefficients, shape_coefficients,
@@ -287,7 +288,9 @@ def test_biharmonic_source_solve():
     mesh = refine_uniform(refine_uniform(unit_square_mesh()))
     system = assemble_biharmonic(mesh, f=lambda x, y: 1.0)
     free = system.free
-    u = pad_free(free, sym_indef_solve(system.A[free][:, free], system.b[free]))
+    no_pressure = sp.csr_matrix((int(free.sum()), 0))
+    u = pad_free(free, saddle_solve(system.A[free][:, free], no_pressure,
+                                    system.b[free]))
     assert np.all(u[~system.free] == 0.0)
     # clamped plate under uniform load deflects upward in the middle
     center = np.argmin(np.sum((mesh.c4n - 0.5) ** 2, axis=1))
