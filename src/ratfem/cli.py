@@ -160,6 +160,8 @@ def _experiment(args):
                     "exp3": (run_exp3_stokes, STOKES_COLUMNS)}[args.command]
     fields = ("ns", "variant") + EXPERIMENT_FIELDS[args.command]
     rows = runner(ExperimentConfig(**{k: getattr(args, k) for k in fields}))
+    if not rows:
+        raise ConfigError("the run yields no rows")
     # rendered first: a run with nothing to plot writes neither file
     svg = _plot(args.command, rows) if args.svg else None
     _write(args.out, csv_text(_config(args), cols, rows))
@@ -198,14 +200,11 @@ def cmd_dump_tables(args):
     out.mkdir(parents=True, exist_ok=True)
     zt = zienkiewicz.get_tables()
     gt = guzman_neilan.get_tables()
-    tensors = {
-        "zienkiewicz_Ahat": zt.Ahat, "zienkiewicz_Mhat": zt.Mhat,
-        "zienkiewicz_That_v": zt.That_v, "zienkiewicz_That_gv": zt.That_gv,
-        "zienkiewicz_That_ge": zt.That_ge, "zienkiewicz_bhat": zt.bhat,
-        "gn_Rhat": gt.Rhat, "gn_Mhat": gt.Mhat,
-        "gn_That_gv": gt.That_gv, "gn_That_ge": gt.That_ge,
-        "gn_val_mid": gt.val_mid, "gn_bhat1": gt.bhat1, "gn_bhat2": gt.bhat2,
-    }
+    tensors = {f"{prefix}_{name}": getattr(tables, name)
+               for prefix, tables, names in (
+                   ("zienkiewicz", zt, "Ahat Mhat That_v That_gv That_ge bhat"),
+                   ("gn", gt, "Rhat Mhat That_gv That_ge val_mid bhat1 bhat2"))
+               for name in names.split()}
     for name, tensor in tensors.items():
         lines = [",".join(f"i{k}" for k in range(tensor.ndim)) + ",value"]
         for idx in np.ndindex(tensor.shape):

@@ -55,12 +55,10 @@ class ExactValue:
 
     def __init__(self, q0=0, q1=0, infinite: bool = False):
         if infinite:
-            self.q0 = None
-            self.q1 = None
+            self.q0 = self.q1 = None
             self.infinite = True
         else:
-            self.q0 = Fraction(q0)
-            self.q1 = Fraction(q1)
+            self.q0, self.q1 = Fraction(q0), Fraction(q1)
             self.infinite = False
 
     def __add__(self, other: "ExactValue") -> "ExactValue":

@@ -61,18 +61,12 @@ class ExperimentConfig:
 def csv_text(config: dict, columns, rows) -> str:
     """CSV with a reproducible comment header; floats via repr."""
     lines = [f"# ratfem {__version__}"]
-    for key, val in sorted(config.items()):
-        lines.append(f"# {key} = {val}")
+    lines += [f"# {key} = {val}" for key, val in sorted(config.items())]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+        lines.append(",".join(repr(float(x)) if isinstance(x, float) else str(x)
+                              for x in (row[c] for c in columns)))
     return "\n".join(lines) + "\n"
-
-
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
 
 
 def eigen_rows(mesh, cfg: ExperimentConfig, level):
@@ -110,8 +104,7 @@ def graded_lshape_meshes(cfg: ExperimentConfig):
     bisects all elements.  Yields (round, mesh) at geometric ndof checkpoints.
     """
     mesh = lshape_mesh()
-    rounds = 0
-    last = 0
+    rounds = last = 0
     while True:
         ndof = 3 * mesh.num_vertices + mesh.num_edges
         if ndof >= cfg.solve_start and ndof >= cfg.solve_factor * last:
@@ -130,10 +123,8 @@ def graded_lshape_meshes(cfg: ExperimentConfig):
 
 def run_exp2_lshape(cfg: ExperimentConfig):
     """Graded L-shape: exact vs Gauss eigenvalues along the AFEM sequence."""
-    rows = []
-    for level, mesh in graded_lshape_meshes(cfg):
-        rows += eigen_rows(mesh, cfg, level)
-    return rows
+    return [row for level, mesh in graded_lshape_meshes(cfg)
+            for row in eigen_rows(mesh, cfg, level)]
 
 
 def stokes_load(x, y):

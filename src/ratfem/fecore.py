@@ -1,6 +1,6 @@
 """Element-type-independent machinery: moment tensors (exact or by a Gauss
 rule), load evaluation, reduced-element bubble corrections, shape
-coefficients, dof layouts, the mesh phase and triplet assembly.
+coefficients, dof layouts, the mesh phase with its scatter plan, and assembly.
 
 All exact reference tensors are computed once per process by exact rational
 quadrature and floated at the very end, so recomputation is bit-reproducible.
@@ -172,14 +172,17 @@ def dof_layout(tria, variant: str, layouts: dict):
 def mesh_phase(tria, variant: str, layouts: dict, coefficients):
     """What assembly needs that no quadrature changes: area, G = Dlam, G G^T,
     the shape coefficients C = coefficients(G, normals, tangents) (edge frames
-    in local order) and (ndof, l2g, free); read-only, as systems share them."""
+    in local order), (ndof, l2g, free) and the :func:`scatter_plan`;
+    read-only, as systems share them."""
     ndof, l2g, free = dof_layout(tria, variant, layouts)
     _, area, G = tria.geometry_arrays()
     C = coefficients(G, tria.normal4s[tria.s4e], tria.tangent4s[tria.s4e])
     GG = np.einsum("eic,ejc->eij", G, G)
-    for array in (area, G, GG, C, l2g, free):
+    plan = scatter_plan(l2g, ndof, free)
+    csr = [getattr(m, a) for m in plan[2:] for a in ("data", "indices", "indptr")]
+    for array in (area, G, GG, C, l2g, free, *plan[:2], *csr):
         array.setflags(write=False)
-    return area, G, GG, C, ndof, l2g, free
+    return area, G, GG, C, ndof, l2g, free, plan
 
 
 def pad_free(free, x) -> np.ndarray:
@@ -189,19 +192,46 @@ def pad_free(free, x) -> np.ndarray:
     return full
 
 
-def assemble_matrix(l2g: np.ndarray, local: np.ndarray, ndof: int) -> sp.csr_matrix:
-    """Scatter per-element dense blocks into a global sparse matrix.
+def scatter_plan(l2g: np.ndarray, ndof: int, free: np.ndarray):
+    """(order, slot, pattern, free block) of local blocks (p, L, L) on l2g.
 
-    l2g is (p, L), local is (p, L, L); duplicate triplets are accumulated by
-    the COO -> CSR conversion in a fixed order, so assembly is deterministic.
-    """
-    p, L = l2g.shape
+    Summand k, the flat local entry order[k], adds to data slot slot[k] of
+    the CSR `pattern` that every matrix on l2g shares; the free block is
+    pattern[free][:, free], and both hold slot numbers as data.  The order is
+    SciPy's, found by letting it move index tags: COO -> CSR sorts stably by
+    row, csr_sort_indices by column, and duplicates add left to right."""
+    L = l2g.shape[1]
     if l2g.min() < 0 or l2g.max() >= ndof:
         raise IndexError("dof index out of range")
-    rows = np.repeat(l2g, L, axis=1).ravel()
-    cols = np.tile(l2g, (1, L)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(ndof, ndof))
-    return mat.tocsr()
+    # stable by row: (element, local row) pairs stably by dof, each with L columns
+    pairs = np.argsort(l2g.ravel(), kind="stable")
+    by_row = (pairs[:, None] * L + np.arange(L)).ravel()
+    rows = np.repeat(l2g.ravel()[pairs], L)
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=ndof))]
+    tags = sp.csr_matrix((by_row.astype(float), l2g[pairs // L].ravel(), indptr),
+                         shape=(ndof, ndof))
+    tags.sort_indices()
+    first = np.r_[True, (np.diff(tags.indices) != 0) | (np.diff(rows) != 0)]
+    slots = np.cumsum(first, dtype=np.int32)        # slots up to each summand
+    pattern = sp.csr_matrix((np.arange(slots[-1], dtype=np.int32), tags.indices[first],
+                             np.r_[0, slots][tags.indptr]), shape=(ndof, ndof))
+    return tags.data.astype(np.int32), slots - 1, pattern, pattern[free][:, free]
+
+
+def assemble_matrix(plan, local: np.ndarray) -> sp.csr_matrix:
+    """Sum local blocks into the CSR of a :func:`scatter_plan`, byte for byte
+    what coo_matrix(...).tocsr() gives: each slot from -0.0 (the additive
+    identity, so signed zeros survive) left to right in SciPy's order."""
+    order, slot, pattern, _ = plan
+    data = np.full(pattern.nnz, -0.0)
+    np.add.at(data, slot, local.ravel()[order])
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
+def free_block(plan, A: sp.csr_matrix) -> sp.csr_matrix:
+    """A[free][:, free] of a matrix on plan's pattern, as one gather."""
+    ff = plan[3]
+    return sp.csr_matrix((A.data[ff.data], ff.indices, ff.indptr), shape=ff.shape)
 
 
 def assemble_vector(l2g: np.ndarray, local: np.ndarray, ndof: int) -> np.ndarray:

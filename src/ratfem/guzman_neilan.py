@@ -21,8 +21,8 @@ import scipy.sparse as sp
 
 from . import fecore, zienkiewicz
 from .fecore import (MIDS, assemble_matrix, assemble_vector,
-                     edge_corrections, lagrange_basis, lagrange_nodes,
-                     load_values, moment_tensor, pad_free)
+                     edge_corrections, free_block, lagrange_basis,
+                     lagrange_nodes, load_values, moment_tensor, pad_free)
 from .mesh import Triangulation
 from .quadrature import gauss_points
 from .ratfun import gradient_values
@@ -55,10 +55,8 @@ class GNTables:
 
 
 def get_tables(quadrature="exact") -> GNTables:
-    """Exact tables, or those of the n-point Gauss rule for an integer n.
-
-    Each is built on first use and kept for the process.
-    """
+    """Exact tables, or those of the n-point Gauss rule for an integer n;
+    each is built on first use and kept for the process."""
     return _compute_tables("exact" if quadrature == "exact" else int(quadrature))
 
 
@@ -195,6 +193,7 @@ class StokesSystem:
     b: np.ndarray
     coeffs: np.ndarray     # (p, 12, L)
     areas: np.ndarray
+    plan: tuple            # fecore.scatter_plan
 
 
 #: Dof blocks (fecore.dof_layout): vertex vectors, edge normals, tangentials.
@@ -221,13 +220,13 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
     returns the pair (f_x, f_y); it is called once, as f(X, Y) on coordinate
     arrays of the tables' load points (see :func:`local_load`).
     """
-    area, G, GG, C, ndof, l2g, free = mesh_phase(tria, variant)
+    area, G, GG, C, ndof, l2g, free, plan = mesh_phase(tria, variant)
     tables = get_tables(quadrature)
     p = tria.num_elements
 
     A_T, B_T = local_matrices(area, G, GG, tables)
     A_loc = np.einsum("eri,ers,esj->eij", C, A_T, C, optimize=True)
-    A = assemble_matrix(l2g, A_loc, ndof)
+    A = assemble_matrix(plan, A_loc)
     bt = np.einsum("eri,er->ei", C, B_T)
     rows = l2g.ravel()
     cols = np.repeat(np.arange(p), l2g.shape[1])
@@ -239,7 +238,7 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
         b = assemble_vector(l2g, area[:, None] * np.einsum(
             "eri,er->ei", C, b_T), ndof)
 
-    return StokesSystem(tria, variant, ndof, l2g, free, A, B, b, C, area)
+    return StokesSystem(tria, variant, ndof, l2g, free, A, B, b, C, area, plan)
 
 
 def solve_stokes(system: StokesSystem):
@@ -251,15 +250,12 @@ def solve_stokes(system: StokesSystem):
     from .solvers import saddle_solve
     free = system.free
     nf = int(free.sum())
-    p = system.B.shape[1]
-    A = system.A[free][:, free]
     B = system.B[free][:, 1:]          # pin pressure dof 0
-    rhs = np.concatenate([system.b[free], np.zeros(p - 1)])
-    sol = saddle_solve(A, B, rhs)
+    rhs = np.concatenate([system.b[free], np.zeros(B.shape[1])])
+    sol = saddle_solve(free_block(system.plan, system.A), B, rhs)
     u = pad_free(free, sol[:nf])
     pressure = np.concatenate([[0.0], sol[nf:]])
-    total = float(system.areas.sum())
-    pressure -= float(system.areas @ pressure) / total
+    pressure -= float(system.areas @ pressure) / float(system.areas.sum())
     return u, pressure
 
 

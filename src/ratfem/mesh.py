@@ -227,11 +227,9 @@ def refine_bisect(t: Triangulation, marked) -> Triangulation:
 
 def dump_mesh(t: Triangulation) -> str:
     lines = [f"nodes {t.num_vertices} elements {t.num_elements} edges {t.num_edges}"]
-    for i in range(t.num_vertices):
-        x, y = t.c4n[i]
-        lines.append(f"{float(x)!r} {float(y)!r} {int(t.boundary_vertex[i])}")
-    for tri in t.n4e:
-        lines.append(f"{tri[0]} {tri[1]} {tri[2]}")
+    lines += [f"{float(x)!r} {float(y)!r} {int(on_boundary)}"
+              for (x, y), on_boundary in zip(t.c4n, t.boundary_vertex)]
+    lines += [f"{a} {b} {c}" for a, b, c in t.n4e]
     return "\n".join(lines) + "\n"
 
 

@@ -37,8 +37,7 @@ def is_finite_index(alpha, beta) -> bool:
 
 def integral_mean_poly(alpha, d: int | None = None) -> ExactValue:
     """Mean of lam^alpha over a d-simplex: d! alpha! / (d + |alpha|)!."""
-    if d is None:
-        d = len(alpha) - 1
+    d = len(alpha) - 1 if d is None else d
     if d < 1 or len(alpha) != d + 1:
         raise ValueError(f"need d+1 indices for a d-simplex, got {alpha}")
     num = factorial(d)

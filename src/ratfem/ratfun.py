@@ -206,6 +206,4 @@ def bubble(j: int) -> RatCombo:
     In multi-index form it is lam^((2,2,2)-e_j) / (1-lam)^((1,1,1)-e_j); on
     edge f_j it restricts to a cubic and it is C^1 on the closed triangle.
     """
-    alpha = midx_sub((2, 2, 2), _E[j])
-    beta = midx_sub((1, 1, 1), _E[j])
-    return RatCombo.monomial(alpha, beta)
+    return RatCombo.monomial(midx_sub((2, 2, 2), _E[j]), midx_sub((1, 1, 1), _E[j]))

@@ -118,20 +118,22 @@ def gen_eig_smallest(A: sp.spmatrix, M: sp.spmatrix, tol: float = 1e-12,
     A must be SPD (NotPositiveDefiniteError otherwise).  One factorization of
     A is reused across iterations; the start vector is M times the all-ones
     vector (or the given x0), so runs are deterministic.  The returned vector
-    is M-normalized.
+    is M-normalized.  M x carries into the next solve (three products a step).
     """
     n = A.shape[0]
     lu = _factorize(A, n)
     x = M @ np.ones(n) if x0 is None else np.array(x0, dtype=float)
     x = x / np.sqrt(abs(_dot(x, M @ x)))
+    Mx = M @ x
     lam_old = np.inf
     for _ in range(maxit):
-        y = lu.solve(M @ x)
+        y = lu.solve(Mx)
         nrm = np.sqrt(abs(_dot(y, M @ y)))
         if nrm == 0.0:
             raise NoConvergenceError("inverse iteration collapsed to zero")
         x = y / nrm
-        mx = _dot(x, M @ x)
+        Mx = M @ x
+        mx = _dot(x, Mx)
         lam = _dot(x, A @ x) / mx
         if abs(lam - lam_old) <= tol * abs(lam):
             return lam, x / np.sqrt(mx)

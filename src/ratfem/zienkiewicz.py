@@ -18,8 +18,8 @@ import numpy as np
 
 from . import fecore
 from .fecore import (MIDS, VERTS, assemble_matrix, assemble_vector,
-                     edge_corrections, lagrange_basis, lagrange_nodes,
-                     load_values, moment_tensor, pad_free)
+                     edge_corrections, free_block, lagrange_basis,
+                     lagrange_nodes, load_values, moment_tensor, pad_free)
 from .mesh import Triangulation
 from .ratfun import RatCombo, bubble, combo_values, gradient_values
 
@@ -55,10 +55,8 @@ class ZienkiewiczTables:
 
 
 def get_tables(quadrature="exact") -> ZienkiewiczTables:
-    """Exact tables, or those of the n-point Gauss rule for an integer n.
-
-    Each is built on first use and kept for the process.
-    """
+    """Exact tables, or those of the n-point Gauss rule for an integer n;
+    each is built on first use and kept for the process."""
     return _compute_tables("exact" if quadrature == "exact" else int(quadrature))
 
 
@@ -141,6 +139,7 @@ class BiharmonicSystem:
     M: "object"           # csr mass
     b: np.ndarray
     coeffs: np.ndarray    # (p, 12, L) shape-function coefficients
+    plan: tuple           # fecore.scatter_plan
 
 
 #: Dof blocks (fecore.dof_layout): vertex values and gradients, edge normals.
@@ -166,27 +165,28 @@ def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
     change is :func:`mesh_phase`'s, shared by every quadrature.  The load `f`
     is called once, as f(X, Y) on coordinate arrays (see :func:`local_load`).
     """
-    area, _, GG, C, ndof, l2g, free = mesh_phase(tria, variant)
+    area, _, GG, C, ndof, l2g, free, plan = mesh_phase(tria, variant)
     tables = get_tables(quadrature)
     A_T = local_stiffness(area, GG, tables)
     M_T = area[:, None, None] * tables.Mhat[None, :, :]
     A_loc = np.einsum("eri,ers,esj->eij", C, A_T, C, optimize=True)
     M_loc = np.einsum("eri,ers,esj->eij", C, M_T, C, optimize=True)
-    A = assemble_matrix(l2g, A_loc, ndof)
-    M = assemble_matrix(l2g, M_loc, ndof)
+    A = assemble_matrix(plan, A_loc)
+    M = assemble_matrix(plan, M_loc)
 
     b = np.zeros(ndof)
     if f is not None:
         b_T = local_load(f, tria, tables)
         b = assemble_vector(l2g, area[:, None] * np.einsum("eri,er->ei", C, b_T), ndof)
 
-    return BiharmonicSystem(tria, variant, ndof, l2g, free, A, M, b, C)
+    return BiharmonicSystem(tria, variant, ndof, l2g, free, A, M, b, C, plan)
 
 
 def solve_biharmonic_eigen(system: BiharmonicSystem, x0: np.ndarray | None = None):
     """Smallest clamped-plate eigenpair on the free dofs; vector is padded."""
     from .solvers import gen_eig_smallest
     free = system.free
-    lam, x = gen_eig_smallest(system.A[free][:, free], system.M[free][:, free],
+    lam, x = gen_eig_smallest(free_block(system.plan, system.A),
+                              free_block(system.plan, system.M),
                               x0=None if x0 is None else x0[free])
     return lam, pad_free(free, x)

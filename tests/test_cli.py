@@ -193,6 +193,16 @@ def test_a_run_with_nothing_to_plot_leaves_no_file(monkeypatch, capsys, tmp_path
     assert not out.exists() and not svg.exists()
 
 
+@pytest.mark.parametrize("plot", [False, True], ids=["csv", "csv-and-svg"])
+def test_a_run_without_rows_is_a_configuration_error(capsys, tmp_path, plot):
+    # at budget 1 no mesh of the grading reaches --solve-start
+    out, svg = tmp_path / "a.csv", tmp_path / "a.svg"
+    argv = ["exp2", "--budget", "1", "--out", str(out)]
+    assert main(argv + (["--svg", str(svg)] if plot else [])) == 2
+    assert capsys.readouterr().err == "configuration error: the run yields no rows\n"
+    assert not out.exists() and not svg.exists()
+
+
 def test_deep_indices_have_a_value(capsys):
     # 2000 nested reductions: deeper than Python's default recursion limit
     assert main(["quad", "--alpha", "0,2000,2000", "--beta", "0,1,2000"]) == 0

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from felib import evaluate
 from oracle import duffy_mean
-from ratfem.fecore import (assemble_matrix, assemble_vector, lagrange_basis,
-                           lagrange_nodes, moment_tensor)
+from ratfem.fecore import (assemble_matrix, assemble_vector, free_block,
+                           lagrange_basis, lagrange_nodes, moment_tensor,
+                           scatter_plan)
 from ratfem.quadrature import integral_mean_combo
 from ratfem.ratfun import RatCombo
 
@@ -70,19 +74,54 @@ def test_rhs_moments():
 
 
 def test_assemble_matrix():
+    def assemble(l2g, local, ndof):
+        return assemble_matrix(scatter_plan(l2g, ndof, np.ones(ndof, bool)), local)
     l2g = np.array([[0, 1, 2]])
     local = np.arange(9.0).reshape(1, 3, 3)
-    A = assemble_matrix(l2g, local, 3)
+    A = assemble(l2g, local, 3)
     assert np.allclose(A.toarray(), local[0])
     # two elements sharing dof 1
     l2g = np.array([[0, 1], [1, 2]])
     local = np.ones((2, 2, 2))
-    A = assemble_matrix(l2g, local, 3).toarray()
+    A = assemble(l2g, local, 3).toarray()
     assert A[1, 1] == 2.0 and A[0, 0] == 1.0 and A[0, 2] == 0.0
     with pytest.raises(IndexError):
-        assemble_matrix(np.array([[0, 5]]), np.ones((1, 2, 2)), 3)
+        assemble(np.array([[0, 5]]), np.ones((1, 2, 2)), 3)
     vec = assemble_vector(np.array([[0, 1], [1, 2]]), np.ones((2, 2)), 3)
     assert np.allclose(vec, [1, 2, 1])
+
+
+def csr_bytes(A):
+    return tuple(np.ascontiguousarray(a).tobytes()
+                 for a in (A.indptr, A.indices, A.data))
+
+
+#: Signed zeros, and magnitudes whose sums round differently in another order.
+SUMMANDS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.75, 3.0, 1e16, -1e16])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scatter_plan_reproduces_scipy_bytes(data):
+    ndof = data.draw(st.integers(1, 7), label="ndof")
+    p, L = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    # a few dofs over many slots: repeated dofs in and across elements, and
+    # dofs no element uses
+    l2g = np.array(data.draw(st.lists(st.integers(0, ndof - 1), min_size=p * L,
+                                      max_size=p * L))).reshape(p, L)
+    local = np.array(data.draw(st.lists(SUMMANDS, min_size=p * L * L,
+                                        max_size=p * L * L))).reshape(p, L, L)
+    free = data.draw(st.one_of(
+        st.just(np.ones(ndof, bool)), st.just(np.zeros(ndof, bool)),
+        st.lists(st.booleans(), min_size=ndof, max_size=ndof).map(
+            lambda mask: np.array(mask, dtype=bool))), label="free")
+    plan = scatter_plan(l2g, ndof, free)
+    A = assemble_matrix(plan, local)
+    ref = sp.coo_matrix((local.ravel(), (np.repeat(l2g, L, axis=1).ravel(),
+                                         np.tile(l2g, (1, L)).ravel())),
+                        shape=(ndof, ndof)).tocsr()
+    assert csr_bytes(A) == csr_bytes(ref)
+    assert csr_bytes(free_block(plan, A)) == csr_bytes(ref[free][:, free])
 
 
 def test_global_matrix_symmetry():

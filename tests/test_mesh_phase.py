@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 from ratfem import guzman_neilan as gn
+from ratfem import solvers
 from ratfem import zienkiewicz as zk
 from ratfem.experiments import (ExperimentConfig, eigen_rows,
                                 graded_lshape_meshes, run_exp3_stokes,
@@ -45,15 +46,18 @@ def matrix_digest(*parts):
     return digest.hexdigest()
 
 
-def case_digest(case):
+def case_system(case):
     kind, key, variant, quadrature = case
     if kind == "plate":
-        s = zk.assemble_biharmonic(lshape_meshes()[key], f=plate_load,
-                                   variant=variant, quadrature=quadrature)
-        return matrix_digest(s.A, s.M, s.b)
-    s = gn.assemble_stokes(stokes_mesh(key), f=stokes_load, variant=variant,
-                           quadrature=quadrature)
-    return matrix_digest(s.A, s.B, s.b)
+        return zk.assemble_biharmonic(lshape_meshes()[key], f=plate_load,
+                                      variant=variant, quadrature=quadrature)
+    return gn.assemble_stokes(stokes_mesh(key), f=stokes_load, variant=variant,
+                              quadrature=quadrature)
+
+
+def case_digest(case):
+    s = case_system(case)
+    return matrix_digest(s.A, s.M if case[0] == "plate" else s.B, s.b)
 
 
 #: Taken before the split: every mesh of exp2 at budget 10000 (full variant,
@@ -93,6 +97,60 @@ MATRIX_DIGESTS = {
                          ids=lambda case: "-".join(map(str, case)))
 def test_assembled_matrices_match_golden_digests(case):
     assert case_digest(case) == MATRIX_DIGESTS[case]
+
+
+#: The blocks each solve hands to its solver: plate A_ff and M_ff, Stokes A_ff
+#: and B_ff[:, 1:] (pressure dof 0 pinned).  Taken as A[free][:, free] and
+#: B[free][:, 1:] before the scatter plan.
+FREE_BLOCK_DIGESTS = {
+    ("plate", 0, "full", "exact"): "ad5e1f76058b76123b29b7a1c6fc37b2cde4bc4799484cbc9aa63eac7a337773",
+    ("plate", 0, "full", 2): "d70d286b31b22fd55a48f1e356e43e3104d13e20d0d3e3f682ef9166d61f0e26",
+    ("plate", 0, "full", 11): "a3ad759db25d85f537143d8a8c91192ed2e477a2d8657512353ac392015ca6cd",
+    ("plate", 1, "full", "exact"): "3eb984f75d009c08c8754a0bf9e87dff7b24123f6cfaacf1826b1802f7913747",
+    ("plate", 1, "full", 2): "4674fe3ec6837d8f70a34c9308c07d80d54bd4c90a571d01b94dcfc53129eec3",
+    ("plate", 1, "full", 11): "1f335259d351463555e6d51164ad9dcdb84d6d9c7a5628894df10d7f1bf73ee6",
+    ("plate", 2, "full", "exact"): "86669b0edd0c412e389e299ca1698dab1eccfe5057ba62a9b0d0c0e2d002b0e4",
+    ("plate", 2, "full", 2): "7d0555b1fd73fbc838e680e516c1c5a6e2f0cd316d955d886c81d325a6be2714",
+    ("plate", 2, "full", 11): "7762764e91a1baa1fa97c7b1e5288eb622e1efbb447fd480a6e8f6e865aeee8b",
+    ("plate", 3, "full", "exact"): "7f9414f2971f1fd1fd668e2a02ec9ce3ce39a83873c27a3845addecd44120000",
+    ("plate", 3, "full", 2): "a3c2cbe03a0238b145b5cc9349a5253ffb9b989a860b6c1a49a9a25fe16f4f5e",
+    ("plate", 3, "full", 11): "8fe1bacdf9cd6d73b9ee56b81f4d20f5acfcce9e991ee80d8a265a710e1972c0",
+    ("plate", 4, "full", "exact"): "b3e616ee28c1a230caa6f0bd4d720e161853c3835d753a526ed560bd1c38dc88",
+    ("plate", 4, "full", 2): "f4ef6cb60f3469e3879c545c9b918bc6e2e3ab446d86900d5db9c9bf06eca413",
+    ("plate", 4, "full", 11): "889c6b590e52f79dada860d9d275aff61e248aebbaa6042e07473ce36ff60dd9",
+    ("plate", 5, "full", "exact"): "361a8322f4ac94ceccca1097f0c4b686335ab5ebf9a7d1bebe17701487071955",
+    ("plate", 5, "full", 2): "a039c3b8459a2c0ea9494d051c178f57218afb82bc198222f4a822c2b58cf3f4",
+    ("plate", 5, "full", 11): "f8fc5111c7449c872eea35195237f72a5fbade6724ed454baf81d06f41cf77b8",
+    ("plate", 5, "reduced", "exact"): "da1872079e1262425621b3743466997790726d5fb7d5598a1256ffb72f44260b",
+    ("plate", 5, "reduced", 2): "23c4d8a23b9fe3a731e775c596ac372e1242366f0c4933caf86d16e4893a2ed5",
+    ("plate", 5, "reduced", 11): "f3f367b29c19a3a170f31ff5191d478dd485f9b8e306b9f917bad58f2ecc3ded",
+    ("stokes", 2048, "full", "exact"): "f997619a19adba73af4bb57bcb40607f642221ae70c053ad6d9dc8a669e45cd7",
+    ("stokes", 2048, "full", 1): "c429d024793ec6f5ff04b1b68d5c39b44503f3dbbda76e5d6dbed4a2ed301371",
+    ("stokes", 2048, "full", 16): "6fe9d0245b33ad5dc762bfc8dd02db1af568b31546334a4819479706bbbaf774",
+    ("stokes", 2048, "reduced", "exact"): "162dae0314eeef78e9294e82fb540c280ba8ddfc443973abb8d883aa84558439",
+    ("stokes", 2048, "reduced", 1): "7135d0a1345013e18d07453dd3743ebd41f4055156cc5bc36100abcfdd7bc8ed",
+    ("stokes", 2048, "reduced", 16): "c55d081ddbe163a8f33dda590e2e7934e3343485e9b583da316488cabceaaf0a",
+}
+
+
+@pytest.mark.parametrize("case", list(FREE_BLOCK_DIGESTS),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_blocks_handed_to_the_solvers_match_golden_digests(case, monkeypatch):
+    handed = []
+
+    def record(first, second, *args, **kwargs):
+        handed.extend([first, second])
+        if case[0] == "plate":
+            return 1.0, np.zeros(first.shape[0])
+        return np.zeros(first.shape[0] + second.shape[1])
+    system = case_system(case)
+    if case[0] == "plate":
+        monkeypatch.setattr(solvers, "gen_eig_smallest", record)
+        zk.solve_biharmonic_eigen(system)
+    else:
+        monkeypatch.setattr(solvers, "saddle_solve", record)
+        gn.solve_stokes(system)
+    assert matrix_digest(*handed) == FREE_BLOCK_DIGESTS[case]
 
 
 def test_vandermonde_built_once_per_mesh_and_variant(monkeypatch):

@@ -144,16 +144,29 @@ def test_every_function_in_src_is_reached_public_or_allowed(tmp_path):
     assert not ALLOWED & reached
 
 
-#: What perfbench binds or reads besides the wrappers of `tracer.install`.
+#: What perfbench binds or reads besides the wrappers of `tracer.install`,
+#: and a traced assembly of each element: both fill their matrices through
+#: the wrapped `assemble_matrix`, or the fill layer drops out of the trace.
 BENCHMARK_READS = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from tracer import Tracer, install
-install(Tracer())
+tracer = Tracer()
+install(tracer)
 import ratfem
+from ratfem import experiments
+from ratfem.mesh import refine_uniform, unit_square_mesh
 from ratfem.quadrature import DEFAULT_CACHE, MemoCache
 value = ratfem.integral_mean((1, 2, 2), (0, 1, 1))
 assert ratfem.is_finite_index((1, 2, 2), (0, 1, 1))
+mesh = refine_uniform(unit_square_mesh())
+for assemble, matrices in ((experiments.assemble_biharmonic, 2),
+                           (experiments.assemble_stokes, 1)):
+    before = len(tracer.spans)
+    assemble(mesh, quadrature=2)
+    names = [span[0] for span in tracer.spans[before:]]
+    assert names.count("fecore.assemble_matrix") == matrices, names
+assert tracer.maxima["fecore.nnz_max"] > 0, dict(tracer.maxima)
 print(len(DEFAULT_CACHE), len(DEFAULT_CACHE.table), value.q0, value.q1,
       value.to_float(), MemoCache.key((1, 2, 2), (0, 1, 1)))
 """
