@@ -133,19 +133,20 @@ def edge_corrections(V, frames, rows, error) -> np.ndarray:
     return gamma
 
 
-def shape_coefficients(V, gamma=None) -> np.ndarray:
+def shape_coefficients(V, variant: str, frames, rows, error) -> np.ndarray:
     """Coefficient matrices of the nodal shape functions in the 12-basis.
 
-    Full element (gamma None): inv(V), shape (p,12,12).  Reduced element:
-    (p,12,9), the identity on the first nine basis functions with cubic
-    columns 6..8 corrected by the bubbles with weights -gamma (see
-    :func:`edge_corrections`), times inv(V[:, :9, :9]).
+    Full element: inv(V), shape (p,12,12).  Reduced element: (p,12,9), the
+    identity on the first nine basis functions with cubic columns 6..8
+    corrected by the bubbles with weights -gamma, the
+    :func:`edge_corrections` of (V, frames, rows, error), times
+    inv(V[:, :9, :9]).
     """
-    if gamma is None:
+    if variant == "full":
         return np.linalg.inv(V)
     red = np.zeros((V.shape[0], 12, 9))
     red[:, :9, :] = np.eye(9)[None, :, :]
-    red[:, 9:12, 6:9] = -gamma
+    red[:, 9:12, 6:9] = -edge_corrections(V, frames, rows, error)
     return red @ np.linalg.inv(V[:, :9, :9])
 
 
@@ -172,16 +173,15 @@ def dof_layout(tria, variant: str, layouts: dict):
 def mesh_phase(tria, variant: str, layouts: dict, coefficients):
     """What assembly needs that no quadrature changes: area, G = Dlam, G G^T,
     the shape coefficients C = coefficients(G, normals, tangents) (edge frames
-    in local order), (ndof, l2g, free) and the :func:`scatter_plan`;
-    read-only, as systems share them."""
+    in local order), (ndof, l2g, free) and the :func:`scatter_plan` of the
+    free x free block; read-only, as systems share them."""
     ndof, l2g, free = dof_layout(tria, variant, layouts)
     _, area, G = tria.geometry_arrays()
     C = coefficients(G, tria.normal4s[tria.s4e], tria.tangent4s[tria.s4e])
     GG = np.einsum("eic,ejc->eij", G, G)
-    plan = scatter_plan(l2g, ndof, free)
-    csr = [getattr(m, a) for m in plan[2:] for a in ("data", "indices", "indptr")]
-    for array in (area, G, GG, C, l2g, free, *plan[:2], *csr):
+    for array in (area, G, GG, C, l2g, free):
         array.setflags(write=False)
+    plan = scatter_plan(l2g, l2g, (ndof, ndof), free, free)
     return area, G, GG, C, ndof, l2g, free, plan
 
 
@@ -192,46 +192,53 @@ def pad_free(free, x) -> np.ndarray:
     return full
 
 
-def scatter_plan(l2g: np.ndarray, ndof: int, free: np.ndarray):
-    """(order, slot, pattern, free block) of local blocks (p, L, L) on l2g.
+def scatter_plan(rows: np.ndarray, cols: np.ndarray, shape, keep_rows, keep_cols):
+    """(order, slot, pattern) of local blocks (p, R, K) on rows (p, R) and
+    cols (p, K) of a matrix of `shape`, kept on keep_rows x keep_cols.
 
     Summand k, the flat local entry order[k], adds to data slot slot[k] of
-    the CSR `pattern` that every matrix on l2g shares; the free block is
-    pattern[free][:, free], and both hold slot numbers as data.  The order is
-    SciPy's, found by letting it move index tags: COO -> CSR sorts stably by
-    row, csr_sort_indices by column, and duplicates add left to right."""
-    L = l2g.shape[1]
-    if l2g.min() < 0 or l2g.max() >= ndof:
-        raise IndexError("dof index out of range")
-    # stable by row: (element, local row) pairs stably by dof, each with L columns
-    pairs = np.argsort(l2g.ravel(), kind="stable")
-    by_row = (pairs[:, None] * L + np.arange(L)).ravel()
-    rows = np.repeat(l2g.ravel()[pairs], L)
-    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=ndof))]
-    tags = sp.csr_matrix((by_row.astype(float), l2g[pairs // L].ravel(), indptr),
-                         shape=(ndof, ndof))
+    the CSR `pattern` that every matrix of the plan shares; summands outside
+    the kept block are dropped.  Each kept entry sums what
+    coo_matrix(...).tocsr()[keep_rows][:, keep_cols] sums, in SciPy's order,
+    found by letting it move index tags: COO -> CSR sorts stably by row,
+    csr_sort_indices by column, duplicates add left to right, and the kept
+    block is SciPy's own extraction of the whole pattern."""
+    R, K = rows.shape[1], cols.shape[1]
+    for index, n in ((rows, shape[0]), (cols, shape[1])):
+        if index.min() < 0 or index.max() >= n:
+            raise IndexError("dof index out of range")
+    # stable by row: (element, local row) pairs stably by row, each with K columns
+    pairs = np.argsort(rows.ravel(), kind="stable")
+    by_row = (pairs[:, None] * K + np.arange(K)).ravel()
+    row_of = np.repeat(rows.ravel()[pairs], K)
+    indptr = np.r_[0, np.cumsum(np.bincount(row_of, minlength=shape[0]))]
+    tags = sp.csr_matrix((by_row.astype(float), cols[pairs // R].ravel(), indptr),
+                         shape=shape)
     tags.sort_indices()
-    first = np.r_[True, (np.diff(tags.indices) != 0) | (np.diff(rows) != 0)]
+    first = np.r_[True, (np.diff(tags.indices) != 0) | (np.diff(row_of) != 0)]
     slots = np.cumsum(first, dtype=np.int32)        # slots up to each summand
-    pattern = sp.csr_matrix((np.arange(slots[-1], dtype=np.int32), tags.indices[first],
-                             np.r_[0, slots][tags.indptr]), shape=(ndof, ndof))
-    return tags.data.astype(np.int32), slots - 1, pattern, pattern[free][:, free]
+    whole = sp.csr_matrix((np.arange(slots[-1], dtype=np.int32), tags.indices[first],
+                           np.r_[0, slots][tags.indptr]), shape=shape)
+    pattern = whole[keep_rows][:, keep_cols]
+    remap = np.full(whole.nnz, -1, dtype=np.int32)
+    remap[pattern.data] = np.arange(pattern.nnz, dtype=np.int32)
+    slot = remap[slots - 1]
+    kept = slot >= 0
+    plan = tags.data[kept].astype(np.int32), slot[kept], pattern
+    for array in (*plan[:2], pattern.data, pattern.indices, pattern.indptr):
+        array.setflags(write=False)
+    return plan
 
 
 def assemble_matrix(plan, local: np.ndarray) -> sp.csr_matrix:
     """Sum local blocks into the CSR of a :func:`scatter_plan`, byte for byte
-    what coo_matrix(...).tocsr() gives: each slot from -0.0 (the additive
-    identity, so signed zeros survive) left to right in SciPy's order."""
-    order, slot, pattern, _ = plan
+    what coo_matrix(...).tocsr()[keep_rows][:, keep_cols] gives: each slot
+    from -0.0 (the additive identity, so signed zeros survive) left to right
+    in SciPy's order."""
+    order, slot, pattern = plan
     data = np.full(pattern.nnz, -0.0)
     np.add.at(data, slot, local.ravel()[order])
     return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
-
-
-def free_block(plan, A: sp.csr_matrix) -> sp.csr_matrix:
-    """A[free][:, free] of a matrix on plan's pattern, as one gather."""
-    ff = plan[3]
-    return sp.csr_matrix((A.data[ff.data], ff.indices, ff.indptr), shape=ff.shape)
 
 
 def assemble_vector(l2g: np.ndarray, local: np.ndarray, ndof: int) -> np.ndarray:

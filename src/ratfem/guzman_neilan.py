@@ -17,12 +17,11 @@ from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fecore, zienkiewicz
-from .fecore import (MIDS, assemble_matrix, assemble_vector,
-                     edge_corrections, free_block, lagrange_basis,
-                     lagrange_nodes, load_values, moment_tensor, pad_free)
+from .fecore import (MIDS, assemble_matrix, assemble_vector, lagrange_basis,
+                     lagrange_nodes, load_values, moment_tensor, pad_free,
+                     scatter_plan)
 from .mesh import Triangulation
 from .quadrature import gauss_points
 from .ratfun import gradient_values
@@ -164,19 +163,12 @@ class ZeroBubbleTangentialTraceError(ArithmeticError):
     """A curl bubble's own midpoint tangential trace vanished."""
 
 
-def reduced_coefficients(V, tangents) -> np.ndarray:
-    """Bubble-curl corrections making the tangential edge traces affine.
-
-    Vertex values sit in rows 0..2 (x) and 3..5 (y); see
-    :func:`fecore.edge_corrections`.
-    """
-    return edge_corrections(V, tangents, (0, 3), ZeroBubbleTangentialTraceError)
-
-
 def shape_coefficients(V, variant, tangents=None) -> np.ndarray:
-    """Shape coefficients (see :func:`fecore.shape_coefficients`)."""
-    return fecore.shape_coefficients(
-        V, None if variant == "full" else reduced_coefficients(V, tangents))
+    """Shape coefficients (see :func:`fecore.shape_coefficients`); the
+    reduced element makes the tangential edge traces affine, with vertex
+    values in rows 0..2 (x) and 3..5 (y)."""
+    return fecore.shape_coefficients(V, variant, tangents, (0, 3),
+                                     ZeroBubbleTangentialTraceError)
 
 
 # -- global system ---------------------------------------------------------------
@@ -188,12 +180,11 @@ class StokesSystem:
     ndof: int
     l2g: np.ndarray
     free: np.ndarray
-    A: "object"            # velocity stiffness, csr (ndof, ndof)
-    B: "object"            # divergence matrix, csr (ndof, p)
-    b: np.ndarray
+    A: "object"            # velocity stiffness, csr free x free
+    B: "object"            # divergence matrix, csr free x p
+    b: np.ndarray          # load on all dofs
     coeffs: np.ndarray     # (p, 12, L)
     areas: np.ndarray
-    plan: tuple            # fecore.scatter_plan
 
 
 #: Dof blocks (fecore.dof_layout): vertex vectors, edge normals, tangentials.
@@ -202,10 +193,16 @@ LAYOUTS = {"full": "vvee", "reduced": "vve"}
 
 @lru_cache(maxsize=1)
 def mesh_phase(tria: Triangulation, variant: str):
-    """:func:`fecore.mesh_phase` of this element, once per (mesh, variant)."""
-    return fecore.mesh_phase(
+    """:func:`fecore.mesh_phase` of this element and the :func:`scatter_plan`
+    of B's free rows (blocks (p, L, 1), column e for element e), once per
+    (mesh, variant)."""
+    phase = fecore.mesh_phase(
         tria, variant, LAYOUTS, lambda G, normals, tangents: shape_coefficients(
             local_vandermonde(G, normals, tangents), variant, tangents))
+    ndof, l2g, free = phase[4:7]
+    p = tria.num_elements
+    return *phase, scatter_plan(l2g, np.arange(p)[:, None], (ndof, p), free,
+                                np.ones(p, bool))
 
 
 def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
@@ -220,17 +217,13 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
     returns the pair (f_x, f_y); it is called once, as f(X, Y) on coordinate
     arrays of the tables' load points (see :func:`local_load`).
     """
-    area, G, GG, C, ndof, l2g, free, plan = mesh_phase(tria, variant)
+    area, G, GG, C, ndof, l2g, free, plan, plan_B = mesh_phase(tria, variant)
     tables = get_tables(quadrature)
-    p = tria.num_elements
 
     A_T, B_T = local_matrices(area, G, GG, tables)
     A_loc = np.einsum("eri,ers,esj->eij", C, A_T, C, optimize=True)
     A = assemble_matrix(plan, A_loc)
-    bt = np.einsum("eri,er->ei", C, B_T)
-    rows = l2g.ravel()
-    cols = np.repeat(np.arange(p), l2g.shape[1])
-    B = sp.coo_matrix((bt.ravel(), (rows, cols)), shape=(ndof, p)).tocsr()
+    B = assemble_matrix(plan_B, np.einsum("eri,er->ei", C, B_T))
 
     b = np.zeros(ndof)
     if f is not None:
@@ -238,7 +231,7 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
         b = assemble_vector(l2g, area[:, None] * np.einsum(
             "eri,er->ei", C, b_T), ndof)
 
-    return StokesSystem(tria, variant, ndof, l2g, free, A, B, b, C, area, plan)
+    return StokesSystem(tria, variant, ndof, l2g, free, A, B, b, C, area)
 
 
 def solve_stokes(system: StokesSystem):
@@ -250,9 +243,9 @@ def solve_stokes(system: StokesSystem):
     from .solvers import saddle_solve
     free = system.free
     nf = int(free.sum())
-    B = system.B[free][:, 1:]          # pin pressure dof 0
+    B = system.B[:, 1:]          # pin pressure dof 0
     rhs = np.concatenate([system.b[free], np.zeros(B.shape[1])])
-    sol = saddle_solve(free_block(system.plan, system.A), B, rhs)
+    sol = saddle_solve(system.A, B, rhs)
     u = pad_free(free, sol[:nf])
     pressure = np.concatenate([[0.0], sol[nf:]])
     pressure -= float(system.areas @ pressure) / float(system.areas.sum())
@@ -262,16 +255,21 @@ def solve_stokes(system: StokesSystem):
 # -- measurements ------------------------------------------------------------------
 
 def grad_norm(system: StokesSystem, u: np.ndarray) -> float:
-    """H1 seminorm u' A u taken with this system's stiffness.
+    """H1 seminorm sqrt(u' A u) of a velocity u on all dofs that vanishes on
+    the constrained ones, taken with this system's stiffness.
 
     Pass a system assembled with exact quadrature so the measurement does not
     inherit the defect of an inexact solve.
     """
+    # A u is padded to all dofs so that the einsum sums the n terms of u' A u
+    # in their order (a sum over the free dofs alone rounds differently);
     # einsum, not a BLAS dot, whose sum order depends on the thread count
-    return float(np.sqrt(max(np.einsum("i,i->", u, system.A @ u), 0.0)))
+    Au = pad_free(system.free, system.A @ u[system.free])
+    return float(np.sqrt(max(np.einsum("i,i->", u, Au), 0.0)))
 
 
 def divergence_l2(exact_system: StokesSystem, u: np.ndarray) -> float:
-    """L2 norm of div u_h; the elementwise divergence is constant."""
-    means = (exact_system.B.T @ u) / exact_system.areas
+    """L2 norm of div u_h for u on all dofs that vanishes on the constrained
+    ones; the elementwise divergence is constant."""
+    means = (exact_system.B.T @ u[exact_system.free]) / exact_system.areas
     return float(np.sqrt(np.sum(exact_system.areas * means ** 2)))

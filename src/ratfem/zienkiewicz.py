@@ -18,8 +18,8 @@ import numpy as np
 
 from . import fecore
 from .fecore import (MIDS, VERTS, assemble_matrix, assemble_vector,
-                     edge_corrections, free_block, lagrange_basis,
-                     lagrange_nodes, load_values, moment_tensor, pad_free)
+                     lagrange_basis, lagrange_nodes, load_values,
+                     moment_tensor, pad_free)
 from .mesh import Triangulation
 from .ratfun import RatCombo, bubble, combo_values, gradient_values
 
@@ -111,19 +111,12 @@ class ZeroBubbleNormalDerivativeError(ArithmeticError):
     """A bubble's own midpoint normal derivative vanished (degenerate element)."""
 
 
-def reduced_coefficients(V, normals) -> np.ndarray:
-    """Bubble corrections making the edge normal derivative affine.
-
-    Gradients sit in rows 3..5 (x) and 6..8 (y); see
-    :func:`fecore.edge_corrections`.
-    """
-    return edge_corrections(V, normals, (3, 6), ZeroBubbleNormalDerivativeError)
-
-
 def shape_coefficients(V, variant: str, normals=None) -> np.ndarray:
-    """Shape coefficients (see :func:`fecore.shape_coefficients`)."""
-    return fecore.shape_coefficients(
-        V, None if variant == "full" else reduced_coefficients(V, normals))
+    """Shape coefficients (see :func:`fecore.shape_coefficients`); the
+    reduced element makes the edge normal derivative affine, with gradients
+    in rows 3..5 (x) and 6..8 (y)."""
+    return fecore.shape_coefficients(V, variant, normals, (3, 6),
+                                     ZeroBubbleNormalDerivativeError)
 
 
 # -- global assembly ------------------------------------------------------------
@@ -135,11 +128,10 @@ class BiharmonicSystem:
     ndof: int
     l2g: np.ndarray       # (p, L)
     free: np.ndarray      # (ndof,) bool
-    A: "object"           # csr stiffness (Laplacian products)
-    M: "object"           # csr mass
-    b: np.ndarray
+    A: "object"           # csr stiffness (Laplacian products), free x free
+    M: "object"           # csr mass, free x free
+    b: np.ndarray         # load on all dofs
     coeffs: np.ndarray    # (p, 12, L) shape-function coefficients
-    plan: tuple           # fecore.scatter_plan
 
 
 #: Dof blocks (fecore.dof_layout): vertex values and gradients, edge normals.
@@ -156,7 +148,8 @@ def mesh_phase(tria: Triangulation, variant: str):
 
 def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
                         quadrature="exact") -> BiharmonicSystem:
-    """Assemble stiffness (Laplacian form), mass and load for the plate problem.
+    """Assemble stiffness (Laplacian form) and mass on the free dofs and the
+    load on all dofs for the clamped plate.
 
     `quadrature` is "exact" or an integer n selecting the tensorized Gauss
     rule.  It only selects the reference tables (:func:`get_tables`): on
@@ -179,14 +172,13 @@ def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
         b_T = local_load(f, tria, tables)
         b = assemble_vector(l2g, area[:, None] * np.einsum("eri,er->ei", C, b_T), ndof)
 
-    return BiharmonicSystem(tria, variant, ndof, l2g, free, A, M, b, C, plan)
+    return BiharmonicSystem(tria, variant, ndof, l2g, free, A, M, b, C)
 
 
 def solve_biharmonic_eigen(system: BiharmonicSystem, x0: np.ndarray | None = None):
     """Smallest clamped-plate eigenpair on the free dofs; vector is padded."""
     from .solvers import gen_eig_smallest
     free = system.free
-    lam, x = gen_eig_smallest(free_block(system.plan, system.A),
-                              free_block(system.plan, system.M),
+    lam, x = gen_eig_smallest(system.A, system.M,
                               x0=None if x0 is None else x0[free])
     return lam, pad_free(free, x)

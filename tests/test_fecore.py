@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from felib import evaluate
 from oracle import duffy_mean
-from ratfem.fecore import (assemble_matrix, assemble_vector, free_block,
-                           lagrange_basis, lagrange_nodes, moment_tensor,
-                           scatter_plan)
+from ratfem.fecore import (assemble_matrix, assemble_vector, lagrange_basis,
+                           lagrange_nodes, moment_tensor, scatter_plan)
 from ratfem.quadrature import integral_mean_combo
 from ratfem.ratfun import RatCombo
 
@@ -75,7 +74,8 @@ def test_rhs_moments():
 
 def test_assemble_matrix():
     def assemble(l2g, local, ndof):
-        return assemble_matrix(scatter_plan(l2g, ndof, np.ones(ndof, bool)), local)
+        keep = np.ones(ndof, bool)
+        return assemble_matrix(scatter_plan(l2g, l2g, (ndof, ndof), keep, keep), local)
     l2g = np.array([[0, 1, 2]])
     local = np.arange(9.0).reshape(1, 3, 3)
     A = assemble(l2g, local, 3)
@@ -100,6 +100,13 @@ def csr_bytes(A):
 SUMMANDS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.75, 3.0, 1e16, -1e16])
 
 
+def keep_mask(data, n, label):
+    return data.draw(st.one_of(
+        st.just(np.ones(n, bool)), st.just(np.zeros(n, bool)),
+        st.lists(st.booleans(), min_size=n, max_size=n).map(
+            lambda mask: np.array(mask, dtype=bool))), label=label)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_scatter_plan_reproduces_scipy_bytes(data):
@@ -109,19 +116,35 @@ def test_scatter_plan_reproduces_scipy_bytes(data):
     # dofs no element uses
     l2g = np.array(data.draw(st.lists(st.integers(0, ndof - 1), min_size=p * L,
                                       max_size=p * L))).reshape(p, L)
-    local = np.array(data.draw(st.lists(SUMMANDS, min_size=p * L * L,
-                                        max_size=p * L * L))).reshape(p, L, L)
-    free = data.draw(st.one_of(
-        st.just(np.ones(ndof, bool)), st.just(np.zeros(ndof, bool)),
-        st.lists(st.booleans(), min_size=ndof, max_size=ndof).map(
-            lambda mask: np.array(mask, dtype=bool))), label="free")
-    plan = scatter_plan(l2g, ndof, free)
+    # square blocks on (l2g, l2g) like A and M, or blocks (p, L, 1) on
+    # (l2g, element index) like the Stokes B
+    if data.draw(st.booleans(), label="rectangular"):
+        cols, shape = np.arange(p)[:, None], (ndof, p)
+    else:
+        cols, shape = l2g, (ndof, ndof)
+    K = cols.shape[1]
+    local = np.array(data.draw(st.lists(SUMMANDS, min_size=p * L * K,
+                                        max_size=p * L * K))).reshape(p, L, K)
+    keep_rows = keep_mask(data, shape[0], "keep_rows")
+    keep_cols = (keep_rows if cols is l2g and data.draw(st.booleans())
+                 else keep_mask(data, shape[1], "keep_cols"))
+    plan = scatter_plan(l2g, cols, shape, keep_rows, keep_cols)
     A = assemble_matrix(plan, local)
-    ref = sp.coo_matrix((local.ravel(), (np.repeat(l2g, L, axis=1).ravel(),
-                                         np.tile(l2g, (1, L)).ravel())),
-                        shape=(ndof, ndof)).tocsr()
-    assert csr_bytes(A) == csr_bytes(ref)
-    assert csr_bytes(free_block(plan, A)) == csr_bytes(ref[free][:, free])
+    ref = sp.coo_matrix((local.ravel(), (np.repeat(l2g, K, axis=1).ravel(),
+                                         np.tile(cols, (1, L)).ravel())),
+                        shape=shape).tocsr()
+    assert csr_bytes(A) == csr_bytes(ref[keep_rows][:, keep_cols])
+    pattern = plan[2]
+    for array in (*plan[:2], pattern.data, pattern.indices, pattern.indptr):
+        assert array.dtype == np.int32 and not array.flags.writeable
+    # one row index, then one column index, out of range
+    for axis in (0, 1):
+        index = [l2g, cols]
+        index[axis] = index[axis].copy()
+        index[axis].flat[data.draw(st.integers(0, index[axis].size - 1))] = \
+            data.draw(st.sampled_from([-1, shape[axis]]))
+        with pytest.raises(IndexError):
+            scatter_plan(*index, shape, keep_rows, keep_cols)
 
 
 def test_global_matrix_symmetry():

@@ -5,12 +5,13 @@ import scipy.linalg as sla
 from felib import (bary_coords, divergence_pointwise, eval_float,
                    hessian_values, random_shape_regular_triangle,
                    velocity_eval)
-from ratfem.fecore import dof_layout
-from ratfem.guzman_neilan import (LAYOUTS, ROT, assemble_stokes,
-                                  divergence_l2, get_tables, grad_norm,
-                                  local_matrices, local_vandermonde,
-                                  reduced_coefficients, shape_coefficients,
-                                  solve_stokes, stream_potentials)
+from ratfem.fecore import dof_layout, edge_corrections
+from ratfem.guzman_neilan import (LAYOUTS, ROT,
+                                  ZeroBubbleTangentialTraceError,
+                                  assemble_stokes, divergence_l2, get_tables,
+                                  grad_norm, local_matrices, local_vandermonde,
+                                  shape_coefficients, solve_stokes,
+                                  stream_potentials)
 from ratfem.mesh import Triangulation, refine_uniform, unit_square_mesh
 from ratfem.ratfun import RatCombo, bubble
 
@@ -167,7 +168,8 @@ def test_reduced_element():
     rng = np.random.default_rng(3)
     tri = random_shape_regular_triangle(rng)
     area, G, GG, normals, tangents, V = element_setup(tri)
-    gamma = reduced_coefficients(V, tangents)[0]
+    gamma = edge_corrections(V, tangents, (0, 3),
+                             ZeroBubbleTangentialTraceError)[0]
     tab = get_tables()
     v = tri.c4n[tri.n4e[0]]
     for k in range(3):
@@ -197,14 +199,13 @@ def test_discretely_divfree_is_pointwise_divfree():
     mesh = refine_uniform(refine_uniform(unit_square_mesh()))
     system = assemble_stokes(mesh)
     free = system.free
-    Bf = system.B[free].toarray()
-    kernel = sla.null_space(Bf.T)
+    kernel = sla.null_space(system.B.toarray().T)
     assert kernel.shape[1] > 0
     rng = np.random.default_rng(4)
     for k in range(min(4, kernel.shape[1])):
         u = np.zeros(system.ndof)
         u[free] = kernel[:, k]
-        assert np.abs(system.B.T @ u).max() <= 1e-11
+        assert np.abs(system.B.T @ u[free]).max() <= 1e-11
         for e in range(0, mesh.num_elements, 7):
             pts = [tuple(rng.dirichlet([2, 2, 2])) for _ in range(10)]
             div = divergence_pointwise(system, e, u, pts)
@@ -317,12 +318,11 @@ def test_exact_blocks_against_quadrature_reference():
 
 
 def test_reduced_rejects_vanishing_tangential_trace():
-    from ratfem.guzman_neilan import ZeroBubbleTangentialTraceError
     _, _, _, _, tangents, V = element_setup(REF)
     bad = V.copy()
     bad[:, 10, 10] = 0.0
     with pytest.raises(ZeroBubbleTangentialTraceError):
-        reduced_coefficients(bad, tangents)
+        edge_corrections(bad, tangents, (0, 3), ZeroBubbleTangentialTraceError)
 
 
 def test_constant_field_has_zero_divergence_action():
@@ -333,4 +333,9 @@ def test_constant_field_has_zero_divergence_action():
     u = np.concatenate([
         np.full(m, const[0]), np.full(m, const[1]),
         mesh.normal4s @ const, mesh.tangent4s @ const])
-    assert np.abs(system.B.T @ u).max() <= 1e-13
+    # B^T u element by element: the contraction of B_T,e C_e with u[l2g[e]]
+    _, area, G = mesh.geometry_arrays()
+    GG = np.einsum("eic,ejc->eij", G, G)
+    _, B_T = local_matrices(area, G, GG, get_tables())
+    bt = np.einsum("eri,er->ei", system.coeffs, B_T)
+    assert np.abs(np.einsum("ei,ei->e", bt, u[system.l2g])).max() <= 1e-13

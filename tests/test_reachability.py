@@ -11,6 +11,7 @@ shared memo's constructor, say) counts as reached.  Run as a script, this
 module prints the names that the forms reached.
 """
 
+import ast
 import contextlib
 import importlib
 import inspect
@@ -145,8 +146,9 @@ def test_every_function_in_src_is_reached_public_or_allowed(tmp_path):
 
 
 #: What perfbench binds or reads besides the wrappers of `tracer.install`,
-#: and a traced assembly of each element: both fill their matrices through
-#: the wrapped `assemble_matrix`, or the fill layer drops out of the trace.
+#: and a traced assembly of each element: both fill their matrices (plate A
+#: and M, Stokes A and B) through the wrapped `assemble_matrix`, or the fill
+#: layer drops out of the trace.
 BENCHMARK_READS = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -161,7 +163,7 @@ value = ratfem.integral_mean((1, 2, 2), (0, 1, 1))
 assert ratfem.is_finite_index((1, 2, 2), (0, 1, 1))
 mesh = refine_uniform(unit_square_mesh())
 for assemble, matrices in ((experiments.assemble_biharmonic, 2),
-                           (experiments.assemble_stokes, 1)):
+                           (experiments.assemble_stokes, 2)):
     before = len(tracer.spans)
     assemble(mesh, quadrature=2)
     names = [span[0] for span in tracer.spans[before:]]
@@ -175,6 +177,26 @@ print(len(DEFAULT_CACHE), len(DEFAULT_CACHE.table), value.q0, value.q1,
 def test_the_names_the_benchmark_binds_exist():
     out = _run(["-c", BENCHMARK_READS], str(ROOT / "perfbench"))
     assert out.split()[2:4] == ["593/180", "-1/3"]
+
+
+#: The one assembly path (fecore's scatter plan) and the one solver layer.
+SPARSE_MODULES = {"ratfem.fecore", "ratfem.solvers"}
+
+
+def test_only_fecore_and_solvers_import_scipy_sparse():
+    importers = set()
+    for path in sorted((ROOT / "src" / "ratfem").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == "scipy.sparse" or name.startswith("scipy.sparse.")
+                   for name in names):
+                importers.add(f"ratfem.{path.stem}")
+    assert importers == SPARSE_MODULES
 
 
 if __name__ == "__main__":
