@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import sys
 from pathlib import Path
@@ -15,8 +16,7 @@ import numpy as np
 
 from . import __version__, guzman_neilan, zienkiewicz
 from .exact import InfiniteValueError
-from .experiments import (ExperimentConfig, TAYLOR_HOOD_REF,
-                          check_lower_bounds, csv_text, emit_svg,
+from .experiments import (TAYLOR_HOOD_REF, csv_text, emit_svg,
                           run_exp1_square, run_exp2_lshape, run_exp3_stokes,
                           stokes_load, stokes_mesh, stokes_row)
 from .mesh import DOMAINS, dump_mesh, load_mesh, refine_uniform
@@ -24,7 +24,7 @@ from .quadrature import integral_mean, is_finite_index
 from .ratfun import SingularEvaluationError
 from .solvers import NoConvergenceError
 
-#: The ExperimentConfig fields each experiment takes besides ns and variant.
+#: The driver parameters each experiment takes besides ns and variant.
 EXPERIMENT_FIELDS = {
     "exp1": ("levels",),
     "exp2": ("theta", "budget", "uniform_interval", "solve_start",
@@ -32,8 +32,11 @@ EXPERIMENT_FIELDS = {
     "exp3": ("elements",),
 }
 
-#: Lower bounds of the quad and mesh options (see experiments.RUN_BOUNDS).
-COMMAND_BOUNDS = {"amax": 0, "bmax": 0, "refine": 0}
+#: Lower bound of each numeric option; theta lies in (0, 1] and each rule
+#: n in --ns is at least 1.
+BOUNDS = {"levels": 1, "elements": 1, "budget": 1, "uniform_interval": 0,
+          "solve_start": 0, "solve_factor": 1, "amax": 0, "bmax": 0,
+          "refine": 0}
 
 #: exp2's guide lines: header key, label, slope and value at ndof = 1e3.
 GUIDES = [("guide_slow", "O(ndof^-1/2)", -0.5, "2e-2"),
@@ -77,11 +80,31 @@ def _write(path, text):
 
 
 def _check_output_dirs(args):
-    """Fail before any work if an output file's directory does not exist."""
+    """Fail before any work if an output file is a directory or its
+    directory does not exist."""
     for path in (getattr(args, "out", None), getattr(args, "svg", None)):
-        if path not in (None, "-") and not Path(path).parent.is_dir():
+        if path in (None, "-"):
+            continue
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"Is a directory: '{path}'")
+        if not Path(path).parent.is_dir():
             raise FileNotFoundError(
                 f"No such file or directory: '{Path(path).parent}'")
+
+
+def _check_bounds(args):
+    """ConfigError unless every rule n is >= 1, theta is in (0, 1] and each
+    option named in BOUNDS is >= its bound (absent or None options pass)."""
+    ns = getattr(args, "ns", ())
+    if min(ns, default=1) < 1:
+        raise ConfigError(f"quadrature rules need n >= 1, got {tuple(ns)}")
+    theta = getattr(args, "theta", 1)
+    if not 0 < theta <= 1:
+        raise ConfigError(f"theta must be in (0, 1], got {theta}")
+    for name, low in BOUNDS.items():
+        value = getattr(args, name, None)
+        if value is not None and not value >= low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
 def _reject_unread(args, mode, *names):
@@ -134,9 +157,9 @@ def _config(args):
 
 def cmd_biharmonic(args):
     n = _parse_quadrature(args.quadrature)
-    cfg = ExperimentConfig(domain=args.domain, levels=args.levels,
-                           variant=args.variant, ns=(n,) if n else ())
-    rows = [row for row in run_exp1_square(cfg) if row["n"] == n]
+    rows = run_exp1_square(levels=args.levels, ns=(n,) if n else (),
+                           variant=args.variant, domain=args.domain)
+    rows = [row for row in rows if row["n"] == n]
     _write(args.out, csv_text(_config(args), EIGEN_COLUMNS[1:], rows))
     return 0
 
@@ -153,13 +176,18 @@ def cmd_stokes(args):
     return 0
 
 
+def _drivers():
+    """Each experiment's driver and CSV columns.  The drivers are looked up
+    per call, where a tracer may have wrapped them."""
+    return {"exp1": (run_exp1_square, EIGEN_COLUMNS),
+            "exp2": (run_exp2_lshape, EIGEN_COLUMNS),
+            "exp3": (run_exp3_stokes, STOKES_COLUMNS)}
+
+
 def _experiment(args):
-    # the drivers are looked up per call, where a tracer may have wrapped them
-    runner, cols = {"exp1": (run_exp1_square, EIGEN_COLUMNS),
-                    "exp2": (run_exp2_lshape, EIGEN_COLUMNS),
-                    "exp3": (run_exp3_stokes, STOKES_COLUMNS)}[args.command]
+    runner, cols = _drivers()[args.command]
     fields = ("ns", "variant") + EXPERIMENT_FIELDS[args.command]
-    rows = runner(ExperimentConfig(**{k: getattr(args, k) for k in fields}))
+    rows = runner(**{k: getattr(args, k) for k in fields})
     if not rows:
         raise ConfigError("the run yields no rows")
     # rendered first: a run with nothing to plot writes neither file
@@ -264,20 +292,20 @@ def build_parser():
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_stokes)
 
-    defaults = ExperimentConfig()
-    for which, fields in EXPERIMENT_FIELDS.items():
+    for which, (driver, _) in _drivers().items():
+        # each option's type and default are those of the driver's parameter
+        defaults = {name: param.default for name, param in
+                    inspect.signature(driver).parameters.items()}
         e = sub.add_parser(which, help=f"quadrature-error experiment {which}")
-        for name in fields:
-            default = getattr(defaults, name)
-            e.add_argument("--" + name.replace("_", "-"), type=type(default),
-                           default=default)
-        e.add_argument("--ns", type=int, nargs="+", default=list(defaults.ns))
+        for name in EXPERIMENT_FIELDS[which]:
+            e.add_argument("--" + name.replace("_", "-"),
+                           type=type(defaults[name]), default=defaults[name])
+        e.add_argument("--ns", type=int, nargs="+", default=list(defaults["ns"]))
         e.add_argument("--variant", choices=["full", "reduced"],
-                       default=defaults.variant)
+                       default=defaults["variant"])
         e.add_argument("--out", default=None)
         e.add_argument("--svg", default=None)
         e.set_defaults(func=_experiment)
-    sub.choices["exp3"].set_defaults(ns=list(range(1, 17)), variant="reduced")
 
     d = sub.add_parser("dump-tables", help="write reference tensors as CSV")
     d.add_argument("dir")
@@ -301,7 +329,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         _check_output_dirs(args)
-        check_lower_bounds(args, COMMAND_BOUNDS)
+        _check_bounds(args)
         return args.func(args)
     # numerical failures first: a LinAlgError is also a ValueError
     except (np.linalg.LinAlgError, NoConvergenceError,

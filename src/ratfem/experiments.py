@@ -2,13 +2,11 @@
 eigenvalue problem (uniform square, graded L-shape) and the pressure-robustness
 study for Stokes, plus deterministic CSV emission.
 
-All drivers are pure functions of their configuration; reruns produce
+All drivers are pure functions of their keyword options; reruns produce
 byte-identical CSV output.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,40 +20,8 @@ from .zienkiewicz import assemble_biharmonic, solve_biharmonic_eigen
 
 TAYLOR_HOOD_REF = 4.410009e-05
 
-#: Lower bounds of the run options; theta lies in (0, 1] and each rule n >= 1.
-RUN_BOUNDS = {"levels": 1, "elements": 1, "budget": 1, "uniform_interval": 0,
-              "solve_start": 0, "solve_factor": 1}
-
-
-def check_lower_bounds(options, bounds):
-    """ValueError unless each option of `options` named in `bounds` is >= it
-    (an option that is absent or None is not checked)."""
-    for name, low in bounds.items():
-        value = getattr(options, name, None)
-        if value is not None and not value >= low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
-
-
-@dataclass
-class ExperimentConfig:
-    domain: str = "square"
-    levels: int = 5
-    ns: tuple = (2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
-    variant: str = "full"
-    theta: float = 0.5
-    budget: int = 30000
-    solve_start: int = 120
-    solve_factor: float = 1.3
-    uniform_interval: int = 2       # every k-th grading round refines globally
-    elements: int = 8192
-
-    def __post_init__(self):
-        self.ns = tuple(self.ns)
-        if min(self.ns, default=1) < 1:
-            raise ValueError(f"quadrature rules need n >= 1, got {self.ns}")
-        if not 0 < self.theta <= 1:
-            raise ValueError(f"theta must be in (0, 1], got {self.theta}")
-        check_lower_bounds(self, RUN_BOUNDS)
+#: The rules n of the two eigenvalue studies.
+NS = tuple(range(2, 12))
 
 
 def csv_text(config: dict, columns, rows) -> str:
@@ -69,14 +35,14 @@ def csv_text(config: dict, columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def eigen_rows(mesh, cfg: ExperimentConfig, level):
-    """Exact eigenvalue row (n = 0), then one row per rule n in cfg.ns."""
-    system = assemble_biharmonic(mesh, variant=cfg.variant)
+def eigen_rows(mesh, level, ns, variant):
+    """Exact eigenvalue row (n = 0), then one row per rule n in `ns`."""
+    system = assemble_biharmonic(mesh, variant=variant)
     lam, vec = solve_biharmonic_eigen(system)
     rows = [{"n": 0, "level": level, "ndof": system.ndof, "lambda": lam,
              "lambda_bar": lam, "rel_gap": 0.0}]
-    for n in cfg.ns:
-        inexact = assemble_biharmonic(mesh, variant=cfg.variant, quadrature=n)
+    for n in ns:
+        inexact = assemble_biharmonic(mesh, variant=variant, quadrature=n)
         lam_bar, _ = solve_biharmonic_eigen(inexact, x0=vec)
         rows.append({"n": n, "level": level, "ndof": system.ndof,
                      "lambda": lam, "lambda_bar": lam_bar,
@@ -84,18 +50,19 @@ def eigen_rows(mesh, cfg: ExperimentConfig, level):
     return rows
 
 
-def run_exp1_square(cfg: ExperimentConfig):
-    """Uniform refinement of the cfg.domain mesh: exact vs Gauss eigenvalues
+def run_exp1_square(levels=5, ns=NS, variant="full", domain="square"):
+    """Uniform refinement of the `domain` mesh: exact vs Gauss eigenvalues
     per level."""
     rows = []
-    mesh = DOMAINS[cfg.domain]()
-    for level in range(1, cfg.levels + 1):
+    mesh = DOMAINS[domain]()
+    for level in range(1, levels + 1):
         mesh = refine_uniform(mesh)
-        rows += eigen_rows(mesh, cfg, level)
+        rows += eigen_rows(mesh, level, ns, variant)
     return rows
 
 
-def graded_lshape_meshes(cfg: ExperimentConfig):
+def graded_lshape_meshes(theta, budget, uniform_interval, solve_start,
+                         solve_factor):
     """Mesh sequence graded toward the reentrant corner.
 
     Dörfler-marked bisection on the geometric indicator deepens the corner;
@@ -107,24 +74,27 @@ def graded_lshape_meshes(cfg: ExperimentConfig):
     rounds = last = 0
     while True:
         ndof = 3 * mesh.num_vertices + mesh.num_edges
-        if ndof >= cfg.solve_start and ndof >= cfg.solve_factor * last:
+        if ndof >= solve_start and ndof >= solve_factor * last:
             last = ndof
             yield rounds, mesh
-        if ndof > cfg.budget:
+        if ndof > budget:
             return
         eta2 = grading_indicator(mesh)
-        if cfg.uniform_interval > 0 and rounds % cfg.uniform_interval == (cfg.uniform_interval - 1):
+        if uniform_interval > 0 and rounds % uniform_interval == uniform_interval - 1:
             marked = list(range(mesh.num_elements))
         else:
-            marked = dorfler_mark(eta2, cfg.theta)
+            marked = dorfler_mark(eta2, theta)
         mesh = refine_bisect(mesh, marked)
         rounds += 1
 
 
-def run_exp2_lshape(cfg: ExperimentConfig):
+def run_exp2_lshape(theta=0.5, budget=30000, uniform_interval=2,
+                    solve_start=120, solve_factor=1.3, ns=NS, variant="full"):
     """Graded L-shape: exact vs Gauss eigenvalues along the AFEM sequence."""
-    return [row for level, mesh in graded_lshape_meshes(cfg)
-            for row in eigen_rows(mesh, cfg, level)]
+    meshes = graded_lshape_meshes(theta, budget, uniform_interval,
+                                  solve_start, solve_factor)
+    return [row for level, mesh in meshes
+            for row in eigen_rows(mesh, level, ns, variant)]
 
 
 def stokes_load(x, y):
@@ -171,16 +141,15 @@ def stokes_row(mesh, exact, n, variant):
             "pressure_err": _pressure_error(mesh, pressure)}
 
 
-def run_exp3_stokes(cfg: ExperimentConfig):
+def run_exp3_stokes(elements=8192, ns=tuple(range(1, 17)), variant="reduced"):
     """Pressure robustness: velocity error of the Guzman-Neilan FEM vs n.
 
     Velocity and divergence errors are always measured with the exact
     assembly, so inexact solves do not grade their own homework.
     """
-    mesh = stokes_mesh(cfg.elements)
-    exact = assemble_stokes(mesh, f=stokes_load, variant=cfg.variant)
-    return [stokes_row(mesh, exact, n, cfg.variant)
-            for n in (0,) + cfg.ns]
+    mesh = stokes_mesh(elements)
+    exact = assemble_stokes(mesh, f=stokes_load, variant=variant)
+    return [stokes_row(mesh, exact, n, variant) for n in (0, *ns)]
 
 
 # -- SVG emission -----------------------------------------------------------------

@@ -28,6 +28,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 REFINE_STEPS = 10        # a well-posed saddle system needs about three
+EIG_TOL = 1e-12          # relative lambda change that ends inverse iteration
+EIG_MAXIT = 500
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -111,8 +113,8 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", u, v))
 
 
-def gen_eig_smallest(A: sp.spmatrix, M: sp.spmatrix, tol: float = 1e-12,
-                     maxit: int = 500, x0: np.ndarray | None = None):
+def gen_eig_smallest(A: sp.spmatrix, M: sp.spmatrix,
+                     x0: np.ndarray | None = None):
     """Smallest eigenpair of A x = lambda M x by inverse power iteration.
 
     A must be SPD (NotPositiveDefiniteError otherwise).  One factorization of
@@ -126,7 +128,7 @@ def gen_eig_smallest(A: sp.spmatrix, M: sp.spmatrix, tol: float = 1e-12,
     x = x / np.sqrt(abs(_dot(x, M @ x)))
     Mx = M @ x
     lam_old = np.inf
-    for _ in range(maxit):
+    for _ in range(EIG_MAXIT):
         y = lu.solve(Mx)
         nrm = np.sqrt(abs(_dot(y, M @ y)))
         if nrm == 0.0:
@@ -135,7 +137,7 @@ def gen_eig_smallest(A: sp.spmatrix, M: sp.spmatrix, tol: float = 1e-12,
         Mx = M @ x
         mx = _dot(x, Mx)
         lam = _dot(x, A @ x) / mx
-        if abs(lam - lam_old) <= tol * abs(lam):
+        if abs(lam - lam_old) <= EIG_TOL * abs(lam):
             return lam, x / np.sqrt(mx)
         lam_old = lam
-    raise NoConvergenceError(f"no convergence in {maxit} iterations")
+    raise NoConvergenceError(f"no convergence in {EIG_MAXIT} iterations")

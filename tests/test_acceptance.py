@@ -14,9 +14,8 @@ from felib import (bary_coords, divergence_pointwise, element_eval,
                    random_shape_regular_triangle)
 from oracle import duffy_mean
 from ratfem.exact import ExactValue
-from ratfem.experiments import (ExperimentConfig, TAYLOR_HOOD_REF, csv_text,
-                                run_exp1_square, run_exp2_lshape,
-                                run_exp3_stokes)
+from ratfem.experiments import (TAYLOR_HOOD_REF, csv_text, run_exp1_square,
+                                run_exp2_lshape, run_exp3_stokes)
 from ratfem.quadrature import (compute_J, integral_mean, integral_mean_beta2,
                                integral_mean_poly, is_finite_index)
 from ratfem.ratfun import RatCombo
@@ -200,9 +199,7 @@ def test_criterion_6_guzman_neilan_divergence():
 
 def test_criterion_7_pressure_robustness():
     t0 = time.time()
-    cfg = ExperimentConfig(variant="reduced", elements=8192,
-                           ns=(2, 3, 12))
-    rows = run_exp3_stokes(cfg)
+    rows = run_exp3_stokes(variant="reduced", elements=8192, ns=(2, 3, 12))
     err = {r["n"]: r["grad_err"] for r in rows}
     assert err[0] <= 1e-10
     assert any(err[n] > TAYLOR_HOOD_REF for n in (2, 3))
@@ -216,8 +213,7 @@ def test_criterion_7_pressure_robustness():
 def test_criterion_8_eigenvalue_quadrature_study():
     t0 = time.time()
     ns = (2, 3, 4, 6, 8)
-    cfg1 = ExperimentConfig(levels=5, ns=ns, variant="full")
-    rows1 = run_exp1_square(cfg1)
+    rows1 = run_exp1_square(levels=5, ns=ns, variant="full")
     gaps = {(r["level"], r["n"]): r["rel_gap"] for r in rows1 if r["n"] > 0}
     for level in range(1, 6):
         seq = [gaps[(level, n)] for n in ns]
@@ -228,9 +224,8 @@ def test_criterion_8_eigenvalue_quadrature_study():
     stag = abs(g5 - g4) / g4
     assert stag < 0.5
 
-    cfg2 = ExperimentConfig(ns=(2, 8, 11), theta=0.9, uniform_interval=0,
+    rows2 = run_exp2_lshape(ns=(2, 8, 11), theta=0.9, uniform_interval=0,
                             budget=2600, solve_start=60, solve_factor=1.9)
-    rows2 = run_exp2_lshape(cfg2)
     slopes = {}
     for n in (2, 8, 11):
         pts = [(r["ndof"], r["rel_gap"]) for r in rows2 if r["n"] == n]
@@ -248,19 +243,19 @@ def test_criterion_8_eigenvalue_quadrature_study():
 
 
 def test_criterion_9_determinism():
-    cfg = ExperimentConfig(levels=2, ns=(2,), variant="full")
+    cfg = dict(levels=2, ns=(2,), variant="full")
     text1 = csv_text({"experiment": "exp1"}, ["n", "level", "ndof", "lambda",
                                               "lambda_bar", "rel_gap"],
-                     run_exp1_square(cfg))
+                     run_exp1_square(**cfg))
     text2 = csv_text({"experiment": "exp1"}, ["n", "level", "ndof", "lambda",
                                               "lambda_bar", "rel_gap"],
-                     run_exp1_square(cfg))
+                     run_exp1_square(**cfg))
     assert text1 == text2
-    cfg3 = ExperimentConfig(variant="reduced", elements=128, ns=(2,))
+    cfg3 = dict(variant="reduced", elements=128, ns=(2,))
     t1 = csv_text({}, ["n", "grad_err", "div_err", "pressure_err"],
-                  run_exp3_stokes(cfg3))
+                  run_exp3_stokes(**cfg3))
     t2 = csv_text({}, ["n", "grad_err", "div_err", "pressure_err"],
-                  run_exp3_stokes(cfg3))
+                  run_exp3_stokes(**cfg3))
     assert t1 == t2
     _report(9, "exp1 and exp3 reruns byte-identical (fresh-process rerun "
                "covered in test_cli)")

@@ -1,7 +1,9 @@
 import argparse
 import contextlib
-import dataclasses
+import dis
+import functools
 import hashlib
+import inspect
 import io
 import os
 import subprocess
@@ -94,17 +96,35 @@ def test_options_a_mode_never_reads_are_rejected(monkeypatch, capsys, argv):
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 
-@pytest.mark.parametrize("args", [
-    ["mesh", "load", "--file", "{tmp}/missing.txt"],
-    ["mesh", "dump", "--out", "{tmp}/missing/mesh.txt"],
-    ["exp1", "--levels", "1", "--ns", "2", "--out", "{tmp}/exp1.csv",
-     "--svg", "{tmp}/missing/exp1.svg"],
-])
-def test_io_failures_are_configuration_errors(tmp_path, capsys, args):
+#: Commands whose files cannot be read or written, with their error.
+IO_FAILURES = [
+    (["mesh", "load", "--file", "{tmp}/missing.txt"], "No such file or directory"),
+    (["mesh", "dump", "--out", "{tmp}/missing/mesh.txt"],
+     "No such file or directory"),
+    (["exp1", "--levels", "1", "--ns", "2", "--out", "{tmp}/exp1.csv",
+      "--svg", "{tmp}/missing/exp1.svg"], "No such file or directory"),
+    (["exp1", "--levels", "1", "--ns", "2", "--out", "{tmp}/exp1.csv",
+      "--svg", "{tmp}"], "Is a directory"),
+    (["exp1", "--levels", "1", "--ns", "2", "--out", "{tmp}"], "Is a directory"),
+]
+
+
+@pytest.mark.parametrize("args, message", IO_FAILURES,
+                         ids=[f"args{k}" for k in range(len(IO_FAILURES))])
+def test_io_failures_are_configuration_errors(tmp_path, capsys, args, message):
     assert main([a.format(tmp=tmp_path) for a in args]) == 2
-    assert "No such file or directory" in capsys.readouterr().err
-    # output directories are checked before the run, so no CSV is left behind
+    assert message in capsys.readouterr().err
+    # output paths are checked before the run, so no CSV is left behind
     assert not any(tmp_path.iterdir())
+
+
+def _replace_driver(monkeypatch, name, body):
+    """Put `body` in place of the driver `name` that the CLI calls; it keeps
+    the driver's signature, from which the parser reads the options."""
+    @functools.wraps(getattr(experiments, name))
+    def driver(**options):
+        return body(**options)
+    monkeypatch.setattr(cli, name, driver)
 
 
 @pytest.mark.parametrize("error", [
@@ -113,18 +133,18 @@ def test_io_failures_are_configuration_errors(tmp_path, capsys, args):
     np.linalg.LinAlgError, ZeroBubbleNormalDerivativeError,
     ZeroBubbleTangentialTraceError, SingularEvaluationError])
 def test_solver_failures_exit_3(monkeypatch, capsys, error):
-    def fail(cfg):
+    def fail(**options):
         raise error("no factorization")
-    monkeypatch.setattr(cli, "run_exp1_square", fail)
+    _replace_driver(monkeypatch, "run_exp1_square", fail)
     assert main(["exp1", "--levels", "1", "--ns", "2"]) == 3
     assert capsys.readouterr().err == (
         "solver failure: no factorization\n")
 
 
 def test_programming_errors_keep_their_traceback(monkeypatch):
-    def fail(cfg):
+    def fail(**options):
         return 1 / 0
-    monkeypatch.setattr(cli, "run_exp1_square", fail)
+    _replace_driver(monkeypatch, "run_exp1_square", fail)
     with pytest.raises(ZeroDivisionError):
         main(["exp1", "--levels", "1", "--ns", "2"])
 
@@ -185,7 +205,7 @@ def test_bad_run_configurations_are_rejected_before_any_work(
 def test_a_run_with_nothing_to_plot_leaves_no_file(monkeypatch, capsys, tmp_path):
     rows = [{"n": n, "level": 1, "ndof": 9, "lambda": 1.0, "lambda_bar": 1.0,
              "rel_gap": 0.0} for n in (0, 2)]
-    monkeypatch.setattr(cli, "run_exp1_square", lambda cfg: rows)
+    _replace_driver(monkeypatch, "run_exp1_square", lambda **options: rows)
     out, svg = tmp_path / "a.csv", tmp_path / "a.svg"
     assert main(["exp1", "--levels", "1", "--ns", "2", "--out", str(out),
                  "--svg", str(svg)]) == 2
@@ -221,8 +241,7 @@ def test_biharmonic_eig_keeps_the_exp1_rows_of_its_rule(tmp_path):
     out = tmp_path / "eig.csv"
     assert main(["biharmonic-eig", "--domain", "lshape", "--levels", "2",
                  "--quadrature", "gauss:2", "--out", str(out)]) == 0
-    rows = experiments.run_exp1_square(
-        experiments.ExperimentConfig(domain="lshape", levels=2, ns=(2,)))
+    rows = experiments.run_exp1_square(domain="lshape", levels=2, ns=(2,))
     cols = ["level", "ndof", "lambda", "lambda_bar", "rel_gap"]
     expected = experiments.csv_text(
         {}, cols, [r for r in rows if r["n"] == 2]).splitlines()[2:]
@@ -375,7 +394,8 @@ def _data_digest(text):
 #: only its own options, except the exp3 and stokes data, re-taken when the
 #: saddle solve moved to a refined quasi-definite factorization and grad_err
 #: to an einsum dot (roundoff moves); they hold under 1 and 2 OpenBLAS
-#: threads.
+#: threads.  At 32 elements grad_err's sum is insensitive to its order; the
+#: 128-element run pins that order (a sum over the free dofs alone moves it).
 GOLDEN_RUNS = {
     "exp1": (["exp1", "--levels", "2", "--ns", "2", "4"],
              "320160a784dd359999654f66daf4f0040e49f34916a0b8bbe88d745b010c56c3",
@@ -390,6 +410,10 @@ GOLDEN_RUNS = {
              "8ef36bc32df9d5ccf5480251cb258ea03a403d2d533f53782df7caa0453d0fc7",
              "9fb6dc7466cf758947cb4a5ca92e451c98b0d7fb2f2acae9a62d8b35cc8b8cd4",
              "command elements ns taylor_hood_ref variant"),
+    "exp3-128": (["exp3", "--elements", "128", "--ns", "1", "2", "16"],
+                 "e3d3a4e73523206f205cd32e3d44fe9f218b4ae987d466078be7aaf0b20db0f5",
+                 "000c3ea158aed155d8cb89680c67c6ec05a56cb80efa988afdbcdb5e870e8112",
+                 "command elements ns taylor_hood_ref variant"),
     "biharmonic-eig": (["biharmonic-eig", "--domain", "lshape", "--levels", "2",
                         "--quadrature", "gauss:2"],
                        "17e5b8fbac736d8e52a422ba898eba6f72be5ac96c15a297939b689ac8eda5c4",
@@ -419,35 +443,32 @@ def test_run_commands_keep_their_bytes_and_header_keys(tmp_path, command):
                                   ["exp1", "--elements", "8"],
                                   ["exp2", "--levels", "3"]])
 def test_options_of_other_experiments_are_rejected(monkeypatch, capsys, argv):
-    def started(cfg):
+    def started(**options):
         raise AssertionError("the experiment started")
     for name in ("run_exp1_square", "run_exp2_lshape", "run_exp3_stokes"):
-        monkeypatch.setattr(cli, name, started)
+        _replace_driver(monkeypatch, name, started)
     assert main(argv) == 2
     assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
 
 
-#: A small configuration of each experiment's driver.
-DRIVERS = {
-    "exp1": (experiments.run_exp1_square, dict(levels=1, ns=(2,))),
-    "exp2": (experiments.run_exp2_lshape, dict(ns=(2,), budget=220, solve_start=60)),
-    "exp3": (experiments.run_exp3_stokes, dict(elements=8, ns=(1,))),
-}
+#: Each experiment's driver.
+DRIVERS = {"exp1": experiments.run_exp1_square,
+           "exp2": experiments.run_exp2_lshape,
+           "exp3": experiments.run_exp3_stokes}
 
 
-def _fields_read(driver, config):
-    """The ExperimentConfig fields that one run of `driver` reads."""
+def _locals_read(code):
+    """The names of the local variables that `code` or a scope nested in it
+    (a comprehension, say) loads."""
     read = set()
-
-    class Recorder(experiments.ExperimentConfig):
-        def __getattribute__(self, name):
-            read.add(name)
-            return super().__getattribute__(name)
-
-    cfg = experiments.ExperimentConfig(**config)
-    cfg.__class__ = Recorder
-    driver(cfg)
-    return read & {f.name for f in dataclasses.fields(cfg)}
+    for ins in dis.get_instructions(code):
+        if ins.opname.startswith(("LOAD_FAST", "LOAD_DEREF")):
+            read.update(ins.argval if isinstance(ins.argval, tuple)
+                        else (ins.argval,))
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            read |= _locals_read(const)
+    return read
 
 
 def _subcommands():
@@ -459,11 +480,19 @@ def _subcommands():
 def test_each_experiment_takes_exactly_the_fields_its_driver_reads():
     sub = _subcommands()
     assert sorted(c for c in sub if c.startswith("exp")) == sorted(DRIVERS)
-    for which, (driver, config) in DRIVERS.items():
-        dests = {a.dest for a in sub[which]._actions} - {"help"}
+    for which, driver in DRIVERS.items():
+        params = inspect.signature(driver).parameters
+        # a parameter the driver never reads would be a silently ignored option
+        assert set(params) <= _locals_read(driver.__code__), which
+        actions = {a.dest: a for a in sub[which]._actions}
         # exp1 is the unit-square study; only biharmonic-eig sets a domain
-        read = _fields_read(driver, config) - {"domain"}
-        assert dests == {"ns", "variant", "out", "svg"} | read, which
+        taken = set(params) - {"domain"}
+        assert set(actions) - {"help"} == {"out", "svg"} | taken, which
+        # the driver's defaults are the command's (--ns as a list)
+        for name in taken:
+            default = params[name].default
+            assert actions[name].default == (
+                list(default) if name == "ns" else default), (which, name)
 
 
 #: What each command needs besides the drawn option to start its work.
@@ -473,8 +502,8 @@ BASE_ARGV = {"quad": ["--table"], "mesh": ["dump"]}
 def _out_of_range(dest, kind):
     """Values of option `dest` outside its bound, as command-line words.
 
-    The lower bounds come from experiments.RUN_BOUNDS and cli.COMMAND_BOUNDS;
-    theta must lie in (0, 1] and each rule n in --ns be at least 1.
+    The lower bounds come from cli.BOUNDS; theta must lie in (0, 1] and each
+    rule n in --ns be at least 1.
     """
     nan = st.just(float("nan"))
     if dest == "ns":
@@ -485,7 +514,7 @@ def _out_of_range(dest, kind):
         values = st.floats(max_value=0) | st.floats(min_value=1,
                                                     exclude_min=True) | nan
     else:
-        low = {**experiments.RUN_BOUNDS, **cli.COMMAND_BOUNDS}[dest]
+        low = cli.BOUNDS[dest]
         values = (st.integers(max_value=low - 1) if kind is int else
                   st.floats(max_value=low, exclude_max=True) | nan)
     flag = "--" + dest.replace("_", "-")
@@ -529,4 +558,4 @@ def test_every_numeric_option_has_a_bound():
     # a new int or float option needs a bound before the draw above can
     # reach it
     assert {dest for _, dest, _ in _numeric_options()} == (
-        set(experiments.RUN_BOUNDS) | set(cli.COMMAND_BOUNDS) | {"ns", "theta"})
+        set(cli.BOUNDS) | {"ns", "theta"})

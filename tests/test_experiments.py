@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from felib import fit_slope
-from ratfem.experiments import (ExperimentConfig, TAYLOR_HOOD_REF, csv_text,
+from ratfem.experiments import (TAYLOR_HOOD_REF, csv_text,
                                 graded_lshape_meshes, run_exp1_square,
                                 run_exp2_lshape, run_exp3_stokes,
                                 stokes_exact_pressure, stokes_load)
@@ -31,16 +31,16 @@ def test_stokes_problem_data():
 def test_pressure_robust_to_roundoff():
     # the load is a gradient, so the exact system's velocity and every
     # system's divergence are exactly zero; what is left is the solver's
-    rows = run_exp3_stokes(ExperimentConfig(elements=512, ns=(1, 2),
-                                            variant="reduced"))
+    rows = run_exp3_stokes(elements=512, ns=(1, 2), variant="reduced")
     assert [r["n"] for r in rows] == [0, 1, 2]
     assert rows[0]["grad_err"] <= 1e-13
     assert all(r["div_err"] <= 1e-13 for r in rows)
 
 
 def test_graded_meshes_shrink_and_stay_conforming():
-    cfg = ExperimentConfig(budget=800, solve_start=60, solve_factor=1.5)
-    meshes = [m for _, m in graded_lshape_meshes(cfg)]
+    meshes = [m for _, m in graded_lshape_meshes(
+        theta=0.5, budget=800, uniform_interval=2, solve_start=60,
+        solve_factor=1.5)]
     assert len(meshes) >= 3
     sizes = [m.num_elements for m in meshes]
     assert sizes == sorted(sizes)
@@ -53,9 +53,8 @@ def test_graded_meshes_shrink_and_stay_conforming():
 
 
 def test_exp2_exact_eigenvalues_cauchy():
-    cfg = ExperimentConfig(ns=(2,), theta=0.9, uniform_interval=0,
+    rows = run_exp2_lshape(ns=(2,), theta=0.9, uniform_interval=0,
                            budget=1800, solve_start=60, solve_factor=1.9)
-    rows = run_exp2_lshape(cfg)
     lams = [r["lambda"] for r in rows if r["n"] == 0]
     diffs = [abs(a - b) for a, b in zip(lams, lams[1:])]
     assert len(diffs) >= 2
@@ -71,21 +70,30 @@ def test_csv_text_format():
     assert lines[3] == "x,y" and lines[4] == "1,0.5"
 
 
-@pytest.mark.parametrize("rules", [(0,), (2, -3)])
-def test_rules_below_one_are_rejected_by_the_config(rules):
+@pytest.mark.parametrize("driver, options, message", [
     # n = 0 names the exact system's row of an experiment, so it is no rule
-    with pytest.raises(ValueError, match="quadrature rules need n >= 1"):
-        ExperimentConfig(ns=rules)
+    (run_exp1_square, dict(levels=1, ns=(0,)), "need at least one Gauss point"),
+    (run_exp1_square, dict(levels=1, ns=(2, -3)), "need at least one Gauss point"),
+    (run_exp3_stokes, dict(elements=8, ns=(-1,)), "need at least one Gauss point"),
+    (run_exp3_stokes, dict(elements=0, ns=()), "elements must be >= 1"),
+    (run_exp2_lshape, dict(theta=1.5, budget=200, solve_start=0, ns=()),
+     r"theta must be in \(0, 1\]"),
+])
+def test_drivers_raise_where_a_bad_value_is_read(driver, options, message):
+    # the command line checks ranges before any work; called from Python, a
+    # value that would give a wrong number raises in the layer that reads it
+    with pytest.raises(ValueError, match=message):
+        driver(**options)
 
 
 @pytest.mark.parametrize("domain, coarse", [("square", unit_square_mesh),
                                             ("lshape", lshape_mesh)])
 def test_exp1_refines_the_configured_domain(domain, coarse):
-    rows = run_exp1_square(ExperimentConfig(domain=domain, levels=1, ns=()))
+    rows = run_exp1_square(domain=domain, levels=1, ns=())
     mesh = refine_uniform(coarse())
     assert [r["ndof"] for r in rows] == [3 * mesh.num_vertices + mesh.num_edges]
 
 
 def test_exp1_rejects_an_unknown_domain():
     with pytest.raises(KeyError):
-        run_exp1_square(ExperimentConfig(domain="circle", levels=1, ns=()))
+        run_exp1_square(domain="circle", levels=1, ns=())

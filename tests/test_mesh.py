@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from felib import domain_area, element_geometry, min_angle
-from ratfem.experiments import ExperimentConfig, graded_lshape_meshes, stokes_mesh
+from ratfem.experiments import graded_lshape_meshes, stokes_mesh
 from ratfem.mesh import (DegenerateBarycenterError, DegenerateElementError,
                          MeshFormatError, Triangulation, dorfler_mark,
                          dump_mesh, grading_indicator, load_mesh, lshape_mesh,
@@ -176,7 +176,10 @@ GRADED_AND_STOKES_DIGEST = (
 
 
 def test_mesh_sequence_matches_golden_digest():
-    meshes = [m for _, m in graded_lshape_meshes(ExperimentConfig(budget=10000))]
+    # exp2's grading at budget 10000
+    meshes = [m for _, m in graded_lshape_meshes(
+        theta=0.5, budget=10000, uniform_interval=2, solve_start=120,
+        solve_factor=1.3)]
     assert len(meshes) == 6
     meshes.append(stokes_mesh(2048))
     assert mesh_digest(meshes) == GRADED_AND_STOKES_DIGEST

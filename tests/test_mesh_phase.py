@@ -15,9 +15,8 @@ import scipy.sparse as sp
 from ratfem import guzman_neilan as gn
 from ratfem import solvers
 from ratfem import zienkiewicz as zk
-from ratfem.experiments import (ExperimentConfig, eigen_rows,
-                                graded_lshape_meshes, run_exp3_stokes,
-                                stokes_load, stokes_mesh)
+from ratfem.experiments import (eigen_rows, graded_lshape_meshes,
+                                run_exp3_stokes, stokes_load, stokes_mesh)
 from ratfem.mesh import refine_uniform, unit_square_mesh
 
 QUADRATURES = ("exact", 2, 11)
@@ -30,8 +29,9 @@ def plate_load(x, y):
 
 @functools.cache
 def lshape_meshes():
-    return tuple(mesh for _, mesh in
-                 graded_lshape_meshes(ExperimentConfig(budget=10000)))
+    return tuple(mesh for _, mesh in graded_lshape_meshes(
+        theta=0.5, budget=10000, uniform_interval=2, solve_start=120,
+        solve_factor=1.3))
 
 
 def matrix_digest(*parts):
@@ -169,11 +169,11 @@ def test_vandermonde_built_once_per_mesh_and_variant(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     mesh = refine_uniform(refine_uniform(unit_square_mesh()))
-    eigen_rows(mesh, ExperimentConfig(ns=(2, 3)), 1)
+    eigen_rows(mesh, 1, ns=(2, 3), variant="full")
     assert calls == ["ratfem.zienkiewicz.local_vandermonde_batch",
                      "ratfem.zienkiewicz.shape_coefficients"]
     calls.clear()
-    run_exp3_stokes(ExperimentConfig(elements=128, ns=(1, 2)))
+    run_exp3_stokes(elements=128, ns=(1, 2))
     assert calls == ["ratfem.guzman_neilan.local_vandermonde",
                      "ratfem.guzman_neilan.shape_coefficients"]
 

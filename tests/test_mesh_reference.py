@@ -44,7 +44,7 @@ def test_refine_uniform_matches_reference(coarse):
 
 
 def test_graded_sequence_matches_reference():
-    # the rounds of experiments.graded_lshape_meshes at its defaults
+    # the rounds of experiments.graded_lshape_meshes at exp2's defaults
     # (theta 0.5, every second round bisects all elements), budget 10000
     mesh = lshape_mesh()
     rounds = 0

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from ratfem import solvers
 from ratfem.solvers import (NoConvergenceError, NotPositiveDefiniteError,
                             SingularSystemError, gen_eig_smallest,
                             saddle_solve)
@@ -99,11 +100,13 @@ def test_gen_eig_against_dense():
     assert x @ (M @ x) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_gen_eig_no_convergence():
+def test_gen_eig_no_convergence(monkeypatch):
     A = sp.eye(5, format="csc") + sp.diags(np.linspace(0, 1e-4, 5)).tocsc()
     M = sp.eye(5, format="csc")
+    monkeypatch.setattr(solvers, "EIG_TOL", 1e-30)
+    monkeypatch.setattr(solvers, "EIG_MAXIT", 2)
     with pytest.raises(NoConvergenceError):
-        gen_eig_smallest(A, M, tol=1e-30, maxit=2)
+        gen_eig_smallest(A, M)
 
 
 def test_determinism():
