@@ -194,7 +194,7 @@ def _experiment(args):
     svg = _plot(args.command, rows) if args.svg else None
     _write(args.out, csv_text(_config(args), cols, rows))
     if svg is not None:
-        Path(args.svg).write_text(svg)
+        _write(args.svg, svg)
     return 0
 
 

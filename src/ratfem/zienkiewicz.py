@@ -160,12 +160,13 @@ def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
     """
     area, _, GG, C, ndof, l2g, free, plan = mesh_phase(tria, variant)
     tables = get_tables(quadrature)
-    A_T = local_stiffness(area, GG, tables)
-    M_T = area[:, None, None] * tables.Mhat[None, :, :]
-    A_loc = np.einsum("eri,ers,esj->eij", C, A_T, C, optimize=True)
-    M_loc = np.einsum("eri,ers,esj->eij", C, M_T, C, optimize=True)
-    A = assemble_matrix(plan, A_loc)
-    M = assemble_matrix(plan, M_loc)
+    # A's local tensors are scattered, and freed, before M's are built
+    A = assemble_matrix(plan, np.einsum("eri,ers,esj->eij", C,
+                                        local_stiffness(area, GG, tables), C,
+                                        optimize=True))
+    M = assemble_matrix(plan, np.einsum(
+        "eri,ers,esj->eij", C, area[:, None, None] * tables.Mhat[None, :, :],
+        C, optimize=True))
 
     b = np.zeros(ndof)
     if f is not None:
@@ -175,10 +176,12 @@ def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
     return BiharmonicSystem(tria, variant, ndof, l2g, free, A, M, b, C)
 
 
-def solve_biharmonic_eigen(system: BiharmonicSystem, x0: np.ndarray | None = None):
-    """Smallest clamped-plate eigenpair on the free dofs; vector is padded."""
+def solve_biharmonic_eigen(system: BiharmonicSystem,
+                           x0: np.ndarray | None = None, lu=None):
+    """Smallest clamped-plate eigenpair on the free dofs; vector is padded.
+    `lu` preconditions the solve (see :func:`solvers.gen_eig_smallest`)."""
     from .solvers import gen_eig_smallest
     free = system.free
     lam, x = gen_eig_smallest(system.A, system.M,
-                              x0=None if x0 is None else x0[free])
+                              x0=None if x0 is None else x0[free], lu=lu)
     return lam, pad_free(free, x)

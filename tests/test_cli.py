@@ -311,6 +311,35 @@ def test_exp2_guides_and_svg(tmp_path):
     assert body.startswith("<svg") and "O(ndof^-1/2)" in body
 
 
+def test_svg_dash_goes_to_standard_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["exp1", "--levels", "1", "--ns", "2", "--out", "exp1.csv",
+                 "--svg", "-"]) == 0
+    assert capsys.readouterr().out.startswith("<svg")
+    assert [p.name for p in tmp_path.iterdir()] == ["exp1.csv"]
+
+
+def test_near_double_smallest_eigenvalues_converge(tmp_path):
+    # the first bisected L-shape mesh (17 free dofs) has its two smallest
+    # eigenvalues 1703.78 and 1729.97, 1.5% apart
+    out = tmp_path / "exp2.csv"
+    assert main(["exp2", "--budget", "100", "--solve-start", "0",
+                 "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()
+            if ln[:1].isdigit()]
+    assert [int(r[2]) for r in rows if r[0] == "0"] == [37, 49, 97]
+
+
+def test_a_singular_rule_stiffness_is_not_positive_definite(capsys):
+    # one Gauss point per element leaves the rule-1 stiffness singular; the
+    # exact LU that preconditions its solve certifies nothing about it
+    assert main(["biharmonic-eig", "--domain", "lshape", "--levels", "2",
+                 "--quadrature", "gauss:1"]) == 3
+    assert capsys.readouterr().err == (
+        "solver failure: Rayleigh quotient 3.65e-08 <= 1.3e-07: A is "
+        "singular to working accuracy or indefinite\n")
+
+
 def test_svg_emitter():
     one = emit_svg([("p", [1.0], [2.0])], axes="linear")
     assert one.startswith("<svg")
@@ -369,7 +398,7 @@ def test_rerun_byte_identical_in_fresh_processes(tmp_path):
                                   ["exp3", "--elements", "2048", "--ns", "1", "2"],
                                   ["exp3", "--elements", "8192", "--ns", "1"]])
 def test_csv_bytes_independent_of_blas_threads(tmp_path, args):
-    # assembly contracts through BLAS GEMMs and inverse iteration reduces
+    # assembly contracts through BLAS GEMMs and the eigensolver reduces
     # long vectors; the thread count must not change a single CSV byte
     outputs = []
     for threads in ("1", "2"):
@@ -393,16 +422,18 @@ def _data_digest(text):
 #: each run command.  The digests were taken before each command was given
 #: only its own options, except the exp3 and stokes data, re-taken when the
 #: saddle solve moved to a refined quasi-definite factorization and grad_err
-#: to an einsum dot (roundoff moves); they hold under 1 and 2 OpenBLAS
-#: threads.  At 32 elements grad_err's sum is insensitive to its order; the
-#: 128-element run pins that order (a sum over the free dofs alone moves it).
+#: to an einsum dot, and the exp1, exp2 and biharmonic-eig data, re-taken
+#: when LOBPCG replaced inverse iteration (roundoff moves, lambda by at most
+#: 7.5e-13 relative); they hold under 1 and 2 OpenBLAS threads.  At 32
+#: elements grad_err's sum is insensitive to its order; the 128-element run
+#: pins that order (a sum over the free dofs alone moves it).
 GOLDEN_RUNS = {
     "exp1": (["exp1", "--levels", "2", "--ns", "2", "4"],
-             "320160a784dd359999654f66daf4f0040e49f34916a0b8bbe88d745b010c56c3",
+             "3ab7675b26c7ace107bc06bbad6da2b6b6169b81fad7bc9c0ed7bbfa882440ff",
              "499b4da39cdf1a3654c97ca09267bfcb67700903f97c5f3d1583c6f7bd2c2315",
              "command levels ns variant"),
     "exp2": (["exp2", "--ns", "2", "3", "--budget", "400", "--solve-start", "60"],
-             "c3d1e58cfb44701e6314e9dc814daa2a551433ad9e976eb4c34ba5dcc5962f81",
+             "947781967d1c9ab6f72f79f94ae8ae3f0395080743411a3fcfc37567fb4e5b0f",
              "123cb68947cc61f85888a89d931f68c5f1e78b53a07c1a552bdbcc1189d4f1dd",
              "budget command guide_fast guide_slow ns solve_factor solve_start "
              "theta uniform_interval variant"),
@@ -416,7 +447,7 @@ GOLDEN_RUNS = {
                  "command elements ns taylor_hood_ref variant"),
     "biharmonic-eig": (["biharmonic-eig", "--domain", "lshape", "--levels", "2",
                         "--quadrature", "gauss:2"],
-                       "17e5b8fbac736d8e52a422ba898eba6f72be5ac96c15a297939b689ac8eda5c4",
+                       "f192cba52b427fa1650d2dcf816708d15617d99446e3da3087cec29d008420d4",
                        None, "command domain levels quadrature variant"),
     "stokes": (["stokes", "--elements", "32", "--quadrature", "gauss:2"],
                "dc6d304728d6a8db6ec3e729e285e6d5075b1eb83bf48c17202b1126732967f7",

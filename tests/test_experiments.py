@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from felib import fit_slope
+from ratfem import solvers
 from ratfem.experiments import (TAYLOR_HOOD_REF, csv_text,
                                 graded_lshape_meshes, run_exp1_square,
                                 run_exp2_lshape, run_exp3_stokes,
@@ -59,6 +60,23 @@ def test_exp2_exact_eigenvalues_cauchy():
     diffs = [abs(a - b) for a, b in zip(lams, lams[1:])]
     assert len(diffs) >= 2
     assert all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))
+
+
+def test_one_factorization_per_eigen_mesh(monkeypatch):
+    # the exact stiffness's LU preconditions the exact and every rule-n solve
+    calls = []
+    splu = solvers.spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+    monkeypatch.setattr(solvers.spla, "splu", counted)
+    rows = run_exp1_square(levels=2, ns=(2, 5, 11))
+    assert [r["n"] for r in rows] == [0, 2, 5, 11] * 2
+    assert len(calls) == 2
+    calls.clear()
+    rows = run_exp2_lshape(budget=400, solve_start=60, ns=(2, 3))
+    assert len(calls) == len(rows) // 3 > 1
 
 
 def test_csv_text_format():

@@ -103,10 +103,73 @@ def test_gen_eig_against_dense():
 def test_gen_eig_no_convergence(monkeypatch):
     A = sp.eye(5, format="csc") + sp.diags(np.linspace(0, 1e-4, 5)).tocsc()
     M = sp.eye(5, format="csc")
-    monkeypatch.setattr(solvers, "EIG_TOL", 1e-30)
+    monkeypatch.setattr(solvers, "EIG_RESIDUAL", 1e-30)
     monkeypatch.setattr(solvers, "EIG_MAXIT", 2)
-    with pytest.raises(NoConvergenceError):
+    with pytest.raises(NoConvergenceError, match="in 2 iterations .T-norm"):
         gen_eig_smallest(A, M)
+
+
+def _random_spd(rng, n):
+    B = rng.standard_normal((n, n))
+    return B @ B.T + n * np.eye(n)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gen_eig_with_the_lu_of_a_nearby_matrix(seed):
+    # the factorization of A + E preconditions the solve of (A, M)
+    rng = np.random.default_rng(seed)
+    n = 40
+    A, M = _random_spd(rng, n), _random_spd(rng, n)
+    E = rng.standard_normal((n, n))
+    near = A + 2.0 * (E + E.T)
+    assert np.linalg.eigvalsh(near).min() > 0
+    lu = solvers.factorize_spd(sp.csc_matrix(near))
+    lam, x = gen_eig_smallest(sp.csr_matrix(A), sp.csr_matrix(M), lu=lu)
+    assert lam == pytest.approx(sla.eigh(A, M, eigvals_only=True)[0], rel=1e-9)
+    assert x @ (M @ x) == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(A @ x - lam * (M @ x)) <= 1e-6 * lam * np.linalg.norm(M @ x)
+
+
+def test_gen_eig_of_a_plate_rule_with_the_exact_lu():
+    from ratfem.mesh import refine_uniform, unit_square_mesh
+    from ratfem.zienkiewicz import assemble_biharmonic
+    mesh = refine_uniform(refine_uniform(unit_square_mesh()))
+    lu = solvers.factorize_spd(assemble_biharmonic(mesh).A)
+    rule = assemble_biharmonic(mesh, quadrature=2)
+    lam, _ = gen_eig_smallest(rule.A, rule.M, lu=lu)
+    dense = sla.eigh(rule.A.toarray(), rule.M.toarray(), eigvals_only=True)[0]
+    assert lam == pytest.approx(dense, rel=1e-9)
+
+
+def test_m_orthonormal_drops_a_dependent_vector():
+    rng = np.random.default_rng(5)
+    A, M = _random_spd(rng, 6), _random_spd(rng, 6)
+    v, u = rng.standard_normal(6), rng.standard_normal(6)
+    basis = solvers._m_orthonormal(
+        [], [(t, A @ t, M @ t) for t in (v, -2.0 * v, u)])
+    assert len(basis) == 2
+    V = np.array([b[0] for b in basis])
+    assert np.allclose(V @ M @ V.T, np.eye(2), atol=1e-14)
+    for b in basis:
+        assert np.allclose(b[1], A @ b[0]) and np.allclose(b[2], M @ b[0])
+
+
+@pytest.mark.parametrize("dense", [np.diag([1.0, -2.0, 3.0]),
+                                   # positive semidefinite: singular
+                                   np.diag([1.0, 0.0, 3.0])])
+def test_a_foreign_lu_does_not_certify_a(dense):
+    lu = solvers.factorize_spd(sp.eye(3, format="csc"))
+    with pytest.raises(NotPositiveDefiniteError, match=(
+            "Rayleigh quotient .* A is singular to working accuracy "
+            "or indefinite")):
+        gen_eig_smallest(sp.csr_matrix(dense), sp.eye(3, format="csr"), lu=lu)
+
+
+def test_a_search_space_without_m_norm_raises():
+    # M is singular: T r = (-1/3, 2/3) has no M-norm left beside x = (1, 0)
+    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    with pytest.raises(NoConvergenceError, match="collapsed"):
+        gen_eig_smallest(A, sp.diags([1.0, 0.0]).tocsr())
 
 
 def test_determinism():
