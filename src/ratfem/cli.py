@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__, guzman_neilan, zienkiewicz
 from .exact import InfiniteValueError
+from .fecore import ZeroBubbleDofError
 from .experiments import (TAYLOR_HOOD_REF, csv_text, emit_svg,
                           run_exp1_square, run_exp2_lshape, run_exp3_stokes,
                           stokes_load, stokes_mesh, stokes_row)
@@ -80,9 +81,10 @@ def _write(path, text):
 
 
 def _check_output_dirs(args):
-    """Fail before any work if an output file is a directory or its
-    directory does not exist."""
-    for path in (getattr(args, "out", None), getattr(args, "svg", None)):
+    """Fail before any work if an output file is a directory or its directory
+    does not exist, or if the CSV and the SVG share a file or standard output."""
+    out, svg = getattr(args, "out", None), getattr(args, "svg", None)
+    for path in (out, svg):
         if path in (None, "-"):
             continue
         if Path(path).is_dir():
@@ -90,6 +92,10 @@ def _check_output_dirs(args):
         if not Path(path).parent.is_dir():
             raise FileNotFoundError(
                 f"No such file or directory: '{Path(path).parent}'")
+    ends = [None if p in (None, "-") else Path(p).resolve() for p in (out, svg)]
+    if svg is not None and ends[0] == ends[1]:
+        raise ConfigError("--out and --svg name one destination: "
+                          f"{ends[1] or 'standard output'}")
 
 
 def _check_bounds(args):
@@ -332,9 +338,7 @@ def main(argv=None) -> int:
         _check_bounds(args)
         return args.func(args)
     # numerical failures first: a LinAlgError is also a ValueError
-    except (np.linalg.LinAlgError, NoConvergenceError,
-            zienkiewicz.ZeroBubbleNormalDerivativeError,
-            guzman_neilan.ZeroBubbleTangentialTraceError,
+    except (np.linalg.LinAlgError, NoConvergenceError, ZeroBubbleDofError,
             SingularEvaluationError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

@@ -24,6 +24,12 @@ VERTS = [(Fraction(1), Fraction(0), Fraction(0)),
 MIDS = [(Fraction(0), _HALF, _HALF),
         (_HALF, Fraction(0), _HALF),
         (_HALF, _HALF, Fraction(0))]
+#: The P2 Lagrange nodes, in :func:`lagrange_basis` (degree 2) order.
+P2_NODES = VERTS + MIDS
+
+
+class ZeroBubbleDofError(ArithmeticError):
+    """A bubble's own edge dof vanished (a degenerate element)."""
 
 
 def moment_tensor(left, right, quadrature="exact") -> np.ndarray:
@@ -58,17 +64,8 @@ def moment_tensor(left, right, quadrature="exact") -> np.ndarray:
     return out
 
 
-def lagrange_nodes(degree: int):
-    """Barycentric Lagrange nodes: vertices, then edge midpoints for degree 2."""
-    if degree == 1:
-        return VERTS
-    if degree == 2:
-        return VERTS + MIDS
-    raise ValueError(f"unsupported Lagrange degree {degree}")
-
-
 def lagrange_basis(degree: int):
-    """Barycentric Lagrange basis matching :func:`lagrange_nodes` ordering."""
+    """Barycentric Lagrange basis in the order of VERTS, or of P2_NODES."""
     lam = [RatCombo.lam(j) for j in range(3)]
     if degree == 1:
         return lam
@@ -109,19 +106,19 @@ def load_values(f, tria, bary, components: int | None = None) -> np.ndarray:
     return out[:, 0] if components is None else out
 
 
-def edge_corrections(V, frames, rows, error) -> np.ndarray:
+def edge_corrections(V, frames, rows) -> np.ndarray:
     """Bubble weights gamma (p,3,3) that make an edge dof affine.
 
     Rows 9+j of the Vandermonde V hold a dof on edge j (opposite vertex j):
     a vector quantity taken along frames[:, j] at the edge midpoint.  Rows
     rows[0]+i and rows[1]+i hold its x and y components at vertex i.  For
     cubic column 6+k the weight on bubble j is (that midpoint dof minus the
-    endpoint average) divided by the bubble's own dof; `error` is raised if
-    that vanishes.
+    endpoint average) divided by the bubble's own dof; ZeroBubbleDofError is
+    raised if that vanishes.
     """
-    diag = np.stack([V[:, 9 + j, 9 + j] for j in range(3)], axis=1)
-    if np.any(np.abs(diag) < 1e-14):
-        raise error("a bubble's own edge dof vanished at an edge midpoint")
+    if np.any(np.abs(np.diagonal(V[:, 9:, 9:], axis1=1, axis2=2)) < 1e-14):
+        raise ZeroBubbleDofError(
+            "a bubble's own edge dof vanished at an edge midpoint")
     rx, ry = rows
     gamma = np.empty((V.shape[0], 3, 3))
     for j in range(3):
@@ -133,20 +130,19 @@ def edge_corrections(V, frames, rows, error) -> np.ndarray:
     return gamma
 
 
-def shape_coefficients(V, variant: str, frames, rows, error) -> np.ndarray:
+def shape_coefficients(V, variant: str, frames, rows) -> np.ndarray:
     """Coefficient matrices of the nodal shape functions in the 12-basis.
 
     Full element: inv(V), shape (p,12,12).  Reduced element: (p,12,9), the
     identity on the first nine basis functions with cubic columns 6..8
-    corrected by the bubbles with weights -gamma, the
-    :func:`edge_corrections` of (V, frames, rows, error), times
-    inv(V[:, :9, :9]).
+    corrected by the bubbles with weights -gamma, the :func:`edge_corrections`
+    of (V, frames, rows), times inv(V[:, :9, :9]).
     """
     if variant == "full":
         return np.linalg.inv(V)
     red = np.zeros((V.shape[0], 12, 9))
     red[:, :9, :] = np.eye(9)[None, :, :]
-    red[:, 9:12, 6:9] = -edge_corrections(V, frames, rows, error)
+    red[:, 9:12, 6:9] = -edge_corrections(V, frames, rows)
     return red @ np.linalg.inv(V[:, :9, :9])
 
 

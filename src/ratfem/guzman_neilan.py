@@ -19,8 +19,8 @@ from functools import cache, lru_cache
 import numpy as np
 
 from . import fecore, zienkiewicz
-from .fecore import (MIDS, assemble_matrix, assemble_vector, lagrange_basis,
-                     lagrange_nodes, load_values, moment_tensor, pad_free,
+from .fecore import (MIDS, P2_NODES, assemble_matrix, assemble_vector,
+                     lagrange_basis, load_values, moment_tensor, pad_free,
                      scatter_plan)
 from .mesh import Triangulation
 from .quadrature import gauss_points
@@ -88,9 +88,8 @@ def _compute_tables(quadrature) -> GNTables:
     bhat1 = moment_tensor(lagrange_basis(2), lagrange_basis(1))
     bhat2 = moment_tensor(lagrange_basis(2),
                           [[r.diff(k) for r in rho] for k in range(3)])
-    nodes = np.array(lagrange_nodes(2), dtype=float)
     return GNTables(rho, Rhat, Mhat, zt.That_gv[:, 6:], zt.That_ge[:, 6:],
-                    val_mid, nodes, bhat1, bhat2, 1.0)
+                    val_mid, np.array(P2_NODES, dtype=float), bhat1, bhat2, 1.0)
 
 
 # -- local matrices --------------------------------------------------------------
@@ -107,9 +106,7 @@ def local_matrices(area, G, GG, tables):
     A_T = np.zeros((p, 12, 12))
     A_T[:, 0:3, 0:3] = scale[:, None, None] * GG
     A_T[:, 3:6, 3:6] = A_T[:, 0:3, 0:3]
-    Q = np.einsum("eij,ekl->eijkl", GG, GG).reshape(p, 81)
-    A_T[:, 6:12, 6:12] = area[:, None, None] * (
-        Q @ tables.Rhat.reshape(36, 81).T).reshape(p, 6, 6)
+    A_T[:, 6:12, 6:12] = zienkiewicz.local_stiffness(area, GG, tables.Rhat)
     W = np.einsum("eij,ekl->eijkl", RGt, GG).reshape(p, 54)
     M = area[:, None, None] * (W @ tables.Mhat.reshape(36, 54).T).reshape(p, 6, 6)
     A_T[:, 0:6, 6:12] = M
@@ -159,16 +156,11 @@ def local_vandermonde(G, normals, tangents) -> np.ndarray:
     return V
 
 
-class ZeroBubbleTangentialTraceError(ArithmeticError):
-    """A curl bubble's own midpoint tangential trace vanished."""
-
-
 def shape_coefficients(V, variant, tangents=None) -> np.ndarray:
     """Shape coefficients (see :func:`fecore.shape_coefficients`); the
     reduced element makes the tangential edge traces affine, with vertex
     values in rows 0..2 (x) and 3..5 (y)."""
-    return fecore.shape_coefficients(V, variant, tangents, (0, 3),
-                                     ZeroBubbleTangentialTraceError)
+    return fecore.shape_coefficients(V, variant, tangents, (0, 3))
 
 
 # -- global system ---------------------------------------------------------------
@@ -176,7 +168,6 @@ def shape_coefficients(V, variant, tangents=None) -> np.ndarray:
 @dataclass
 class StokesSystem:
     tria: Triangulation
-    variant: str
     ndof: int
     l2g: np.ndarray
     free: np.ndarray
@@ -231,7 +222,7 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
         b = assemble_vector(l2g, area[:, None] * np.einsum(
             "eri,er->ei", C, b_T), ndof)
 
-    return StokesSystem(tria, variant, ndof, l2g, free, A, B, b, C, area)
+    return StokesSystem(tria, ndof, l2g, free, A, B, b, C, area)
 
 
 def solve_stokes(system: StokesSystem):
@@ -248,7 +239,8 @@ def solve_stokes(system: StokesSystem):
     sol = saddle_solve(system.A, B, rhs)
     u = pad_free(free, sol[:nf])
     pressure = np.concatenate([[0.0], sol[nf:]])
-    pressure -= float(system.areas @ pressure) / float(system.areas.sum())
+    # einsum, not a BLAS dot, whose sum order depends on the thread count
+    pressure -= np.einsum("i,i->", system.areas, pressure) / system.areas.sum()
     return u, pressure
 
 

@@ -80,7 +80,7 @@ def _factorize(K: sp.spmatrix, positive: int):
 
 def saddle_solve(A: sp.spmatrix, B: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve K x = rhs, K = [[A, -B], [-B^T, 0]] for SPD A and B of full
-    column rank (K = A if B has no columns).
+    column rank.
 
     Raises NotPositiveDefiniteError or SingularSystemError (see the module
     docstring), also if ||K x - rhs|| / ||rhs|| is not finite or > 1e-10.
@@ -88,31 +88,28 @@ def saddle_solve(A: sp.spmatrix, B: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     nf, m = B.shape
     K = sp.bmat([[A, -B], [-B.T, None]], format="csr")
-    if m == 0:
-        x = _factorize(K, nf).solve(rhs)
+    diag = A.diagonal().max()
+    if not diag > 0:
+        raise NotPositiveDefiniteError(f"largest diagonal entry {diag!r}")
+    d = 1e-10 * abs(B).max() ** 2 / diag
+    lu = _factorize(K - sp.diags(np.r_[np.zeros(nf), np.full(m, d)]), nf)
+    x = lu.solve(rhs)
+    last = np.abs(x).max()
+    # stop when the correction is negligible or stops halving; max norms
+    # keep the stop independent of summation order
+    for _ in range(REFINE_STEPS):
+        dx = lu.solve(rhs - K @ x)
+        x = x + dx
+        step, scale = np.abs(dx).max(), np.abs(x).max()
+        if step <= 1e-15 * scale or 2 * step > last:
+            break
+        last = step
     else:
-        diag = A.diagonal().max()
-        if not diag > 0:
-            raise NotPositiveDefiniteError(f"largest diagonal entry {diag!r}")
-        d = 1e-10 * abs(B).max() ** 2 / diag
-        lu = _factorize(K - sp.diags(np.r_[np.zeros(nf), np.full(m, d)]), nf)
-        x = lu.solve(rhs)
-        last = np.abs(x).max()
-        # stop when the correction is negligible or stops halving; max norms
-        # keep the stop independent of summation order
-        for _ in range(REFINE_STEPS):
-            dx = lu.solve(rhs - K @ x)
-            x = x + dx
-            step, scale = np.abs(dx).max(), np.abs(x).max()
-            if step <= 1e-15 * scale or 2 * step > last:
-                break
-            last = step
-        else:
-            raise SingularSystemError(
-                f"refinement still correcting after {REFINE_STEPS} steps")
-        if step > 1e-10 * scale:
-            raise SingularSystemError(f"refinement stalled at {step / scale:.1e}"
-                                      " max|x|: Schur complement below the shift")
+        raise SingularSystemError(
+            f"refinement still correcting after {REFINE_STEPS} steps")
+    if step > 1e-10 * scale:
+        raise SingularSystemError(f"refinement stalled at {step / scale:.1e}"
+                                  " max|x|: Schur complement below the shift")
     nb = np.linalg.norm(rhs)
     if nb > 0:
         resid = np.linalg.norm(K @ x - rhs) / nb

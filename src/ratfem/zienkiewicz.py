@@ -17,9 +17,8 @@ from functools import cache, lru_cache
 import numpy as np
 
 from . import fecore
-from .fecore import (MIDS, VERTS, assemble_matrix, assemble_vector,
-                     lagrange_basis, lagrange_nodes, load_values,
-                     moment_tensor, pad_free)
+from .fecore import (MIDS, P2_NODES, VERTS, assemble_matrix, assemble_vector,
+                     lagrange_basis, load_values, moment_tensor, pad_free)
 from .mesh import Triangulation
 from .ratfun import RatCombo, bubble, combo_values, gradient_values
 
@@ -80,17 +79,17 @@ def _compute_tables(quadrature) -> ZienkiewiczTables:
 
 # -- local matrices -------------------------------------------------------------
 
-def local_stiffness(area, GG, tables) -> np.ndarray:
-    """Batched A_T = |T| * Ahat : (GG x GG) with GG = G G^T per element."""
-    p = GG.shape[0]
+def local_stiffness(area, GG, table) -> np.ndarray:
+    """Batched |T| * table : (GG x GG) with GG = G G^T per element, for a
+    table (r,r,3,3,3,3) of Hessian-product means such as Ahat."""
+    p, r = GG.shape[0], table.shape[0]
     Q = np.einsum("eij,ekl->eijkl", GG, GG).reshape(p, 81)
-    flat = tables.Ahat.reshape(144, 81)
-    return area[:, None, None] * (Q @ flat.T).reshape(p, 12, 12)
+    return area[:, None, None] * (Q @ table.reshape(r * r, 81).T).reshape(p, r, r)
 
 
 def local_load(f, tria, tables) -> np.ndarray:
     """Batched load means b_T (p,12) of f, interpolated in P2 at the nodes."""
-    return load_values(f, tria, lagrange_nodes(2)) @ tables.bhat
+    return load_values(f, tria, P2_NODES) @ tables.bhat
 
 
 def local_vandermonde_batch(G, normals) -> np.ndarray:
@@ -107,16 +106,11 @@ def local_vandermonde_batch(G, normals) -> np.ndarray:
     return V
 
 
-class ZeroBubbleNormalDerivativeError(ArithmeticError):
-    """A bubble's own midpoint normal derivative vanished (degenerate element)."""
-
-
 def shape_coefficients(V, variant: str, normals=None) -> np.ndarray:
     """Shape coefficients (see :func:`fecore.shape_coefficients`); the
     reduced element makes the edge normal derivative affine, with gradients
     in rows 3..5 (x) and 6..8 (y)."""
-    return fecore.shape_coefficients(V, variant, normals, (3, 6),
-                                     ZeroBubbleNormalDerivativeError)
+    return fecore.shape_coefficients(V, variant, normals, (3, 6))
 
 
 # -- global assembly ------------------------------------------------------------
@@ -124,7 +118,6 @@ def shape_coefficients(V, variant: str, normals=None) -> np.ndarray:
 @dataclass
 class BiharmonicSystem:
     tria: Triangulation
-    variant: str
     ndof: int
     l2g: np.ndarray       # (p, L)
     free: np.ndarray      # (ndof,) bool
@@ -162,7 +155,7 @@ def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
     tables = get_tables(quadrature)
     # A's local tensors are scattered, and freed, before M's are built
     A = assemble_matrix(plan, np.einsum("eri,ers,esj->eij", C,
-                                        local_stiffness(area, GG, tables), C,
+                                        local_stiffness(area, GG, tables.Ahat), C,
                                         optimize=True))
     M = assemble_matrix(plan, np.einsum(
         "eri,ers,esj->eij", C, area[:, None, None] * tables.Mhat[None, :, :],
@@ -173,7 +166,7 @@ def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
         b_T = local_load(f, tria, tables)
         b = assemble_vector(l2g, area[:, None] * np.einsum("eri,er->ei", C, b_T), ndof)
 
-    return BiharmonicSystem(tria, variant, ndof, l2g, free, A, M, b, C)
+    return BiharmonicSystem(tria, ndof, l2g, free, A, M, b, C)
 
 
 def solve_biharmonic_eigen(system: BiharmonicSystem,

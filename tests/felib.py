@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ratfem.fecore import lagrange_basis, lagrange_nodes
+from ratfem.fecore import P2_NODES, lagrange_basis
 from ratfem.mesh import DegenerateElementError, Triangulation
 from ratfem.quadrature import gauss_points
 from ratfem.ratfun import SingularEvaluationError, combo_values, gradient_values
@@ -109,7 +109,7 @@ def _rule_data(basis, n):
 
 def _p2_load(f, verts):
     """Scalar f at the P2 Lagrange nodes of one element, one call per node."""
-    nodes = np.array(lagrange_nodes(2), dtype=float)
+    nodes = np.array(P2_NODES, dtype=float)
     return np.array([f(x, y) for x, y in nodes @ verts])
 
 

@@ -17,11 +17,10 @@ from hypothesis import strategies as st
 from ratfem import cli, experiments, guzman_neilan
 from ratfem.cli import main
 from ratfem.experiments import EmptySeriesError, emit_svg
-from ratfem.guzman_neilan import ZeroBubbleTangentialTraceError
+from ratfem.fecore import ZeroBubbleDofError
 from ratfem.ratfun import SingularEvaluationError
 from ratfem.solvers import (NoConvergenceError, NotPositiveDefiniteError,
                             SingularSystemError)
-from ratfem.zienkiewicz import ZeroBubbleNormalDerivativeError
 
 
 def test_quad_value(capsys):
@@ -106,6 +105,15 @@ IO_FAILURES = [
     (["exp1", "--levels", "1", "--ns", "2", "--out", "{tmp}/exp1.csv",
       "--svg", "{tmp}"], "Is a directory"),
     (["exp1", "--levels", "1", "--ns", "2", "--out", "{tmp}"], "Is a directory"),
+    # the CSV and the SVG would overwrite each other or interleave
+    (["exp1", "--levels", "1", "--ns", "2", "--out", "{tmp}/same.txt",
+      "--svg", "{tmp}/same.txt"], "--out and --svg name one destination"),
+    (["exp1", "--levels", "1", "--ns", "2", "--out", "{tmp}/same.txt",
+      "--svg", "{tmp}/./same.txt"], "--out and --svg name one destination"),
+    (["exp1", "--levels", "1", "--ns", "2", "--svg", "-"],
+     "--out and --svg name one destination: standard output"),
+    (["exp1", "--levels", "1", "--ns", "2", "--out", "-", "--svg", "-"],
+     "--out and --svg name one destination: standard output"),
 ]
 
 
@@ -130,8 +138,7 @@ def _replace_driver(monkeypatch, name, body):
 @pytest.mark.parametrize("error", [
     NotPositiveDefiniteError, SingularSystemError, NoConvergenceError,
     # a singular Vandermonde in np.linalg.inv
-    np.linalg.LinAlgError, ZeroBubbleNormalDerivativeError,
-    ZeroBubbleTangentialTraceError, SingularEvaluationError])
+    np.linalg.LinAlgError, ZeroBubbleDofError, SingularEvaluationError])
 def test_solver_failures_exit_3(monkeypatch, capsys, error):
     def fail(**options):
         raise error("no factorization")
@@ -392,11 +399,16 @@ def test_rerun_byte_identical_in_fresh_processes(tmp_path):
                                   # the smallest budget whose last mesh has
                                   # vectors long enough for threaded BLAS dots
                                   ["exp2", "--budget", "6731"],
-                                  # the saddle solve and its measurements on
-                                  # vectors of about 7,000 entries, then of
-                                  # 20,866, past OpenBLAS's threaded-dot size
+                                  # saddle vectors of about 7,000 entries, then
+                                  # velocities of 20,866, past OpenBLAS's
+                                  # threaded-dot size (10,000); the 8,192
+                                  # pressures stay below it
                                   ["exp3", "--elements", "2048", "--ns", "1", "2"],
-                                  ["exp3", "--elements", "8192", "--ns", "1"]])
+                                  ["exp3", "--elements", "8192", "--ns", "1"],
+                                  # 32,768 elements: the pressure's mean-zero
+                                  # shift sums past the threaded-dot size
+                                  ["stokes", "--elements", "16384",
+                                   "--quadrature", "gauss:2"]])
 def test_csv_bytes_independent_of_blas_threads(tmp_path, args):
     # assembly contracts through BLAS GEMMs and the eigensolver reduces
     # long vectors; the thread count must not change a single CSV byte

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from felib import evaluate
 from oracle import duffy_mean
-from ratfem.fecore import (assemble_matrix, assemble_vector, lagrange_basis,
-                           lagrange_nodes, moment_tensor, scatter_plan)
+from ratfem.fecore import (P2_NODES, VERTS, assemble_matrix, assemble_vector,
+                           lagrange_basis, moment_tensor, scatter_plan)
 from ratfem.quadrature import integral_mean_combo
 from ratfem.ratfun import RatCombo
 
@@ -42,8 +42,7 @@ def test_bubble_hessian_moment_against_oracle():
 
 
 def test_lagrange_bases():
-    for degree in (1, 2):
-        nodes = lagrange_nodes(degree)
+    for degree, nodes in ((1, VERTS), (2, P2_NODES)):
         basis = lagrange_basis(degree)
         assert len(nodes) == len(basis)
         for i, phi in enumerate(basis):

@@ -5,11 +5,10 @@ import scipy.linalg as sla
 from felib import (bary_coords, divergence_pointwise, eval_float,
                    hessian_values, random_shape_regular_triangle,
                    velocity_eval)
-from ratfem.fecore import dof_layout, edge_corrections
-from ratfem.guzman_neilan import (LAYOUTS, ROT,
-                                  ZeroBubbleTangentialTraceError,
-                                  assemble_stokes, divergence_l2, get_tables,
-                                  grad_norm, local_matrices, local_vandermonde,
+from ratfem.fecore import ZeroBubbleDofError, dof_layout, edge_corrections
+from ratfem.guzman_neilan import (LAYOUTS, ROT, assemble_stokes,
+                                  divergence_l2, get_tables, grad_norm,
+                                  local_matrices, local_vandermonde,
                                   shape_coefficients, solve_stokes,
                                   stream_potentials)
 from ratfem.mesh import Triangulation, refine_uniform, unit_square_mesh
@@ -168,8 +167,7 @@ def test_reduced_element():
     rng = np.random.default_rng(3)
     tri = random_shape_regular_triangle(rng)
     area, G, GG, normals, tangents, V = element_setup(tri)
-    gamma = edge_corrections(V, tangents, (0, 3),
-                             ZeroBubbleTangentialTraceError)[0]
+    gamma = edge_corrections(V, tangents, (0, 3))[0]
     tab = get_tables()
     v = tri.c4n[tri.n4e[0]]
     for k in range(3):
@@ -231,6 +229,21 @@ def test_pressure_robustness_small_meshes():
         u, p = solve_stokes(system)
         assert grad_norm(system, u) <= 1e-10
         assert divergence_l2(system, u) <= 1e-11
+
+
+@pytest.mark.parametrize("quadrature", ["exact", 2])
+@pytest.mark.parametrize("variant", ["full", "reduced"])
+def test_solve_stokes_gauge(variant, quadrature):
+    # f52 plus a rotational part, so that neither u nor p vanishes
+    mesh = refine_uniform(refine_uniform(unit_square_mesh()))
+    system = assemble_stokes(mesh, f=lambda x, y: (y * y, f52(x, y)[1]),
+                             variant=variant, quadrature=quadrature)
+    u, p = solve_stokes(system)
+    assert np.abs(u).max() > 0 and np.abs(p).max() > 0
+    # the pressure has zero area-weighted mean, to roundoff
+    areas = system.areas
+    assert abs(np.sum(areas * p)) <= 1e-14 * np.abs(p).max() * areas.sum()
+    assert np.all(u[~system.free] == 0.0)
 
 
 def test_pressure_error_first_order():
@@ -321,8 +334,8 @@ def test_reduced_rejects_vanishing_tangential_trace():
     _, _, _, _, tangents, V = element_setup(REF)
     bad = V.copy()
     bad[:, 10, 10] = 0.0
-    with pytest.raises(ZeroBubbleTangentialTraceError):
-        edge_corrections(bad, tangents, (0, 3), ZeroBubbleTangentialTraceError)
+    with pytest.raises(ZeroBubbleDofError):
+        edge_corrections(bad, tangents, (0, 3))
 
 
 def test_constant_field_has_zero_divergence_action():

@@ -46,7 +46,7 @@ def test_zienkiewicz_rule_tables_match_pointwise_rule(n):
         _, area, G = tri.geometry_arrays()
         GG = np.einsum("eic,ejc->eij", G, G)
         A_ref, M_ref, b_ref = gauss_reference_zienkiewicz(tri, n, plate_load)
-        assert _rel(zk.local_stiffness(area, GG, tables)[0], A_ref) <= REL
+        assert _rel(zk.local_stiffness(area, GG, tables.Ahat)[0], A_ref) <= REL
         assert _rel(area[0] * tables.Mhat, M_ref) <= REL
         assert _rel(zk.local_load(plate_load, tri, tables)[0], b_ref) <= REL
 

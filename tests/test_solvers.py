@@ -5,19 +5,14 @@ import scipy.sparse as sp
 
 from ratfem import solvers
 from ratfem.solvers import (NoConvergenceError, NotPositiveDefiniteError,
-                            SingularSystemError, gen_eig_smallest,
-                            saddle_solve)
-
-
-def _no_columns(n):
-    """A B block without columns: saddle_solve then solves A x = rhs."""
-    return sp.csr_matrix((n, 0))
+                            SingularSystemError, factorize_spd,
+                            gen_eig_smallest, saddle_solve)
 
 
 def test_singular_system_raises():
     A = sp.csc_matrix(np.zeros((3, 3)))
     with pytest.raises(SingularSystemError):
-        saddle_solve(A, _no_columns(3), np.ones(3))
+        factorize_spd(A)
 
 
 @pytest.mark.parametrize("dense", [np.diag([1.0, -2.0, 3.0]),
@@ -42,8 +37,8 @@ def test_saddle_solve():
     with pytest.raises(NotPositiveDefiniteError):
         saddle_solve(sp.csc_matrix([[0.0]]), sp.csc_matrix([[-1.0]]),
                      np.array([1.0, 2.0]))
-    assert np.allclose(saddle_solve(sp.eye(3, format="csc"), _no_columns(3),
-                                    np.ones(3)), 1.0)
+    assert np.allclose(factorize_spd(sp.eye(3, format="csc")).solve(np.ones(3)),
+                       1.0)
     # random gauged saddle system
     A, B, rhs = _random_saddle(1)
     K = sp.bmat([[A, -B], [-B.T, None]], format="csc")
@@ -177,6 +172,6 @@ def test_determinism():
     B = rng.standard_normal((40, 40))
     A = sp.csc_matrix(B @ B.T + 40 * np.eye(40))
     b = rng.standard_normal(40)
-    x1 = saddle_solve(A, _no_columns(40), b)
-    x2 = saddle_solve(A.copy(), _no_columns(40), b.copy())
+    x1 = factorize_spd(A).solve(b)
+    x2 = factorize_spd(A.copy()).solve(b.copy())
     assert np.array_equal(x1, x2)
