@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ratfem import cli, experiments, guzman_neilan
+from ratfem import cli, experiments, guzman_neilan, zienkiewicz
 from ratfem.cli import main
 from ratfem.experiments import EmptySeriesError, emit_svg
 from ratfem.fecore import ZeroBubbleDofError
@@ -135,17 +135,48 @@ def _replace_driver(monkeypatch, name, body):
     monkeypatch.setattr(cli, name, driver)
 
 
-@pytest.mark.parametrize("error", [
-    NotPositiveDefiniteError, SingularSystemError, NoConvergenceError,
-    # a singular Vandermonde in np.linalg.inv
-    np.linalg.LinAlgError, ZeroBubbleDofError, SingularEvaluationError])
-def test_solver_failures_exit_3(monkeypatch, capsys, error):
-    def fail(**options):
+def _raise(error):
+    def fail():
         raise error("no factorization")
+    return fail
+
+
+def _vanishing_bubble(element):
+    """The element's own degenerate-bubble failure: its reduced shape
+    coefficients of a Vandermonde whose bubble edge dofs all vanish."""
+    def fail():
+        element.shape_coefficients(np.zeros((1, 12, 12)), "reduced",
+                                   np.zeros((1, 3, 2)))
+    return fail
+
+
+BUBBLE_VANISHED = "a bubble's own edge dof vanished at an edge midpoint"
+
+
+@pytest.mark.parametrize("failure, message", [
+    pytest.param(_raise(error), "no factorization", id=error.__name__)
+    for error in (NotPositiveDefiniteError, SingularSystemError,
+                  NoConvergenceError,
+                  # a singular Vandermonde in np.linalg.inv
+                  np.linalg.LinAlgError, SingularEvaluationError)] + [
+    # both reduced elements raise the one fecore.ZeroBubbleDofError
+    pytest.param(_vanishing_bubble(zienkiewicz), BUBBLE_VANISHED,
+                 id="ZeroBubbleNormalDerivativeError"),
+    pytest.param(_vanishing_bubble(guzman_neilan), BUBBLE_VANISHED,
+                 id="ZeroBubbleTangentialTraceError")])
+def test_solver_failures_exit_3(monkeypatch, capsys, failure, message):
+    def fail(**options):
+        failure()
     _replace_driver(monkeypatch, "run_exp1_square", fail)
     assert main(["exp1", "--levels", "1", "--ns", "2"]) == 3
-    assert capsys.readouterr().err == (
-        "solver failure: no factorization\n")
+    assert capsys.readouterr().err == f"solver failure: {message}\n"
+
+
+@pytest.mark.parametrize("element", [zienkiewicz, guzman_neilan],
+                         ids=["zienkiewicz", "guzman_neilan"])
+def test_both_elements_raise_one_bubble_error(element):
+    with pytest.raises(ZeroBubbleDofError, match=BUBBLE_VANISHED):
+        _vanishing_bubble(element)()
 
 
 def test_programming_errors_keep_their_traceback(monkeypatch):
