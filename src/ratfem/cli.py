@@ -25,14 +25,6 @@ from .quadrature import integral_mean, is_finite_index
 from .ratfun import SingularEvaluationError
 from .solvers import NoConvergenceError
 
-#: The driver parameters each experiment takes besides ns and variant.
-EXPERIMENT_FIELDS = {
-    "exp1": ("levels",),
-    "exp2": ("theta", "budget", "uniform_interval", "solve_start",
-             "solve_factor"),
-    "exp3": ("elements",),
-}
-
 #: Lower bound of each numeric option; theta lies in (0, 1] and each rule
 #: n in --ns is at least 1.
 BOUNDS = {"levels": 1, "elements": 1, "budget": 1, "uniform_interval": 0,
@@ -42,9 +34,6 @@ BOUNDS = {"levels": 1, "elements": 1, "budget": 1, "uniform_interval": 0,
 #: exp2's guide lines: header key, label, slope and value at ndof = 1e3.
 GUIDES = [("guide_slow", "O(ndof^-1/2)", -0.5, "2e-2"),
           ("guide_fast", "O(ndof^-1)", -1.0, "1e-5")]
-
-EIGEN_COLUMNS = ["n", "level", "ndof", "lambda", "lambda_bar", "rel_gap"]
-STOKES_COLUMNS = ["n", "grad_err", "div_err", "pressure_err"]
 
 
 class ConfigError(ValueError):
@@ -166,7 +155,8 @@ def cmd_biharmonic(args):
     rows = run_exp1_square(levels=args.levels, ns=(n,) if n else (),
                            variant=args.variant, domain=args.domain)
     rows = [row for row in rows if row["n"] == n]
-    _write(args.out, csv_text(_config(args), EIGEN_COLUMNS[1:], rows))
+    cols = [c for c in rows[0] if c != "n"]
+    _write(args.out, csv_text(_config(args), cols, rows))
     return 0
 
 
@@ -176,29 +166,26 @@ def cmd_stokes(args):
     exact = guzman_neilan.assemble_stokes(mesh, f=stokes_load,
                                           variant=args.variant)
     row = stokes_row(mesh, exact, n, args.variant)
-    _write(args.out, csv_text(_config(args), STOKES_COLUMNS, [row]))
-    print(f"grad_err = {row['grad_err']!r} "
-          f"(Taylor-Hood reference {TAYLOR_HOOD_REF!r})")
+    _write(args.out, csv_text(_config(args), list(row), [row]))
     return 0
 
 
 def _drivers():
-    """Each experiment's driver and CSV columns.  The drivers are looked up
-    per call, where a tracer may have wrapped them."""
-    return {"exp1": (run_exp1_square, EIGEN_COLUMNS),
-            "exp2": (run_exp2_lshape, EIGEN_COLUMNS),
-            "exp3": (run_exp3_stokes, STOKES_COLUMNS)}
+    """Each experiment's driver, looked up per call, where a tracer may have
+    wrapped it."""
+    return {"exp1": run_exp1_square, "exp2": run_exp2_lshape,
+            "exp3": run_exp3_stokes}
 
 
 def _experiment(args):
-    runner, cols = _drivers()[args.command]
-    fields = ("ns", "variant") + EXPERIMENT_FIELDS[args.command]
-    rows = runner(**{k: getattr(args, k) for k in fields})
+    runner = _drivers()[args.command]
+    params = inspect.signature(runner).parameters
+    rows = runner(**{k: v for k, v in vars(args).items() if k in params})
     if not rows:
         raise ConfigError("the run yields no rows")
     # rendered first: a run with nothing to plot writes neither file
     svg = _plot(args.command, rows) if args.svg else None
-    _write(args.out, csv_text(_config(args), cols, rows))
+    _write(args.out, csv_text(_config(args), list(rows[0]), rows))
     if svg is not None:
         _write(args.svg, svg)
     return 0
@@ -298,17 +285,20 @@ def build_parser():
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_stokes)
 
-    for which, (driver, _) in _drivers().items():
-        # each option's type and default are those of the driver's parameter
-        defaults = {name: param.default for name, param in
-                    inspect.signature(driver).parameters.items()}
+    for which, driver in _drivers().items():
         e = sub.add_parser(which, help=f"quadrature-error experiment {which}")
-        for name in EXPERIMENT_FIELDS[which]:
-            e.add_argument("--" + name.replace("_", "-"),
-                           type=type(defaults[name]), default=defaults[name])
-        e.add_argument("--ns", type=int, nargs="+", default=list(defaults["ns"]))
-        e.add_argument("--variant", choices=["full", "reduced"],
-                       default=defaults["variant"])
+        # one option per driver parameter, of its type and default; exp1 is
+        # the unit-square study, and only biharmonic-eig sets a domain
+        for name, param in inspect.signature(driver).parameters.items():
+            flag, default = "--" + name.replace("_", "-"), param.default
+            if name == "ns":
+                e.add_argument(flag, type=int, nargs="+",
+                               default=list(default))
+            elif name == "variant":
+                e.add_argument(flag, choices=["full", "reduced"],
+                               default=default)
+            elif name != "domain":
+                e.add_argument(flag, type=type(default), default=default)
         e.add_argument("--out", default=None)
         e.add_argument("--svg", default=None)
         e.set_defaults(func=_experiment)

@@ -20,12 +20,12 @@ The eigenpair comes from single-vector LOBPCG (Knyazev, SIAM J. Sci.
 Comput. 23(2), 2001): Rayleigh-Ritz on span{x, T r, p} for the residual
 r = A x - lambda M x and the previous step p, with the preconditioner T the
 certified LU of A or of a spectrally equivalent SPD matrix (the exact
-stiffness for a rule-n one), so that one factorization serves every
-quadrature of a mesh.  Each vector carries its products with A and M, so a
-step costs one triangular solve and one product with each.  It stops when
-the T-norm residual sqrt(r^T T r / lambda) of the M-normalized x is at most
-EIG_RESIDUAL; lambda's error is of second order in it.  A foreign LU
-certifies nothing about A, so the Rayleigh quotients check it instead.
+stiffness for a rule n >= 2 one), so that one factorization serves each
+quadrature of a mesh but rule 1.  Each vector carries its products with A
+and M, so a step costs one triangular solve and one product with each.  It
+stops when the T-norm residual sqrt(r^T T r / lambda) of the M-normalized x
+is at most EIG_RESIDUAL; lambda's error is of second order in it.  A foreign
+LU certifies nothing about A, so the Rayleigh quotients check it instead.
 
 The LU is sequential and the reductions that decide a result (max norms,
 einsum dots, the 3x3 Ritz problems) avoid BLAS, so identical inputs give
@@ -62,6 +62,8 @@ def _factorize(K: sp.spmatrix, positive: int):
     and the rest < 0 (NotPositiveDefiniteError when all should be > 0,
     SingularSystemError otherwise); the one conversion to CSC."""
     n = K.shape[0]
+    if n == 0:
+        raise SingularSystemError("empty system: no unknowns to solve for")
     error = NotPositiveDefiniteError if positive == n else SingularSystemError
     try:
         lu = spla.splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A",
@@ -150,20 +152,18 @@ def _m_orthonormal(basis, triples):
     return basis
 
 
-def gen_eig_smallest(A: sp.spmatrix, M: sp.spmatrix,
-                     x0: np.ndarray | None = None, lu=None):
+def gen_eig_smallest(A: sp.spmatrix, M: sp.spmatrix, lu,
+                     x0: np.ndarray | None = None):
     """Smallest eigenpair of A x = lambda M x by single-vector LOBPCG.
 
     The preconditioner T is `lu`, a factorize_spd of A or of a spectrally
-    equivalent SPD matrix, or else A's own factorization, which raises
-    NotPositiveDefiniteError if A is not SPD.  So does a Rayleigh quotient
-    x^T A x <= EIG_SINGULAR |x|^T |A| |x|, each step's Ritz value among them:
-    A is then indefinite or singular to working accuracy.  The start vector
-    is M times the all-ones vector (or the given x0), so runs are
-    deterministic.  The returned vector is M-normalized.
+    equivalent SPD matrix.  A Rayleigh quotient x^T A x <= EIG_SINGULAR
+    |x|^T |A| |x|, each step's Ritz value among them, raises
+    NotPositiveDefiniteError: A is then indefinite or singular to working
+    accuracy.  The start vector is M times the all-ones vector (or the given
+    x0), so runs are deterministic.  The returned vector is M-normalized.
     """
     n = A.shape[0]
-    lu = _factorize(A, n) if lu is None else lu
     abs_rows = abs(A) @ np.ones(n)
     x = M @ np.ones(n) if x0 is None else np.array(x0, dtype=float)
     basis = _m_orthonormal([], [(x, A @ x, M @ x)])

@@ -169,12 +169,12 @@ def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
     return BiharmonicSystem(tria, ndof, l2g, free, A, M, b, C)
 
 
-def solve_biharmonic_eigen(system: BiharmonicSystem,
-                           x0: np.ndarray | None = None, lu=None):
+def solve_biharmonic_eigen(system: BiharmonicSystem, lu,
+                           x0: np.ndarray | None = None):
     """Smallest clamped-plate eigenpair on the free dofs; vector is padded.
     `lu` preconditions the solve (see :func:`solvers.gen_eig_smallest`)."""
     from .solvers import gen_eig_smallest
     free = system.free
-    lam, x = gen_eig_smallest(system.A, system.M,
-                              x0=None if x0 is None else x0[free], lu=lu)
+    lam, x = gen_eig_smallest(system.A, system.M, lu,
+                              None if x0 is None else x0[free])
     return lam, pad_free(free, x)

@@ -369,13 +369,35 @@ def test_near_double_smallest_eigenvalues_converge(tmp_path):
 
 
 def test_a_singular_rule_stiffness_is_not_positive_definite(capsys):
-    # one Gauss point per element leaves the rule-1 stiffness singular; the
-    # exact LU that preconditions its solve certifies nothing about it
+    # one Gauss point per element leaves the rule-1 stiffness singular; it is
+    # factored itself, and its pivots show the two nonpositive directions
     assert main(["biharmonic-eig", "--domain", "lshape", "--levels", "2",
                  "--quadrature", "gauss:1"]) == 3
     assert capsys.readouterr().err == (
-        "solver failure: Rayleigh quotient 3.65e-08 <= 1.3e-07: A is "
+        "solver failure: pivot inertia (41, 2), want (43, 0)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["biharmonic-eig", "--levels", "2", "--variant", "reduced",
+     "--quadrature", "gauss:1"],
+    ["exp1", "--levels", "2", "--ns", "1", "2", "--variant", "reduced"]])
+def test_a_singular_rule_stiffness_has_no_smallest_eigenvalue(capsys, argv):
+    # the reduced rule-1 stiffness of the twice refined square (27 free dofs)
+    # is singular, yet its pivots are all positive; the exact LU would
+    # precondition LOBPCG onto its second eigenvalue, 184.96
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "solver failure: Rayleigh quotient 2.38e-11 <= 1.7e-05: A is "
         "singular to working accuracy or indefinite\n")
+
+
+def test_an_empty_plate_system_is_named(capsys):
+    # the reduced element has no free dof on the coarse L-shape, all of whose
+    # vertices lie on the boundary
+    assert main(["exp2", "--variant", "reduced", "--solve-start", "0",
+                 "--budget", "40", "--ns", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "solver failure: empty system: no unknowns to solve for\n")
 
 
 def test_svg_emitter():
@@ -391,13 +413,17 @@ def test_svg_emitter():
         emit_svg([("bad", [0.0, 1.0], [1.0, 2.0])], axes="loglog")
 
 
-def test_stokes_cli(tmp_path):
+def test_stokes_cli(tmp_path, capsys):
     out = tmp_path / "stokes.csv"
     assert main(["stokes", "--elements", "32", "--quadrature", "gauss:2",
                  "--out", str(out)]) == 0
     text = out.read_text()
     assert "taylor_hood_ref" in text
     assert "n,grad_err,div_err,pressure_err" in text
+    # standard output carries the same CSV and nothing after it
+    capsys.readouterr()
+    assert main(["stokes", "--elements", "32", "--quadrature", "gauss:2"]) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_single_solve_headers_hold_only_the_configuration(tmp_path):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from felib import fit_slope
 from ratfem import solvers
-from ratfem.experiments import (TAYLOR_HOOD_REF, csv_text,
+from ratfem.experiments import (TAYLOR_HOOD_REF, csv_text, eigen_rows,
                                 graded_lshape_meshes, run_exp1_square,
                                 run_exp2_lshape, run_exp3_stokes,
                                 stokes_exact_pressure, stokes_load)
 from ratfem.mesh import lshape_mesh, refine_uniform, unit_square_mesh
+from ratfem.zienkiewicz import assemble_biharmonic
 
 
 def test_fit_slope():
@@ -77,6 +79,29 @@ def test_one_factorization_per_eigen_mesh(monkeypatch):
     calls.clear()
     rows = run_exp2_lshape(budget=400, solve_start=60, ns=(2, 3))
     assert len(calls) == len(rows) // 3 > 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("variant", ["full", "reduced"])
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("coarse", [unit_square_mesh, lshape_mesh],
+                         ids=["square", "lshape"])
+def test_rule_rows_match_a_dense_solve_or_raise(coarse, level, variant, n):
+    # a rule row is the smallest eigenvalue of its own pencil (A_n, M_n), or
+    # NotPositiveDefiniteError where A_n is singular to working accuracy
+    mesh = coarse()
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    rule = assemble_biharmonic(mesh, variant=variant, quadrature=n)
+    A, M = rule.A.toarray(), rule.M.toarray()
+    spectrum = np.linalg.eigvalsh(A)
+    if spectrum[0] <= 1e-10 * spectrum[-1]:
+        with pytest.raises(solvers.NotPositiveDefiniteError):
+            eigen_rows(mesh, level, (n,), variant)
+    else:
+        lam_bar = eigen_rows(mesh, level, (n,), variant)[1]["lambda_bar"]
+        assert lam_bar == pytest.approx(sla.eigh(A, M, eigvals_only=True)[0],
+                                        rel=1e-10)
 
 
 def test_csv_text_format():

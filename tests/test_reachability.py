@@ -146,9 +146,11 @@ def test_every_function_in_src_is_reached_public_or_allowed(tmp_path):
 
 
 #: What perfbench binds or reads besides the wrappers of `tracer.install`,
-#: and a traced assembly of each element: both fill their matrices (plate A
-#: and M, Stokes A and B) through the wrapped `assemble_matrix`, or the fill
-#: layer drops out of the trace.
+#: a traced assembly of each element and a traced plate eigen row pair.  Both
+#: elements fill their matrices (plate A and M, Stokes A and B) through the
+#: wrapped `assemble_matrix`, or the fill layer drops out of the trace; the
+#: exact and the rule-2 solve go through the wrapped `solve_biharmonic_eigen`
+#: and `gen_eig_smallest`, on one factorization by the wrapped `splu`.
 BENCHMARK_READS = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -169,6 +171,12 @@ for assemble, matrices in ((experiments.assemble_biharmonic, 2),
     names = [span[0] for span in tracer.spans[before:]]
     assert names.count("fecore.assemble_matrix") == matrices, names
 assert tracer.maxima["fecore.nnz_max"] > 0, dict(tracer.maxima)
+before = len(tracer.spans)
+experiments.eigen_rows(mesh, 1, (2,), "full")
+names = [span[0] for span in tracer.spans[before:]]
+assert names.count("solvers.eig") == 2, names
+assert names.count("zienkiewicz.solve_eigen") == 2, names
+assert tracer.counts["solvers.factor_count"] == 1, dict(tracer.counts)
 print(len(DEFAULT_CACHE), len(DEFAULT_CACHE.table), value.q0, value.q1,
       value.to_float(), MemoCache.key((1, 2, 2), (0, 1, 1)))
 """

@@ -22,7 +22,7 @@ def test_singular_system_raises():
 def test_indefinite_is_not_positive_definite(dense):
     A = sp.csc_matrix(dense)
     with pytest.raises(NotPositiveDefiniteError):
-        gen_eig_smallest(A, sp.eye(A.shape[0], format="csc"))
+        gen_eig_smallest(A, sp.eye(A.shape[0], format="csc"), factorize_spd(A))
 
 
 def _random_saddle(seed, nf=20, m=7):
@@ -76,10 +76,10 @@ def test_schur_complement_near_the_shift_raises(gap, stop):
 def test_gen_eig_examples():
     A = sp.csc_matrix(np.diag([1.0, 2.0, 3.0]))
     M = sp.eye(3, format="csc")
-    lam, x = gen_eig_smallest(A, M)
+    lam, x = gen_eig_smallest(A, M, factorize_spd(A))
     assert lam == pytest.approx(1.0, rel=1e-12)
     assert abs(x[0]) == pytest.approx(1.0, rel=1e-10)
-    lam, x = gen_eig_smallest(A, A)
+    lam, x = gen_eig_smallest(A, A, factorize_spd(A))
     assert lam == pytest.approx(1.0, rel=1e-12)
 
 
@@ -89,7 +89,8 @@ def test_gen_eig_against_dense():
     A = B @ B.T + 30 * np.eye(30)
     C = rng.standard_normal((30, 30))
     M = C @ C.T + 30 * np.eye(30)
-    lam, x = gen_eig_smallest(sp.csc_matrix(A), sp.csc_matrix(M))
+    lam, x = gen_eig_smallest(sp.csc_matrix(A), sp.csc_matrix(M),
+                              factorize_spd(sp.csc_matrix(A)))
     dense = sla.eigh(A, M, eigvals_only=True)[0]
     assert lam == pytest.approx(dense, rel=1e-9)
     assert x @ (M @ x) == pytest.approx(1.0, abs=1e-10)
@@ -101,7 +102,7 @@ def test_gen_eig_no_convergence(monkeypatch):
     monkeypatch.setattr(solvers, "EIG_RESIDUAL", 1e-30)
     monkeypatch.setattr(solvers, "EIG_MAXIT", 2)
     with pytest.raises(NoConvergenceError, match="in 2 iterations .T-norm"):
-        gen_eig_smallest(A, M)
+        gen_eig_smallest(A, M, factorize_spd(A))
 
 
 def _random_spd(rng, n):
@@ -119,7 +120,7 @@ def test_gen_eig_with_the_lu_of_a_nearby_matrix(seed):
     near = A + 2.0 * (E + E.T)
     assert np.linalg.eigvalsh(near).min() > 0
     lu = solvers.factorize_spd(sp.csc_matrix(near))
-    lam, x = gen_eig_smallest(sp.csr_matrix(A), sp.csr_matrix(M), lu=lu)
+    lam, x = gen_eig_smallest(sp.csr_matrix(A), sp.csr_matrix(M), lu)
     assert lam == pytest.approx(sla.eigh(A, M, eigvals_only=True)[0], rel=1e-9)
     assert x @ (M @ x) == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.norm(A @ x - lam * (M @ x)) <= 1e-6 * lam * np.linalg.norm(M @ x)
@@ -131,7 +132,7 @@ def test_gen_eig_of_a_plate_rule_with_the_exact_lu():
     mesh = refine_uniform(refine_uniform(unit_square_mesh()))
     lu = solvers.factorize_spd(assemble_biharmonic(mesh).A)
     rule = assemble_biharmonic(mesh, quadrature=2)
-    lam, _ = gen_eig_smallest(rule.A, rule.M, lu=lu)
+    lam, _ = gen_eig_smallest(rule.A, rule.M, lu)
     dense = sla.eigh(rule.A.toarray(), rule.M.toarray(), eigvals_only=True)[0]
     assert lam == pytest.approx(dense, rel=1e-9)
 
@@ -157,14 +158,14 @@ def test_a_foreign_lu_does_not_certify_a(dense):
     with pytest.raises(NotPositiveDefiniteError, match=(
             "Rayleigh quotient .* A is singular to working accuracy "
             "or indefinite")):
-        gen_eig_smallest(sp.csr_matrix(dense), sp.eye(3, format="csr"), lu=lu)
+        gen_eig_smallest(sp.csr_matrix(dense), sp.eye(3, format="csr"), lu)
 
 
 def test_a_search_space_without_m_norm_raises():
     # M is singular: T r = (-1/3, 2/3) has no M-norm left beside x = (1, 0)
     A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
     with pytest.raises(NoConvergenceError, match="collapsed"):
-        gen_eig_smallest(A, sp.diags([1.0, 0.0]).tocsr())
+        gen_eig_smallest(A, sp.diags([1.0, 0.0]).tocsr(), factorize_spd(A))
 
 
 def test_determinism():

@@ -222,13 +222,14 @@ def test_eigen_solve():
     from ratfem.solvers import gen_eig_smallest
     free = system.free
     M = system.M.tocsc()
-    lam, x = gen_eig_smallest(M, M)
+    lam, x = gen_eig_smallest(M, M, factorize_spd(M))
     assert lam == pytest.approx(1.0, rel=1e-10)
-    lam, vec = solve_biharmonic_eigen(system)
+    lam, vec = solve_biharmonic_eigen(system, factorize_spd(system.A))
     assert vec[free] @ (M @ vec[free]) == pytest.approx(1.0, abs=1e-10)
     prev = lam
     mesh2 = refine_uniform(mesh)
-    lam2, _ = solve_biharmonic_eigen(assemble_biharmonic(mesh2))
+    system2 = assemble_biharmonic(mesh2)
+    lam2, _ = solve_biharmonic_eigen(system2, factorize_spd(system2.A))
     assert lam2 <= prev + 1e-8
     # converges toward the clamped-plate eigenvalue of the unit square
     assert 1294.0 < lam2 < prev
@@ -238,7 +239,7 @@ def test_reduced_global_dofs_and_affine_normal_derivative():
     mesh = refine_uniform(unit_square_mesh())
     system = assemble_biharmonic(mesh, variant="reduced")
     assert system.ndof == 3 * mesh.num_vertices
-    lam, u = solve_biharmonic_eigen(system)
+    lam, u = solve_biharmonic_eigen(system, factorize_spd(system.A))
     adj = {}
     for e in range(mesh.num_elements):
         for j in range(3):
@@ -260,11 +261,11 @@ def test_reduced_global_dofs_and_affine_normal_derivative():
 def test_gauss_assembly_converges_to_exact():
     mesh = refine_uniform(unit_square_mesh())
     se = assemble_biharmonic(mesh)
-    lam, vec = solve_biharmonic_eigen(se)
+    lam, vec = solve_biharmonic_eigen(se, factorize_spd(se.A))
     gaps = []
     for n in (2, 6, 12):
         sg = assemble_biharmonic(mesh, quadrature=n)
-        lam_bar, _ = solve_biharmonic_eigen(sg, x0=vec)
+        lam_bar, _ = solve_biharmonic_eigen(sg, factorize_spd(sg.A), vec)
         gaps.append(abs(lam - lam_bar) / lam)
     assert gaps[0] > 1e-2            # n = 2 is visibly wrong
     assert gaps[2] < gaps[0] / 100.0  # n = 12 nearly exact
