@@ -16,7 +16,7 @@ from .guzman_neilan import (assemble_stokes, divergence_l2, grad_norm,
 from .mesh import (DOMAINS, dorfler_mark, grading_indicator, lshape_mesh,
                    refine_bisect, refine_uniform, unit_square_mesh)
 from .quadrature import gauss_points
-from .solvers import factorize_spd
+from .solvers import NoConvergenceError, factorize_spd
 from .zienkiewicz import assemble_biharmonic, solve_biharmonic_eigen
 
 TAYLOR_HOOD_REF = 4.410009e-05
@@ -44,22 +44,27 @@ def eigen_rows(mesh, level, ns, variant):
     stiffness of rank <= 3, below its 9 or 12 dofs, so rule 1's need not be
     equivalent to the exact one: its own LU preconditions it, and that LU's
     pivots or the solve's Rayleigh quotients reject it where it is singular.
-    No system outlives its solve, so at most one is held beside the LU.
+    No system outlives its solve, so at most one is held beside the LU.  A
+    solver failure is re-raised as its own class, named by its row.
     """
     system = assemble_biharmonic(mesh, variant=variant)
-    ndof, lu = system.ndof, factorize_spd(system.A)
-    lam, vec = solve_biharmonic_eigen(system, lu)
-    del system
-    rows = [{"n": 0, "level": level, "ndof": ndof, "lambda": lam,
-             "lambda_bar": lam, "rel_gap": 0.0}]
-    for n in ns:
-        system = assemble_biharmonic(mesh, variant=variant, quadrature=n)
-        lam_bar, _ = solve_biharmonic_eigen(
-            system, factorize_spd(system.A) if n == 1 else lu, vec)
+    ndof, n = system.ndof, 0
+    try:
+        lu = factorize_spd(system.A)
+        lam, vec = solve_biharmonic_eigen(system, lu)
         del system
-        rows.append({"n": n, "level": level, "ndof": ndof,
-                     "lambda": lam, "lambda_bar": lam_bar,
-                     "rel_gap": abs(lam - lam_bar) / lam})
+        rows = [{"n": 0, "level": level, "ndof": ndof, "lambda": lam,
+                 "lambda_bar": lam, "rel_gap": 0.0}]
+        for n in ns:
+            system = assemble_biharmonic(mesh, variant=variant, quadrature=n)
+            lam_bar, _ = solve_biharmonic_eigen(
+                system, factorize_spd(system.A) if n == 1 else lu, vec)
+            del system
+            rows.append({"n": n, "level": level, "ndof": ndof,
+                         "lambda": lam, "lambda_bar": lam_bar,
+                         "rel_gap": abs(lam - lam_bar) / lam})
+    except (np.linalg.LinAlgError, NoConvergenceError) as exc:
+        raise type(exc)(f"n={n}, level {level}: {exc}") from exc
     return rows
 
 

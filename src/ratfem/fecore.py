@@ -237,7 +237,9 @@ def assemble_matrix(plan, local: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
-def assemble_vector(l2g: np.ndarray, local: np.ndarray, ndof: int) -> np.ndarray:
+def assemble_vector(l2g: np.ndarray, area, C, b_T, ndof: int) -> np.ndarray:
+    """The load on all dofs: each element's area * C^T b_T summed into l2g."""
+    local = area[:, None] * np.einsum("eri,er->ei", C, b_T)
     out = np.zeros(ndof)
     np.add.at(out, l2g.ravel(), local.ravel())
     return out

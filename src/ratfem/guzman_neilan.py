@@ -38,8 +38,9 @@ def stream_potentials():
 class GNTables:
     """Reference tables of one quadrature: exact means, or a rule-n's sums.
 
-    The load is sampled at `load_points`: the P2 Lagrange nodes for exact
-    tables (the load is interpolated there), the rule points for a rule.
+    A rule's tables are the exact ones but for Rhat, Mhat and the load
+    tables: the load is sampled at `load_points`, the P2 Lagrange nodes for
+    exact tables (the load is interpolated there), the rule points for a rule.
     """
     rho: tuple
     Rhat: np.ndarray      # (6,6,3,3,3,3) Hessian-product means, R_T layout
@@ -50,7 +51,6 @@ class GNTables:
     load_points: np.ndarray   # (J,3) barycentric points the load is taken at
     bhat1: np.ndarray     # (J,3) load-point x lam moments
     bhat2: np.ndarray     # (J,3,6) load-point x potential-gradient moments
-    mean_one: float       # mean of the constant 1 (2 sum w_q under a rule)
 
 
 def get_tables(quadrature="exact") -> GNTables:
@@ -79,8 +79,7 @@ def _compute_tables(quadrature) -> GNTables:
         Gq = gradient_values(exact.rho, bary)                 # (Q,6,3)
         return replace(exact, Rhat=Rhat, Mhat=Mhat, load_points=bary,
                        bhat1=w2[:, None] * bary,
-                       bhat2=w2[:, None, None] * Gq.transpose(0, 2, 1),
-                       mean_one=float(w2.sum()))
+                       bhat2=w2[:, None, None] * Gq.transpose(0, 2, 1))
 
     rho = stream_potentials()
     val_mid = np.zeros((3, 6, 2))
@@ -89,33 +88,33 @@ def _compute_tables(quadrature) -> GNTables:
     bhat2 = moment_tensor(lagrange_basis(2),
                           [[r.diff(k) for r in rho] for k in range(3)])
     return GNTables(rho, Rhat, Mhat, zt.That_gv[:, 6:], zt.That_ge[:, 6:],
-                    val_mid, np.array(P2_NODES, dtype=float), bhat1, bhat2, 1.0)
+                    val_mid, np.array(P2_NODES, dtype=float), bhat1, bhat2)
 
 
 # -- local matrices --------------------------------------------------------------
 
 def local_matrices(area, G, GG, tables):
-    """Batched stiffness A_T (p,12,12) and divergence vector B_T (p,12).
-
-    The curl fields are divergence-free, so B_T[:, 6:] is exactly zero under
-    every quadrature.
-    """
+    """Batched stiffness A_T (p,12,12).  The P1 block's integrand is
+    constant, so it takes no table."""
     p = G.shape[0]
-    scale = tables.mean_one * area
     RGt = np.einsum("ab,ekb->eak", ROT, G)          # (p,2,3)
     A_T = np.zeros((p, 12, 12))
-    A_T[:, 0:3, 0:3] = scale[:, None, None] * GG
+    A_T[:, 0:3, 0:3] = area[:, None, None] * GG
     A_T[:, 3:6, 3:6] = A_T[:, 0:3, 0:3]
     A_T[:, 6:12, 6:12] = zienkiewicz.local_stiffness(area, GG, tables.Rhat)
     W = np.einsum("eij,ekl->eijkl", RGt, GG).reshape(p, 54)
     M = area[:, None, None] * (W @ tables.Mhat.reshape(36, 54).T).reshape(p, 6, 6)
     A_T[:, 0:6, 6:12] = M
     A_T[:, 6:12, 0:6] = M.transpose(0, 2, 1)
+    return A_T
 
-    B_T = np.zeros((p, 12))
-    B_T[:, 0:3] = scale[:, None] * G[:, :, 0]
-    B_T[:, 3:6] = scale[:, None] * G[:, :, 1]
-    return A_T, B_T
+
+def local_divergence(area, G):
+    """Batched divergence vector B_T (p,12) under every quadrature: the
+    divergences are constant (P1 fields) or zero (curl fields)."""
+    B_T = np.zeros((G.shape[0], 12))
+    B_T[:, 0:6] = np.einsum("e,ekc->eck", area, G).reshape(-1, 6)
+    return B_T
 
 
 def local_load(f, tria, G, tables) -> np.ndarray:
@@ -184,16 +183,18 @@ LAYOUTS = {"full": "vvee", "reduced": "vve"}
 
 @lru_cache(maxsize=1)
 def mesh_phase(tria: Triangulation, variant: str):
-    """:func:`fecore.mesh_phase` of this element and the :func:`scatter_plan`
-    of B's free rows (blocks (p, L, 1), column e for element e), once per
-    (mesh, variant)."""
+    """:func:`fecore.mesh_phase` of this element and the read-only divergence
+    matrix B on the free rows (column e for element e), once per (mesh,
+    variant); no quadrature changes B, so every system of the mesh holds it."""
     phase = fecore.mesh_phase(
         tria, variant, LAYOUTS, lambda G, normals, tangents: shape_coefficients(
             local_vandermonde(G, normals, tangents), variant, tangents))
-    ndof, l2g, free = phase[4:7]
+    area, G, _, C, ndof, l2g, free, _ = phase
     p = tria.num_elements
-    return *phase, scatter_plan(l2g, np.arange(p)[:, None], (ndof, p), free,
-                                np.ones(p, bool))
+    plan = scatter_plan(l2g, np.arange(p)[:, None], (ndof, p), free, np.ones(p, bool))
+    B = assemble_matrix(plan, np.einsum("eri,er->ei", C, local_divergence(area, G)))
+    B.data.setflags(write=False)
+    return *phase, B
 
 
 def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
@@ -202,25 +203,20 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
 
     `quadrature` is "exact" or an integer n selecting the tensorized Gauss
     rule.  It only selects the reference tables (:func:`get_tables`): on
-    affine elements the rule applied to every local integral (stiffness
-    blocks, divergence entries, load) is the same contraction with rule-n
-    tables.  The exact basis change is :func:`mesh_phase`'s.  The load `f`
-    returns the pair (f_x, f_y); it is called once, as f(X, Y) on coordinate
-    arrays of the tables' load points (see :func:`local_load`).
+    affine elements the rule applied to the stiffness and load integrals is
+    the same contraction with rule-n tables.  The exact basis change and B
+    are :func:`mesh_phase`'s.  The load `f` returns the pair (f_x, f_y); it
+    is called once, as f(X, Y) on coordinate arrays of the tables' load
+    points (see :func:`local_load`).
     """
-    area, G, GG, C, ndof, l2g, free, plan, plan_B = mesh_phase(tria, variant)
+    area, G, GG, C, ndof, l2g, free, plan, B = mesh_phase(tria, variant)
     tables = get_tables(quadrature)
+    A = assemble_matrix(plan, np.einsum(
+        "eri,ers,esj->eij", C, local_matrices(area, G, GG, tables), C,
+        optimize=True))
 
-    A_T, B_T = local_matrices(area, G, GG, tables)
-    A_loc = np.einsum("eri,ers,esj->eij", C, A_T, C, optimize=True)
-    A = assemble_matrix(plan, A_loc)
-    B = assemble_matrix(plan_B, np.einsum("eri,er->ei", C, B_T))
-
-    b = np.zeros(ndof)
-    if f is not None:
-        b_T = local_load(f, tria, G, tables)
-        b = assemble_vector(l2g, area[:, None] * np.einsum(
-            "eri,er->ei", C, b_T), ndof)
+    b = np.zeros(ndof) if f is None else assemble_vector(
+        l2g, area, C, local_load(f, tria, G, tables), ndof)
 
     return StokesSystem(tria, ndof, l2g, free, A, B, b, C, area)
 

@@ -210,8 +210,6 @@ def gauss_legendre_01(n: int):
     """
     if n < 1:
         raise ValueError("need at least one Gauss point")
-    if n == 1:
-        return np.array([0.5]), np.array([1.0])
     k = np.arange(n)
     x = np.cos(np.pi * (k + 0.75) / (n + 0.5))
     for _ in range(100):

@@ -161,10 +161,8 @@ def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
         "eri,ers,esj->eij", C, area[:, None, None] * tables.Mhat[None, :, :],
         C, optimize=True))
 
-    b = np.zeros(ndof)
-    if f is not None:
-        b_T = local_load(f, tria, tables)
-        b = assemble_vector(l2g, area[:, None] * np.einsum("eri,er->ei", C, b_T), ndof)
+    b = np.zeros(ndof) if f is None else assemble_vector(
+        l2g, area, C, local_load(f, tria, tables), ndof)
 
     return BiharmonicSystem(tria, ndof, l2g, free, A, M, b, C)
 

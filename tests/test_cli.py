@@ -374,21 +374,28 @@ def test_a_singular_rule_stiffness_is_not_positive_definite(capsys):
     assert main(["biharmonic-eig", "--domain", "lshape", "--levels", "2",
                  "--quadrature", "gauss:1"]) == 3
     assert capsys.readouterr().err == (
-        "solver failure: pivot inertia (41, 2), want (43, 0)\n")
+        "solver failure: n=1, level 1: pivot inertia (41, 2), want (43, 0)\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["biharmonic-eig", "--levels", "2", "--variant", "reduced",
-     "--quadrature", "gauss:1"],
-    ["exp1", "--levels", "2", "--ns", "1", "2", "--variant", "reduced"]])
-def test_a_singular_rule_stiffness_has_no_smallest_eigenvalue(capsys, argv):
+@pytest.mark.parametrize("argv, failure", [
+    (["biharmonic-eig", "--levels", "2", "--variant", "reduced",
+      "--quadrature", "gauss:1"],
+     "n=1, level 2: Rayleigh quotient 2.38e-11 <= 1.7e-05"),
+    (["exp1", "--levels", "2", "--ns", "1", "2", "--variant", "reduced"],
+     "n=1, level 2: Rayleigh quotient 2.38e-11 <= 1.7e-05"),
+    (["exp1", "--levels", "1", "--ns", "1"],
+     "n=1, level 1: Rayleigh quotient 2.78e-12 <= 1.78e-07")],
+    ids=["argv0", "argv1", "argv2"])
+def test_a_singular_rule_stiffness_has_no_smallest_eigenvalue(capsys, argv,
+                                                              failure):
     # the reduced rule-1 stiffness of the twice refined square (27 free dofs)
     # is singular, yet its pivots are all positive; the exact LU would
-    # precondition LOBPCG onto its second eigenvalue, 184.96
+    # precondition LOBPCG onto its second eigenvalue, 184.96.  Each message
+    # names its row; argv2 is the full rule-1 row of the once refined square
     assert main(argv) == 3
     assert capsys.readouterr().err == (
-        "solver failure: Rayleigh quotient 2.38e-11 <= 1.7e-05: A is "
-        "singular to working accuracy or indefinite\n")
+        f"solver failure: {failure}: A is singular to working accuracy or "
+        "indefinite\n")
 
 
 def test_an_empty_plate_system_is_named(capsys):
@@ -397,7 +404,7 @@ def test_an_empty_plate_system_is_named(capsys):
     assert main(["exp2", "--variant", "reduced", "--solve-start", "0",
                  "--budget", "40", "--ns", "2"]) == 3
     assert capsys.readouterr().err == (
-        "solver failure: empty system: no unknowns to solve for\n")
+        "solver failure: n=0, level 0: empty system: no unknowns to solve for\n")
 
 
 def test_svg_emitter():
@@ -493,9 +500,11 @@ def _data_digest(text):
 #: saddle solve moved to a refined quasi-definite factorization and grad_err
 #: to an einsum dot, and the exp1, exp2 and biharmonic-eig data, re-taken
 #: when LOBPCG replaced inverse iteration (roundoff moves, lambda by at most
-#: 7.5e-13 relative); they hold under 1 and 2 OpenBLAS threads.  At 32
-#: elements grad_err's sum is insensitive to its order; the 128-element run
-#: pins that order (a sum over the free dofs alone moves it).
+#: 7.5e-13 relative), and the exp3 and stokes data again when the rule
+#: tables lost their mean of one, 2 sum w_q (what the earlier code gives with
+#: it 1.0); they hold under 1 and 2 OpenBLAS threads.  At 32 elements
+#: grad_err's sum is insensitive to its order; the 128-element run pins that
+#: order (a sum over the free dofs alone moves it).
 GOLDEN_RUNS = {
     "exp1": (["exp1", "--levels", "2", "--ns", "2", "4"],
              "3ab7675b26c7ace107bc06bbad6da2b6b6169b81fad7bc9c0ed7bbfa882440ff",
@@ -507,11 +516,11 @@ GOLDEN_RUNS = {
              "budget command guide_fast guide_slow ns solve_factor solve_start "
              "theta uniform_interval variant"),
     "exp3": (["exp3", "--elements", "32", "--ns", "1", "2", "3"],
-             "8ef36bc32df9d5ccf5480251cb258ea03a403d2d533f53782df7caa0453d0fc7",
+             "d562f804554ad1c736d66d851efda8b5d17124a104377e86d789eeed19fdd5f8",
              "9fb6dc7466cf758947cb4a5ca92e451c98b0d7fb2f2acae9a62d8b35cc8b8cd4",
              "command elements ns taylor_hood_ref variant"),
     "exp3-128": (["exp3", "--elements", "128", "--ns", "1", "2", "16"],
-                 "e3d3a4e73523206f205cd32e3d44fe9f218b4ae987d466078be7aaf0b20db0f5",
+                 "56a00e486ecff9eda0e2036e2a169e75b94adecb8c451c1b6cfd7683d8ee2d41",
                  "000c3ea158aed155d8cb89680c67c6ec05a56cb80efa988afdbcdb5e870e8112",
                  "command elements ns taylor_hood_ref variant"),
     "biharmonic-eig": (["biharmonic-eig", "--domain", "lshape", "--levels", "2",
@@ -519,7 +528,7 @@ GOLDEN_RUNS = {
                        "f192cba52b427fa1650d2dcf816708d15617d99446e3da3087cec29d008420d4",
                        None, "command domain levels quadrature variant"),
     "stokes": (["stokes", "--elements", "32", "--quadrature", "gauss:2"],
-               "dc6d304728d6a8db6ec3e729e285e6d5075b1eb83bf48c17202b1126732967f7",
+               "4182c51ccb153071fdf3eb8d5c94be5790bcc3eea828e9aaae909f8f6d5e59df",
                None, "command elements quadrature taylor_hood_ref variant"),
 }
 

@@ -86,8 +86,10 @@ def test_assemble_matrix():
     assert A[1, 1] == 2.0 and A[0, 0] == 1.0 and A[0, 2] == 0.0
     with pytest.raises(IndexError):
         assemble(np.array([[0, 5]]), np.ones((1, 2, 2)), 3)
-    vec = assemble_vector(np.array([[0, 1], [1, 2]]), np.ones((2, 2)), 3)
-    assert np.allclose(vec, [1, 2, 1])
+    # identity coefficients: each element adds area * b_T into its dofs
+    vec = assemble_vector(np.array([[0, 1], [1, 2]]), np.array([1.0, 2.0]),
+                          np.broadcast_to(np.eye(2), (2, 2, 2)), np.ones((2, 2)), 3)
+    assert np.allclose(vec, [1, 3, 2])
 
 
 def csr_bytes(A):

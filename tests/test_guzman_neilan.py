@@ -8,7 +8,8 @@ from felib import (bary_coords, divergence_pointwise, eval_float,
 from ratfem.fecore import ZeroBubbleDofError, dof_layout, edge_corrections
 from ratfem.guzman_neilan import (LAYOUTS, ROT, assemble_stokes,
                                   divergence_l2, get_tables, grad_norm,
-                                  local_matrices, local_vandermonde,
+                                  local_divergence, local_matrices,
+                                  local_vandermonde,
                                   shape_coefficients, solve_stokes,
                                   stream_potentials)
 from ratfem.mesh import Triangulation, refine_uniform, unit_square_mesh
@@ -37,7 +38,7 @@ def test_potentials_are_zienkiewicz_tail():
 
 def test_divergence_row_structure():
     area, G, GG, normals, tangents, V = element_setup(REF)
-    A_T, B_T = local_matrices(area, G, GG, get_tables())
+    B_T = local_divergence(area, G)
     assert np.all(B_T[0, 6:] == 0.0)
     assert np.allclose(B_T[0, 0:3], area[0] * G[0, :, 0])
     assert np.allclose(B_T[0, 3:6], area[0] * G[0, :, 1])
@@ -47,8 +48,7 @@ def test_local_stiffness_structure():
     rng = np.random.default_rng(0)
     tri = random_shape_regular_triangle(rng)
     area, G, GG, normals, tangents, V = element_setup(tri)
-    A_T, B_T = local_matrices(area, G, GG, get_tables())
-    A = A_T[0]
+    A = local_matrices(area, G, GG, get_tables())[0]
     assert np.abs(A - A.T).max() <= 1e-13 * np.abs(A).max()
     eigs = np.linalg.eigvalsh(A)
     assert eigs.min() >= -1e-10 * eigs.max()
@@ -69,7 +69,7 @@ def test_bubble_stiffness_entry_against_oracle():
     rng = np.random.default_rng(5)
     tri = random_shape_regular_triangle(rng)
     area, G, GG, normals, tangents, V = element_setup(tri)
-    A_T, _ = local_matrices(area, G, GG, get_tables())
+    A_T = local_matrices(area, G, GG, get_tables())
     rho4 = get_tables().rho[3]
     hess = rho4.hessian()
     combo = RatCombo()
@@ -303,8 +303,7 @@ def test_exact_blocks_against_quadrature_reference():
     tri = random_shape_regular_triangle(rng)
     _, area, G = tri.geometry_arrays()
     GG = np.einsum("eic,ejc->eij", G, G)
-    A_T, _ = local_matrices(area, G, GG, get_tables())
-    A_T = A_T[0]
+    A_T = local_matrices(area, G, GG, get_tables())[0]
     tab = get_tables()
     bary, w2 = gauss_points(24)
     Hq = hessian_values(tab.rho, bary)
@@ -348,7 +347,5 @@ def test_constant_field_has_zero_divergence_action():
         mesh.normal4s @ const, mesh.tangent4s @ const])
     # B^T u element by element: the contraction of B_T,e C_e with u[l2g[e]]
     _, area, G = mesh.geometry_arrays()
-    GG = np.einsum("eic,ejc->eij", G, G)
-    _, B_T = local_matrices(area, G, GG, get_tables())
-    bt = np.einsum("eri,er->ei", system.coeffs, B_T)
+    bt = np.einsum("eri,er->ei", system.coeffs, local_divergence(area, G))
     assert np.abs(np.einsum("ei,ei->e", bt, u[system.l2g])).max() <= 1e-13
