@@ -76,15 +76,15 @@ def lagrange_basis(degree: int):
     raise ValueError(f"unsupported Lagrange degree {degree}")
 
 
-def load_values(f, tria, bary, components: int | None = None) -> np.ndarray:
-    """A load f(X, Y) at barycentric points `bary` (Q, 3) of every element.
+def load_values(f, tria, components: int | None = None) -> np.ndarray:
+    """A load f(X, Y) at the P2 nodes of every element.
 
-    `f` is called once, on coordinate arrays X, Y of shape (p, Q).  It returns
+    `f` is called once, on coordinate arrays X, Y of shape (p, 6).  It returns
     an array broadcastable to that shape, or for `components` = k a sequence
-    of k such arrays.  The result has shape (p, Q) or (p, k, Q).
+    of k such arrays.  The result has shape (p, 6) or (p, k, 6).
     """
     verts = tria.c4n[tria.n4e]                         # (p, 3, 2)
-    bary = np.asarray(bary, dtype=float)
+    bary = np.array(P2_NODES, dtype=float)
     X, Y = verts[:, :, 0] @ bary.T, verts[:, :, 1] @ bary.T
     try:
         vals = f(X, Y)

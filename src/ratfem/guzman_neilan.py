@@ -18,13 +18,10 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from . import fecore, zienkiewicz
-from .fecore import (MIDS, P2_NODES, assemble_matrix, assemble_vector,
-                     lagrange_basis, load_values, moment_tensor, pad_free,
-                     scatter_plan)
+from . import fecore, solvers, zienkiewicz
+from .fecore import (MIDS, assemble_matrix, assemble_vector, lagrange_basis,
+                     load_values, moment_tensor, pad_free, scatter_plan)
 from .mesh import Triangulation
-from .quadrature import gauss_points
-from .ratfun import gradient_values
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])   # curl g = ROT grad g
 
@@ -38,19 +35,17 @@ def stream_potentials():
 class GNTables:
     """Reference tables of one quadrature: exact means, or a rule-n's sums.
 
-    A rule's tables are the exact ones but for Rhat, Mhat and the load
-    tables: the load is sampled at `load_points`, the P2 Lagrange nodes for
-    exact tables (the load is interpolated there), the rule points for a rule.
+    A rule's tables are the exact ones but for the means Rhat, Mhat, bhat1
+    and bhat2.  Under every quadrature the load is interpolated at the P2
+    Lagrange nodes, and the bhat tables are that interpolant's moments.
     """
-    rho: tuple
     Rhat: np.ndarray      # (6,6,3,3,3,3) Hessian-product means, R_T layout
     Mhat: np.ndarray      # (6,6,2,3,3,3) P1-gradient x Hessian means
     That_gv: np.ndarray   # (3,6,3) potential lam-gradients at vertices
     That_ge: np.ndarray   # (3,6,3) potential lam-gradients at edge midpoints
     val_mid: np.ndarray   # (3,6,2) P1 vector basis values at edge midpoints
-    load_points: np.ndarray   # (J,3) barycentric points the load is taken at
-    bhat1: np.ndarray     # (J,3) load-point x lam moments
-    bhat2: np.ndarray     # (J,3,6) load-point x potential-gradient moments
+    bhat1: np.ndarray     # (6,3) P2 Lagrange x lam moments
+    bhat2: np.ndarray     # (6,3,6) P2 Lagrange x potential-gradient moments
 
 
 def get_tables(quadrature="exact") -> GNTables:
@@ -66,29 +61,22 @@ def _compute_tables(quadrature) -> GNTables:
     # Mhat places the Hessian means: P1 field r = (comp, node) is
     # lam_node e_comp, its gradient the constant delta_{i,comp} delta_{k,node}.
     zt = zienkiewicz.get_tables(quadrature)
-    Rhat = np.ascontiguousarray(zt.Ahat[6:, 6:].transpose(0, 1, 2, 4, 3, 5))
     Mhat = np.zeros((6, 6, 2, 3, 3, 3))
     for r in range(6):
         comp, node = divmod(r, 3)
         Mhat[r, :, comp, :, node, :] = zt.Hmean[6:]
-
+    p2 = lagrange_basis(2)
+    grads = [[r.diff(k) for r in stream_potentials()] for k in range(3)]
+    means = dict(
+        Rhat=np.ascontiguousarray(zt.Ahat[6:, 6:].transpose(0, 1, 2, 4, 3, 5)),
+        Mhat=Mhat, bhat1=moment_tensor(p2, lagrange_basis(1), quadrature),
+        bhat2=moment_tensor(p2, grads, quadrature))
     if quadrature != "exact":
-        # the load is sampled at the rule points instead of interpolated
-        exact = get_tables()
-        bary, w2 = gauss_points(quadrature)
-        Gq = gradient_values(exact.rho, bary)                 # (Q,6,3)
-        return replace(exact, Rhat=Rhat, Mhat=Mhat, load_points=bary,
-                       bhat1=w2[:, None] * bary,
-                       bhat2=w2[:, None, None] * Gq.transpose(0, 2, 1))
-
-    rho = stream_potentials()
+        return replace(get_tables(), **means)
     val_mid = np.zeros((3, 6, 2))
     val_mid[:, 0:3, 0] = val_mid[:, 3:6, 1] = np.array(MIDS, dtype=float)
-    bhat1 = moment_tensor(lagrange_basis(2), lagrange_basis(1))
-    bhat2 = moment_tensor(lagrange_basis(2),
-                          [[r.diff(k) for r in rho] for k in range(3)])
-    return GNTables(rho, Rhat, Mhat, zt.That_gv[:, 6:], zt.That_ge[:, 6:],
-                    val_mid, np.array(P2_NODES, dtype=float), bhat1, bhat2)
+    return GNTables(That_gv=zt.That_gv[:, 6:], That_ge=zt.That_ge[:, 6:],
+                    val_mid=val_mid, **means)
 
 
 # -- local matrices --------------------------------------------------------------
@@ -118,15 +106,16 @@ def local_divergence(area, G):
 
 
 def local_load(f, tria, G, tables) -> np.ndarray:
-    """Batched load means b_T (p,12) of the vector field f = (f_x, f_y).
+    """Batched load means b_T (p,12) of the vector field f = (f_x, f_y),
+    interpolated in P2 at the nodes.
 
-    f is sampled once at the tables' load points; one GEMM against
-    [bhat1 | bhat2] gives each component's moments.
+    f is sampled once at the six nodes; one GEMM against [bhat1 | bhat2]
+    gives each component's moments.
     """
-    fvals = load_values(f, tria, tables.load_points, components=2)  # (p,2,J)
-    p, _, J = fvals.shape
-    bload = np.concatenate([tables.bhat1, tables.bhat2.reshape(J, 18)], axis=1)
-    T = (fvals.reshape(2 * p, J) @ bload).reshape(p, 2, 21)
+    fvals = load_values(f, tria, components=2)                     # (p,2,6)
+    p = fvals.shape[0]
+    bload = np.concatenate([tables.bhat1, tables.bhat2.reshape(6, 18)], axis=1)
+    T = (fvals.reshape(2 * p, 6) @ bload).reshape(p, 2, 21)
     b_T = np.empty((p, 12))
     b_T[:, 0:3] = T[:, 0, :3]
     b_T[:, 3:6] = T[:, 1, :3]
@@ -206,8 +195,8 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
     affine elements the rule applied to the stiffness and load integrals is
     the same contraction with rule-n tables.  The exact basis change and B
     are :func:`mesh_phase`'s.  The load `f` returns the pair (f_x, f_y); it
-    is called once, as f(X, Y) on coordinate arrays of the tables' load
-    points (see :func:`local_load`).
+    is called once, as f(X, Y) on coordinate arrays of the P2 nodes (see
+    :func:`local_load`).
     """
     area, G, GG, C, ndof, l2g, free, plan, B = mesh_phase(tria, variant)
     tables = get_tables(quadrature)
@@ -227,12 +216,11 @@ def solve_stokes(system: StokesSystem):
     One pressure value is pinned during the solve (kernel gauge) and the
     result is shifted to zero mean afterwards.
     """
-    from .solvers import saddle_solve
     free = system.free
     nf = int(free.sum())
     B = system.B[:, 1:]          # pin pressure dof 0
     rhs = np.concatenate([system.b[free], np.zeros(B.shape[1])])
-    sol = saddle_solve(system.A, B, rhs)
+    sol = solvers.saddle_solve(system.A, B, rhs)
     u = pad_free(free, sol[:nf])
     pressure = np.concatenate([[0.0], sol[nf:]])
     # einsum, not a BLAS dot, whose sum order depends on the thread count

@@ -16,8 +16,8 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from . import fecore
-from .fecore import (MIDS, P2_NODES, VERTS, assemble_matrix, assemble_vector,
+from . import fecore, solvers
+from .fecore import (MIDS, VERTS, assemble_matrix, assemble_vector,
                      lagrange_basis, load_values, moment_tensor, pad_free)
 from .mesh import Triangulation
 from .ratfun import RatCombo, bubble, combo_values, gradient_values
@@ -43,7 +43,6 @@ class ZienkiewiczTables:
     Every quadrature shares the exact point-evaluation tables (That_*);
     Ahat, Mhat, bhat and Hmean are means, taken exactly or by the rule.
     """
-    basis: tuple
     Ahat: np.ndarray     # (12,12,3,3,3,3) means of Hessian-entry products
     Mhat: np.ndarray     # (12,12) means of value products
     That_v: np.ndarray   # (3,12) values at vertices
@@ -72,7 +71,7 @@ def _compute_tables(quadrature) -> ZienkiewiczTables:
     if quadrature != "exact":
         return replace(get_tables(), **means)
     # every value at a vertex or edge midpoint is dyadic, so floats are exact
-    return ZienkiewiczTables(basis, That_v=combo_values(basis, VERTS),
+    return ZienkiewiczTables(That_v=combo_values(basis, VERTS),
                              That_gv=gradient_values(basis, VERTS),
                              That_ge=gradient_values(basis, MIDS), **means)
 
@@ -89,7 +88,7 @@ def local_stiffness(area, GG, table) -> np.ndarray:
 
 def local_load(f, tria, tables) -> np.ndarray:
     """Batched load means b_T (p,12) of f, interpolated in P2 at the nodes."""
-    return load_values(f, tria, P2_NODES) @ tables.bhat
+    return load_values(f, tria) @ tables.bhat
 
 
 def local_vandermonde_batch(G, normals) -> np.ndarray:
@@ -171,8 +170,7 @@ def solve_biharmonic_eigen(system: BiharmonicSystem, lu,
                            x0: np.ndarray | None = None):
     """Smallest clamped-plate eigenpair on the free dofs; vector is padded.
     `lu` preconditions the solve (see :func:`solvers.gen_eig_smallest`)."""
-    from .solvers import gen_eig_smallest
     free = system.free
-    lam, x = gen_eig_smallest(system.A, system.M, lu,
-                              None if x0 is None else x0[free])
+    lam, x = solvers.gen_eig_smallest(system.A, system.M, lu,
+                                      None if x0 is None else x0[free])
     return lam, pad_free(free, x)

@@ -108,7 +108,8 @@ def _rule_data(basis, n):
 
 
 def _p2_load(f, verts):
-    """Scalar f at the P2 Lagrange nodes of one element, one call per node."""
+    """f at the P2 Lagrange nodes of one element, one call per node: (6,)
+    for a scalar load, (6, 2) for a vector one."""
     nodes = np.array(P2_NODES, dtype=float)
     return np.array([f(x, y) for x, y in nodes @ verts])
 
@@ -119,8 +120,8 @@ def gauss_reference_zienkiewicz(tri, n, f):
     The per-point formula: Laplacians of the basis at every rule point, then
     weighted sums; the load is interpolated in P2 and evaluated per point.
     """
-    from ratfem.zienkiewicz import get_tables
-    w, bary, Vq, _, Hq = _rule_data(get_tables().basis, n)
+    from ratfem.zienkiewicz import zienkiewicz_basis
+    w, bary, Vq, _, Hq = _rule_data(zienkiewicz_basis(), n)
     _, area, G = tri.geometry_arrays()
     a, GG = area[0], G[0] @ G[0].T
     D = np.einsum("qrij,ij->qr", Hq, GG)
@@ -135,10 +136,12 @@ def gauss_reference_guzman_neilan(tri, n, f):
     """A_T, B_T and b_T of one element by the n-point rule at the points.
 
     The per-point formula: physical Hessians and curls of the potentials at
-    every rule point, and the load f(x, y) = (f_x, f_y) called per point.
+    every rule point; the load f(x, y) = (f_x, f_y) is interpolated in P2,
+    as :func:`gauss_reference_zienkiewicz` does, and evaluated per point
+    (:func:`gauss_stokes_load`).
     """
-    from ratfem.guzman_neilan import ROT, get_tables
-    w, bary, _, Gq, Hq = _rule_data(get_tables().rho, n)
+    from ratfem.guzman_neilan import ROT, stream_potentials
+    w, bary, _, _, Hq = _rule_data(stream_potentials(), n)
     _, area, G = tri.geometry_arrays()
     a, Gm = area[0], G[0]
     GG = Gm @ Gm.T
@@ -155,14 +158,27 @@ def gauss_reference_guzman_neilan(tri, n, f):
     B_T[0:3] = 2.0 * w.sum() * a * Gm[:, 0]
     B_T[3:6] = 2.0 * w.sum() * a * Gm[:, 1]
     B_T[6:12] = 2.0 * a * np.einsum("qs,q->s", S[:, :, 1, 0] - S[:, :, 0, 1], w)
-    xy = bary @ tri.c4n[tri.n4e[0]]
-    fq = np.array([f(x, y) for x, y in xy], dtype=float)     # (Q, 2)
+    return A_T, B_T, gauss_stokes_load(tri, n, f)
+
+
+def gauss_stokes_load(tri, n, f, interpolate=True):
+    """Stokes b_T of one element by the n-point rule at the points, for the
+    load f(x, y) = (f_x, f_y) interpolated in P2 at the nodes, or with
+    `interpolate` False, f called at every rule point itself."""
+    from ratfem.guzman_neilan import ROT, stream_potentials
+    w, bary, _, Gq, _ = _rule_data(stream_potentials(), n)
+    verts = tri.c4n[tri.n4e[0]]
+    Gm = tri.geometry_arrays()[2][0]
+    if interpolate:
+        fq = combo_values(lagrange_basis(2), bary) @ _p2_load(f, verts)
+    else:
+        fq = np.array([f(x, y) for x, y in bary @ verts], dtype=float)
     curl = np.einsum("ab,kb,qsk->qsa", ROT, Gm, Gq)
     b_T = np.empty(12)
     b_T[0:3] = 2.0 * (bary.T * w) @ fq[:, 0]
     b_T[3:6] = 2.0 * (bary.T * w) @ fq[:, 1]
     b_T[6:12] = 2.0 * np.einsum("qc,qsc,q->s", fq, curl, w)
-    return A_T, B_T, b_T
+    return b_T
 
 
 # -- per-point references for the vectorised evaluators -------------------------
@@ -172,8 +188,8 @@ def gauss_reference_guzman_neilan(tri, n, f):
 
 def element_eval_reference(system, e, u, bary_pts):
     """Values and physical gradients of element e, one point at a time."""
-    from ratfem.zienkiewicz import get_tables
-    basis = get_tables().basis
+    from ratfem.zienkiewicz import zienkiewicz_basis
+    basis = zienkiewicz_basis()
     w = system.coeffs[e] @ u[system.l2g[e]]
     G = system.tria.geometry_arrays()[2][e]
     vals, grads, size = [], [], 0.0
@@ -192,8 +208,8 @@ def element_eval_reference(system, e, u, bary_pts):
 
 def velocity_eval_reference(system, e, u, bary_pts):
     """Guzman-Neilan velocity vectors of element e, one point at a time."""
-    from ratfem.guzman_neilan import ROT, get_tables
-    rho = get_tables().rho
+    from ratfem.guzman_neilan import ROT, stream_potentials
+    rho = stream_potentials()
     w = system.coeffs[e] @ u[system.l2g[e]]
     G = system.tria.geometry_arrays()[2][e]
     out, size = [], 0.0
@@ -215,8 +231,8 @@ def velocity_eval_reference(system, e, u, bary_pts):
 
 def divergence_pointwise_reference(system, e, u, bary_pts):
     """div u_h of element e, one point at a time."""
-    from ratfem.guzman_neilan import get_tables
-    rho = get_tables().rho
+    from ratfem.guzman_neilan import stream_potentials
+    rho = stream_potentials()
     w = system.coeffs[e] @ u[system.l2g[e]]
     G = system.tria.geometry_arrays()[2][e]
     out, size = [], 0.0
@@ -242,8 +258,8 @@ def divergence_pointwise_reference(system, e, u, bary_pts):
 
 def element_eval(system, e, u, bary_pts):
     """Zienkiewicz values and physical gradients of u on element e."""
-    from ratfem.zienkiewicz import get_tables
-    basis = get_tables().basis
+    from ratfem.zienkiewicz import zienkiewicz_basis
+    basis = zienkiewicz_basis()
     w = system.coeffs[e] @ u[system.l2g[e]]
     G = system.tria.geometry_arrays()[2][e]
     glam = np.einsum("qrk,r->qk", gradient_values(basis, bary_pts), w)
@@ -282,8 +298,8 @@ def nodal_interpolant(tria, g, grad_g, variant="full"):
 
 def divergence_pointwise(system, e, u, bary_pts):
     """Guzman-Neilan div u_h at barycentric points of element e."""
-    from ratfem.guzman_neilan import get_tables
-    rho = get_tables().rho
+    from ratfem.guzman_neilan import stream_potentials
+    rho = stream_potentials()
     G = system.tria.geometry_arrays()[2][e]
     w = system.coeffs[e] @ u[system.l2g[e]]
     S = np.einsum("ia,qsik,kb->qsab", G, hessian_values(rho, bary_pts), G)
@@ -293,8 +309,8 @@ def divergence_pointwise(system, e, u, bary_pts):
 
 def velocity_eval(system, e, u, bary_pts):
     """Guzman-Neilan velocity vectors at barycentric points of element e."""
-    from ratfem.guzman_neilan import ROT, get_tables
-    rho = get_tables().rho
+    from ratfem.guzman_neilan import ROT, stream_potentials
+    rho = stream_potentials()
     G = system.tria.geometry_arrays()[2][e]
     w = system.coeffs[e] @ u[system.l2g[e]]
     lam = np.asarray(bary_pts, dtype=float)

@@ -70,7 +70,7 @@ def test_bubble_stiffness_entry_against_oracle():
     tri = random_shape_regular_triangle(rng)
     area, G, GG, normals, tangents, V = element_setup(tri)
     A_T = local_matrices(area, G, GG, get_tables())
-    rho4 = get_tables().rho[3]
+    rho4 = stream_potentials()[3]
     hess = rho4.hessian()
     combo = RatCombo()
     # |Hess_x B|^2 = sum_ab (G^T H G)_ab^2 expanded in lam-Hessian entries
@@ -93,13 +93,13 @@ def test_vandermonde_examples():
     assert V[0, 0] == 1.0                       # psi_1(b_1)
     assert np.allclose(V[0:6, 9:12], 0.0)       # curl bubbles vanish at vertices
     # midpoint normal components of curl columns vs direct evaluation
-    tab = get_tables()
+    rho = stream_potentials()
     v = REF.c4n[REF.n4e[0]]
     for i in range(3):
         mid = (v[(i + 1) % 3] + v[(i + 2) % 3]) / 2
         lam = bary_coords(v, mid)
         for s in range(6):
-            glam = np.array([eval_float(tab.rho[s].diff(k), lam) for k in range(3)])
+            glam = np.array([eval_float(rho[s].diff(k), lam) for k in range(3)])
             curl = ROT @ (G[0].T @ glam)
             assert V[6 + i, 6 + s] == pytest.approx(normals[0, i] @ curl, abs=1e-10)
             assert V[9 + i, 6 + s] == pytest.approx(tangents[0, i] @ curl, abs=1e-10)
@@ -135,7 +135,7 @@ def test_div_curl_is_symbolically_zero():
 def test_exact_sequence_curl_membership():
     from ratfem.zienkiewicz import zienkiewicz_basis
     rng = np.random.default_rng(2)
-    tab = get_tables()
+    rho = stream_potentials()
     G = REF.geometry_arrays()[2][0]
     pts = [tuple(rng.dirichlet([2, 2, 2])) for _ in range(30)]
     # GN velocity basis values at the sample points
@@ -148,7 +148,7 @@ def test_exact_sequence_curl_membership():
     for s in range(6):
         vals = []
         for p in pts:
-            glam = np.array([eval_float(tab.rho[s].diff(k), p) for k in range(3)])
+            glam = np.array([eval_float(rho[s].diff(k), p) for k in range(3)])
             vals.append(ROT @ (G.T @ glam))
         cols.append(np.array(vals).ravel())
     basis_matrix = np.column_stack(cols)
@@ -168,7 +168,7 @@ def test_reduced_element():
     tri = random_shape_regular_triangle(rng)
     area, G, GG, normals, tangents, V = element_setup(tri)
     gamma = edge_corrections(V, tangents, (0, 3))[0]
-    tab = get_tables()
+    rho = stream_potentials()
     v = tri.c4n[tri.n4e[0]]
     for k in range(3):
         coeffs = np.zeros(12)
@@ -178,7 +178,7 @@ def test_reduced_element():
             lam = bary_coords(v, xy)
             vec = np.zeros(2)
             for s in range(6):
-                glam = np.array([eval_float(tab.rho[s].diff(m), lam)
+                glam = np.array([eval_float(rho[s].diff(m), lam)
                                  for m in range(3)])
                 vec += coeffs[6 + s] * (ROT @ (G[0].T @ glam))
             return vec
@@ -304,9 +304,8 @@ def test_exact_blocks_against_quadrature_reference():
     _, area, G = tri.geometry_arrays()
     GG = np.einsum("eic,ejc->eij", G, G)
     A_T = local_matrices(area, G, GG, get_tables())[0]
-    tab = get_tables()
     bary, w2 = gauss_points(24)
-    Hq = hessian_values(tab.rho, bary)
+    Hq = hessian_values(stream_potentials(), bary)
     w = 0.5 * w2
     Gm, ar = G[0], area[0]
     S = np.einsum("ia,qsik,kb->qsab", Gm, Hq, Gm)

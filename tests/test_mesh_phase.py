@@ -67,6 +67,9 @@ def case_digest(case):
 #: its largest also reduced) and the 2048-element Stokes mesh, both variants.
 #: The rule-16 Stokes digests were re-taken when the rule tables lost their
 #: mean of one, 2 sum w_q: they are what the earlier code gives with it 1.0.
+#: The rule-n Stokes digests were re-taken again when a rule's load became
+#: the moments of its P2 interpolant: A and B kept their bytes, b moved by
+#: roundoff (the load is quadratic, so the interpolant is the load itself).
 MATRIX_DIGESTS = {
     ("plate", 0, "full", "exact"): "aa850752002ea0d2fa7d895780e8a0b11c0fa170f586feda73aa146771da970f",
     ("plate", 0, "full", 2): "c80b42ab7a075c0b77d6dab0bfab3193f84a08937d8b7dbc48bccc84bca39ee2",
@@ -90,11 +93,11 @@ MATRIX_DIGESTS = {
     ("plate", 5, "reduced", 2): "d90655c6fb2515d5e5a8d27708fb748dedc9451b4b450a558085847e00e9fdd3",
     ("plate", 5, "reduced", 11): "0be356f90bb12c07aea2c34b9de1282aab3119a95787ebd69def9d759662721c",
     ("stokes", 2048, "full", "exact"): "2ce7eccd7b8ba1314143b002fd505af571d9152ad6c3d0940948161e78e0729a",
-    ("stokes", 2048, "full", 1): "cac24e4c243325c962398c956d60b4e2a4428266393fe49db053a0554e1217f5",
-    ("stokes", 2048, "full", 16): "d348171197904f7258037e69479c8c782e8c6c743ce4729c91be3693f67225a2",
+    ("stokes", 2048, "full", 1): "74cfae6e3fc4f5e90784a6b5f4be972f0c2170103a803e700c7ceea0a750375b",
+    ("stokes", 2048, "full", 16): "b5e4b79e7b6423eee78bd5f7e2d70d60547a3dafd61ca2d714a42bcd27583c34",
     ("stokes", 2048, "reduced", "exact"): "46f47416b3f6662f156d3945652d2ae85462374b0df29bed5d582c8d92f000c8",
-    ("stokes", 2048, "reduced", 1): "23ff446b69c4aebdf22be3a1c3c34aefdee6c463f0c30b8e6a06d63f8267f756",
-    ("stokes", 2048, "reduced", 16): "ac0b11d93bf24b0588e585133c69d1e3e02a7d4ed6bc2f742bb22efc1511e2dd",
+    ("stokes", 2048, "reduced", 1): "4253a21de4cd57e4fb5d6a3d85c923f31d31152ea97d99ac8a8d05581143c401",
+    ("stokes", 2048, "reduced", 16): "6342c88730a16cc91fe58e8c499160a89539c4d92b054b4342fa607860f1af97",
 }
 
 

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from felib import (gauss_reference_guzman_neilan, gauss_reference_zienkiewicz,
-                   random_shape_regular_triangle)
+                   gauss_stokes_load, random_shape_regular_triangle)
 from ratfem import guzman_neilan as gn
 from ratfem import zienkiewicz as zk
+from ratfem.experiments import stokes_load
 from ratfem.mesh import refine_uniform, unit_square_mesh
 
 RULES = (1, 2, 5, 11, 16)
@@ -69,23 +70,47 @@ def test_guzman_neilan_rule_tables_match_pointwise_rule(n):
         assert _rel(b_T[0], b_ref) <= REL
 
 
+def random_p2_field(seed):
+    """A vector field whose components are random quadratics in x and y."""
+    a, c = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, 6))
+
+    def field(x, y):
+        monomials = (1.0, x, y, x * x, x * y, y * y)
+        return (sum(k * m for k, m in zip(a, monomials)),
+                sum(k * m for k, m in zip(c, monomials)))
+    return field
+
+
+@pytest.mark.parametrize("n", RULES)
+def test_stokes_rule_load_of_a_p2_field_is_the_sampled_rule(n):
+    # interpolation at the P2 nodes is the identity on P2, so for every load
+    # a command passes the rule-n load is the rule applied to f itself
+    tables = gn.get_tables(n)
+    for load in (stokes_load, random_p2_field(300 + n)):
+        for tri in _triangles(400 + n):
+            G = tri.geometry_arrays()[2]
+            b_T = gn.local_load(load, tri, G, tables)[0]
+            sampled = gauss_stokes_load(tri, n, load, interpolate=False)
+            assert _rel(b_T, sampled) <= REL
+
+
 def test_rule_tables_are_cached_and_share_the_exact_point_tables():
     assert zk.get_tables(3) is zk.get_tables(3)
     assert gn.get_tables(3) is gn.get_tables(np.int64(3))
     exact, rule = gn.get_tables(), gn.get_tables(3)
     assert rule.That_gv is exact.That_gv and rule.val_mid is exact.val_mid
     zexact, zrule = zk.get_tables(), zk.get_tables(3)
-    for name in ("basis", "That_v", "That_gv", "That_ge"):
+    for name in ("That_v", "That_gv", "That_ge"):
         assert getattr(zrule, name) is getattr(zexact, name)
     # the potentials' point tables are views of the Zienkiewicz ones
     assert np.shares_memory(exact.That_gv, zexact.That_gv)
     assert np.shares_memory(exact.That_ge, zexact.That_ge)
-    # a rule has its own means and load tables; the rest are the exact ones
+    # a rule has its own means; the rest are the exact ones
     assert [{field.name for field in dataclasses.fields(r)
              if getattr(r, field.name) is not getattr(e, field.name)}
             for r, e in ((zrule, zexact), (rule, exact))] == [
         {"Ahat", "Mhat", "bhat", "Hmean"},
-        {"Rhat", "Mhat", "load_points", "bhat1", "bhat2"}]
+        {"Rhat", "Mhat", "bhat1", "bhat2"}]
     # the Guzman-Neilan curl tensors are the Zienkiewicz ones, transposed
     for quadrature in ("exact", 3):
         ahat = zk.get_tables(quadrature).Ahat[6:, 6:]
@@ -97,23 +122,23 @@ def test_rule_tables_are_cached_and_share_the_exact_point_tables():
 #: both elements' tables.  The rule-n tables feed every lambda_bar and
 #: grad_err, so a refactor must leave their bytes alone.
 TABLE_DIGESTS = {
-    "exact": "a307d3a7c4dfb0b89e34e4fcd063b2573169b6ee8c57161c49b4063b5536cfbe",
-    1: "3a45b1e0659b06b2097cc5a436165fa3662e8dadd8be8f864e1589a0eb8a04ae",
-    2: "6c46c2c0a3fbadf44bb90ad57dd4e6d9504c47fa08204f0a05758393a41635e4",
-    3: "9b5ac8acb7feff699118a613cc4f5f4b1988c2d3d727e9a45fd8ad5bcd33d702",
-    4: "56732dac5450bc2d3749449e18d507f97e4b324f726869c8642c25f98087937b",
-    5: "731f667788be7c8c46fc5e124569374bbb19e6c4c870e26144413ba7c9764c50",
-    6: "c39617d1c6dcd1c3261f5e6b7250ac32076e34c472ef2e13b4a29a36fa7d2317",
-    7: "6fe55929f065fa59736198a3276c0ac2ccd2612cc986bbe5cd5e71e697752d7a",
-    8: "5d1aeb7a46660adaa27ec7d43f6be247ccce86c42b4a9987f3374e0ce66a8a5a",
-    9: "d32895b1ba76390610b2af82da394a2d8851300d0030f11700b9671ae15ae54c",
-    10: "0f6a84f92d76db3b0e5202fa7d945fa295a15eec3807bead248ea4f67aa8b819",
-    11: "e854154b2fdfc740a50bbb06e897230d1aa1dafebc13dca7f85d418f2d97f4f7",
-    12: "45e79359818662a845585eb04db3a812ffefb053ffacdb7bc781cce72b12c575",
-    13: "d124cc571e49e9975825f4fa6da5f6f9b695aac0b3eed2667cbe38a25cc3a291",
-    14: "1c0eab53fa6822d9a617bed10173ae3d264ffa10c501f3482286d70c46699d0e",
-    15: "f4feca05e0ddd541e1d92693ae9239b2a9fb287091c1f176209a1f2faec5222c",
-    16: "548ba270bb0705eb287342e409a2d89004b2905f70a406a37a3bf318db544180",
+    "exact": "c6d3a858ba9fd66489fd51b14f1d4d224b1ee845ffe0e1b0356fe80b71ffd53f",
+    1: "c540c73329773f247b04da94de26ceb6ec7f217bcfa55e751f4bd65dc75637c8",
+    2: "179e602c30d508fe96a1dac8cfab8958109a0e33513308ce90aafbb9b5b1c61d",
+    3: "c668611e013822472b2945b458b33037dabc9dcbbe380e4b3c6e1094a27c1c42",
+    4: "c1fa0ee9ed24f78da0175298caf49fcfdb00f3e6dc9a305f0998988d4b15544d",
+    5: "c866b0dbee749df49f8c4ad89912aa41cb4b7a16d25fe602edb87ec0831253a2",
+    6: "e9bc1bda3ddc1fbadc55813c2199a28e6c4bbc6b21ae67ed610a32351808faae",
+    7: "3b91717b4b7796edf1b28c5d6dbde8889c627a9c4e37821099fd187450953eb0",
+    8: "fdd1231a14639f08d12c86167289bd22f942b5eeebdb33570aa4aa4450553a07",
+    9: "209a9a5be3597b36a8304fd83fa96c45aa5c166158196dcef16d4de4d5da708f",
+    10: "83f76591dfdc42eaaefe194645edd11cdccebd0afc0d69d66c61b16b5a32ee4f",
+    11: "08002c548c7e53f37b64e30461fa5e569fc09417ddac6c0e5b7411cb8821f393",
+    12: "bbffc0b72974fe798e64d754e197cdf500e092c84cd1b78d84eb35e664f1fcfa",
+    13: "f3c67d7d6bffce3c95550c36213ea47fe2906e3b60f49f29d086695599b11ab7",
+    14: "0c0bbad4b1cc213ed3a3a1042886ae1569c9f705cb902a287bc19f2b14635555",
+    15: "a9e156c59c1222cc7a00c315b898d647da2410e6e77e1ab1c14c46a5d4a11c6e",
+    16: "0ed27b75674804c74341c10251798b531e232d896f01d75a3772417621145e2d",
 }
 
 
@@ -162,11 +187,11 @@ def test_load_callbacks_are_called_once_on_arrays(quadrature):
     zk.assemble_biharmonic(mesh, f=plate, quadrature=quadrature)
     stokes = Recorder(stokes_vector_load)
     gn.assemble_stokes(mesh, f=stokes, quadrature=quadrature)
-    points = 6 if quadrature == "exact" else quadrature ** 2
-    for recorder, count in ((plate, 6), (stokes, points)):
+    # both elements take the load at the six P2 nodes under every quadrature
+    for recorder in (plate, stokes):
         assert len(recorder.calls) == 1
         x, y = recorder.calls[0]
-        assert isinstance(x, np.ndarray) and x.shape == y.shape == (p, count)
+        assert isinstance(x, np.ndarray) and x.shape == y.shape == (p, 6)
 
 
 def test_constant_loads_broadcast():

@@ -89,7 +89,7 @@ def test_vandermonde_structure():
 
 def test_unisolvence_and_p2_reproduction():
     rng = np.random.default_rng(1)
-    basis = get_tables().basis
+    basis = zienkiewicz_basis()
     for _ in range(50):
         tri = random_shape_regular_triangle(rng)
         _, _, _, _, V = element_setup(tri)
@@ -151,7 +151,7 @@ def test_reduced_basis_properties():
     _, G, GG, normals, V = element_setup(tri)
     gamma = edge_corrections(V, normals, (3, 6))[0]
     C = shape_coefficients(V, "reduced", normals)
-    basis = get_tables().basis
+    basis = zienkiewicz_basis()
     v = tri.c4n[tri.n4e[0]]
     # corrected cubics: normal derivative at midpoints equals endpoint average
     for k in range(3):
@@ -275,7 +275,7 @@ def test_gauss_assembly_converges_to_exact():
     from ratfem.quadrature import gauss_points
     from ratfem.ratfun import combo_values
     bary, w2 = gauss_points(4)
-    Vq = combo_values(tab.basis[:9], bary)
+    Vq = combo_values(zienkiewicz_basis()[:9], bary)
     M9 = (Vq * w2[:, None]).T @ Vq
     assert np.allclose(M9, tab.Mhat[:9, :9], atol=1e-14)
 
