@@ -19,7 +19,7 @@ from .exact import InfiniteValueError
 from .fecore import ZeroBubbleDofError
 from .experiments import (TAYLOR_HOOD_REF, csv_text, emit_svg,
                           run_exp1_square, run_exp2_lshape, run_exp3_stokes,
-                          stokes_load, stokes_mesh, stokes_row)
+                          stokes_mesh, stokes_rows)
 from .mesh import DOMAINS, dump_mesh, load_mesh, refine_uniform
 from .quadrature import integral_mean, is_finite_index
 from .ratfun import SingularEvaluationError
@@ -161,12 +161,9 @@ def cmd_biharmonic(args):
 
 
 def cmd_stokes(args):
-    n = _parse_quadrature(args.quadrature)
-    mesh = stokes_mesh(args.elements)
-    exact = guzman_neilan.assemble_stokes(mesh, f=stokes_load,
-                                          variant=args.variant)
-    row = stokes_row(mesh, exact, n, args.variant)
-    _write(args.out, csv_text(_config(args), list(row), [row]))
+    rows = stokes_rows(stokes_mesh(args.elements),
+                       (_parse_quadrature(args.quadrature),), args.variant)
+    _write(args.out, csv_text(_config(args), list(rows[0]), rows))
     return 0
 
 

@@ -210,17 +210,24 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
     return StokesSystem(tria, ndof, l2g, free, A, B, b, C, area)
 
 
-def solve_stokes(system: StokesSystem):
+def factorize_stokes(system: StokesSystem):
+    """The certified K_d LU of the gauged saddle system, to
+    :func:`solve_stokes` it or a nearby system of its mesh."""
+    return solvers.factorize_saddle(system.A, system.B[:, 1:])
+
+
+def solve_stokes(system: StokesSystem, lu=None, nearby: bool = False):
     """Velocity and mean-zero piecewise-constant pressure of the saddle system.
 
     One pressure value is pinned during the solve (kernel gauge) and the
-    result is shifted to zero mean afterwards.
+    result is shifted to zero mean afterwards.  `lu` and `nearby` are
+    :func:`solvers.saddle_solve`'s, from :func:`factorize_stokes`.
     """
     free = system.free
     nf = int(free.sum())
     B = system.B[:, 1:]          # pin pressure dof 0
     rhs = np.concatenate([system.b[free], np.zeros(B.shape[1])])
-    sol = solvers.saddle_solve(system.A, B, rhs)
+    sol = solvers.saddle_solve(system.A, B, rhs, lu, nearby)
     u = pad_free(free, sol[:nf])
     pressure = np.concatenate([[0.0], sol[nf:]])
     # einsum, not a BLAS dot, whose sum order depends on the thread count

@@ -14,7 +14,12 @@ complement S = B^T A^-1 B, and iterative refinement against the true K
 (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12) removes
 it, contracting the error by about d / (d + s) per step for the smallest
 eigenvalue s of S: a refinement that stalls above roundoff or runs out of
-steps means s is not well above d, and raises.
+steps means s is not well above d, and raises.  For a nearby system with
+the same B, K_d's LU is a constraint preconditioner (Keller, Gould & Wathen,
+SIAM J. Matrix Anal. Appl. 21(4), 2000) and each correction a flexible GMRES
+solve (Carson & Higham, SIAM J. Sci. Comput. 40(2), 2018), which raises after
+GMRES_MAXIT steps and sums x from the preconditioned vectors z_j: a solve
+with the sum of the v_j would amplify roundoff by K_d's 1/d.
 
 The eigenpair comes from single-vector LOBPCG (Knyazev, SIAM J. Sci.
 Comput. 23(2), 2001): Rayleigh-Ritz on span{x, T r, p} for the residual
@@ -28,8 +33,9 @@ is at most EIG_RESIDUAL; lambda's error is of second order in it.  A foreign
 LU certifies nothing about A, so the Rayleigh quotients check it instead.
 
 The LU is sequential and the reductions that decide a result (max norms,
-einsum dots, the 3x3 Ritz problems) avoid BLAS, so identical inputs give
-bit-identical outputs whatever the BLAS thread count.
+einsum dots, the 3x3 Ritz problems, the GMRES back substitution) avoid
+BLAS, so identical inputs give bit-identical outputs whatever the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 REFINE_STEPS = 10        # a well-posed saddle system needs about three
+GMRES_TOL = 1e-8         # relative residual of one GMRES correction
+GMRES_MAXIT = 100        # exp3's rules n >= 2 need at most about 11
 EIG_RESIDUAL = 1e-9      # LOBPCG stops at T-norm residual sqrt(r^T T r / lam)
 EIG_DROP = 1e-8          # M-norm share below which a basis vector is dropped
 EIG_SINGULAR = 1e-10     # x^T A x / |x|^T |A| |x| at which A is singular
@@ -80,27 +88,38 @@ def _factorize(K: sp.spmatrix, positive: int):
     return lu
 
 
-def saddle_solve(A: sp.spmatrix, B: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve K x = rhs, K = [[A, -B], [-B^T, 0]] for SPD A and B of full
-    column rank.
-
-    Raises NotPositiveDefiniteError or SingularSystemError (see the module
-    docstring), also if ||K x - rhs|| / ||rhs|| is not finite or > 1e-10.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    nf, m = B.shape
-    K = sp.bmat([[A, -B], [-B.T, None]], format="csr")
+def factorize_saddle(A: sp.spmatrix, B: sp.spmatrix):
+    """The certified LU of K_d (module docstring) for SPD A and B of full
+    column rank, to saddle_solve the system or a nearby one with that B."""
     diag = A.diagonal().max()
     if not diag > 0:
         raise NotPositiveDefiniteError(f"largest diagonal entry {diag!r}")
+    nf, m = B.shape
     d = 1e-10 * abs(B).max() ** 2 / diag
-    lu = _factorize(K - sp.diags(np.r_[np.zeros(nf), np.full(m, d)]), nf)
-    x = lu.solve(rhs)
+    K = sp.bmat([[A, -B], [-B.T, None]], format="csr")
+    return _factorize(K - sp.diags(np.r_[np.zeros(nf), np.full(m, d)]), nf)
+
+
+def saddle_solve(A: sp.spmatrix, B: sp.spmatrix, rhs: np.ndarray, lu=None,
+                 nearby: bool = False) -> np.ndarray:
+    """Solve K x = rhs, K = [[A, -B], [-B^T, 0]] for SPD A and B of full
+    column rank.
+
+    `lu` is its factorize_saddle (made if None), or, `nearby`, that of a
+    nearby system, which preconditions GMRES.  Raises NotPositiveDefiniteError
+    or SingularSystemError (see the module docstring), also if ||K x - rhs|| /
+    ||rhs|| is not finite or > 1e-10, and NoConvergenceError from GMRES.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    K = sp.bmat([[A, -B], [-B.T, None]], format="csr")
+    lu = factorize_saddle(A, B) if lu is None else lu
+    solve = (lambda r: _gmres(K, r, lu)) if nearby else lu.solve
+    x = solve(rhs)
     last = np.abs(x).max()
     # stop when the correction is negligible or stops halving; max norms
     # keep the stop independent of summation order
     for _ in range(REFINE_STEPS):
-        dx = lu.solve(rhs - K @ x)
+        dx = solve(rhs - K @ x)
         x = x + dx
         step, scale = np.abs(dx).max(), np.abs(x).max()
         if step <= 1e-15 * scale or 2 * step > last:
@@ -112,12 +131,45 @@ def saddle_solve(A: sp.spmatrix, B: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     if step > 1e-10 * scale:
         raise SingularSystemError(f"refinement stalled at {step / scale:.1e}"
                                   " max|x|: Schur complement below the shift")
-    nb = np.linalg.norm(rhs)
+    nb = np.sqrt(_dot(rhs, rhs))
     if nb > 0:
-        resid = np.linalg.norm(K @ x - rhs) / nb
+        r = K @ x - rhs
+        resid = np.sqrt(_dot(r, r)) / nb
         if not np.isfinite(resid) or resid > 1e-10:
             raise SingularSystemError(f"relative residual {resid}")
     return x
+
+
+def _gmres(K: sp.spmatrix, r: np.ndarray, lu) -> np.ndarray:
+    """x with ||K x - r|| <= GMRES_TOL ||r|| by GMRES (Saad & Schultz, SIAM
+    J. Sci. Stat. Comput. 7(3), 1986) right-preconditioned by `lu`, with
+    modified Gram-Schmidt and Givens rotations."""
+    beta = np.sqrt(_dot(r, r))
+    if beta == 0:
+        return np.zeros_like(r)
+    H = np.zeros((GMRES_MAXIT + 1, GMRES_MAXIT))
+    g, rotations, V, Z = [beta], [], [r / beta], []
+    for j in range(GMRES_MAXIT):
+        Z.append(lu.solve(V[j]))
+        w, h = K @ Z[j], H[:, j]
+        for i, v in enumerate(V):
+            h[i] = _dot(w, v)
+            w = w - h[i] * v
+        norm = np.sqrt(_dot(w, w))
+        for i, (c, s) in enumerate(rotations):
+            h[i:i + 2] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        rho = np.hypot(h[j], norm)
+        c, s = h[j] / rho, norm / rho
+        rotations.append((c, s))
+        h[j], g[j:] = rho, [c * g[j], -s * g[j]]
+        if abs(g[j + 1]) <= GMRES_TOL * beta:
+            y = np.zeros(j + 1)
+            for i in range(j, -1, -1):
+                y[i] = (g[i] - _dot(H[i, i + 1:j + 1], y[i + 1:])) / H[i, i]
+            return sum(yi * z for yi, z in zip(y, Z))
+        V.append(w / norm)
+    raise NoConvergenceError(f"GMRES residual {abs(g[-1]) / beta:.1e} after "
+                             f"{GMRES_MAXIT} iterations: the LU is too far off")
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:

@@ -287,6 +287,22 @@ def test_biharmonic_eig_keeps_the_exp1_rows_of_its_rule(tmp_path):
     assert lines[lines.index("level,ndof,lambda,lambda_bar,rel_gap") + 1:] == expected
 
 
+@pytest.mark.parametrize("quadrature", ["exact", "gauss:1", "gauss:2",
+                                        "gauss:16"])
+def test_stokes_writes_the_exp3_row_of_its_rule(tmp_path, quadrature):
+    # the single solve takes its preconditioner where exp3 does: the exact
+    # LU for the exact system and rules n >= 2, its own LU for rule 1
+    out = tmp_path / "stokes.csv"
+    assert main(["stokes", "--elements", "128", "--quadrature", quadrature,
+                 "--out", str(out)]) == 0
+    n = 0 if quadrature == "exact" else int(quadrature.split(":")[1])
+    rows = experiments.run_exp3_stokes(elements=128, ns=(1, 2, 16))
+    expected = experiments.csv_text(
+        {}, list(rows[0]), [r for r in rows if r["n"] == n]).splitlines()[2:]
+    lines = out.read_text().splitlines()
+    assert lines[lines.index("n,grad_err,div_err,pressure_err") + 1:] == expected
+
+
 def test_dump_tables(tmp_path):
     target = tmp_path / "tables"
     assert main(["dump-tables", str(target)]) == 0
@@ -503,7 +519,10 @@ def _data_digest(text):
 #: 7.5e-13 relative), and the exp3 and stokes data again when the rule
 #: tables lost their mean of one, 2 sum w_q (what the earlier code gives with
 #: it 1.0), and once more when a rule's Stokes load became the moments of its
-#: P2 interpolant (grad_err moves by roundoff, the SVGs hold); they hold
+#: P2 interpolant (grad_err moves by roundoff, the SVGs hold), and once more
+#: when the rules n >= 2 came to be solved by GMRES corrections on the exact
+#: system's LU instead of a factorization of their own (rows 0 and 1 hold;
+#: grad_err moves by at most 2.3e-11 relative, the SVGs hold); they hold
 #: under 1 and 2 OpenBLAS threads.  At 32 elements
 #: grad_err's sum is insensitive to its order; the 128-element run pins that
 #: order (a sum over the free dofs alone moves it).
@@ -518,11 +537,11 @@ GOLDEN_RUNS = {
              "budget command guide_fast guide_slow ns solve_factor solve_start "
              "theta uniform_interval variant"),
     "exp3": (["exp3", "--elements", "32", "--ns", "1", "2", "3"],
-             "c315c056db82839d8ba213a09bf1943090de8b20ba7292f09a6f4574b15637ed",
+             "00af742de533883de6e38f83795e248278aba92c1d4e6ecde5876b6e3713e57f",
              "9fb6dc7466cf758947cb4a5ca92e451c98b0d7fb2f2acae9a62d8b35cc8b8cd4",
              "command elements ns taylor_hood_ref variant"),
     "exp3-128": (["exp3", "--elements", "128", "--ns", "1", "2", "16"],
-                 "defba1c8bdad73f251e1f958a8ed8158c6262d2f6c575e8679046b09964c8702",
+                 "8718da6428cd3224e58fb936c47893594aef92c66b36756b0a903f2d78226fc8",
                  "000c3ea158aed155d8cb89680c67c6ec05a56cb80efa988afdbcdb5e870e8112",
                  "command elements ns taylor_hood_ref variant"),
     "biharmonic-eig": (["biharmonic-eig", "--domain", "lshape", "--levels", "2",
@@ -530,7 +549,7 @@ GOLDEN_RUNS = {
                        "f192cba52b427fa1650d2dcf816708d15617d99446e3da3087cec29d008420d4",
                        None, "command domain levels quadrature variant"),
     "stokes": (["stokes", "--elements", "32", "--quadrature", "gauss:2"],
-               "148ce0082306023f53c65282a865b5a21a8dede62b9641f0648be5be409041ae",
+               "ac072e89aa95a2e8f27f756b5bf60c1f1f6286abe7487a7d105e6d0edfbb5342",
                None, "command elements quadrature taylor_hood_ref variant"),
 }
 

@@ -151,8 +151,9 @@ def test_every_function_in_src_is_reached_public_or_allowed(tmp_path):
 #: wrapped `assemble_matrix`, or the fill layer drops out of the trace; B is
 #: the mesh's, so a second Stokes rule on that mesh fills A alone; the
 #: exact and the rule-2 solve go through the wrapped `solve_biharmonic_eigen`
-#: and `gen_eig_smallest`, on one factorization by the wrapped `splu`; and
-#: exp3 calls the wrapped `stokes_load` once per assembly, on arrays.
+#: and `gen_eig_smallest`, on one factorization by the wrapped `splu`; exp3
+#: calls the wrapped `stokes_load` once per assembly, on arrays, and factors
+#: two saddle systems per mesh (the exact one and rule 1) whatever its rules.
 BENCHMARK_READS = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -180,7 +181,9 @@ names = [span[0] for span in tracer.spans[before:]]
 assert names.count("solvers.eig") == 2, names
 assert names.count("zienkiewicz.solve_eigen") == 2, names
 assert tracer.counts["solvers.factor_count"] == 1, dict(tracer.counts)
+before = tracer.counts["solvers.factor_count"]
 experiments.run_exp3_stokes(elements=8, ns=(1, 4))
+assert tracer.counts["solvers.factor_count"] - before == 2, dict(tracer.counts)
 assert tracer.leaves["guzman_neilan.load"][0] == 3, dict(tracer.leaves)
 print(len(DEFAULT_CACHE), len(DEFAULT_CACHE.table), value.q0, value.q1,
       value.to_float(), MemoCache.key((1, 2, 2), (0, 1, 1)))

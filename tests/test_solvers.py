@@ -5,8 +5,8 @@ import scipy.sparse as sp
 
 from ratfem import solvers
 from ratfem.solvers import (NoConvergenceError, NotPositiveDefiniteError,
-                            SingularSystemError, factorize_spd,
-                            gen_eig_smallest, saddle_solve)
+                            SingularSystemError, factorize_saddle,
+                            factorize_spd, gen_eig_smallest, saddle_solve)
 
 
 def test_singular_system_raises():
@@ -71,6 +71,59 @@ def test_schur_complement_near_the_shift_raises(gap, stop):
     B = sp.csc_matrix(np.array([[1.0, 1.0], [0.0, gap], [1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(SingularSystemError, match=stop):
         saddle_solve(A, B, np.array([1.0, 2.0, 3.0, 4.0, 1.0, 0.0]))
+
+
+def _nearby_a(A, seed, size=1e-3):
+    # A plus a symmetric perturbation of `size` relative to max|A|
+    E = np.random.default_rng(seed).standard_normal(A.shape)
+    return sp.csr_matrix(A.toarray() + size * abs(A).max() * (E + E.T) / 2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_saddle_solve_with_the_lu_of_a_nearby_system(seed, monkeypatch):
+    # the unperturbed system's LU preconditions the GMRES corrections of a
+    # system whose A moved by about 1e-3; nothing is factored again
+    A, B, rhs = _random_saddle(seed, nf=40, m=12)
+    near = _nearby_a(A, seed + 10)
+    own = saddle_solve(near, B, rhs)
+    lu = factorize_saddle(A, B)
+
+    def factored(*args):
+        raise AssertionError("a nearby solve factored its system")
+    monkeypatch.setattr(solvers, "_factorize", factored)
+    x = saddle_solve(near, B, rhs, lu, nearby=True)
+    assert np.abs(x - own).max() <= 1e-12 * np.abs(own).max()
+    # one GMRES solve meets its tolerance in the true residual
+    K = sp.bmat([[near, -B], [-B.T, None]], format="csr")
+    y = solvers._gmres(K, rhs, lu)
+    assert np.linalg.norm(K @ y - rhs) <= solvers.GMRES_TOL * np.linalg.norm(rhs)
+
+
+def test_a_far_off_lu_exhausts_gmres_and_raises():
+    # the identity's LU leaves A's spread spectrum (1 to 1e6) on the kernel
+    # of B^T to GMRES, which the iteration cap cuts off
+    rng = np.random.default_rng(6)
+    nf, m = 300, 40
+    Q = np.linalg.qr(rng.standard_normal((nf, nf)))[0]
+    A = sp.csr_matrix((Q * np.logspace(0, 6, nf)) @ Q.T)
+    B = sp.csr_matrix(rng.standard_normal((nf, m)))
+    lu = factorize_saddle(sp.identity(nf, format="csr"), B)
+    with pytest.raises(NoConvergenceError,
+                       match=f"after {solvers.GMRES_MAXIT} iterations"):
+        saddle_solve(A, B, rng.standard_normal(nf + m), lu, nearby=True)
+
+
+def test_saddle_solves_are_deterministic():
+    A, B, rhs = _random_saddle(7, nf=40, m=12)
+    near = _nearby_a(A, 8)
+    lu = factorize_saddle(A, B)
+    x1 = saddle_solve(near, B, rhs, lu, nearby=True)
+    x2 = saddle_solve(near.copy(), B.copy(), rhs.copy(),
+                      factorize_saddle(A.copy(), B.copy()), nearby=True)
+    assert np.array_equal(x1, x2)
+    assert np.array_equal(saddle_solve(near, B, rhs, lu, nearby=True), x1)
+    # a system's own LU, passed in, gives the bytes of the one made inside
+    assert np.array_equal(saddle_solve(A, B, rhs, lu), saddle_solve(A, B, rhs))
 
 
 def test_gen_eig_examples():
