@@ -150,13 +150,12 @@ def stokes_mesh(elements: int):
 
 
 def stokes_rows(mesh, ns, variant):
-    """A row per rule n in `ns` (0: exact), measured with the exact system so
-    that inexact solves do not grade their own homework.
+    """A row per rule n in `ns` (0: exact), measured with the exact system.
 
-    The exact K_d is factored once: its LU solves the exact system and
-    preconditions GMRES for the rules n >= 2, which share its B.  Rule 1's one
-    Gauss point takes its A too far for that, so it is factored itself, and
-    first: its LU is gone before the exact one is made.
+    The exact K_d LU solves the exact row and preconditions GMRES for the
+    rules n >= 2, which share its B.  Rule 1's one Gauss point moves its A too
+    far for that: it is factored itself, first, so its LU is gone before the
+    exact one is made.
     """
     exact = assemble_stokes(mesh, f=stokes_load, variant=variant)
     rows, lu = {}, None
@@ -165,8 +164,7 @@ def stokes_rows(mesh, ns, variant):
             mesh, f=stokes_load, variant=variant, quadrature=n)
         if n != 1 and lu is None:
             lu = factorize_stokes(exact)
-        u, pressure = solve_stokes(
-            system, factorize_stokes(system) if n == 1 else lu, n >= 2)
+        u, pressure = solve_stokes(system, None if n == 1 else lu, n >= 2)
         del system
         rows[n] = {"n": n, "grad_err": grad_norm(exact, u),
                    "div_err": divergence_l2(exact, u),

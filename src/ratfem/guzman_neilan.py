@@ -211,8 +211,7 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
 
 
 def factorize_stokes(system: StokesSystem):
-    """The certified K_d LU of the gauged saddle system, to
-    :func:`solve_stokes` it or a nearby system of its mesh."""
+    """The certified K_d LU of :func:`solve_stokes`'s gauged system."""
     return solvers.factorize_saddle(system.A, system.B[:, 1:])
 
 
@@ -221,7 +220,7 @@ def solve_stokes(system: StokesSystem, lu=None, nearby: bool = False):
 
     One pressure value is pinned during the solve (kernel gauge) and the
     result is shifted to zero mean afterwards.  `lu` and `nearby` are
-    :func:`solvers.saddle_solve`'s, from :func:`factorize_stokes`.
+    :func:`solvers.saddle_solve`'s, `lu` from :func:`factorize_stokes`.
     """
     free = system.free
     nf = int(free.sum())

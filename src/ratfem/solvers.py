@@ -14,12 +14,12 @@ complement S = B^T A^-1 B, and iterative refinement against the true K
 (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12) removes
 it, contracting the error by about d / (d + s) per step for the smallest
 eigenvalue s of S: a refinement that stalls above roundoff or runs out of
-steps means s is not well above d, and raises.  For a nearby system with
-the same B, K_d's LU is a constraint preconditioner (Keller, Gould & Wathen,
-SIAM J. Matrix Anal. Appl. 21(4), 2000) and each correction a flexible GMRES
-solve (Carson & Higham, SIAM J. Sci. Comput. 40(2), 2018), which raises after
-GMRES_MAXIT steps and sums x from the preconditioned vectors z_j: a solve
-with the sum of the v_j would amplify roundoff by K_d's 1/d.
+steps means s is not well above d, and raises.  A nearby system with the
+same B takes K_d's LU as a constraint preconditioner (Keller, Gould & Wathen,
+SIAM J. Matrix Anal. Appl. 21(4), 2000) of flexible GMRES corrections (Carson
+& Higham, SIAM J. Sci. Comput. 40(2), 2018) that sum x from z_j = LU^-1 v_j:
+LU^-1 of the sum of the v_j would amplify roundoff by 1/d.  No pivots certify
+that system's A, so the solution's curvature checks it instead.
 
 The eigenpair comes from single-vector LOBPCG (Knyazev, SIAM J. Sci.
 Comput. 23(2), 2001): Rayleigh-Ritz on span{x, T r, p} for the residual
@@ -46,7 +46,7 @@ import scipy.sparse.linalg as spla
 
 REFINE_STEPS = 10        # a well-posed saddle system needs about three
 GMRES_TOL = 1e-8         # relative residual of one GMRES correction
-GMRES_MAXIT = 100        # exp3's rules n >= 2 need at most about 11
+GMRES_MAXIT = 100        # exp3's rules n >= 2 take at most 52 (rule 2, full)
 EIG_RESIDUAL = 1e-9      # LOBPCG stops at T-norm residual sqrt(r^T T r / lam)
 EIG_DROP = 1e-8          # M-norm share below which a basis vector is dropped
 EIG_SINGULAR = 1e-10     # x^T A x / |x|^T |A| |x| at which A is singular
@@ -103,12 +103,14 @@ def factorize_saddle(A: sp.spmatrix, B: sp.spmatrix):
 def saddle_solve(A: sp.spmatrix, B: sp.spmatrix, rhs: np.ndarray, lu=None,
                  nearby: bool = False) -> np.ndarray:
     """Solve K x = rhs, K = [[A, -B], [-B^T, 0]] for SPD A and B of full
-    column rank.
+    column rank, refined with `lu`: its factorize_saddle (made if None) or,
+    `nearby`, that of a system with the same B, preconditioning GMRES.
 
-    `lu` is its factorize_saddle (made if None), or, `nearby`, that of a
-    nearby system, which preconditions GMRES.  Raises NotPositiveDefiniteError
-    or SingularSystemError (see the module docstring), also if ||K x - rhs|| /
-    ||rhs|| is not finite or > 1e-10, and NoConvergenceError from GMRES.
+    Raises NotPositiveDefiniteError or SingularSystemError (see the module
+    docstring), also if ||K x - rhs|| / ||rhs|| is not finite or > 1e-10, and
+    NoConvergenceError from GMRES.  `nearby`, a diagonal entry of A or its
+    curvature along x's velocity u, u^T A u / |u|^T |A| |u|, below
+    EIG_SINGULAR raises NotPositiveDefiniteError.
     """
     rhs = np.asarray(rhs, dtype=float)
     K = sp.bmat([[A, -B], [-B.T, None]], format="csr")
@@ -131,6 +133,10 @@ def saddle_solve(A: sp.spmatrix, B: sp.spmatrix, rhs: np.ndarray, lu=None,
     if step > 1e-10 * scale:
         raise SingularSystemError(f"refinement stalled at {step / scale:.1e}"
                                   " max|x|: Schur complement below the shift")
+    u = x[:B.shape[0]]
+    if nearby and not (A.diagonal().min() > 0 and _dot(u, A @ u)
+                       >= EIG_SINGULAR * _dot(abs(A) @ np.abs(u), np.abs(u))):
+        raise NotPositiveDefiniteError("A's diagonal or curvature along u")
     nb = np.sqrt(_dot(rhs, rhs))
     if nb > 0:
         r = K @ x - rhs
@@ -142,8 +148,7 @@ def saddle_solve(A: sp.spmatrix, B: sp.spmatrix, rhs: np.ndarray, lu=None,
 
 def _gmres(K: sp.spmatrix, r: np.ndarray, lu) -> np.ndarray:
     """x with ||K x - r|| <= GMRES_TOL ||r|| by GMRES (Saad & Schultz, SIAM
-    J. Sci. Stat. Comput. 7(3), 1986) right-preconditioned by `lu`, with
-    modified Gram-Schmidt and Givens rotations."""
+    J. Sci. Stat. Comput. 7(3), 1986) right-preconditioned by `lu`."""
     beta = np.sqrt(_dot(r, r))
     if beta == 0:
         return np.zeros_like(r)

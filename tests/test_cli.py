@@ -303,6 +303,27 @@ def test_stokes_writes_the_exp3_row_of_its_rule(tmp_path, quadrature):
     assert lines[lines.index("n,grad_err,div_err,pressure_err") + 1:] == expected
 
 
+def test_full_variant_rules_on_the_exact_lu_match_their_own_solves(tmp_path):
+    # exp3's rules n >= 2 take GMRES on the exact LU under either variant;
+    # the full element's rule 2 needs the most iterations (52 of GMRES_MAXIT)
+    out = tmp_path / "exp3.csv"
+    assert main(["exp3", "--elements", "128", "--variant", "full",
+                 "--ns", "1", "2", "16", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    rows = [line.split(",") for line in
+            lines[lines.index("n,grad_err,div_err,pressure_err") + 1:]]
+    assert [row[0] for row in rows] == ["0", "1", "2", "16"]
+    mesh = experiments.stokes_mesh(128)
+    exact = guzman_neilan.assemble_stokes(mesh, f=experiments.stokes_load,
+                                          variant="full")
+    for row in rows[2:]:
+        own = guzman_neilan.solve_stokes(guzman_neilan.assemble_stokes(
+            mesh, f=experiments.stokes_load, variant="full",
+            quadrature=int(row[0])))[0]
+        grad_err = guzman_neilan.grad_norm(exact, own)
+        assert abs(float(row[1]) - grad_err) <= 1e-10 * grad_err
+
+
 def test_dump_tables(tmp_path):
     target = tmp_path / "tables"
     assert main(["dump-tables", str(target)]) == 0

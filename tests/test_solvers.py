@@ -113,6 +113,22 @@ def test_a_far_off_lu_exhausts_gmres_and_raises():
         saddle_solve(A, B, rng.standard_normal(nf + m), lu, nearby=True)
 
 
+def test_a_nearby_a_indefinite_on_the_kernel_of_bt_raises():
+    # A minus 1.5 times its largest eigenvalue on the kernel of B^T: the
+    # system stays nonsingular and GMRES converges, but the velocity, which
+    # lies in that kernel, has negative curvature; B's first column keeps
+    # a positive diagonal entry
+    A, B, rhs = _random_saddle(3, nf=20, m=5)
+    B = sp.csc_matrix(np.hstack([np.eye(20)[:, :1], B.toarray()[:, 1:]]))
+    Z = sla.null_space(B.toarray().T)
+    lam = np.linalg.eigvalsh(Z.T @ A.toarray() @ Z).max()
+    near = sp.csr_matrix(A.toarray() - 1.5 * lam * Z @ Z.T)
+    assert near.diagonal().max() > 0
+    rhs[20:] = 0.0
+    with pytest.raises(NotPositiveDefiniteError, match="curvature"):
+        saddle_solve(near, B, rhs, factorize_saddle(A, B), nearby=True)
+
+
 def test_saddle_solves_are_deterministic():
     A, B, rhs = _random_saddle(7, nf=40, m=12)
     near = _nearby_a(A, 8)
