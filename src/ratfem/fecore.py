@@ -1,6 +1,6 @@
 """Element-type-independent machinery: moment tensors (exact or by a Gauss
-rule), load evaluation, reduced-element bubble corrections, shape
-coefficients, dof layouts, the mesh phase with its scatter plan, and assembly.
+rule), reduced-element bubble corrections, shape coefficients, dof layouts,
+the mesh phase with its scatter plan, and assembly.
 
 All exact reference tensors are computed once per process by exact rational
 quadrature and floated at the very end, so recomputation is bit-reproducible.
@@ -74,36 +74,6 @@ def lagrange_basis(degree: int):
         edge = [4 * (lam[(j + 1) % 3] * lam[(j + 2) % 3]) for j in range(3)]
         return vertex + edge
     raise ValueError(f"unsupported Lagrange degree {degree}")
-
-
-def load_values(f, tria, components: int | None = None) -> np.ndarray:
-    """A load f(X, Y) at the P2 nodes of every element.
-
-    `f` is called once, on coordinate arrays X, Y of shape (p, 6).  It returns
-    an array broadcastable to that shape, or for `components` = k a sequence
-    of k such arrays.  The result has shape (p, 6) or (p, k, 6).
-    """
-    verts = tria.c4n[tria.n4e]                         # (p, 3, 2)
-    bary = np.array(P2_NODES, dtype=float)
-    X, Y = verts[:, :, 0] @ bary.T, verts[:, :, 1] @ bary.T
-    try:
-        vals = f(X, Y)
-    except (TypeError, ValueError) as exc:
-        raise TypeError("load callbacks are called once per assembly as "
-                        f"f(X, Y) on coordinate arrays of shape {X.shape}; "
-                        f"this one failed on arrays: {exc}") from exc
-    parts = [vals] if components is None else list(vals)
-    if len(parts) != (components or 1):
-        raise TypeError(f"load callback returned {len(parts)} components, "
-                        f"expected {components}")
-    try:
-        parts = [np.broadcast_to(np.asarray(v, dtype=float), X.shape)
-                 for v in parts]
-    except ValueError as exc:
-        raise TypeError("load callback values must broadcast to the "
-                        f"coordinate shape {X.shape}: {exc}") from exc
-    out = np.stack(parts, axis=1)
-    return out[:, 0] if components is None else out
 
 
 def edge_corrections(V, frames, rows) -> np.ndarray:

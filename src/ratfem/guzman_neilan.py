@@ -19,8 +19,8 @@ from functools import cache, lru_cache
 import numpy as np
 
 from . import fecore, solvers, zienkiewicz
-from .fecore import (MIDS, assemble_matrix, assemble_vector, lagrange_basis,
-                     load_values, moment_tensor, pad_free, scatter_plan)
+from .fecore import (MIDS, P2_NODES, assemble_matrix, assemble_vector,
+                     lagrange_basis, moment_tensor, pad_free, scatter_plan)
 from .mesh import Triangulation
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])   # curl g = ROT grad g
@@ -109,10 +109,29 @@ def local_load(f, tria, G, tables) -> np.ndarray:
     """Batched load means b_T (p,12) of the vector field f = (f_x, f_y),
     interpolated in P2 at the nodes.
 
-    f is sampled once at the six nodes; one GEMM against [bhat1 | bhat2]
-    gives each component's moments.
+    f is called once, on coordinate arrays X, Y of shape (p, 6) of every
+    element's P2 nodes, and returns two arrays broadcastable to that shape;
+    one GEMM against [bhat1 | bhat2] gives each component's moments.
     """
-    fvals = load_values(f, tria, components=2)                     # (p,2,6)
+    verts = tria.c4n[tria.n4e]                         # (p, 3, 2)
+    bary = np.array(P2_NODES, dtype=float)
+    X, Y = verts[:, :, 0] @ bary.T, verts[:, :, 1] @ bary.T
+    try:
+        vals = f(X, Y)
+    except (TypeError, ValueError) as exc:
+        raise TypeError("load callbacks are called once per assembly as "
+                        f"f(X, Y) on coordinate arrays of shape {X.shape}; "
+                        f"this one failed on arrays: {exc}") from exc
+    parts = list(vals) if np.iterable(vals) else [vals]
+    if len(parts) != 2:
+        raise TypeError(f"load callback returned {len(parts)} components, "
+                        "expected 2")
+    try:
+        fvals = np.stack([np.broadcast_to(np.asarray(v, dtype=float), X.shape)
+                          for v in parts], axis=1)                 # (p,2,6)
+    except ValueError as exc:
+        raise TypeError("load callback values must broadcast to the "
+                        f"coordinate shape {X.shape}: {exc}") from exc
     p = fvals.shape[0]
     bload = np.concatenate([tables.bhat1, tables.bhat2.reshape(6, 18)], axis=1)
     T = (fvals.reshape(2 * p, 6) @ bload).reshape(p, 2, 21)

@@ -17,8 +17,8 @@ from functools import cache, lru_cache
 import numpy as np
 
 from . import fecore, solvers
-from .fecore import (MIDS, VERTS, assemble_matrix, assemble_vector,
-                     lagrange_basis, load_values, moment_tensor, pad_free)
+from .fecore import (MIDS, VERTS, assemble_matrix, lagrange_basis,
+                     moment_tensor, pad_free)
 from .mesh import Triangulation
 from .ratfun import RatCombo, bubble, combo_values, gradient_values
 
@@ -48,7 +48,7 @@ class ZienkiewiczTables:
     That_v: np.ndarray   # (3,12) values at vertices
     That_gv: np.ndarray  # (3,12,3) lam-gradients at vertices
     That_ge: np.ndarray  # (3,12,3) lam-gradients at edge midpoints
-    bhat: np.ndarray     # (6,12) P2 Lagrange moments
+    bhat: np.ndarray     # (6,12) P2 Lagrange moments, only dumped
     Hmean: np.ndarray    # (12,3,3) means of the lam-Hessian entries
 
 
@@ -86,11 +86,6 @@ def local_stiffness(area, GG, table) -> np.ndarray:
     return area[:, None, None] * (Q @ table.reshape(r * r, 81).T).reshape(p, r, r)
 
 
-def local_load(f, tria, tables) -> np.ndarray:
-    """Batched load means b_T (p,12) of f, interpolated in P2 at the nodes."""
-    return load_values(f, tria) @ tables.bhat
-
-
 def local_vandermonde_batch(G, normals) -> np.ndarray:
     """Batched 12x12 Vandermonde: values, gradients, edge normals (exact)."""
     tables = get_tables()
@@ -122,7 +117,6 @@ class BiharmonicSystem:
     free: np.ndarray      # (ndof,) bool
     A: "object"           # csr stiffness (Laplacian products), free x free
     M: "object"           # csr mass, free x free
-    b: np.ndarray         # load on all dofs
     coeffs: np.ndarray    # (p, 12, L) shape-function coefficients
 
 
@@ -138,17 +132,16 @@ def mesh_phase(tria: Triangulation, variant: str):
             local_vandermonde_batch(G, normals), variant, normals))
 
 
-def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
+def assemble_biharmonic(tria: Triangulation, variant: str = "full",
                         quadrature="exact") -> BiharmonicSystem:
-    """Assemble stiffness (Laplacian form) and mass on the free dofs and the
-    load on all dofs for the clamped plate.
+    """Assemble stiffness (Laplacian form) and mass on the free dofs for the
+    clamped plate.
 
     `quadrature` is "exact" or an integer n selecting the tensorized Gauss
     rule.  It only selects the reference tables (:func:`get_tables`): on
-    affine elements the rule applied to the stiffness, mass and load
-    integrands is the same contraction with rule-n tables.  The exact basis
-    change is :func:`mesh_phase`'s, shared by every quadrature.  The load `f`
-    is called once, as f(X, Y) on coordinate arrays (see :func:`local_load`).
+    affine elements the rule applied to the stiffness and mass integrands is
+    the same contraction with rule-n tables.  The exact basis change is
+    :func:`mesh_phase`'s, shared by every quadrature.
     """
     area, _, GG, C, ndof, l2g, free, plan = mesh_phase(tria, variant)
     tables = get_tables(quadrature)
@@ -159,11 +152,7 @@ def assemble_biharmonic(tria: Triangulation, f=None, variant: str = "full",
     M = assemble_matrix(plan, np.einsum(
         "eri,ers,esj->eij", C, area[:, None, None] * tables.Mhat[None, :, :],
         C, optimize=True))
-
-    b = np.zeros(ndof) if f is None else assemble_vector(
-        l2g, area, C, local_load(f, tria, tables), ndof)
-
-    return BiharmonicSystem(tria, ndof, l2g, free, A, M, b, C)
+    return BiharmonicSystem(tria, ndof, l2g, free, A, M, C)
 
 
 def solve_biharmonic_eigen(system: BiharmonicSystem, lu,

@@ -108,37 +108,34 @@ def _rule_data(basis, n):
 
 
 def _p2_load(f, verts):
-    """f at the P2 Lagrange nodes of one element, one call per node: (6,)
-    for a scalar load, (6, 2) for a vector one."""
+    """A vector load f at the P2 Lagrange nodes of one element, one call per
+    node: (6, 2)."""
     nodes = np.array(P2_NODES, dtype=float)
     return np.array([f(x, y) for x, y in nodes @ verts])
 
 
-def gauss_reference_zienkiewicz(tri, n, f):
-    """A_T, M_T and b_T of one element by the n-point rule at the points.
+def gauss_reference_zienkiewicz(tri, n):
+    """A_T and M_T of one element by the n-point rule at the points.
 
     The per-point formula: Laplacians of the basis at every rule point, then
-    weighted sums; the load is interpolated in P2 and evaluated per point.
+    weighted sums.
     """
     from ratfem.zienkiewicz import zienkiewicz_basis
-    w, bary, Vq, _, Hq = _rule_data(zienkiewicz_basis(), n)
+    w, _, Vq, _, Hq = _rule_data(zienkiewicz_basis(), n)
     _, area, G = tri.geometry_arrays()
     a, GG = area[0], G[0] @ G[0].T
     D = np.einsum("qrij,ij->qr", Hq, GG)
     A_T = 2.0 * a * (D.T * w) @ D
     M_T = 2.0 * a * (Vq.T * w) @ Vq
-    fq = combo_values(lagrange_basis(2), bary) @ _p2_load(f, tri.c4n[tri.n4e[0]])
-    b_T = 2.0 * (Vq.T * w) @ fq
-    return A_T, M_T, b_T
+    return A_T, M_T
 
 
 def gauss_reference_guzman_neilan(tri, n, f):
     """A_T, B_T and b_T of one element by the n-point rule at the points.
 
     The per-point formula: physical Hessians and curls of the potentials at
-    every rule point; the load f(x, y) = (f_x, f_y) is interpolated in P2,
-    as :func:`gauss_reference_zienkiewicz` does, and evaluated per point
-    (:func:`gauss_stokes_load`).
+    every rule point; the load f(x, y) = (f_x, f_y) is interpolated in P2
+    and evaluated per point (:func:`gauss_stokes_load`).
     """
     from ratfem.guzman_neilan import ROT, stream_potentials
     w, bary, _, _, Hq = _rule_data(stream_potentials(), n)

@@ -157,19 +157,25 @@ def test_global_matrix_symmetry():
     assert gap <= 1e-12 * abs(system.A).max()
 
 
-def test_rhs_pipeline_exactness():
-    # for a P2 load the nodal-interpolation route reproduces the exact moments
+def test_stokes_load_pipeline_exactness():
+    # for a P2 vector load the exact tables reproduce the exact moments
+    # against the six P1 fields and the six curl fields
+    from ratfem.guzman_neilan import assemble_stokes, stream_potentials
     from ratfem.mesh import Triangulation
-    from ratfem.zienkiewicz import assemble_biharmonic, zienkiewicz_basis
-    from ratfem.quadrature import integral_mean_combo
     ref = Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-    f = lambda x, y: x * x + 2 * y   # lam1^2 + 2 lam2 in barycentric
-    system = assemble_biharmonic(ref, f=f)
-    lam1, lam2 = RatCombo.lam(1), RatCombo.lam(2)
-    f_combo = lam1 * lam1 + 2 * lam2
+    f = lambda x, y: (x * x + 2 * y, x * y - 3.0)   # x = lam1, y = lam2
+    system = assemble_stokes(ref, f=f)
+    lam = [RatCombo.lam(j) for j in range(3)]
+    f_x = lam[1] * lam[1] + 2 * lam[2]
+    f_y = lam[1] * lam[2] - 3 * RatCombo.one()
+    # f . curl rho = f_x d_y rho - f_y d_x rho, with d_x = d_1 - d_0 and
+    # d_y = d_2 - d_0 on this triangle
+    fields = [f_x * l for l in lam] + [f_y * l for l in lam] + [
+        f_x * (rho.diff(2) - rho.diff(0)) - f_y * (rho.diff(1) - rho.diff(0))
+        for rho in stream_potentials()]
+    exact_moments = np.array(
+        [integral_mean_combo(g).to_float() for g in fields])
     area = 0.5
-    exact_moments = np.array([
-        integral_mean_combo(f_combo * b).to_float() for b in zienkiewicz_basis()])
     expected = np.zeros(system.ndof)
     expected[system.l2g[0]] = area * system.coeffs[0].T @ exact_moments
     scale = np.abs(expected).max()

@@ -1,7 +1,7 @@
 """Reachability guard: every module-level function and method in
 `src/ratfem` runs in some command, is listed in README's `## Library API`
-section, or is on a one-entry allowlist; and `ratfem.__all__` is exactly the
-top-level names that section lists.
+section, or is on an allowlist, which is empty; and `ratfem.__all__` is
+exactly the top-level names that section lists.
 
 The command forms run in one fresh interpreter, each through `cli.main`
 under `sys.setprofile`: in the test process another test may already have
@@ -26,9 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Kept although no command reaches it: the plate load, which
-#: `assemble_biharmonic(f=...)` evaluates and no command passes.
-ALLOWED = {"ratfem.zienkiewicz.local_load"}
+#: Functions kept although no command reaches them; none today.
+ALLOWED = set()
 
 
 def command_forms(tmp):

@@ -32,10 +32,6 @@ def _rel(got, ref):
     return np.abs(got - ref).max() / np.abs(ref).max()
 
 
-def plate_load(x, y):
-    return np.sin(2.0 * x) * np.exp(y) + x * y
-
-
 def stokes_vector_load(x, y):
     return np.cos(y) + x, 1.0 + x * x * y
 
@@ -46,10 +42,9 @@ def test_zienkiewicz_rule_tables_match_pointwise_rule(n):
     for tri in _triangles(100 + n):
         _, area, G = tri.geometry_arrays()
         GG = np.einsum("eic,ejc->eij", G, G)
-        A_ref, M_ref, b_ref = gauss_reference_zienkiewicz(tri, n, plate_load)
+        A_ref, M_ref = gauss_reference_zienkiewicz(tri, n)
         assert _rel(zk.local_stiffness(area, GG, tables.Ahat)[0], A_ref) <= REL
         assert _rel(area[0] * tables.Mhat, M_ref) <= REL
-        assert _rel(zk.local_load(plate_load, tri, tables)[0], b_ref) <= REL
 
 
 @pytest.mark.parametrize("n", RULES)
@@ -182,26 +177,18 @@ class Recorder:
 @pytest.mark.parametrize("quadrature", ["exact", 1, 4])
 def test_load_callbacks_are_called_once_on_arrays(quadrature):
     mesh = refine_uniform(unit_square_mesh())
-    p = mesh.num_elements
-    plate = Recorder(plate_load)
-    zk.assemble_biharmonic(mesh, f=plate, quadrature=quadrature)
     stokes = Recorder(stokes_vector_load)
     gn.assemble_stokes(mesh, f=stokes, quadrature=quadrature)
-    # both elements take the load at the six P2 nodes under every quadrature
-    for recorder in (plate, stokes):
-        assert len(recorder.calls) == 1
-        x, y = recorder.calls[0]
-        assert isinstance(x, np.ndarray) and x.shape == y.shape == (p, 6)
+    # the load is taken at the six P2 nodes under every quadrature
+    assert len(stokes.calls) == 1
+    x, y = stokes.calls[0]
+    assert isinstance(x, np.ndarray)
+    assert x.shape == y.shape == (mesh.num_elements, 6)
 
 
 def test_constant_loads_broadcast():
     mesh = refine_uniform(unit_square_mesh())
     for quadrature in ("exact", 3):
-        ones = zk.assemble_biharmonic(mesh, f=lambda x, y: 1.0,
-                                      quadrature=quadrature)
-        arrays = zk.assemble_biharmonic(mesh, f=lambda x, y: np.ones_like(x),
-                                        quadrature=quadrature)
-        assert np.array_equal(ones.b, arrays.b)
         const = gn.assemble_stokes(mesh, f=lambda x, y: (0.5, 2.0),
                                    quadrature=quadrature)
         full = gn.assemble_stokes(
@@ -218,7 +205,7 @@ def test_constant_loads_broadcast():
 def test_scalar_only_callbacks_raise_type_error(bad):
     mesh = refine_uniform(unit_square_mesh())
     with pytest.raises(TypeError, match="coordinate arrays"):
-        zk.assemble_biharmonic(mesh, f=bad)
+        gn.assemble_stokes(mesh, f=bad)
     with pytest.raises(TypeError, match="coordinate arrays"):
         gn.assemble_stokes(mesh, f=lambda x, y: (bad(x, y), 0.0),
                            quadrature=2)
@@ -227,6 +214,9 @@ def test_scalar_only_callbacks_raise_type_error(bad):
 def test_malformed_load_values_raise_type_error():
     mesh = refine_uniform(unit_square_mesh())
     with pytest.raises(TypeError, match="broadcast"):
-        zk.assemble_biharmonic(mesh, f=lambda x, y: np.ones(7))
-    with pytest.raises(TypeError, match="components"):
+        gn.assemble_stokes(mesh, f=lambda x, y: (np.ones(7), y))
+    with pytest.raises(TypeError, match="returned 3 components, expected 2"):
         gn.assemble_stokes(mesh, f=lambda x, y: (x, y, x))
+    # a scalar is one component, not an iterable that fails to unpack
+    with pytest.raises(TypeError, match="returned 1 components, expected 2"):
+        gn.assemble_stokes(mesh, f=lambda x, y: 1.0)

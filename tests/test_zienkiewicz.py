@@ -4,7 +4,7 @@ import pytest
 from felib import (bary_coords, element_eval, element_geometry, eval_float,
                    hermite_psi, nodal_interpolant,
                    random_shape_regular_triangle)
-from ratfem.fecore import ZeroBubbleDofError, edge_corrections, pad_free
+from ratfem.fecore import ZeroBubbleDofError, edge_corrections
 from ratfem.mesh import Triangulation, refine_uniform, unit_square_mesh
 from ratfem.quadrature import integral_mean_combo
 from ratfem.ratfun import RatCombo, bubble
@@ -286,15 +286,3 @@ def test_reduced_rejects_vanishing_bubble_normal_derivative():
     bad[:, 9, 9] = 0.0
     with pytest.raises(ZeroBubbleDofError):
         edge_corrections(bad, normals, (3, 6))
-
-
-def test_biharmonic_source_solve():
-    mesh = refine_uniform(refine_uniform(unit_square_mesh()))
-    system = assemble_biharmonic(mesh, f=lambda x, y: 1.0)
-    free = system.free
-    u = pad_free(free, factorize_spd(system.A).solve(system.b[free]))
-    assert np.all(u[~system.free] == 0.0)
-    # clamped plate under uniform load deflects upward in the middle
-    center = np.argmin(np.sum((mesh.c4n - 0.5) ** 2, axis=1))
-    assert u[center] > 0
-    assert u @ system.b > 0
