@@ -1,6 +1,7 @@
 """Element-type-independent machinery: moment tensors (exact or by a Gauss
 rule), reduced-element bubble corrections, shape coefficients, dof layouts,
-the mesh phase with its scatter plan, and assembly.
+the mesh phase with its scatter plan, and assembly, which sums every sparse
+entry and every load entry in element order.
 
 All exact reference tensors are computed once per process by exact rational
 quadrature and floated at the very end, so recomputation is bit-reproducible.
@@ -140,7 +141,8 @@ def mesh_phase(tria, variant: str, layouts: dict, coefficients):
     """What assembly needs that no quadrature changes: area, G = Dlam, G G^T,
     the shape coefficients C = coefficients(G, normals, tangents) (edge frames
     in local order), (ndof, l2g, free) and the :func:`scatter_plan` of the
-    free x free block; read-only, as systems share them."""
+    free x free block, which sums in element order; read-only, as systems
+    share them."""
     ndof, l2g, free = dof_layout(tria, variant, layouts)
     _, area, G = tria.geometry_arrays()
     C = coefficients(G, tria.normal4s[tria.s4e], tria.tangent4s[tria.s4e])
@@ -159,57 +161,40 @@ def pad_free(free, x) -> np.ndarray:
 
 
 def scatter_plan(rows: np.ndarray, cols: np.ndarray, shape, keep_rows, keep_cols):
-    """(order, slot, pattern) of local blocks (p, R, K) on rows (p, R) and
-    cols (p, K) of a matrix of `shape`, kept on keep_rows x keep_cols.
+    """(slot, pattern) of local blocks (p, R, K) on rows (p, R) and cols
+    (p, K) of a matrix of `shape`, kept on keep_rows x keep_cols.
 
-    Summand k, the flat local entry order[k], adds to data slot slot[k] of
-    the CSR `pattern` that every matrix of the plan shares; summands outside
-    the kept block are dropped.  Each kept entry sums what
-    coo_matrix(...).tocsr()[keep_rows][:, keep_cols] sums, in SciPy's order,
-    found by letting it move index tags: COO -> CSR sorts stably by row,
-    csr_sort_indices by column, duplicates add left to right, and the kept
-    block is SciPy's own extraction of the whole pattern."""
-    R, K = rows.shape[1], cols.shape[1]
+    Flat local entry k adds to data slot slot[k] of the CSR pattern
+    (indptr, indices, kept shape) that every matrix of the plan shares;
+    entries outside the kept block go to one extra slot past its end."""
     for index, n in ((rows, shape[0]), (cols, shape[1])):
         if index.min() < 0 or index.max() >= n:
             raise IndexError("dof index out of range")
-    # stable by row: (element, local row) pairs stably by row, each with K columns
-    pairs = np.argsort(rows.ravel(), kind="stable")
-    by_row = (pairs[:, None] * K + np.arange(K)).ravel()
-    row_of = np.repeat(rows.ravel()[pairs], K)
-    indptr = np.r_[0, np.cumsum(np.bincount(row_of, minlength=shape[0]))]
-    tags = sp.csr_matrix((by_row.astype(float), cols[pairs // R].ravel(), indptr),
-                         shape=shape)
-    tags.sort_indices()
-    first = np.r_[True, (np.diff(tags.indices) != 0) | (np.diff(row_of) != 0)]
-    slots = np.cumsum(first, dtype=np.int32)        # slots up to each summand
-    whole = sp.csr_matrix((np.arange(slots[-1], dtype=np.int32), tags.indices[first],
-                           np.r_[0, slots][tags.indptr]), shape=shape)
-    pattern = whole[keep_rows][:, keep_cols]
-    remap = np.full(whole.nnz, -1, dtype=np.int32)
-    remap[pattern.data] = np.arange(pattern.nnz, dtype=np.int32)
-    slot = remap[slots - 1]
-    kept = slot >= 0
-    plan = tags.data[kept].astype(np.int32), slot[kept], pattern
-    for array in (*plan[:2], pattern.data, pattern.indices, pattern.indptr):
+    # kept rows and columns renumbered in order, -1 where dropped
+    r, c = (np.where(keep, np.cumsum(keep) - 1, -1)[index] for keep, index in
+            ((keep_rows, rows[:, :, None]), (keep_cols, cols[:, None, :])))
+    kept = (r >= 0) & (c >= 0)
+    m, n = np.count_nonzero(keep_rows), np.count_nonzero(keep_cols)
+    keys, inverse = np.unique((r * n + c)[kept], return_inverse=True)
+    slot = np.full(kept.size, keys.size, dtype=np.int32)
+    slot[kept.ravel()] = inverse
+    row, col = divmod(keys, n)
+    indptr = np.r_[0, np.cumsum(np.bincount(row, minlength=m))].astype(np.int32)
+    indices = col.astype(np.int32)
+    for array in (slot, indptr, indices):
         array.setflags(write=False)
-    return plan
+    return slot, (indptr, indices, (m, n))
 
 
 def assemble_matrix(plan, local: np.ndarray) -> sp.csr_matrix:
-    """Sum local blocks into the CSR of a :func:`scatter_plan`, byte for byte
-    what coo_matrix(...).tocsr()[keep_rows][:, keep_cols] gives: each slot
-    from -0.0 (the additive identity, so signed zeros survive) left to right
-    in SciPy's order."""
-    order, slot, pattern = plan
-    data = np.full(pattern.nnz, -0.0)
-    np.add.at(data, slot, local.ravel()[order])
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+    """Sum local blocks into the CSR of a :func:`scatter_plan`: each slot
+    from 0.0, in element order."""
+    slot, (indptr, indices, shape) = plan
+    data = np.bincount(slot, local.ravel(), minlength=indices.size + 1)[:-1]
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def assemble_vector(l2g: np.ndarray, area, C, b_T, ndof: int) -> np.ndarray:
     """The load on all dofs: each element's area * C^T b_T summed into l2g."""
     local = area[:, None] * np.einsum("eri,er->ei", C, b_T)
-    out = np.zeros(ndof)
-    np.add.at(out, l2g.ravel(), local.ravel())
-    return out
+    return np.bincount(l2g.ravel(), local.ravel(), minlength=ndof)

@@ -86,15 +86,18 @@ def test_assemble_matrix():
     assert A[1, 1] == 2.0 and A[0, 0] == 1.0 and A[0, 2] == 0.0
     with pytest.raises(IndexError):
         assemble(np.array([[0, 5]]), np.ones((1, 2, 2)), 3)
+    # 1e16, eight ones and -1e16 in each of two interleaved columns of one
+    # row: in element order every 1e16 + 1 rounds back to 1e16 (a column sort
+    # of the row's 20 summands that is not stable gives other sums)
+    local = np.ones((10, 1, 2))
+    local[0], local[-1] = 1e16, -1e16
+    plan = scatter_plan(np.zeros((10, 1), int), np.tile([1, 0], (10, 1)), (1, 2),
+                        np.ones(1, bool), np.ones(2, bool))
+    assert assemble_matrix(plan, local).toarray().tolist() == [[0.0, 0.0]]
     # identity coefficients: each element adds area * b_T into its dofs
     vec = assemble_vector(np.array([[0, 1], [1, 2]]), np.array([1.0, 2.0]),
                           np.broadcast_to(np.eye(2), (2, 2, 2)), np.ones((2, 2)), 3)
     assert np.allclose(vec, [1, 3, 2])
-
-
-def csr_bytes(A):
-    return tuple(np.ascontiguousarray(a).tobytes()
-                 for a in (A.indptr, A.indices, A.data))
 
 
 #: Signed zeros, and magnitudes whose sums round differently in another order.
@@ -110,7 +113,7 @@ def keep_mask(data, n, label):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_scatter_plan_reproduces_scipy_bytes(data):
+def test_scatter_plan_sums_in_element_order(data):
     ndof = data.draw(st.integers(1, 7), label="ndof")
     p, L = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
     # a few dofs over many slots: repeated dofs in and across elements, and
@@ -131,12 +134,25 @@ def test_scatter_plan_reproduces_scipy_bytes(data):
                  else keep_mask(data, shape[1], "keep_cols"))
     plan = scatter_plan(l2g, cols, shape, keep_rows, keep_cols)
     A = assemble_matrix(plan, local)
+    # the pattern is SciPy's
     ref = sp.coo_matrix((local.ravel(), (np.repeat(l2g, K, axis=1).ravel(),
                                          np.tile(cols, (1, L)).ravel())),
-                        shape=shape).tocsr()
-    assert csr_bytes(A) == csr_bytes(ref[keep_rows][:, keep_cols])
-    pattern = plan[2]
-    for array in (*plan[:2], pattern.data, pattern.indices, pattern.indptr):
+                        shape=shape).tocsr()[keep_rows][:, keep_cols]
+    for array, expected in ((A.indptr, ref.indptr), (A.indices, ref.indices)):
+        assert array.dtype == expected.dtype
+        assert array.tobytes() == expected.tobytes()
+    # each kept entry sums its summands from 0.0, in element order
+    sums = {}
+    for e, i, j in np.ndindex(local.shape):
+        row, col = l2g[e, i], cols[e, j]
+        if keep_rows[row] and keep_cols[col]:
+            sums[row, col] = sums.get((row, col), 0.0) + float(local[e, i, j])
+    kept_rows, kept_cols = np.flatnonzero(keep_rows), np.flatnonzero(keep_cols)
+    expected = [sums[kept_rows[r], kept_cols[A.indices[k]]]
+                for r in range(A.shape[0]) for k in range(A.indptr[r], A.indptr[r + 1])]
+    assert A.data.tobytes() == np.array(expected, dtype=float).tobytes()
+    slot, (indptr, indices, _) = plan
+    for array in (slot, indptr, indices):
         assert array.dtype == np.int32 and not array.flags.writeable
     # one row index, then one column index, out of range
     for axis in (0, 1):

@@ -58,45 +58,38 @@ def case_digest(case):
 
 
 #: The systems' plate (A, M) and Stokes (A, B, b): stiffness and mass on
-#: free x free, the divergence matrix on free rows, the load on all dofs.
-#: Taken at the commit before they became free-dof blocks, as A[free][:, free],
-#: M[free][:, free] or B[free], and b, over every mesh of exp2 at budget 10000
-#: (full variant, its largest also reduced) and the 2048-element Stokes mesh,
-#: both variants.  The plate digests were re-taken over (A, M) alone, at the
-#: commit before the plate lost its load: A and M kept their bytes.
-#: The rule-16 Stokes digests were re-taken when the rule tables lost their
-#: mean of one, 2 sum w_q: they are what the earlier code gives with it 1.0.
-#: The rule-n Stokes digests were re-taken again when a rule's load became
-#: the moments of its P2 interpolant: A and B kept their bytes, b moved by
-#: roundoff (the load is quadratic, so the interpolant is the load itself).
+#: free x free, the divergence matrix on free rows, the load on all dofs, over
+#: every mesh of exp2 at budget 10000 (full variant, its largest also reduced)
+#: and the 2048-element Stokes mesh, both variants; taken when every sparse
+#: entry came to be summed from 0.0 in element order.
 MATRIX_DIGESTS = {
-    ("plate", 0, "full", "exact"): "ad5e1f76058b76123b29b7a1c6fc37b2cde4bc4799484cbc9aa63eac7a337773",
-    ("plate", 0, "full", 2): "d70d286b31b22fd55a48f1e356e43e3104d13e20d0d3e3f682ef9166d61f0e26",
-    ("plate", 0, "full", 11): "a3ad759db25d85f537143d8a8c91192ed2e477a2d8657512353ac392015ca6cd",
-    ("plate", 1, "full", "exact"): "3eb984f75d009c08c8754a0bf9e87dff7b24123f6cfaacf1826b1802f7913747",
-    ("plate", 1, "full", 2): "4674fe3ec6837d8f70a34c9308c07d80d54bd4c90a571d01b94dcfc53129eec3",
-    ("plate", 1, "full", 11): "1f335259d351463555e6d51164ad9dcdb84d6d9c7a5628894df10d7f1bf73ee6",
-    ("plate", 2, "full", "exact"): "86669b0edd0c412e389e299ca1698dab1eccfe5057ba62a9b0d0c0e2d002b0e4",
-    ("plate", 2, "full", 2): "7d0555b1fd73fbc838e680e516c1c5a6e2f0cd316d955d886c81d325a6be2714",
-    ("plate", 2, "full", 11): "7762764e91a1baa1fa97c7b1e5288eb622e1efbb447fd480a6e8f6e865aeee8b",
-    ("plate", 3, "full", "exact"): "7f9414f2971f1fd1fd668e2a02ec9ce3ce39a83873c27a3845addecd44120000",
-    ("plate", 3, "full", 2): "a3c2cbe03a0238b145b5cc9349a5253ffb9b989a860b6c1a49a9a25fe16f4f5e",
-    ("plate", 3, "full", 11): "8fe1bacdf9cd6d73b9ee56b81f4d20f5acfcce9e991ee80d8a265a710e1972c0",
-    ("plate", 4, "full", "exact"): "b3e616ee28c1a230caa6f0bd4d720e161853c3835d753a526ed560bd1c38dc88",
-    ("plate", 4, "full", 2): "f4ef6cb60f3469e3879c545c9b918bc6e2e3ab446d86900d5db9c9bf06eca413",
-    ("plate", 4, "full", 11): "889c6b590e52f79dada860d9d275aff61e248aebbaa6042e07473ce36ff60dd9",
-    ("plate", 5, "full", "exact"): "361a8322f4ac94ceccca1097f0c4b686335ab5ebf9a7d1bebe17701487071955",
-    ("plate", 5, "full", 2): "a039c3b8459a2c0ea9494d051c178f57218afb82bc198222f4a822c2b58cf3f4",
-    ("plate", 5, "full", 11): "f8fc5111c7449c872eea35195237f72a5fbade6724ed454baf81d06f41cf77b8",
-    ("plate", 5, "reduced", "exact"): "da1872079e1262425621b3743466997790726d5fb7d5598a1256ffb72f44260b",
-    ("plate", 5, "reduced", 2): "23c4d8a23b9fe3a731e775c596ac372e1242366f0c4933caf86d16e4893a2ed5",
-    ("plate", 5, "reduced", 11): "f3f367b29c19a3a170f31ff5191d478dd485f9b8e306b9f917bad58f2ecc3ded",
-    ("stokes", 2048, "full", "exact"): "2ce7eccd7b8ba1314143b002fd505af571d9152ad6c3d0940948161e78e0729a",
-    ("stokes", 2048, "full", 1): "74cfae6e3fc4f5e90784a6b5f4be972f0c2170103a803e700c7ceea0a750375b",
-    ("stokes", 2048, "full", 16): "b5e4b79e7b6423eee78bd5f7e2d70d60547a3dafd61ca2d714a42bcd27583c34",
-    ("stokes", 2048, "reduced", "exact"): "46f47416b3f6662f156d3945652d2ae85462374b0df29bed5d582c8d92f000c8",
-    ("stokes", 2048, "reduced", 1): "4253a21de4cd57e4fb5d6a3d85c923f31d31152ea97d99ac8a8d05581143c401",
-    ("stokes", 2048, "reduced", 16): "6342c88730a16cc91fe58e8c499160a89539c4d92b054b4342fa607860f1af97",
+    ("plate", 0, "full", "exact"): "02342a2f6e760db254c391047690c04e3a0aac3646ee00aa8b57ffcfe23045d9",
+    ("plate", 0, "full", 2): "95cd650232db0b47559243f79c14350887d4f0dcd08ee3f31c38e580d578ce92",
+    ("plate", 0, "full", 11): "2d00c75ea9ce493528d5c583a69f819e7eb3e1be9dbf8771da99cb1055b9c89f",
+    ("plate", 1, "full", "exact"): "756be73c20ef969ab8a6666ce9d6113d3a92835b99b5b3967dae70c261a73d43",
+    ("plate", 1, "full", 2): "a9bdd88f6edbf1951f949f256c12989cba4d83948c61e95f669d722edc73ae56",
+    ("plate", 1, "full", 11): "2cfd54e63210ededb1f776f36656d6243ebce2749ef84a5f4c5f50ac1ad54455",
+    ("plate", 2, "full", "exact"): "98a76386db8da88af4fa21d6a6c37d50ed119d556ed6b1f00843649746f98722",
+    ("plate", 2, "full", 2): "bd300dad9a75d6b176b6e33010efc702b7028e0c00cc005b4dd9ed72f04d50e3",
+    ("plate", 2, "full", 11): "daf7867b1b41c6a59dd7fd36584bd965dbbd42f7f5e1017f3dea77b5edc589d2",
+    ("plate", 3, "full", "exact"): "00b2d0ffb2a93e0143dd288fb58cf0628c6c8f545c1e6891ef51a49d27c9fc56",
+    ("plate", 3, "full", 2): "9a2f9eabbf3787228093790278893f5ff9eacccf2c11cbcd0f0d3c059dc9fcee",
+    ("plate", 3, "full", 11): "578288896328534da243e74b99a0ab5dc8100da9cfc6c3e0947e8c470b3283c6",
+    ("plate", 4, "full", "exact"): "9120b815afa5efd84bc8838037754a8ed51fb416d3f2b2001a3dc2614b41c6f5",
+    ("plate", 4, "full", 2): "52000de2b74a55774c0a81249a1abbf903d001a601dbe99e811a6868c6db0535",
+    ("plate", 4, "full", 11): "7bf64f499dc1b89db2ca4bc367e278b17930133e97aeac2bcb92815141d3435d",
+    ("plate", 5, "full", "exact"): "c0a7dd5ab03c7b344fd91341b114e479ffa0dc8072ee2aa2cd793876434efad4",
+    ("plate", 5, "full", 2): "19c84c9b763c7b810639612729206505f94ac3a7ce44b8caecc0a62814eb7d96",
+    ("plate", 5, "full", 11): "9f87d1f0ac5150cb9156891001e1e2ec78ec4b7f51cbc48d4d40083495f43567",
+    ("plate", 5, "reduced", "exact"): "8ca17dedb0665806667de3333fe4e290edf2bca4987fb700fb1b03b145a2d87e",
+    ("plate", 5, "reduced", 2): "a94981ae2dc8fc03ec73b7ca976574ec5ca032644abdb9f2baade8670c565ea6",
+    ("plate", 5, "reduced", 11): "39b4dd11f69c1df01e0eb1bf9709af4a6aa6144b4917fe2f71f3a852a583a1b5",
+    ("stokes", 2048, "full", "exact"): "7767b2b2a9e3942e4e356360e8539f960b92f90570eed9da7aef2d7317f8fb2b",
+    ("stokes", 2048, "full", 1): "f60bad939e7937824cb81d9f788f383a6bf5e02fad922022d4e7a7a6631ad663",
+    ("stokes", 2048, "full", 16): "b5dcc26e5c6385e262e1f86f5c3d39de786addbc8f80ca6ab19935b10478bf52",
+    ("stokes", 2048, "reduced", "exact"): "2263b2b09a8ee018baa3d1d45437482bb5eb51cda4a102a1563164be7de8dd68",
+    ("stokes", 2048, "reduced", 1): "35b0a5c7918983159fda2f65c8217ba44d4cbe80221c7ca879e46dc5ceb93994",
+    ("stokes", 2048, "reduced", 16): "d5009fc5f24e8e50faafe66e850213bbcc8d93a9029ecf6b07edf202236c0c6d",
 }
 
 
@@ -106,42 +99,19 @@ def test_assembled_matrices_match_golden_digests(case):
     assert case_digest(case) == MATRIX_DIGESTS[case]
 
 
-#: The blocks each solve hands to its solver: plate A_ff and M_ff, Stokes A_ff
-#: and B_ff[:, 1:] (pressure dof 0 pinned).  Taken as A[free][:, free] and
-#: B[free][:, 1:] before the scatter plan; rule 16's re-taken like its
-#: MATRIX_DIGESTS.
+#: The blocks each Stokes solve hands to its solver, A_ff and B_ff[:, 1:]
+#: (pressure dof 0 pinned), taken with MATRIX_DIGESTS.
 FREE_BLOCK_DIGESTS = {
-    ("plate", 0, "full", "exact"): "ad5e1f76058b76123b29b7a1c6fc37b2cde4bc4799484cbc9aa63eac7a337773",
-    ("plate", 0, "full", 2): "d70d286b31b22fd55a48f1e356e43e3104d13e20d0d3e3f682ef9166d61f0e26",
-    ("plate", 0, "full", 11): "a3ad759db25d85f537143d8a8c91192ed2e477a2d8657512353ac392015ca6cd",
-    ("plate", 1, "full", "exact"): "3eb984f75d009c08c8754a0bf9e87dff7b24123f6cfaacf1826b1802f7913747",
-    ("plate", 1, "full", 2): "4674fe3ec6837d8f70a34c9308c07d80d54bd4c90a571d01b94dcfc53129eec3",
-    ("plate", 1, "full", 11): "1f335259d351463555e6d51164ad9dcdb84d6d9c7a5628894df10d7f1bf73ee6",
-    ("plate", 2, "full", "exact"): "86669b0edd0c412e389e299ca1698dab1eccfe5057ba62a9b0d0c0e2d002b0e4",
-    ("plate", 2, "full", 2): "7d0555b1fd73fbc838e680e516c1c5a6e2f0cd316d955d886c81d325a6be2714",
-    ("plate", 2, "full", 11): "7762764e91a1baa1fa97c7b1e5288eb622e1efbb447fd480a6e8f6e865aeee8b",
-    ("plate", 3, "full", "exact"): "7f9414f2971f1fd1fd668e2a02ec9ce3ce39a83873c27a3845addecd44120000",
-    ("plate", 3, "full", 2): "a3c2cbe03a0238b145b5cc9349a5253ffb9b989a860b6c1a49a9a25fe16f4f5e",
-    ("plate", 3, "full", 11): "8fe1bacdf9cd6d73b9ee56b81f4d20f5acfcce9e991ee80d8a265a710e1972c0",
-    ("plate", 4, "full", "exact"): "b3e616ee28c1a230caa6f0bd4d720e161853c3835d753a526ed560bd1c38dc88",
-    ("plate", 4, "full", 2): "f4ef6cb60f3469e3879c545c9b918bc6e2e3ab446d86900d5db9c9bf06eca413",
-    ("plate", 4, "full", 11): "889c6b590e52f79dada860d9d275aff61e248aebbaa6042e07473ce36ff60dd9",
-    ("plate", 5, "full", "exact"): "361a8322f4ac94ceccca1097f0c4b686335ab5ebf9a7d1bebe17701487071955",
-    ("plate", 5, "full", 2): "a039c3b8459a2c0ea9494d051c178f57218afb82bc198222f4a822c2b58cf3f4",
-    ("plate", 5, "full", 11): "f8fc5111c7449c872eea35195237f72a5fbade6724ed454baf81d06f41cf77b8",
-    ("plate", 5, "reduced", "exact"): "da1872079e1262425621b3743466997790726d5fb7d5598a1256ffb72f44260b",
-    ("plate", 5, "reduced", 2): "23c4d8a23b9fe3a731e775c596ac372e1242366f0c4933caf86d16e4893a2ed5",
-    ("plate", 5, "reduced", 11): "f3f367b29c19a3a170f31ff5191d478dd485f9b8e306b9f917bad58f2ecc3ded",
-    ("stokes", 2048, "full", "exact"): "f997619a19adba73af4bb57bcb40607f642221ae70c053ad6d9dc8a669e45cd7",
-    ("stokes", 2048, "full", 1): "c429d024793ec6f5ff04b1b68d5c39b44503f3dbbda76e5d6dbed4a2ed301371",
-    ("stokes", 2048, "full", 16): "82289e35d04c1c9d7afdaba0b23b764d0c596df113435cb5e21fa484fa9a9065",
-    ("stokes", 2048, "reduced", "exact"): "162dae0314eeef78e9294e82fb540c280ba8ddfc443973abb8d883aa84558439",
-    ("stokes", 2048, "reduced", 1): "7135d0a1345013e18d07453dd3743ebd41f4055156cc5bc36100abcfdd7bc8ed",
-    ("stokes", 2048, "reduced", 16): "b4079c01157ecb3db2b81f3e28683f17b4e1abaf4601ea0bd0b8c351afa8dd73",
+    ("stokes", 2048, "full", "exact"): "764ec11a83819e766c19d1bf435f69574ec6ce954792078d02f5a492adf04080",
+    ("stokes", 2048, "full", 1): "5e2db87fb1203274ef44ff1478368f3dce3faf86afaead6eda80ff7d75625cbd",
+    ("stokes", 2048, "full", 16): "32cccf9f6ecfc9d8a29f127c825a9672a9c2677de99ee0d647fb4d9f7425ba04",
+    ("stokes", 2048, "reduced", "exact"): "3cec4c00d79c68c963a5d4e155bcf8fa7b673494492c2d3d74133ce1bf33495e",
+    ("stokes", 2048, "reduced", 1): "e89fd265a60c3026e0d57f44671ee9a1b6bbd482366cee758c79aac496e0bf18",
+    ("stokes", 2048, "reduced", 16): "42436664e0b1eb4a946583f82625cc54091411a23b5ffde7442aedfc654cd106",
 }
 
 
-@pytest.mark.parametrize("case", list(FREE_BLOCK_DIGESTS),
+@pytest.mark.parametrize("case", list(MATRIX_DIGESTS),
                          ids=lambda case: "-".join(map(str, case)))
 def test_blocks_handed_to_the_solvers_match_golden_digests(case, monkeypatch):
     handed = []
@@ -154,11 +124,13 @@ def test_blocks_handed_to_the_solvers_match_golden_digests(case, monkeypatch):
     system = case_system(case)
     if case[0] == "plate":
         monkeypatch.setattr(solvers, "gen_eig_smallest", record)
-        zk.solve_biharmonic_eigen(system, solvers.factorize_spd(system.A))
+        zk.solve_biharmonic_eigen(system, None)
+        # the system's own free-dof blocks, which MATRIX_DIGESTS pins
+        assert handed[0] is system.A and handed[1] is system.M
     else:
         monkeypatch.setattr(solvers, "saddle_solve", record)
         gn.solve_stokes(system)
-    assert matrix_digest(*handed) == FREE_BLOCK_DIGESTS[case]
+        assert matrix_digest(*handed) == FREE_BLOCK_DIGESTS[case]
 
 
 def test_vandermonde_built_once_per_mesh_and_variant(monkeypatch):
