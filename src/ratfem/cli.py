@@ -88,11 +88,14 @@ def _check_output_dirs(args):
 
 
 def _check_bounds(args):
-    """ConfigError unless every rule n is >= 1, theta is in (0, 1] and each
-    option named in BOUNDS is >= its bound (absent or None options pass)."""
+    """ConfigError unless every rule n is >= 1 and given once, theta is in
+    (0, 1] and each option named in BOUNDS is >= its bound (absent or None
+    options pass)."""
     ns = getattr(args, "ns", ())
     if min(ns, default=1) < 1:
         raise ConfigError(f"quadrature rules need n >= 1, got {tuple(ns)}")
+    if len(set(ns)) < len(ns):
+        raise ConfigError(f"quadrature rules repeat, got {tuple(ns)}")
     theta = getattr(args, "theta", 1)
     if not 0 < theta <= 1:
         raise ConfigError(f"theta must be in (0, 1], got {theta}")

@@ -1,7 +1,7 @@
 """Element-type-independent machinery: moment tensors (exact or by a Gauss
 rule), reduced-element bubble corrections, shape coefficients, dof layouts,
-the mesh phase with its scatter plan, and assembly, which sums every sparse
-entry and every load entry in element order.
+the mesh phase with its scatter plan, and assembly, which maps blocks through
+C and sums every sparse and every load entry in element order.
 
 All exact reference tensors are computed once per process by exact rational
 quadrature and floated at the very end, so recomputation is bit-reproducible.
@@ -186,11 +186,13 @@ def scatter_plan(rows: np.ndarray, cols: np.ndarray, shape, keep_rows, keep_cols
     return slot, (indptr, indices, (m, n))
 
 
-def assemble_matrix(plan, local: np.ndarray) -> sp.csr_matrix:
-    """Sum local blocks into the CSR of a :func:`scatter_plan`: each slot
-    from 0.0, in element order."""
+def assemble_matrix(plan, left, local, right) -> sp.csr_matrix:
+    """Sum the element blocks left^T local right, (p, R, K) from maps left
+    (p, r, R), right (p, s, K) and local tensors (p, r, s), into the CSR of a
+    :func:`scatter_plan`: each slot from 0.0, in element order."""
     slot, (indptr, indices, shape) = plan
-    data = np.bincount(slot, local.ravel(), minlength=indices.size + 1)[:-1]
+    block = np.einsum("eri,ers,esj->eij", left, local, right, optimize=True)
+    data = np.bincount(slot, block.ravel(), minlength=indices.size + 1)[:-1]
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 

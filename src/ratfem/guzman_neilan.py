@@ -200,7 +200,7 @@ def mesh_phase(tria: Triangulation, variant: str):
     area, G, _, C, ndof, l2g, free, _ = phase
     p = tria.num_elements
     plan = scatter_plan(l2g, np.arange(p)[:, None], (ndof, p), free, np.ones(p, bool))
-    B = assemble_matrix(plan, np.einsum("eri,er->ei", C, local_divergence(area, G)))
+    B = assemble_matrix(plan, C, local_divergence(area, G)[..., None], np.ones((p, 1, 1)))
     B.data.setflags(write=False)
     return *phase, B
 
@@ -219,9 +219,7 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
     """
     area, G, GG, C, ndof, l2g, free, plan, B = mesh_phase(tria, variant)
     tables = get_tables(quadrature)
-    A = assemble_matrix(plan, np.einsum(
-        "eri,ers,esj->eij", C, local_matrices(area, G, GG, tables), C,
-        optimize=True))
+    A = assemble_matrix(plan, C, local_matrices(area, G, GG, tables), C)
 
     b = np.zeros(ndof) if f is None else assemble_vector(
         l2g, area, C, local_load(f, tria, G, tables), ndof)

@@ -60,9 +60,10 @@ class Triangulation:
                 f"element {bad} not positively oriented (det={det[bad]})")
 
     def _build_edges(self):
-        # edge j joins local vertices j+1 and j+2; number edges by first
+        # edge j runs from local vertex j+1 to j+2; number edges by first
         # appearance, element by element
-        keys = np.sort(self.n4e[:, [[1, 2], [2, 0], [0, 1]]], axis=2)
+        ends = self.n4e[:, [[1, 2], [2, 0], [0, 1]]]
+        keys = np.sort(ends, axis=2)
         uniq, first, inverse, counts = np.unique(
             keys.reshape(-1, 2), axis=0, return_index=True,
             return_inverse=True, return_counts=True)
@@ -73,6 +74,12 @@ class Triangulation:
         self.s4e = rank[inverse].reshape(-1, 3)
         if np.any(counts > 2):
             raise MeshFormatError("edge shared by more than two elements")
+        # the two elements of an interior edge run it in opposite directions,
+        # unless they overlap (a fold or a repeated element)
+        sign = np.where(ends[..., 0] < ends[..., 1], 1.0, -1.0)
+        if np.any(np.bincount(inverse.ravel(), sign.ravel())[counts == 2] != 0):
+            raise MeshFormatError("overlapping elements: an interior edge is "
+                                  "run in one direction by both its elements")
         self.boundary_edge = counts[order] == 1
         self.boundary_vertex = np.zeros(self.c4n.shape[0], dtype=bool)
         self.boundary_vertex[self.n4s[self.boundary_edge]] = True
@@ -249,6 +256,8 @@ def load_mesh(text: str) -> Triangulation:
     if len(head) < 6 or head[0] != "nodes" or head[2] != "elements":
         raise MeshFormatError(f"bad header: {' '.join(head)!r}")
     [[m, p]] = _fields([head[1:4:2]], 2, int)
+    if min(m, p) < 0:
+        raise MeshFormatError(f"bad header: {' '.join(head)!r}")
     if len(rows) < 1 + m + p:
         raise MeshFormatError("truncated mesh file")
     return Triangulation(_fields(rows[1:1 + m], 2, float),

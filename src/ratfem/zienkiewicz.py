@@ -146,12 +146,8 @@ def assemble_biharmonic(tria: Triangulation, variant: str = "full",
     area, _, GG, C, ndof, l2g, free, plan = mesh_phase(tria, variant)
     tables = get_tables(quadrature)
     # A's local tensors are scattered, and freed, before M's are built
-    A = assemble_matrix(plan, np.einsum("eri,ers,esj->eij", C,
-                                        local_stiffness(area, GG, tables.Ahat), C,
-                                        optimize=True))
-    M = assemble_matrix(plan, np.einsum(
-        "eri,ers,esj->eij", C, area[:, None, None] * tables.Mhat[None, :, :],
-        C, optimize=True))
+    A = assemble_matrix(plan, C, local_stiffness(area, GG, tables.Ahat), C)
+    M = assemble_matrix(plan, C, area[:, None, None] * tables.Mhat[None, :, :], C)
     return BiharmonicSystem(tria, ndof, l2g, free, A, M, C)
 
 

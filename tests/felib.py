@@ -16,6 +16,14 @@ _UPPER = [(i, j) for i in range(3) for j in range(i, 3)]   # Hessian entries
 _MIRROR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])      # (i, j) -> _UPPER index
 
 
+#: (n4e, c4n) of a triangle with a second one folded onto it, and of a
+#: triangle given twice: every element is positively oriented and no edge has
+#: more than two elements, but the elements overlap, so area counts twice.
+OVERLAPPING_MESHES = [
+    ([[0, 1, 2], [0, 1, 3]], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
+    ([[0, 1, 2], [0, 1, 2]], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])]
+
+
 def evaluate(combo, point) -> Fraction:
     """Exact value of a RatCombo at a barycentric point (triple of rationals).
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from felib import OVERLAPPING_MESHES
 from ratfem import cli, experiments, guzman_neilan, zienkiewicz
 from ratfem.cli import main
 from ratfem.experiments import EmptySeriesError, emit_svg
@@ -76,6 +77,16 @@ def test_malformed_mesh_load_is_a_configuration_error(tmp_path, capsys,
     args = ["mesh", "load"] + (["--file", str(path)] if elements else [])
     assert main(args) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n4e, c4n", OVERLAPPING_MESHES)
+def test_overlapping_mesh_load_is_a_configuration_error(tmp_path, capsys, n4e, c4n):
+    path = tmp_path / "mesh.txt"
+    path.write_text(f"nodes {len(c4n)} elements {len(n4e)} edges 0\n"
+                    + "".join(f"{x} {y} 1\n" for x, y in c4n)
+                    + "".join(f"{a} {b} {c}\n" for a, b, c in n4e))
+    assert main(["mesh", "load", "--file", str(path)]) == 2
+    assert "overlapping elements" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -200,11 +211,11 @@ def test_rules_below_one_are_rejected_before_any_work(monkeypatch, capsys,
     monkeypatch.setattr(experiments, "assemble_biharmonic", started)
     monkeypatch.setattr(experiments, "assemble_stokes", started)
     out = tmp_path / "rows.csv"
-    assert main([which, *OWN_FLAGS[which], "--ns", "2", "0",
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "configuration error: quadrature rules need n >= 1, got (2, 0)\n")
-    assert not out.exists()
+    for ns, error in ((["2", "0"], "quadrature rules need n >= 1, got (2, 0)"),
+                      (["2", "1", "2"], "quadrature rules repeat, got (2, 1, 2)")):
+        assert main([which, *OWN_FLAGS[which], "--ns", *ns, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {error}\n"
+        assert not out.exists()
 
 
 #: Each out-of-range run option with its configuration error.

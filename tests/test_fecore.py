@@ -74,7 +74,9 @@ def test_rhs_moments():
 def test_assemble_matrix():
     def assemble(l2g, local, ndof):
         keep = np.ones(ndof, bool)
-        return assemble_matrix(scatter_plan(l2g, l2g, (ndof, ndof), keep, keep), local)
+        I = np.broadcast_to(np.eye(l2g.shape[1]), local.shape)
+        return assemble_matrix(scatter_plan(l2g, l2g, (ndof, ndof), keep, keep),
+                               I, local, I)
     l2g = np.array([[0, 1, 2]])
     local = np.arange(9.0).reshape(1, 3, 3)
     A = assemble(l2g, local, 3)
@@ -86,14 +88,27 @@ def test_assemble_matrix():
     assert A[1, 1] == 2.0 and A[0, 0] == 1.0 and A[0, 2] == 0.0
     with pytest.raises(IndexError):
         assemble(np.array([[0, 5]]), np.ones((1, 2, 2)), 3)
+    # each element adds left^T local right, left transposed: blocks (2, 3, 2)
+    # from maps (2, 2, 3) and (2, 4, 2) and local tensors (2, 2, 4)
+    rng = np.random.default_rng(0)
+    left, local, right = (rng.standard_normal(shape)
+                          for shape in ((2, 2, 3), (2, 2, 4), (2, 4, 2)))
+    rows, cols = np.array([[0, 1, 2], [2, 3, 4]]), np.array([[0, 1], [1, 2]])
+    plan = scatter_plan(rows, cols, (5, 3), np.ones(5, bool), np.ones(3, bool))
+    expected = np.zeros((5, 3))
+    for e in range(2):
+        expected[np.ix_(rows[e], cols[e])] += left[e].T @ local[e] @ right[e]
+    assert np.allclose(assemble_matrix(plan, left, local, right).toarray(),
+                       expected, rtol=1e-14, atol=1e-14)
     # 1e16, eight ones and -1e16 in each of two interleaved columns of one
     # row: in element order every 1e16 + 1 rounds back to 1e16 (a column sort
     # of the row's 20 summands that is not stable gives other sums)
-    local = np.ones((10, 1, 2))
+    local = np.ones((10, 1, 1))
     local[0], local[-1] = 1e16, -1e16
     plan = scatter_plan(np.zeros((10, 1), int), np.tile([1, 0], (10, 1)), (1, 2),
                         np.ones(1, bool), np.ones(2, bool))
-    assert assemble_matrix(plan, local).toarray().tolist() == [[0.0, 0.0]]
+    A = assemble_matrix(plan, np.ones((10, 1, 1)), local, np.ones((10, 1, 2)))
+    assert A.toarray().tolist() == [[0.0, 0.0]]
     # identity coefficients: each element adds area * b_T into its dofs
     vec = assemble_vector(np.array([[0, 1], [1, 2]]), np.array([1.0, 2.0]),
                           np.broadcast_to(np.eye(2), (2, 2, 2)), np.ones((2, 2)), 3)
@@ -111,6 +126,20 @@ def keep_mask(data, n, label):
             lambda mask: np.array(mask, dtype=bool))), label=label)
 
 
+def selection_map(data, p, r, n, label):
+    """A map (p, r, n) whose every column holds at most one nonzero, a power
+    of two up to sign: each entry of left^T local right is then one exact
+    product, whatever the order of the contraction (up to the sign of a
+    zero, which no sum from 0.0 keeps)."""
+    rows = data.draw(st.lists(st.integers(0, r - 1), min_size=p * n,
+                              max_size=p * n), label=label)
+    weights = data.draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5]),
+                                 min_size=p * n, max_size=p * n), label=label)
+    out = np.zeros((p, n, r))
+    out.reshape(-1, r)[np.arange(p * n), rows] = weights
+    return out.transpose(0, 2, 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_scatter_plan_sums_in_element_order(data):
@@ -120,22 +149,28 @@ def test_scatter_plan_sums_in_element_order(data):
     # dofs no element uses
     l2g = np.array(data.draw(st.lists(st.integers(0, ndof - 1), min_size=p * L,
                                       max_size=p * L))).reshape(p, L)
-    # square blocks on (l2g, l2g) like A and M, or blocks (p, L, 1) on
-    # (l2g, element index) like the Stokes B
+    # local tensors (p, r, s) mapped to blocks (p, L, L) on (l2g, l2g) like
+    # A and M, or as the Stokes B, (p, r, 1) through ones (p, 1, 1) to blocks
+    # (p, L, 1) on (l2g, element index)
+    r = data.draw(st.integers(1, 3), label="r")
     if data.draw(st.booleans(), label="rectangular"):
-        cols, shape = np.arange(p)[:, None], (ndof, p)
+        cols, shape, s = np.arange(p)[:, None], (ndof, p), 1
+        right = np.ones((p, 1, 1))
     else:
-        cols, shape = l2g, (ndof, ndof)
+        cols, shape, s = l2g, (ndof, ndof), data.draw(st.integers(1, 3), label="s")
+        right = selection_map(data, p, s, L, "right")
     K = cols.shape[1]
-    local = np.array(data.draw(st.lists(SUMMANDS, min_size=p * L * K,
-                                        max_size=p * L * K))).reshape(p, L, K)
+    left = selection_map(data, p, r, L, "left")
+    local = np.array(data.draw(st.lists(SUMMANDS, min_size=p * r * s,
+                                        max_size=p * r * s))).reshape(p, r, s)
+    block = np.stack([left[e].T @ local[e] @ right[e] for e in range(p)])
     keep_rows = keep_mask(data, shape[0], "keep_rows")
     keep_cols = (keep_rows if cols is l2g and data.draw(st.booleans())
                  else keep_mask(data, shape[1], "keep_cols"))
     plan = scatter_plan(l2g, cols, shape, keep_rows, keep_cols)
-    A = assemble_matrix(plan, local)
+    A = assemble_matrix(plan, left, local, right)
     # the pattern is SciPy's
-    ref = sp.coo_matrix((local.ravel(), (np.repeat(l2g, K, axis=1).ravel(),
+    ref = sp.coo_matrix((block.ravel(), (np.repeat(l2g, K, axis=1).ravel(),
                                          np.tile(cols, (1, L)).ravel())),
                         shape=shape).tocsr()[keep_rows][:, keep_cols]
     for array, expected in ((A.indptr, ref.indptr), (A.indices, ref.indices)):
@@ -143,13 +178,13 @@ def test_scatter_plan_sums_in_element_order(data):
         assert array.tobytes() == expected.tobytes()
     # each kept entry sums its summands from 0.0, in element order
     sums = {}
-    for e, i, j in np.ndindex(local.shape):
+    for e, i, j in np.ndindex(block.shape):
         row, col = l2g[e, i], cols[e, j]
         if keep_rows[row] and keep_cols[col]:
-            sums[row, col] = sums.get((row, col), 0.0) + float(local[e, i, j])
+            sums[row, col] = sums.get((row, col), 0.0) + float(block[e, i, j])
     kept_rows, kept_cols = np.flatnonzero(keep_rows), np.flatnonzero(keep_cols)
-    expected = [sums[kept_rows[r], kept_cols[A.indices[k]]]
-                for r in range(A.shape[0]) for k in range(A.indptr[r], A.indptr[r + 1])]
+    expected = [sums[kept_rows[i], kept_cols[A.indices[k]]]
+                for i in range(A.shape[0]) for k in range(A.indptr[i], A.indptr[i + 1])]
     assert A.data.tobytes() == np.array(expected, dtype=float).tobytes()
     slot, (indptr, indices, _) = plan
     for array in (slot, indptr, indices):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from felib import domain_area, element_geometry, min_angle
+from felib import OVERLAPPING_MESHES, domain_area, element_geometry, min_angle
 from ratfem.experiments import graded_lshape_meshes, stokes_mesh
 from ratfem.mesh import (DegenerateBarycenterError, DegenerateElementError,
                          MeshFormatError, Triangulation, dorfler_mark,
@@ -201,3 +201,10 @@ def test_malformed_input_is_a_mesh_format_error():
     for text in ("", "nodes x elements 1 edges 3\n", "nodes 3 elements 1 edges 3\n0.0\n"):
         with pytest.raises(MeshFormatError):
             load_mesh(text)
+    # a negative count is the header's fault, not a data line's
+    for counts in ("-1 elements 1", "3 elements -1"):
+        with pytest.raises(MeshFormatError, match="bad header"):
+            load_mesh(f"nodes {counts} edges 3\n" + head.split("\n", 1)[1])
+    for n4e, c4n in OVERLAPPING_MESHES:
+        with pytest.raises(MeshFormatError, match="overlapping elements"):
+            Triangulation(c4n, n4e)
