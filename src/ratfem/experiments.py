@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import __version__
-from .guzman_neilan import (assemble_stokes, divergence_l2, factorize_stokes,
-                            grad_norm, solve_stokes)
+from .guzman_neilan import (assemble_stokes, divergence_l2, grad_norm,
+                            solve_stokes)
 from .mesh import (DOMAINS, dorfler_mark, grading_indicator, lshape_mesh,
                    refine_bisect, refine_uniform, unit_square_mesh)
 from .quadrature import gauss_points
@@ -152,19 +152,19 @@ def stokes_mesh(elements: int):
 def stokes_rows(mesh, ns, variant):
     """A row per rule n in `ns` (0: exact), measured with the exact system.
 
-    The exact K_d LU solves the exact row and preconditions GMRES for the
-    rules n >= 2, which share its B.  Rule 1's one Gauss point moves its A too
-    far for that: it is factored itself, first, so its LU is gone before the
-    exact one is made.
+    Each row solves its stream-function system S_n.  The exact S's LU
+    preconditions conjugate gradients for the exact row and the rules n >= 2;
+    rule 1's one Gauss point moves its S too far for that, so it is factored
+    itself, first, and its LU is gone before the exact one is made.
     """
     exact = assemble_stokes(mesh, f=stokes_load, variant=variant)
     rows, lu = {}, None
     for n in sorted(ns, key=lambda n: n != 1):
         system = exact if n == 0 else assemble_stokes(
             mesh, f=stokes_load, variant=variant, quadrature=n)
-        if n != 1 and lu is None:
-            lu = factorize_stokes(exact)
-        u, pressure = solve_stokes(system, None if n == 1 else lu, n >= 2)
+        if n != 1 and lu is None and exact.s.size:
+            lu = factorize_spd(exact.S)
+        u, pressure = solve_stokes(system, None if n == 1 else lu)
         del system
         rows[n] = {"n": n, "grad_err": grad_norm(exact, u),
                    "div_err": divergence_l2(exact, u),

@@ -172,6 +172,30 @@ def shape_coefficients(V, variant, tangents=None) -> np.ndarray:
 
 # -- global system ---------------------------------------------------------------
 
+class MultiplyConnectedError(ValueError):
+    """V - E + F is not 1: the curls of the plate space miss part of ker B^T."""
+
+
+def curl_coefficients(G, C) -> np.ndarray:
+    """E C (p, 12, L): 12-basis coefficients of the curls of Zienkiewicz shape
+    functions C; E keeps the shared potentials, and a quadratic's curl is P1."""
+    E = np.einsum("ab,ekb,isk->eais", ROT, G, zienkiewicz.get_tables().That_gv[:, :6])
+    return np.concatenate([np.einsum("ers,esj->erj", E.reshape(-1, 6, 6), C[:, :6]),
+                           C[:, 6:]], axis=1)
+
+
+def discrete_curl(tria: Triangulation, psi: np.ndarray) -> np.ndarray:
+    """D psi: the dofs of curl psi for Zienkiewicz dofs psi of one variant:
+    (psi_y, -psi_x) at the vertices, then at the edge midpoints d psi / dt of
+    psi's cubic Hermite trace and (full only) -d psi / dn."""
+    m = tria.num_vertices
+    value, dx, dy, normal = psi[:m], psi[m:2 * m], psi[2 * m:3 * m], psi[3 * m:]
+    (a, b), (tx, ty) = tria.n4s.T, tria.tangent4s.T
+    tangential = (1.5 * (value[b] - value[a]) / np.hypot(*(tria.c4n[b] - tria.c4n[a]).T)
+                  - 0.25 * ((dx[a] + dx[b]) * tx + (dy[a] + dy[b]) * ty))
+    return np.concatenate([dy, -dx, tangential, -normal])
+
+
 @dataclass
 class StokesSystem:
     tria: Triangulation
@@ -183,6 +207,10 @@ class StokesSystem:
     b: np.ndarray          # load on all dofs
     coeffs: np.ndarray     # (p, 12, L)
     areas: np.ndarray
+    S: "object"            # stream-function stiffness D^T A D, csr
+    s: np.ndarray          # its load D^T b, on the free Zienkiewicz dofs
+    stream_free: np.ndarray    # the free Zienkiewicz dofs
+    pressure_lu: "object"      # factorize_spd of B_1^T B_1, B_1 = B[:, 1:]
 
 
 #: Dof blocks (fecore.dof_layout): vertex vectors, edge normals, tangentials.
@@ -191,9 +219,12 @@ LAYOUTS = {"full": "vvee", "reduced": "vve"}
 
 @lru_cache(maxsize=1)
 def mesh_phase(tria: Triangulation, variant: str):
-    """:func:`fecore.mesh_phase` of this element and the read-only divergence
-    matrix B on the free rows (column e for element e), once per (mesh,
-    variant); no quadrature changes B, so every system of the mesh holds it."""
+    """:func:`fecore.mesh_phase` of this element, the read-only divergence
+    matrix B on the free rows (column e for element e), the Zienkiewicz
+    phase with C mapped by :func:`curl_coefficients` and the LU of B_1^T B_1,
+    B_1 = B[:, 1:], once per simply connected (mesh, variant) for all rules."""
+    if tria.num_vertices - tria.num_edges + tria.num_elements != 1:
+        raise MultiplyConnectedError("the Stokes solve needs a simply connected mesh")
     phase = fecore.mesh_phase(
         tria, variant, LAYOUTS, lambda G, normals, tangents: shape_coefficients(
             local_vandermonde(G, normals, tangents), variant, tangents))
@@ -202,50 +233,50 @@ def mesh_phase(tria: Triangulation, variant: str):
     plan = scatter_plan(l2g, np.arange(p)[:, None], (ndof, p), free, np.ones(p, bool))
     B = assemble_matrix(plan, C, local_divergence(area, G)[..., None], np.ones((p, 1, 1)))
     B.data.setflags(write=False)
-    return *phase, B
+    stream = fecore.mesh_phase(
+        tria, variant, zienkiewicz.LAYOUTS, lambda G, normals, _: curl_coefficients(
+            G, zienkiewicz.shape_coefficients(zienkiewicz.local_vandermonde_batch(
+                G, normals), variant, normals)))
+    # one element leaves no pressure unknown beside the pinned one
+    pressure_lu = solvers.factorize_spd(B[:, 1:].T @ B[:, 1:]) if p > 1 else None
+    return *phase, B, *stream[3:], pressure_lu
 
 
 def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
                     quadrature="exact") -> StokesSystem:
-    """Assemble the Stokes saddle system for the Guzman-Neilan pair.
+    """Assemble the Stokes system for the Guzman-Neilan pair, with its
+    stream-function system S = D^T A D, s = D^T b (:func:`discrete_curl`).
 
     `quadrature` is "exact" or an integer n selecting the tensorized Gauss
-    rule.  It only selects the reference tables (:func:`get_tables`): on
-    affine elements the rule applied to the stiffness and load integrals is
-    the same contraction with rule-n tables.  The exact basis change and B
-    are :func:`mesh_phase`'s.  The load `f` returns the pair (f_x, f_y); it
-    is called once, as f(X, Y) on coordinate arrays of the P2 nodes (see
-    :func:`local_load`).
+    rule, which on affine elements only selects the reference tables
+    (:func:`get_tables`); the exact basis changes are :func:`mesh_phase`'s.
+    The load `f` returns the pair (f_x, f_y); it is called once, as f(X, Y)
+    on coordinate arrays of the P2 nodes (see :func:`local_load`).
     """
-    area, G, GG, C, ndof, l2g, free, plan, B = mesh_phase(tria, variant)
+    (area, G, GG, C, ndof, l2g, free, plan, B, EC, stream_ndof, stream_l2g,
+     stream_free, stream_plan, pressure_lu) = mesh_phase(tria, variant)
     tables = get_tables(quadrature)
-    A = assemble_matrix(plan, C, local_matrices(area, G, GG, tables), C)
-
-    b = np.zeros(ndof) if f is None else assemble_vector(
-        l2g, area, C, local_load(f, tria, G, tables), ndof)
-
-    return StokesSystem(tria, ndof, l2g, free, A, B, b, C, area)
-
-
-def factorize_stokes(system: StokesSystem):
-    """The certified K_d LU of :func:`solve_stokes`'s gauged system."""
-    return solvers.factorize_saddle(system.A, system.B[:, 1:])
+    local = local_matrices(area, G, GG, tables)
+    b_T = np.zeros((len(area), 12)) if f is None else local_load(f, tria, G, tables)
+    return StokesSystem(
+        tria, ndof, l2g, free, assemble_matrix(plan, C, local, C), B,
+        assemble_vector(l2g, area, C, b_T, ndof), C, area,
+        assemble_matrix(stream_plan, EC, local, EC),
+        assemble_vector(stream_l2g, area, EC, b_T, stream_ndof)[stream_free],
+        stream_free, pressure_lu)
 
 
-def solve_stokes(system: StokesSystem, lu=None, nearby: bool = False):
-    """Velocity and mean-zero piecewise-constant pressure of the saddle system.
-
-    One pressure value is pinned during the solve (kernel gauge) and the
-    result is shifted to zero mean afterwards.  `lu` and `nearby` are
-    :func:`solvers.saddle_solve`'s, `lu` from :func:`factorize_stokes`.
-    """
-    free = system.free
-    nf = int(free.sum())
-    B = system.B[:, 1:]          # pin pressure dof 0
-    rhs = np.concatenate([system.b[free], np.zeros(B.shape[1])])
-    sol = solvers.saddle_solve(system.A, B, rhs, lu, nearby)
-    u = pad_free(free, sol[:nf])
-    pressure = np.concatenate([[0.0], sol[nf:]])
+def solve_stokes(system: StokesSystem, lu=None):
+    """Velocity u = D psi (:func:`discrete_curl`), psi by :func:`solvers.pcg`
+    on S psi = s with `lu`, S's factorize_spd (made if None) or a nearby
+    system's, and pressure from B_1^T B_1 p = B_1^T (A u - b) with dof 0
+    pinned (kernel gauge), then shifted to zero mean."""
+    psi = system.s      # empty where no Zienkiewicz dof is free: u = 0
+    if psi.size:
+        psi = solvers.pcg(system.S, psi, lu or solvers.factorize_spd(system.S))
+    u = discrete_curl(system.tria, pad_free(system.stream_free, psi))
+    rhs = system.B[:, 1:].T @ (system.A @ u[system.free] - system.b[system.free])
+    pressure = np.concatenate([[0.0], system.pressure_lu.solve(rhs) if rhs.size else rhs])
     # einsum, not a BLAS dot, whose sum order depends on the thread count
     pressure -= np.einsum("i,i->", system.areas, pressure) / system.areas.sum()
     return u, pressure

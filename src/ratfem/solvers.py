@@ -1,25 +1,18 @@
-"""Deterministic sparse linear algebra: a direct saddle-point solve and the
-smallest generalized eigenpair by preconditioned LOBPCG.
+"""Deterministic sparse linear algebra: certified SPD factorizations,
+conjugate gradients preconditioned by them, and the smallest generalized
+eigenpair by preconditioned LOBPCG.
 
 Each factorization is a symmetric LU without pivoting, on a multiple
-minimum degree ordering of K + K^T, with unrelaxed supernodes.
-Its pivots are the D of K = L D L^T, so by Sylvester's law they have K's
+minimum degree ordering of A + A^T, with unrelaxed supernodes.
+Its pivots are the D of A = L D L^T, so by Sylvester's law they have A's
 inertia, and the factorization certifies itself: a row interchange
-(SuperLU's answer to a zero pivot) or a pivot of the wrong sign raises.
-The saddle matrix K = [[A, -B], [-B^T, 0]] can meet a zero pivot, so the
-factorization is of the quasi-definite K_d = [[A, -B], [-B^T, -d I]], which
-has an L D L^T under every symmetric ordering (Vanderbei, SIAM J. Optim.
-5(1), 1995).  d = 1e-10 max|B|^2 / max diag(A) is scaled to the Schur
-complement S = B^T A^-1 B, and iterative refinement against the true K
-(Higham, Accuracy and Stability of Numerical Algorithms, ch. 12) removes
-it, contracting the error by about d / (d + s) per step for the smallest
-eigenvalue s of S: a refinement that stalls above roundoff or runs out of
-steps means s is not well above d, and raises.  A nearby system with the
-same B takes K_d's LU as a constraint preconditioner (Keller, Gould & Wathen,
-SIAM J. Matrix Anal. Appl. 21(4), 2000) of flexible GMRES corrections (Carson
-& Higham, SIAM J. Sci. Comput. 40(2), 2018) that sum x from z_j = LU^-1 v_j:
-LU^-1 of the sum of the v_j would amplify roundoff by 1/d.  No pivots certify
-that system's A, so the solution's curvature checks it instead.
+(SuperLU's answer to a zero pivot) or a pivot that is not positive raises.
+
+A nearby SPD system takes such an LU as the preconditioner of conjugate
+gradients (Hestenes & Stiefel, J. Res. Nat. Bur. Standards 49(6), 1952),
+which raise NoConvergenceError after PCG_MAXIT steps.  No pivots certify
+that system's A, so each search direction p checks it: a curvature p^T A p
+<= EIG_SINGULAR |p|^T |A| |p| raises NotPositiveDefiniteError.
 
 The eigenpair comes from single-vector LOBPCG (Knyazev, SIAM J. Sci.
 Comput. 23(2), 2001): Rayleigh-Ritz on span{x, T r, p} for the residual
@@ -32,10 +25,9 @@ stops when the T-norm residual sqrt(r^T T r / lambda) of the M-normalized x
 is at most EIG_RESIDUAL; lambda's error is of second order in it.  A foreign
 LU certifies nothing about A, so the Rayleigh quotients check it instead.
 
-The LU is sequential and the reductions that decide a result (max norms,
-einsum dots, the 3x3 Ritz problems, the GMRES back substitution) avoid
-BLAS, so identical inputs give bit-identical outputs whatever the BLAS
-thread count.
+The LU is sequential and the reductions that decide a result (einsum dots,
+the 3x3 Ritz problems) avoid BLAS, so identical inputs give bit-identical
+outputs whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -44,9 +36,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-REFINE_STEPS = 10        # a well-posed saddle system needs about three
-GMRES_TOL = 1e-8         # relative residual of one GMRES correction
-GMRES_MAXIT = 100        # exp3's rules n >= 2 take at most 52 (rule 2, full)
+PCG_TOL = 1e-10          # relative residual at which conjugate gradients stop
+PCG_MAXIT = 200          # exp3's rules n >= 2 take at most 72 (rule 2, full)
 EIG_RESIDUAL = 1e-9      # LOBPCG stops at T-norm residual sqrt(r^T T r / lam)
 EIG_DROP = 1e-8          # M-norm share below which a basis vector is dropped
 EIG_SINGULAR = 1e-10     # x^T A x / |x|^T |A| |x| at which A is singular
@@ -65,127 +56,53 @@ class NoConvergenceError(RuntimeError):
     pass
 
 
-def _factorize(K: sp.spmatrix, positive: int):
-    """No-pivot LU of symmetric K, certified to have `positive` pivots > 0
-    and the rest < 0 (NotPositiveDefiniteError when all should be > 0,
-    SingularSystemError otherwise); the one conversion to CSC."""
-    n = K.shape[0]
+def factorize_spd(A: sp.spmatrix):
+    """The certified LU of SPD A (NotPositiveDefiniteError otherwise,
+    SingularSystemError if A is empty or exactly singular), via CSC."""
+    n = A.shape[0]
     if n == 0:
         raise SingularSystemError("empty system: no unknowns to solve for")
-    error = NotPositiveDefiniteError if positive == n else SingularSystemError
     try:
-        lu = spla.splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, relax=1,
                        options=dict(SymmetricMode=True))
     except RuntimeError as exc:  # SuperLU reports singularity this way
         raise SingularSystemError(str(exc)) from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise error("zero pivot: rows were interchanged")
+        raise NotPositiveDefiniteError("zero pivot: rows were interchanged")
     pivots = lu.U.diagonal()
     inertia = (int((pivots > 0).sum()), int((pivots < 0).sum()))
-    if inertia != (positive, n - positive):
-        raise error(f"pivot inertia {inertia}, want {(positive, n - positive)}")
+    if inertia != (n, 0):
+        raise NotPositiveDefiniteError(f"pivot inertia {inertia}, want {(n, 0)}")
     return lu
 
 
-def factorize_saddle(A: sp.spmatrix, B: sp.spmatrix):
-    """The certified LU of K_d (module docstring) for SPD A and B of full
-    column rank, to saddle_solve the system or a nearby one with that B."""
-    diag = A.diagonal().max()
-    if not diag > 0:
-        raise NotPositiveDefiniteError(f"largest diagonal entry {diag!r}")
-    nf, m = B.shape
-    d = 1e-10 * abs(B).max() ** 2 / diag
-    K = sp.bmat([[A, -B], [-B.T, None]], format="csr")
-    return _factorize(K - sp.diags(np.r_[np.zeros(nf), np.full(m, d)]), nf)
-
-
-def saddle_solve(A: sp.spmatrix, B: sp.spmatrix, rhs: np.ndarray, lu=None,
-                 nearby: bool = False) -> np.ndarray:
-    """Solve K x = rhs, K = [[A, -B], [-B^T, 0]] for SPD A and B of full
-    column rank, refined with `lu`: its factorize_saddle (made if None) or,
-    `nearby`, that of a system with the same B, preconditioning GMRES.
-
-    Raises NotPositiveDefiniteError or SingularSystemError (see the module
-    docstring), also if ||K x - rhs|| / ||rhs|| is not finite or > 1e-10, and
-    NoConvergenceError from GMRES.  `nearby`, a diagonal entry of A or its
-    curvature along x's velocity u, u^T A u / |u|^T |A| |u|, below
-    EIG_SINGULAR raises NotPositiveDefiniteError.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    K = sp.bmat([[A, -B], [-B.T, None]], format="csr")
-    lu = factorize_saddle(A, B) if lu is None else lu
-    solve = (lambda r: _gmres(K, r, lu)) if nearby else lu.solve
-    x = solve(rhs)
-    last = np.abs(x).max()
-    # stop when the correction is negligible or stops halving; max norms
-    # keep the stop independent of summation order
-    for _ in range(REFINE_STEPS):
-        dx = solve(rhs - K @ x)
-        x = x + dx
-        step, scale = np.abs(dx).max(), np.abs(x).max()
-        if step <= 1e-15 * scale or 2 * step > last:
-            break
-        last = step
-    else:
-        raise SingularSystemError(
-            f"refinement still correcting after {REFINE_STEPS} steps")
-    if step > 1e-10 * scale:
-        raise SingularSystemError(f"refinement stalled at {step / scale:.1e}"
-                                  " max|x|: Schur complement below the shift")
-    u = x[:B.shape[0]]
-    if nearby and not (A.diagonal().min() > 0 and _dot(u, A @ u)
-                       >= EIG_SINGULAR * _dot(abs(A) @ np.abs(u), np.abs(u))):
-        raise NotPositiveDefiniteError("A's diagonal or curvature along u")
-    nb = np.sqrt(_dot(rhs, rhs))
-    if nb > 0:
-        r = K @ x - rhs
-        resid = np.sqrt(_dot(r, r)) / nb
-        if not np.isfinite(resid) or resid > 1e-10:
-            raise SingularSystemError(f"relative residual {resid}")
-    return x
-
-
-def _gmres(K: sp.spmatrix, r: np.ndarray, lu) -> np.ndarray:
-    """x with ||K x - r|| <= GMRES_TOL ||r|| by GMRES (Saad & Schultz, SIAM
-    J. Sci. Stat. Comput. 7(3), 1986) right-preconditioned by `lu`."""
-    beta = np.sqrt(_dot(r, r))
-    if beta == 0:
-        return np.zeros_like(r)
-    H = np.zeros((GMRES_MAXIT + 1, GMRES_MAXIT))
-    g, rotations, V, Z = [beta], [], [r / beta], []
-    for j in range(GMRES_MAXIT):
-        Z.append(lu.solve(V[j]))
-        w, h = K @ Z[j], H[:, j]
-        for i, v in enumerate(V):
-            h[i] = _dot(w, v)
-            w = w - h[i] * v
-        norm = np.sqrt(_dot(w, w))
-        for i, (c, s) in enumerate(rotations):
-            h[i:i + 2] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
-        rho = np.hypot(h[j], norm)
-        c, s = h[j] / rho, norm / rho
-        rotations.append((c, s))
-        h[j], g[j:] = rho, [c * g[j], -s * g[j]]
-        if abs(g[j + 1]) <= GMRES_TOL * beta:
-            y = np.zeros(j + 1)
-            for i in range(j, -1, -1):
-                y[i] = (g[i] - _dot(H[i, i + 1:j + 1], y[i + 1:])) / H[i, i]
-            return sum(yi * z for yi, z in zip(y, Z))
-        V.append(w / norm)
-    raise NoConvergenceError(f"GMRES residual {abs(g[-1]) / beta:.1e} after "
-                             f"{GMRES_MAXIT} iterations: the LU is too far off")
+def pcg(A: sp.spmatrix, b: np.ndarray, lu) -> np.ndarray:
+    """x with ||A x - b|| <= PCG_TOL ||b|| by conjugate gradients
+    preconditioned by `lu`, a factorize_spd of A or of a nearby matrix."""
+    abs_rows = abs(A) @ np.ones(A.shape[0])
+    x, r, p, rz = np.zeros_like(b), np.array(b, dtype=float), 0.0, 1.0
+    norm_b = np.sqrt(_dot(b, b))
+    for _ in range(PCG_MAXIT):
+        if np.sqrt(_dot(r, r)) <= PCG_TOL * norm_b:
+            return x
+        z = lu.solve(r)
+        rz, last = _dot(r, z), rz
+        p = z + (rz / last) * p
+        Ap = A @ p
+        curvature = _dot(p, Ap)
+        # sum_i abs_rows_i p_i^2 bounds |p|^T |A| |p|, the scale of p^T A p
+        if not curvature > EIG_SINGULAR * _dot(abs_rows, p * p):
+            raise NotPositiveDefiniteError(f"curvature {curvature:.3g} along a search "
+                                           "direction: A is singular or indefinite")
+        x, r = x + rz / curvature * p, r - rz / curvature * Ap
+    raise NoConvergenceError(f"PCG residual {np.sqrt(_dot(r, r)) / norm_b:.1e} "
+                             f"after {PCG_MAXIT} iterations: the LU is too far off")
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
     """u . v in a fixed summation order (BLAS ddot splits it by thread)."""
     return float(np.einsum("i,i->", u, v))
-
-
-def factorize_spd(A: sp.spmatrix):
-    """The certified factorization of SPD A (NotPositiveDefiniteError
-    otherwise), to precondition gen_eig_smallest on A and on nearby systems."""
-    return _factorize(A, A.shape[0])
 
 
 def _m_orthonormal(basis, triples):

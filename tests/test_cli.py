@@ -315,8 +315,9 @@ def test_stokes_writes_the_exp3_row_of_its_rule(tmp_path, quadrature):
 
 
 def test_full_variant_rules_on_the_exact_lu_match_their_own_solves(tmp_path):
-    # exp3's rules n >= 2 take GMRES on the exact LU under either variant;
-    # the full element's rule 2 needs the most iterations (52 of GMRES_MAXIT)
+    # exp3's rules n >= 2 take conjugate gradients on the exact LU under
+    # either variant; the full element's rule 2 needs the most iterations
+    # (72 of PCG_MAXIT at 8192 elements)
     out = tmp_path / "exp3.csv"
     assert main(["exp3", "--elements", "128", "--variant", "full",
                  "--ns", "1", "2", "16", "--out", str(out)]) == 0
@@ -512,10 +513,10 @@ def test_rerun_byte_identical_in_fresh_processes(tmp_path):
                                   # the smallest budget whose last mesh has
                                   # vectors long enough for threaded BLAS dots
                                   ["exp2", "--budget", "6731"],
-                                  # saddle vectors of about 7,000 entries, then
-                                  # velocities of 20,866, past OpenBLAS's
-                                  # threaded-dot size (10,000); the 8,192
-                                  # pressures stay below it
+                                  # stream functions of about 3,000 entries,
+                                  # then velocities of 20,866, past
+                                  # OpenBLAS's threaded-dot size (10,000);
+                                  # the 8,192 pressures stay below it
                                   ["exp3", "--elements", "2048", "--ns", "1", "2"],
                                   ["exp3", "--elements", "8192", "--ns", "1"],
                                   # 32,768 elements: the pressure's mean-zero
@@ -545,10 +546,12 @@ def _data_digest(text):
 
 #: argv, SHA-256 of the CSV data lines and of the SVG, and the header keys of
 #: each run command.  The data digests were taken when every sparse entry came
-#: to be summed in element order, the SVG digests before each command was
-#: given only its own options; they hold under 1 and 2 OpenBLAS threads.  At
-#: 32 elements grad_err's sum is insensitive to its order; the 128-element run
-#: pins that order (a sum over the free dofs alone moves it).
+#: to be summed in element order, and the exp3 and stokes ones again when the
+#: Stokes velocity became the curl of a stream function; the SVG digests
+#: before each command was given only its own options.  They hold under 1 and
+#: 2 OpenBLAS threads.  At 32 elements grad_err's sum is insensitive to its
+#: order; the 128-element run pins that order (a sum over the free dofs alone
+#: moves it).
 GOLDEN_RUNS = {
     "exp1": (["exp1", "--levels", "2", "--ns", "2", "4"],
              "451e549a9ed285a690b9f1c6984ebdfce1fb4579d6df3c2055d4a324f84c9a17",
@@ -560,11 +563,11 @@ GOLDEN_RUNS = {
              "budget command guide_fast guide_slow ns solve_factor solve_start "
              "theta uniform_interval variant"),
     "exp3": (["exp3", "--elements", "32", "--ns", "1", "2", "3"],
-             "290b3474e13807f25254ff2a840c79dc320a6bdb0c765a6fdc6bd7bcd58bc92b",
+             "a8da1580f40196e0eb6d871ac63326e8490924f144fef27ff520479ce2dd30ec",
              "9fb6dc7466cf758947cb4a5ca92e451c98b0d7fb2f2acae9a62d8b35cc8b8cd4",
              "command elements ns taylor_hood_ref variant"),
     "exp3-128": (["exp3", "--elements", "128", "--ns", "1", "2", "16"],
-                 "19f9c1b976b2cbca7bf5c569eac7fbe7bfdab42671e7d86e9853080eb52c4409",
+                 "f44975c8e5c1244c343284f598ed136c72c01ac91462e44d22146ec7a8c448aa",
                  "000c3ea158aed155d8cb89680c67c6ec05a56cb80efa988afdbcdb5e870e8112",
                  "command elements ns taylor_hood_ref variant"),
     "biharmonic-eig": (["biharmonic-eig", "--domain", "lshape", "--levels", "2",
@@ -572,7 +575,7 @@ GOLDEN_RUNS = {
                        "9c768632cf170048d51e593c210309374940f6fc976fb241263dfc80daa804a9",
                        None, "command domain levels quadrature variant"),
     "stokes": (["stokes", "--elements", "32", "--quadrature", "gauss:2"],
-               "6728c94305c15e8c31795c17f358822dfb4e8d39771264b66c3cee5aff0a6df1",
+               "ed073d1e3d278e9e0fd7c63561aadf3c3b02cc1835ee9de850d4241497693245",
                None, "command elements quadrature taylor_hood_ref variant"),
 }
 

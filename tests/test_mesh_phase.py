@@ -99,15 +99,17 @@ def test_assembled_matrices_match_golden_digests(case):
     assert case_digest(case) == MATRIX_DIGESTS[case]
 
 
-#: The blocks each Stokes solve hands to its solver, A_ff and B_ff[:, 1:]
-#: (pressure dof 0 pinned), taken with MATRIX_DIGESTS.
+#: The stream-function system (S, s) each Stokes solve hands to its solver:
+#: S = D^T A D on the free Zienkiewicz dofs, each element block mapped by
+#: E C, and s = D^T b; taken when the stream function replaced the saddle
+#: solve.
 FREE_BLOCK_DIGESTS = {
-    ("stokes", 2048, "full", "exact"): "764ec11a83819e766c19d1bf435f69574ec6ce954792078d02f5a492adf04080",
-    ("stokes", 2048, "full", 1): "5e2db87fb1203274ef44ff1478368f3dce3faf86afaead6eda80ff7d75625cbd",
-    ("stokes", 2048, "full", 16): "32cccf9f6ecfc9d8a29f127c825a9672a9c2677de99ee0d647fb4d9f7425ba04",
-    ("stokes", 2048, "reduced", "exact"): "3cec4c00d79c68c963a5d4e155bcf8fa7b673494492c2d3d74133ce1bf33495e",
-    ("stokes", 2048, "reduced", 1): "e89fd265a60c3026e0d57f44671ee9a1b6bbd482366cee758c79aac496e0bf18",
-    ("stokes", 2048, "reduced", 16): "42436664e0b1eb4a946583f82625cc54091411a23b5ffde7442aedfc654cd106",
+    ("stokes", 2048, "full", "exact"): "0fbf150c7e2904eceba7aa0ed82d02f41e6dc4ae549f890c94aacedd937ee217",
+    ("stokes", 2048, "full", 1): "b360b9c0b6aecd53925ffca09c553cc8681605ead6c7462e226ff3520e3c919e",
+    ("stokes", 2048, "full", 16): "0ab342cf937e040a52fcca942cd1b3c9216bcc5da509e189578dac69ffc74f70",
+    ("stokes", 2048, "reduced", "exact"): "179ec44bf382d3e86c3c205831931da2c2369e6899a0ede307b101015fc8794e",
+    ("stokes", 2048, "reduced", 1): "e7e6be8642a81912b6ba97a97c369aed0c55874746212548493978810111c586",
+    ("stokes", 2048, "reduced", 16): "f44505c305f9a7456c1a6d24b2fcf1f11ce8d4b9f15d6eefe9a19c7856e5814c",
 }
 
 
@@ -120,7 +122,7 @@ def test_blocks_handed_to_the_solvers_match_golden_digests(case, monkeypatch):
         handed.extend([first, second])
         if case[0] == "plate":
             return 1.0, np.zeros(first.shape[0])
-        return np.zeros(first.shape[0] + second.shape[1])
+        return np.zeros(first.shape[0])
     system = case_system(case)
     if case[0] == "plate":
         monkeypatch.setattr(solvers, "gen_eig_smallest", record)
@@ -128,8 +130,9 @@ def test_blocks_handed_to_the_solvers_match_golden_digests(case, monkeypatch):
         # the system's own free-dof blocks, which MATRIX_DIGESTS pins
         assert handed[0] is system.A and handed[1] is system.M
     else:
-        monkeypatch.setattr(solvers, "saddle_solve", record)
-        gn.solve_stokes(system)
+        monkeypatch.setattr(solvers, "pcg", record)
+        gn.solve_stokes(system, lu="the exact system's")
+        assert handed[0] is system.S and handed[1] is system.s
         assert matrix_digest(*handed) == FREE_BLOCK_DIGESTS[case]
 
 
@@ -151,8 +154,11 @@ def test_vandermonde_built_once_per_mesh_and_variant(monkeypatch):
                      "ratfem.zienkiewicz.shape_coefficients"]
     calls.clear()
     run_exp3_stokes(elements=128, ns=(1, 2))
+    # the stream-function phase maps the Zienkiewicz shape coefficients
     assert calls == ["ratfem.guzman_neilan.local_vandermonde",
-                     "ratfem.guzman_neilan.shape_coefficients"]
+                     "ratfem.guzman_neilan.shape_coefficients",
+                     "ratfem.zienkiewicz.local_vandermonde_batch",
+                     "ratfem.zienkiewicz.shape_coefficients"]
 
 
 def test_mesh_phase_arrays_are_shared_and_read_only():

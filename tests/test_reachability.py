@@ -146,13 +146,16 @@ def test_every_function_in_src_is_reached_public_or_allowed(tmp_path):
 
 #: What perfbench binds or reads besides the wrappers of `tracer.install`,
 #: a traced assembly of each element and a traced plate eigen row pair.  Both
-#: elements fill their matrices (plate A and M, Stokes A and B) through the
-#: wrapped `assemble_matrix`, or the fill layer drops out of the trace; B is
-#: the mesh's, so a second Stokes rule on that mesh fills A alone; the
-#: exact and the rule-2 solve go through the wrapped `solve_biharmonic_eigen`
-#: and `gen_eig_smallest`, on one factorization by the wrapped `splu`; exp3
-#: calls the wrapped `stokes_load` once per assembly, on arrays, and factors
-#: two saddle systems per mesh (the exact one and rule 1) whatever its rules.
+#: elements fill their matrices (plate A and M, Stokes A, its stream-function
+#: S and B) through the wrapped `assemble_matrix`, or the fill layer drops
+#: out of the trace; B is the mesh's, so a second Stokes rule on that mesh
+#: fills A and S alone; the exact and the rule-2 solve go through the wrapped
+#: `solve_biharmonic_eigen` and `gen_eig_smallest`, on one factorization by
+#: the wrapped `splu`; exp3 calls the wrapped `stokes_load` once per
+#: assembly, on arrays, solves each row through the wrapped `solve_stokes`,
+#: measures it through the wrapped `grad_norm` and `divergence_l2`, and
+#: factors three matrices per mesh whatever its rules: the exact S, rule 1's
+#: S and the mesh's B_1^T B_1.
 BENCHMARK_READS = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -167,22 +170,25 @@ value = ratfem.integral_mean((1, 2, 2), (0, 1, 1))
 assert ratfem.is_finite_index((1, 2, 2), (0, 1, 1))
 mesh = refine_uniform(unit_square_mesh())
 for assemble, quadrature, matrices in ((experiments.assemble_biharmonic, 2, 2),
-                                       (experiments.assemble_stokes, 2, 2),
-                                       (experiments.assemble_stokes, 3, 1)):
+                                       (experiments.assemble_stokes, 2, 3),
+                                       (experiments.assemble_stokes, 3, 2)):
     before = len(tracer.spans)
     assemble(mesh, quadrature=quadrature)
     names = [span[0] for span in tracer.spans[before:]]
     assert names.count("fecore.assemble_matrix") == matrices, names
 assert tracer.maxima["fecore.nnz_max"] > 0, dict(tracer.maxima)
-before = len(tracer.spans)
+before, factored = len(tracer.spans), tracer.counts["solvers.factor_count"]
 experiments.eigen_rows(mesh, 1, (2,), "full")
 names = [span[0] for span in tracer.spans[before:]]
 assert names.count("solvers.eig") == 2, names
 assert names.count("zienkiewicz.solve_eigen") == 2, names
-assert tracer.counts["solvers.factor_count"] == 1, dict(tracer.counts)
-before = tracer.counts["solvers.factor_count"]
+assert tracer.counts["solvers.factor_count"] - factored == 1, dict(tracer.counts)
+before, factored = len(tracer.spans), tracer.counts["solvers.factor_count"]
 experiments.run_exp3_stokes(elements=8, ns=(1, 4))
-assert tracer.counts["solvers.factor_count"] - before == 2, dict(tracer.counts)
+names = [span[0] for span in tracer.spans[before:]]
+assert names.count("guzman_neilan.solve") == 3, names
+assert names.count("guzman_neilan.measure") == 6, names
+assert tracer.counts["solvers.factor_count"] - factored == 3, dict(tracer.counts)
 assert tracer.leaves["guzman_neilan.load"][0] == 3, dict(tracer.leaves)
 print(len(DEFAULT_CACHE), len(DEFAULT_CACHE.table), value.q0, value.q1,
       value.to_float(), MemoCache.key((1, 2, 2), (0, 1, 1)))

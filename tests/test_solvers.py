@@ -4,9 +4,12 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from ratfem import solvers
+from ratfem.fecore import pad_free
+from ratfem.guzman_neilan import assemble_stokes, discrete_curl, solve_stokes
+from ratfem.mesh import refine_uniform, unit_square_mesh
 from ratfem.solvers import (NoConvergenceError, NotPositiveDefiniteError,
-                            SingularSystemError, factorize_saddle,
-                            factorize_spd, gen_eig_smallest, saddle_solve)
+                            SingularSystemError, factorize_spd,
+                            gen_eig_smallest, pcg)
 
 
 def test_singular_system_raises():
@@ -25,121 +28,161 @@ def test_indefinite_is_not_positive_definite(dense):
         gen_eig_smallest(A, sp.eye(A.shape[0], format="csc"), factorize_spd(A))
 
 
-def _random_saddle(seed, nf=20, m=7):
-    rng = np.random.default_rng(seed)
-    B = rng.standard_normal((nf, nf))
-    A = sp.csc_matrix(B @ B.T + nf * np.eye(nf))
-    return A, sp.csc_matrix(rng.standard_normal((nf, m))), rng.standard_normal(nf + m)
+def _stokes(variant="reduced", quadrature="exact", seed=0):
+    """A Stokes system on the 2-level square with a seeded load that is no
+    gradient, so that neither u nor p vanishes."""
+    c = np.random.default_rng(seed).standard_normal(4)
+    return assemble_stokes(
+        refine_uniform(refine_uniform(unit_square_mesh())),
+        f=lambda x, y: (c[0] + c[1] * y * y, c[2] * x + c[3] * x * y),
+        variant=variant, quadrature=quadrature)
+
+
+def _curl_matrix(system):
+    """D on the free dofs, dense: discrete_curl of each free stream dof."""
+    free = system.stream_free
+    return np.column_stack([discrete_curl(system.tria, pad_free(free, e))[system.free]
+                            for e in np.eye(np.count_nonzero(free))])
 
 
 def test_saddle_solve():
-    # [[0, 1], [1, 0]] as a saddle system: its A block has no positive pivot
-    with pytest.raises(NotPositiveDefiniteError):
-        saddle_solve(sp.csc_matrix([[0.0]]), sp.csc_matrix([[-1.0]]),
-                     np.array([1.0, 2.0]))
     assert np.allclose(factorize_spd(sp.eye(3, format="csc")).solve(np.ones(3)),
                        1.0)
-    # random gauged saddle system
-    A, B, rhs = _random_saddle(1)
-    K = sp.bmat([[A, -B], [-B.T, None]], format="csc")
-    x = saddle_solve(A, B, rhs)
-    assert np.linalg.norm(K @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    # the stream-function solve and the pressure recovery solve the gauged
+    # saddle system K x = rhs
+    for variant in ("full", "reduced"):
+        for quadrature in ("exact", 2):
+            system = _stokes(variant, quadrature)
+            u, p = solve_stokes(system)
+            B = system.B[:, 1:]
+            K = sp.bmat([[system.A, -B], [-B.T, None]], format="csr")
+            rhs = np.concatenate([system.b[system.free], np.zeros(B.shape[1])])
+            x = np.concatenate([u[system.free], p[1:] - p[0]])
+            assert np.linalg.norm(K @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_saddle_with_indefinite_a_block_raises():
-    # -2 sits on the kernel of B^T, so no shift of the pressure block helps
-    A = sp.csc_matrix(np.diag([1.0, -2.0, 3.0]))
-    B = sp.csc_matrix(np.array([[1.0], [0.0], [0.0]]))
-    with pytest.raises(SingularSystemError, match="inertia"):
-        saddle_solve(A, B, np.ones(4))
+    # A minus twice the smallest eigenvalue of the pencil (D^T A D, D^T D):
+    # the stream-function system D^T A D is then indefinite, and its own LU
+    # rejects it
+    system = _stokes()
+    D = _curl_matrix(system)
+    A = system.A.toarray()
+    shift = 2 * sla.eigh(D.T @ A @ D, D.T @ D, eigvals_only=True)[0]
+    system.A = sp.csr_matrix(A - shift * np.eye(A.shape[0]))
+    system.S = sp.csr_matrix(D.T @ system.A @ D)
+    with pytest.raises(NotPositiveDefiniteError, match="inertia"):
+        solve_stokes(system)
 
 
 def test_ungauged_saddle_raises():
-    # the columns of B sum to zero: constant pressures are in its kernel
-    A, B, rhs = _random_saddle(4, m=6)
-    B = sp.csc_matrix(np.hstack([B.toarray(), -B.toarray().sum(axis=1, keepdims=True)]))
-    with pytest.raises(SingularSystemError):
-        saddle_solve(A, B, np.concatenate([rhs, [1.0]]))
-
-
-@pytest.mark.parametrize("gap, stop", [(1e-7, "stalled"),
-                                       (3e-5, "still correcting")])
-def test_schur_complement_near_the_shift_raises(gap, stop):
-    # two nearly parallel columns of B: the smallest Schur eigenvalue is far
-    # below the shift (no progress) or a few times above it (too slow)
-    A = sp.csc_matrix(np.diag([2.0, 3.0, 4.0, 5.0]))
-    B = sp.csc_matrix(np.array([[1.0, 1.0], [0.0, gap], [1.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(SingularSystemError, match=stop):
-        saddle_solve(A, B, np.array([1.0, 2.0, 3.0, 4.0, 1.0, 0.0]))
-
-
-def _nearby_a(A, seed, size=1e-3):
-    # A plus a symmetric perturbation of `size` relative to max|A|
-    E = np.random.default_rng(seed).standard_normal(A.shape)
-    return sp.csr_matrix(A.toarray() + size * abs(A).max() * (E + E.T) / 2)
+    # B's columns sum to zero (a constant pressure has no divergence), so
+    # B^T B is singular: its last pivot is roundoff, negative here, and the
+    # certification rejects it; pinning pressure dof 0 leaves B_1^T B_1 SPD
+    system = _stokes()
+    assert np.abs(system.B @ np.ones(system.B.shape[1])).max() <= 1e-15
+    with pytest.raises(NotPositiveDefiniteError, match="inertia"):
+        factorize_spd(system.B.T @ system.B)
+    factorize_spd(system.B[:, 1:].T @ system.B[:, 1:])
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_saddle_solve_with_the_lu_of_a_nearby_system(seed, monkeypatch):
-    # the unperturbed system's LU preconditions the GMRES corrections of a
-    # system whose A moved by about 1e-3; nothing is factored again
-    A, B, rhs = _random_saddle(seed, nf=40, m=12)
-    near = _nearby_a(A, seed + 10)
-    own = saddle_solve(near, B, rhs)
-    lu = factorize_saddle(A, B)
+    # the exact system's LU preconditions conjugate gradients on a rule-3
+    # system of the same mesh and load; nothing is factored again
+    system = _stokes(quadrature=3, seed=seed)
+    own = solve_stokes(system)
+    lu = factorize_spd(_stokes(seed=seed).S)
 
     def factored(*args):
         raise AssertionError("a nearby solve factored its system")
-    monkeypatch.setattr(solvers, "_factorize", factored)
-    x = saddle_solve(near, B, rhs, lu, nearby=True)
-    assert np.abs(x - own).max() <= 1e-12 * np.abs(own).max()
-    # one GMRES solve meets its tolerance in the true residual
-    K = sp.bmat([[near, -B], [-B.T, None]], format="csr")
-    y = solvers._gmres(K, rhs, lu)
-    assert np.linalg.norm(K @ y - rhs) <= solvers.GMRES_TOL * np.linalg.norm(rhs)
-
-
-def test_a_far_off_lu_exhausts_gmres_and_raises():
-    # the identity's LU leaves A's spread spectrum (1 to 1e6) on the kernel
-    # of B^T to GMRES, which the iteration cap cuts off
-    rng = np.random.default_rng(6)
-    nf, m = 300, 40
-    Q = np.linalg.qr(rng.standard_normal((nf, nf)))[0]
-    A = sp.csr_matrix((Q * np.logspace(0, 6, nf)) @ Q.T)
-    B = sp.csr_matrix(rng.standard_normal((nf, m)))
-    lu = factorize_saddle(sp.identity(nf, format="csr"), B)
-    with pytest.raises(NoConvergenceError,
-                       match=f"after {solvers.GMRES_MAXIT} iterations"):
-        saddle_solve(A, B, rng.standard_normal(nf + m), lu, nearby=True)
+    monkeypatch.setattr(solvers, "factorize_spd", factored)
+    for got, want in zip(solve_stokes(system, lu), own):
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
 def test_a_nearby_a_indefinite_on_the_kernel_of_bt_raises():
-    # A minus 1.5 times its largest eigenvalue on the kernel of B^T: the
-    # system stays nonsingular and GMRES converges, but the velocity, which
-    # lies in that kernel, has negative curvature; B's first column keeps
-    # a positive diagonal entry
-    A, B, rhs = _random_saddle(3, nf=20, m=5)
-    B = sp.csc_matrix(np.hstack([np.eye(20)[:, :1], B.toarray()[:, 1:]]))
-    Z = sla.null_space(B.toarray().T)
-    lam = np.linalg.eigvalsh(Z.T @ A.toarray() @ Z).max()
-    near = sp.csr_matrix(A.toarray() - 1.5 * lam * Z @ Z.T)
-    assert near.diagonal().max() > 0
-    rhs[20:] = 0.0
+    # A minus the median eigenvalue of the pencil (D^T A D, D^T D): on the
+    # kernel of B^T, which D spans, half of A's spectrum turns negative, and
+    # conjugate gradients on the exact LU meet a direction of negative
+    # curvature
+    system = _stokes(quadrature=2)
+    lu = factorize_spd(system.S)
+    D = _curl_matrix(system)
+    A = system.A.toarray()
+    pencil = sla.eigh(D.T @ A @ D, D.T @ D, eigvals_only=True)
+    system.S = sp.csr_matrix(D.T @ (A - np.median(pencil) * np.eye(A.shape[0])) @ D)
     with pytest.raises(NotPositiveDefiniteError, match="curvature"):
-        saddle_solve(near, B, rhs, factorize_saddle(A, B), nearby=True)
+        solve_stokes(system, lu)
 
 
 def test_saddle_solves_are_deterministic():
-    A, B, rhs = _random_saddle(7, nf=40, m=12)
-    near = _nearby_a(A, 8)
-    lu = factorize_saddle(A, B)
-    x1 = saddle_solve(near, B, rhs, lu, nearby=True)
-    x2 = saddle_solve(near.copy(), B.copy(), rhs.copy(),
-                      factorize_saddle(A.copy(), B.copy()), nearby=True)
-    assert np.array_equal(x1, x2)
-    assert np.array_equal(saddle_solve(near, B, rhs, lu, nearby=True), x1)
+    lu = factorize_spd(_stokes().S)
+    first = solve_stokes(_stokes(quadrature=2), lu)
+    again = solve_stokes(_stokes(quadrature=2), factorize_spd(_stokes().S))
+    for x, y in zip(first, again):
+        assert np.array_equal(x, y)
     # a system's own LU, passed in, gives the bytes of the one made inside
-    assert np.array_equal(saddle_solve(A, B, rhs, lu), saddle_solve(A, B, rhs))
+    system = _stokes(quadrature=2)
+    for x, y in zip(solve_stokes(system, factorize_spd(system.S)),
+                    solve_stokes(system)):
+        assert np.array_equal(x, y)
+
+
+def _random_spd(rng, n):
+    B = rng.standard_normal((n, n))
+    return B @ B.T + n * np.eye(n)
+
+
+def _nearby(A, seed, size=1e-3):
+    # A plus a symmetric perturbation of `size` relative to max|A|
+    E = np.random.default_rng(seed).standard_normal(A.shape)
+    return A + size * np.abs(A).max() * (E + E.T) / 2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pcg_with_the_lu_of_a_nearby_matrix(seed):
+    rng = np.random.default_rng(seed)
+    A = _random_spd(rng, 40)
+    near, b = sp.csr_matrix(_nearby(A, seed + 10)), rng.standard_normal(40)
+    x = pcg(near, b, factorize_spd(sp.csr_matrix(A)))
+    assert np.linalg.norm(near @ x - b) <= 2 * solvers.PCG_TOL * np.linalg.norm(b)
+    want = np.linalg.solve(near.toarray(), b)
+    assert np.abs(x - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_pcg_along_an_indefinite_direction_raises():
+    # A minus its median eigenvalue on the LU of A: half of the spectrum is
+    # negative, and a search direction meets it
+    rng = np.random.default_rng(4)
+    A = _random_spd(rng, 30)
+    shifted = A - np.median(np.linalg.eigvalsh(A)) * np.eye(30)
+    with pytest.raises(NotPositiveDefiniteError, match="curvature"):
+        pcg(sp.csr_matrix(shifted), rng.standard_normal(30),
+            factorize_spd(sp.csr_matrix(A)))
+
+
+def test_a_far_off_lu_exhausts_pcg_and_raises():
+    # the identity's LU leaves A's spread spectrum (1 to 1e6) to conjugate
+    # gradients, which the iteration cap cuts off
+    rng = np.random.default_rng(6)
+    n = 300
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = sp.csr_matrix((Q * np.logspace(0, 6, n)) @ Q.T)
+    with pytest.raises(NoConvergenceError,
+                       match=f"after {solvers.PCG_MAXIT} iterations"):
+        pcg(A, rng.standard_normal(n), factorize_spd(sp.identity(n, format="csr")))
+
+
+def test_pcg_reruns_are_bit_identical():
+    rng = np.random.default_rng(7)
+    A = _random_spd(rng, 40)
+    near, b = sp.csr_matrix(_nearby(A, 8)), rng.standard_normal(40)
+    x = pcg(near, b, factorize_spd(sp.csr_matrix(A)))
+    assert np.array_equal(x, pcg(near.copy(), b.copy(),
+                                 factorize_spd(sp.csr_matrix(A.copy()))))
+    # a zero load needs no solve
+    assert not pcg(near, np.zeros(40), None).any()
 
 
 def test_gen_eig_examples():
@@ -174,11 +217,6 @@ def test_gen_eig_no_convergence(monkeypatch):
         gen_eig_smallest(A, M, factorize_spd(A))
 
 
-def _random_spd(rng, n):
-    B = rng.standard_normal((n, n))
-    return B @ B.T + n * np.eye(n)
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_gen_eig_with_the_lu_of_a_nearby_matrix(seed):
     # the factorization of A + E preconditions the solve of (A, M)
@@ -196,7 +234,6 @@ def test_gen_eig_with_the_lu_of_a_nearby_matrix(seed):
 
 
 def test_gen_eig_of_a_plate_rule_with_the_exact_lu():
-    from ratfem.mesh import refine_uniform, unit_square_mesh
     from ratfem.zienkiewicz import assemble_biharmonic
     mesh = refine_uniform(refine_uniform(unit_square_mesh()))
     lu = solvers.factorize_spd(assemble_biharmonic(mesh).A)

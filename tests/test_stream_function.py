@@ -18,7 +18,8 @@ import pytest
 from ratfem import guzman_neilan as gn
 from ratfem import zienkiewicz as zk
 from ratfem.experiments import graded_lshape_meshes
-from ratfem.mesh import lshape_mesh, refine_uniform, unit_square_mesh
+from ratfem.mesh import (Triangulation, lshape_mesh, refine_uniform,
+                         unit_square_mesh)
 
 
 @functools.cache
@@ -78,3 +79,51 @@ def test_the_stream_function_stiffness_is_the_plate_stiffness(name, variant):
     # a Gauss rule does not integrate by parts: the identity needs exact means
     rule = gn.assemble_stokes(mesh, variant=variant, quadrature=3).A.toarray()
     assert np.abs(D.T @ rule @ D - plate).max() >= 1e-4 * np.abs(plate).max()
+
+
+@pytest.mark.parametrize("name, variant", CASES)
+def test_the_stokes_solve_takes_this_curl_matrix(name, variant):
+    # discrete_curl, from psi's Hermite trace on each edge, is D; and the
+    # stream-function system, assembled element by element through E C, is
+    # D^T A_n D and D^T b_n under exact means and under a rule alike
+    mesh = meshes()[name]
+    D, _ = curl_matrix(mesh, variant)
+    system = gn.assemble_stokes(mesh, variant=variant)
+    stream_free = system.stream_free
+    curl = np.column_stack([gn.discrete_curl(mesh, psi)[system.free]
+                            for psi in np.eye(stream_free.size)[:, stream_free].T])
+    assert np.abs(curl - D).max() <= 1e-13 * np.abs(D).max()
+    for quadrature in ("exact", 3):
+        system = gn.assemble_stokes(mesh, f=lambda x, y: (y * y, x), variant=variant,
+                                    quadrature=quadrature)
+        S = D.T @ system.A.toarray() @ D
+        assert np.abs(system.S.toarray() - S).max() <= 1e-14 * np.abs(S).max()
+        s = D.T @ system.b[system.free]
+        assert np.abs(system.s - s).max() <= 1e-14 * np.abs(s).max()
+
+
+def grid_mesh(cells):
+    """Unit squares at the integer corners `cells`, two triangles each."""
+    corners = sorted({(x + dx, y + dy) for x, y in cells
+                      for dx in (0, 1) for dy in (0, 1)})
+    index = {c: k for k, c in enumerate(corners)}
+    n4e = []
+    for x, y in cells:
+        a, b, c, d = (index[(x, y)], index[(x + 1, y)], index[(x + 1, y + 1)],
+                      index[(x, y + 1)])
+        n4e += [[a, b, c], [a, c, d]]
+    return Triangulation(corners, n4e)
+
+
+@pytest.mark.parametrize("cells", [
+    [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)],
+    [(0, 0), (2, 0)]], ids=["hole", "two squares"])
+def test_a_mesh_that_is_not_simply_connected_is_rejected(cells):
+    # there the curls of the clamped plate space miss part of ker B^T: the
+    # flux around the hole, or the second component's pressure constant
+    mesh = grid_mesh(cells)
+    assert mesh.num_vertices - mesh.num_edges + mesh.num_elements != 1
+    with pytest.raises(gn.MultiplyConnectedError, match="simply connected"):
+        gn.assemble_stokes(mesh)
+    # a 2 x 2 block of such cells is simply connected
+    gn.assemble_stokes(grid_mesh([(0, 0), (1, 0), (0, 1), (1, 1)]))
