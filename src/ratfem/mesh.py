@@ -83,6 +83,15 @@ class Triangulation:
         self.boundary_edge = counts[order] == 1
         self.boundary_vertex = np.zeros(self.c4n.shape[0], dtype=bool)
         self.boundary_vertex[self.n4s[self.boundary_edge]] = True
+        # the angles at an interior vertex sum to 2 pi per turn of its elements
+        v = self.c4n[self.n4e]
+        dots = np.einsum("ekc,ekc->ek", np.roll(v, -1, 1) - v, np.roll(v, 1, 1) - v)
+        turns = np.bincount(self.n4e.ravel(), np.arctan2(_det(v)[:, None], dots).ravel(),
+                            minlength=self.num_vertices) / (2 * np.pi)
+        twice = np.flatnonzero(~self.boundary_vertex & (turns > 1.5))
+        if twice.size:
+            raise MeshFormatError(f"the elements around interior vertex {twice[0]} "
+                                  f"turn {turns[twice[0]]:.3g} times around it")
         tang = self.c4n[self.n4s[:, 1]] - self.c4n[self.n4s[:, 0]]
         tang /= np.linalg.norm(tang, axis=1)[:, None]
         # global normal: clockwise rotation of the min->max tangent

@@ -22,6 +22,14 @@ _MIRROR = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])      # (i, j) -> _UPPER in
 OVERLAPPING_MESHES = [
     ([[0, 1, 2], [0, 1, 3]], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
     ([[0, 1, 2], [0, 1, 2]], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])]
+#: Six triangles (0, v_k, v_k+1) around the origin, whose ring vertices sit at
+#: 0, 120 and 240 degrees twice (radii 1, then 2): every element is
+#: positively oriented and every interior edge is run both ways, but the
+#: angles at the origin sum to 4 pi, so the elements cover it twice.
+TWICE_COVERED_MESH = (
+    [[0, 1 + k, 1 + (k + 1) % 6] for k in range(6)],
+    [[0.0, 0.0]] + [[float(r * np.cos(a)), float(r * np.sin(a))]
+                    for r in (1.0, 2.0) for a in np.radians([0.0, 120.0, 240.0])])
 
 
 def evaluate(combo, point) -> Fraction:

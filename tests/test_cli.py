@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from felib import OVERLAPPING_MESHES
+from felib import OVERLAPPING_MESHES, TWICE_COVERED_MESH
 from ratfem import cli, experiments, guzman_neilan, zienkiewicz
 from ratfem.cli import main
 from ratfem.experiments import EmptySeriesError, emit_svg
@@ -87,6 +87,18 @@ def test_overlapping_mesh_load_is_a_configuration_error(tmp_path, capsys, n4e, c
                     + "".join(f"{a} {b} {c}\n" for a, b, c in n4e))
     assert main(["mesh", "load", "--file", str(path)]) == 2
     assert "overlapping elements" in capsys.readouterr().err
+
+
+def test_twice_covered_mesh_load_is_a_configuration_error(tmp_path, capsys):
+    n4e, c4n = TWICE_COVERED_MESH
+    path = tmp_path / "mesh.txt"
+    path.write_text(f"nodes {len(c4n)} elements {len(n4e)} edges 0\n"
+                    + "".join(f"{x!r} {y!r} 1\n" for x, y in c4n)
+                    + "".join(f"{a} {b} {c}\n" for a, b, c in n4e))
+    assert main(["mesh", "load", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: the elements around interior vertex 0 turn 2 "
+        "times around it\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from felib import OVERLAPPING_MESHES, domain_area, element_geometry, min_angle
+from felib import (OVERLAPPING_MESHES, TWICE_COVERED_MESH, domain_area,
+                   element_geometry, min_angle)
 from ratfem.experiments import graded_lshape_meshes, stokes_mesh
 from ratfem.mesh import (DegenerateBarycenterError, DegenerateElementError,
                          MeshFormatError, Triangulation, dorfler_mark,
@@ -208,3 +209,13 @@ def test_malformed_input_is_a_mesh_format_error():
     for n4e, c4n in OVERLAPPING_MESHES:
         with pytest.raises(MeshFormatError, match="overlapping elements"):
             Triangulation(c4n, n4e)
+
+
+def test_a_mesh_that_covers_an_interior_vertex_twice_is_rejected():
+    n4e, c4n = TWICE_COVERED_MESH
+    with pytest.raises(MeshFormatError,
+                       match="around interior vertex 0 turn 2 times"):
+        Triangulation(c4n, n4e)
+    # one turn of the same ring is a mesh of the regular hexagon
+    Triangulation(c4n[:1] + [[np.cos(a), np.sin(a)] for a in
+                             np.radians(range(0, 360, 60))], n4e)
