@@ -41,7 +41,7 @@ def eigen_rows(mesh, level, ns, variant):
 
     The exact stiffness is factored once; its LU preconditions the exact
     solve and those of the rules n >= 2.  One Gauss point gives an element a
-    stiffness of rank <= 3, below its 9 or 12 dofs, so rule 1's need not be
+    stiffness of rank 1 (one Laplacian value), so rule 1's need not be
     equivalent to the exact one: its own LU preconditions it, and that LU's
     pivots or the solve's Rayleigh quotients reject it where it is singular.
     No system outlives its solve, so at most one is held beside the LU.  A
