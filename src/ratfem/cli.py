@@ -25,11 +25,12 @@ from .quadrature import integral_mean, is_finite_index
 from .ratfun import SingularEvaluationError
 from .solvers import NoConvergenceError
 
-#: Lower bound of each numeric option; theta lies in (0, 1] and each rule
-#: n in --ns is at least 1.
+#: Lower bound of each numeric option; theta lies in (0, 1] and each rule n
+#: (--ns, --quadrature gauss:N), whose tables cost O(n^2), in [1, MAX_RULE].
 BOUNDS = {"levels": 1, "elements": 1, "budget": 1, "uniform_interval": 0,
           "solve_start": 0, "solve_factor": 1, "amax": 0, "bmax": 0,
           "refine": 0}
+MAX_RULE = 100
 
 #: exp2's guide lines: header key, label, slope and value at ndof = 1e3.
 GUIDES = [("guide_slow", "O(ndof^-1/2)", -0.5, "2e-2"),
@@ -56,8 +57,8 @@ def _parse_quadrature(text):
         return 0
     if text.startswith("gauss:"):
         n = int(text.split(":", 1)[1])
-        if n < 1:
-            raise ConfigError("gauss rule needs n >= 1")
+        if not 1 <= n <= MAX_RULE:
+            raise ConfigError(f"gauss rule needs 1 <= n <= {MAX_RULE}, got {n}")
         return n
     raise ConfigError(f"quadrature must be 'exact' or 'gauss:N', got {text!r}")
 
@@ -88,14 +89,15 @@ def _check_output_dirs(args):
 
 
 def _check_bounds(args):
-    """ConfigError unless every rule n is >= 1 and given once, theta is in
-    (0, 1] and each option named in BOUNDS is >= its bound (absent or None
-    options pass)."""
+    """ConfigError unless every rule n is in [1, MAX_RULE] and given once,
+    theta is in (0, 1] and each option named in BOUNDS is >= its bound
+    (absent or None options pass)."""
     ns = getattr(args, "ns", ())
-    if min(ns, default=1) < 1:
-        raise ConfigError(f"quadrature rules need n >= 1, got {tuple(ns)}")
-    if len(set(ns)) < len(ns):
-        raise ConfigError(f"quadrature rules repeat, got {tuple(ns)}")
+    for bad, what in ((min(ns, default=1) < 1, "need n >= 1"),
+                      (max(ns, default=1) > MAX_RULE, f"need n <= {MAX_RULE}"),
+                      (len(set(ns)) < len(ns), "repeat")):
+        if bad:
+            raise ConfigError(f"quadrature rules {what}, got {tuple(ns)}")
     theta = getattr(args, "theta", 1)
     if not 0 < theta <= 1:
         raise ConfigError(f"theta must be in (0, 1], got {theta}")
@@ -164,8 +166,8 @@ def cmd_biharmonic(args):
 
 
 def cmd_stokes(args):
-    rows = stokes_rows(stokes_mesh(args.elements),
-                       (_parse_quadrature(args.quadrature),), args.variant)
+    n = _parse_quadrature(args.quadrature)
+    rows = stokes_rows(stokes_mesh(args.elements), (n,), args.variant)
     _write(args.out, csv_text(_config(args), list(rows[0]), rows))
     return 0
 

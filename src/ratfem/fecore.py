@@ -1,7 +1,7 @@
 """Element-type-independent machinery: moment tensors (exact or by a Gauss
 rule), reduced-element bubble corrections, shape coefficients, dof layouts,
-the mesh phase with its scatter plan, and assembly, which maps blocks through
-C and sums every sparse and every load entry in element order.
+the mesh phase, scatter plans and assembly, which maps blocks through C and
+sums every sparse and every load entry in element order.
 
 All exact reference tensors are computed once per process by exact rational
 quadrature and floated at the very end, so recomputation is bit-reproducible.
@@ -140,17 +140,14 @@ def dof_layout(tria, variant: str, layouts: dict):
 def mesh_phase(tria, variant: str, layouts: dict, coefficients):
     """What assembly needs that no quadrature changes: area, G = Dlam, G G^T,
     the shape coefficients C = coefficients(G, normals, tangents) (edge frames
-    in local order), (ndof, l2g, free) and the :func:`scatter_plan` of the
-    free x free block, which sums in element order; read-only, as systems
-    share them."""
+    in local order) and (ndof, l2g, free); read-only, as systems share them."""
     ndof, l2g, free = dof_layout(tria, variant, layouts)
     _, area, G = tria.geometry_arrays()
     C = coefficients(G, tria.normal4s[tria.s4e], tria.tangent4s[tria.s4e])
     GG = np.einsum("eic,ejc->eij", G, G)
     for array in (area, G, GG, C, l2g, free):
         array.setflags(write=False)
-    plan = scatter_plan(l2g, l2g, (ndof, ndof), free, free)
-    return area, G, GG, C, ndof, l2g, free, plan
+    return area, G, GG, C, ndof, l2g, free
 
 
 def pad_free(free, x) -> np.ndarray:

@@ -184,32 +184,23 @@ def curl_coefficients(G, C) -> np.ndarray:
                            C[:, 6:]], axis=1)
 
 
-def discrete_curl(tria: Triangulation, psi: np.ndarray) -> np.ndarray:
-    """D psi: the dofs of curl psi for Zienkiewicz dofs psi of one variant:
-    (psi_y, -psi_x) at the vertices, then at the edge midpoints d psi / dt of
-    psi's cubic Hermite trace and (full only) -d psi / dn."""
-    m = tria.num_vertices
-    value, dx, dy, normal = psi[:m], psi[m:2 * m], psi[2 * m:3 * m], psi[3 * m:]
-    (a, b), (tx, ty) = tria.n4s.T, tria.tangent4s.T
-    tangential = (1.5 * (value[b] - value[a]) / np.hypot(*(tria.c4n[b] - tria.c4n[a]).T)
-                  - 0.25 * ((dx[a] + dx[b]) * tx + (dy[a] + dy[b]) * ty))
-    return np.concatenate([dy, -dx, tangential, -normal])
-
-
 @dataclass
 class StokesSystem:
     tria: Triangulation
     ndof: int
     l2g: np.ndarray
     free: np.ndarray
-    A: "object"            # velocity stiffness, csr free x free
-    B: "object"            # divergence matrix, csr free x p
-    b: np.ndarray          # load on all dofs
-    coeffs: np.ndarray     # (p, 12, L)
+    coeffs: np.ndarray     # C (p, 12, L)
     areas: np.ndarray
+    A_T: np.ndarray        # element stiffnesses (p, 12, 12) of the quadrature
+    b_T: np.ndarray        # element load means (p, 12) of the quadrature
+    B_T: np.ndarray        # element divergence vectors (p, 12)
+    B: "object"            # divergence matrix, csr free x p
+    curl: np.ndarray       # E C (p, 12, L_Z), see curl_coefficients
+    stream_l2g: np.ndarray     # the Zienkiewicz local-to-global map
+    stream_free: np.ndarray    # the free Zienkiewicz dofs
     S: "object"            # stream-function stiffness D^T A D, csr
     s: np.ndarray          # its load D^T b, on the free Zienkiewicz dofs
-    stream_free: np.ndarray    # the free Zienkiewicz dofs
     pressure_lu: "object"      # factorize_spd of B_1^T B_1, B_1 = B[:, 1:]
 
 
@@ -219,33 +210,38 @@ LAYOUTS = {"full": "vvee", "reduced": "vve"}
 
 @lru_cache(maxsize=1)
 def mesh_phase(tria: Triangulation, variant: str):
-    """:func:`fecore.mesh_phase` of this element, the read-only divergence
-    matrix B on the free rows (column e for element e), the Zienkiewicz
-    phase with C mapped by :func:`curl_coefficients` and the LU of B_1^T B_1,
-    B_1 = B[:, 1:], once per simply connected (mesh, variant) for all rules."""
+    """:func:`fecore.mesh_phase` of this element, its divergence vectors B_T,
+    the read-only divergence matrix B on the free rows (column e for element
+    e), the Zienkiewicz phase with C mapped by :func:`curl_coefficients` and
+    its free x free scatter plan, and the LU of B_1^T B_1, B_1 = B[:, 1:],
+    once per simply connected (mesh, variant) for all rules."""
     if tria.num_vertices - tria.num_edges + tria.num_elements != 1:
         raise MultiplyConnectedError("the Stokes solve needs a simply connected mesh")
     phase = fecore.mesh_phase(
         tria, variant, LAYOUTS, lambda G, normals, tangents: shape_coefficients(
             local_vandermonde(G, normals, tangents), variant, tangents))
-    area, G, _, C, ndof, l2g, free, _ = phase
+    area, G, _, C, ndof, l2g, free = phase
     p = tria.num_elements
+    B_T = local_divergence(area, G)
+    B_T.setflags(write=False)
     plan = scatter_plan(l2g, np.arange(p)[:, None], (ndof, p), free, np.ones(p, bool))
-    B = assemble_matrix(plan, C, local_divergence(area, G)[..., None], np.ones((p, 1, 1)))
+    B = assemble_matrix(plan, C, B_T[..., None], np.ones((p, 1, 1)))
     B.data.setflags(write=False)
     stream = fecore.mesh_phase(
         tria, variant, zienkiewicz.LAYOUTS, lambda G, normals, _: curl_coefficients(
             G, zienkiewicz.shape_coefficients(zienkiewicz.local_vandermonde_batch(
                 G, normals), variant, normals)))
+    zndof, zl2g, zfree = stream[4:]
+    zplan = scatter_plan(zl2g, zl2g, (zndof, zndof), zfree, zfree)
     # one element leaves no pressure unknown beside the pinned one
     pressure_lu = solvers.factorize_spd(B[:, 1:].T @ B[:, 1:]) if p > 1 else None
-    return *phase, B, *stream[3:], pressure_lu
+    return *phase, B_T, B, *stream[3:], zplan, pressure_lu
 
 
 def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
                     quadrature="exact") -> StokesSystem:
-    """Assemble the Stokes system for the Guzman-Neilan pair, with its
-    stream-function system S = D^T A D, s = D^T b (:func:`discrete_curl`).
+    """The element tensors A_T, b_T of the Guzman-Neilan pair and the
+    stream-function system S = D^T A D, s = D^T b that E C assembles from them.
 
     `quadrature` is "exact" or an integer n selecting the tensorized Gauss
     rule, which on affine elements only selects the reference tables
@@ -253,53 +249,54 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
     The load `f` returns the pair (f_x, f_y); it is called once, as f(X, Y)
     on coordinate arrays of the P2 nodes (see :func:`local_load`).
     """
-    (area, G, GG, C, ndof, l2g, free, plan, B, EC, stream_ndof, stream_l2g,
+    (area, G, GG, C, ndof, l2g, free, B_T, B, EC, stream_ndof, stream_l2g,
      stream_free, stream_plan, pressure_lu) = mesh_phase(tria, variant)
     tables = get_tables(quadrature)
-    local = local_matrices(area, G, GG, tables)
+    A_T = local_matrices(area, G, GG, tables)
     b_T = np.zeros((len(area), 12)) if f is None else local_load(f, tria, G, tables)
     return StokesSystem(
-        tria, ndof, l2g, free, assemble_matrix(plan, C, local, C), B,
-        assemble_vector(l2g, area, C, b_T, ndof), C, area,
-        assemble_matrix(stream_plan, EC, local, EC),
+        tria, ndof, l2g, free, C, area, A_T, b_T, B_T, B, EC, stream_l2g,
+        stream_free, assemble_matrix(stream_plan, EC, A_T, EC),
         assemble_vector(stream_l2g, area, EC, b_T, stream_ndof)[stream_free],
-        stream_free, pressure_lu)
+        pressure_lu)
 
 
 def solve_stokes(system: StokesSystem, lu=None):
-    """Velocity u = D psi (:func:`discrete_curl`), psi by :func:`solvers.pcg`
-    on S psi = s with `lu`, S's factorize_spd (made if None) or a nearby
-    system's, and pressure from B_1^T B_1 p = B_1^T (A u - b) with dof 0
-    pinned (kernel gauge), then shifted to zero mean."""
-    psi = system.s      # empty where no Zienkiewicz dof is free: u = 0
+    """Velocity as 12-basis coefficients w_T = (E C psi)_T per element, psi
+    by :func:`solvers.pcg` on S psi = s with `lu`, S's factorize_spd (made if
+    None) or a nearby system's, and pressure from B_1^T B_1 p = B_1^T (A u - b),
+    summed from the residuals A_T w_T - |T| b_T, with dof 0 pinned (kernel
+    gauge), then shifted to zero mean."""
+    psi = system.s      # empty where no Zienkiewicz dof is free: w = 0
     if psi.size:
         psi = solvers.pcg(system.S, psi, lu or solvers.factorize_spd(system.S))
-    u = discrete_curl(system.tria, pad_free(system.stream_free, psi))
-    rhs = system.B[:, 1:].T @ (system.A @ u[system.free] - system.b[system.free])
+    psi = pad_free(system.stream_free, psi)[system.stream_l2g]
+    w = np.einsum("eri,ei->er", system.curl, psi)
+    r = assemble_vector(system.l2g, np.ones_like(system.areas), system.coeffs,
+                        np.einsum("ers,es->er", system.A_T, w)
+                        - system.areas[:, None] * system.b_T, system.ndof)
+    rhs = system.B[:, 1:].T @ r[system.free]
     pressure = np.concatenate([[0.0], system.pressure_lu.solve(rhs) if rhs.size else rhs])
     # einsum, not a BLAS dot, whose sum order depends on the thread count
     pressure -= np.einsum("i,i->", system.areas, pressure) / system.areas.sum()
-    return u, pressure
+    return w, pressure
 
 
 # -- measurements ------------------------------------------------------------------
 
-def grad_norm(system: StokesSystem, u: np.ndarray) -> float:
-    """H1 seminorm sqrt(u' A u) of a velocity u on all dofs that vanishes on
-    the constrained ones, taken with this system's stiffness.
+def grad_norm(system: StokesSystem, w: np.ndarray) -> float:
+    """H1 seminorm sqrt(sum_T w_T^T A_T w_T) of the velocity with element
+    coefficients w (p, 12), from this system's element stiffnesses.
 
     Pass a system assembled with exact quadrature so the measurement does not
     inherit the defect of an inexact solve.
     """
-    # A u is padded to all dofs so that the einsum sums the n terms of u' A u
-    # in their order (a sum over the free dofs alone rounds differently);
-    # einsum, not a BLAS dot, whose sum order depends on the thread count
-    Au = pad_free(system.free, system.A @ u[system.free])
-    return float(np.sqrt(max(np.einsum("i,i->", u, Au), 0.0)))
+    # einsum, not BLAS, whose sum order depends on the thread count
+    return float(np.sqrt(max(np.einsum("ei,eij,ej->", w, system.A_T, w), 0.0)))
 
 
-def divergence_l2(exact_system: StokesSystem, u: np.ndarray) -> float:
-    """L2 norm of div u_h for u on all dofs that vanishes on the constrained
-    ones; the elementwise divergence is constant."""
-    means = (exact_system.B.T @ u[exact_system.free]) / exact_system.areas
+def divergence_l2(exact_system: StokesSystem, w: np.ndarray) -> float:
+    """L2 norm of div u_h for element coefficients w (p, 12); the divergence
+    on T is the constant B_T . w_T / |T|."""
+    means = np.einsum("ei,ei->e", exact_system.B_T, w) / exact_system.areas
     return float(np.sqrt(np.sum(exact_system.areas * means ** 2)))

@@ -5,8 +5,9 @@ eigenpair by preconditioned LOBPCG.
 Each factorization is a symmetric LU without pivoting, on a multiple
 minimum degree ordering of A + A^T, with unrelaxed supernodes.
 Its pivots are the D of A = L D L^T, so by Sylvester's law they have A's
-inertia, and the factorization certifies itself: a row interchange
-(SuperLU's answer to a zero pivot) or a pivot that is not positive raises.
+inertia up to roundoff: a row interchange (SuperLU's answer to a zero pivot)
+or a pivot <= 0 raises, yet a singular A can pass (the 384-element L-shape's
+B^T B); pcg's curvature and gen_eig_smallest's Rayleigh-quotient floors back it.
 
 A nearby SPD system takes such an LU as the preconditioner of conjugate
 gradients (Hestenes & Stiefel, J. Res. Nat. Bur. Standards 49(6), 1952),
@@ -57,8 +58,8 @@ class NoConvergenceError(RuntimeError):
 
 
 def factorize_spd(A: sp.spmatrix):
-    """The certified LU of SPD A (NotPositiveDefiniteError otherwise,
-    SingularSystemError if A is empty or exactly singular), via CSC."""
+    """The LU of SPD A, via CSC, certified by its pivot signs up to roundoff
+    (NotPositiveDefiniteError; SingularSystemError if empty or exactly singular)."""
     n = A.shape[0]
     if n == 0:
         raise SingularSystemError("empty system: no unknowns to solve for")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fecore, solvers
 from .fecore import (MIDS, VERTS, assemble_matrix, lagrange_basis,
-                     moment_tensor, pad_free)
+                     moment_tensor, pad_free, scatter_plan)
 from .mesh import Triangulation
 from .ratfun import RatCombo, bubble, combo_values, gradient_values
 
@@ -126,10 +126,12 @@ LAYOUTS = {"full": "vvve", "reduced": "vvv"}
 
 @lru_cache(maxsize=1)
 def mesh_phase(tria: Triangulation, variant: str):
-    """:func:`fecore.mesh_phase` of this element, once per (mesh, variant)."""
-    return fecore.mesh_phase(
+    """:func:`fecore.mesh_phase` and its free x free plan, once per (mesh, variant)."""
+    phase = fecore.mesh_phase(
         tria, variant, LAYOUTS, lambda G, normals, _: shape_coefficients(
             local_vandermonde_batch(G, normals), variant, normals))
+    ndof, l2g, free = phase[4:]
+    return *phase, scatter_plan(l2g, l2g, (ndof, ndof), free, free)
 
 
 def assemble_biharmonic(tria: Triangulation, variant: str = "full",

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ratfem.fecore import P2_NODES, lagrange_basis
+from ratfem.fecore import (P2_NODES, assemble_matrix, assemble_vector,
+                           lagrange_basis, scatter_plan)
 from ratfem.mesh import DegenerateElementError, Triangulation
 from ratfem.quadrature import gauss_points
 from ratfem.ratfun import SingularEvaluationError, combo_values, gradient_values
@@ -330,6 +331,58 @@ def velocity_eval(system, e, u, bary_pts):
     glam = gradient_values(rho, lam)
     curl = np.einsum("ab,kb,qsk,s->qa", ROT, G, glam, w[6:])
     return lam @ w[:6].reshape(2, 3).T + curl
+
+
+# -- the Stokes velocity space on all dofs --------------------------------------
+# The solver works on element coefficients alone; these helpers rebuild the
+# global objects the tests compare against: the velocity stiffness and load
+# that fecore's scatter sums from the element tensors, the velocity's
+# Guzman-Neilan dofs, and the curl matrix D.
+
+def stokes_velocity_system(system):
+    """The velocity stiffness A_n (csr, free x free) and load b_n (on all
+    dofs) of a Stokes system, summed from its A_T and b_T by fecore."""
+    l2g, free, C = system.l2g, system.free, system.coeffs
+    plan = scatter_plan(l2g, l2g, (system.ndof, system.ndof), free, free)
+    return (assemble_matrix(plan, C, system.A_T, C),
+            assemble_vector(l2g, system.areas, C, system.b_T, system.ndof))
+
+
+def velocity_dofs(system, w):
+    """The Guzman-Neilan dofs (all of them) of the velocity with element
+    coefficients w (p, 12), each element's from its Vandermonde, and the
+    largest disagreement between two elements on a shared dof."""
+    from ratfem.guzman_neilan import local_vandermonde
+    tria, l2g = system.tria, system.l2g
+    V = local_vandermonde(tria.geometry_arrays()[2], tria.normal4s[tria.s4e],
+                          tria.tangent4s[tria.s4e])
+    local = np.einsum("eij,ej->ei", V[:, :l2g.shape[1]], w)
+    u = np.zeros(system.ndof)
+    u[l2g] = local
+    return u, np.abs(u[l2g] - local).max()
+
+
+def curl_matrix(mesh, variant):
+    """D, dense: the Guzman-Neilan dof values V_GN E C_Z of the curl of every
+    Zienkiewicz shape function, where E maps Zienkiewicz 12-basis coefficients
+    to Guzman-Neilan ones (the P1 curls of the six quadratics, from their
+    gradients at the vertices; the identity on the potentials 6..11); and the
+    largest disagreement between two elements on a shared dof."""
+    from ratfem import guzman_neilan as gn
+    from ratfem import zienkiewicz as zk
+    _, G, _, C, ndof, l2g, free, *_ = gn.mesh_phase(mesh, variant)
+    _, _, _, CZ, zndof, zl2g, zfree, _ = zk.mesh_phase(mesh, variant)
+    V = gn.local_vandermonde(G, mesh.normal4s[mesh.s4e], mesh.tangent4s[mesh.s4e])
+    rot_grads = np.einsum("ab,ekb->eak", gn.ROT, G)
+    E = np.zeros((mesh.num_elements, 12, 12))
+    E[:, :6, :6] = np.einsum("eck,isk->ecis", rot_grads,
+                             zk.get_tables().That_gv[:, :6]).reshape(-1, 6, 6)
+    E[:, 6:, 6:] = np.eye(6)
+    local = V[:, :l2g.shape[1]] @ E @ CZ
+    D = np.zeros((ndof, zndof))
+    D[l2g[:, :, None], zl2g[:, None, :]] = local
+    spread = np.abs(D[l2g[:, :, None], zl2g[:, None, :]] - local).max()
+    return D[np.ix_(free, zfree)], spread
 
 
 @dataclass

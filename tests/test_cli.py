@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from felib import OVERLAPPING_MESHES, TWICE_COVERED_MESH
-from ratfem import cli, experiments, guzman_neilan, zienkiewicz
+from ratfem import cli, experiments, guzman_neilan, quadrature, zienkiewicz
 from ratfem.cli import main
 from ratfem.experiments import EmptySeriesError, emit_svg
 from ratfem.fecore import ZeroBubbleDofError
@@ -223,7 +223,10 @@ def test_rules_below_one_are_rejected_before_any_work(monkeypatch, capsys,
     monkeypatch.setattr(experiments, "assemble_biharmonic", started)
     monkeypatch.setattr(experiments, "assemble_stokes", started)
     out = tmp_path / "rows.csv"
+    # a rule's tables take O(n^2) time and memory (n = 3000 asks for about
+    # 7.8 GB), so rules above cli.MAX_RULE fail before any table is built
     for ns, error in ((["2", "0"], "quadrature rules need n >= 1, got (2, 0)"),
+                      (["2", "101"], "quadrature rules need n <= 100, got (2, 101)"),
                       (["2", "1", "2"], "quadrature rules repeat, got (2, 1, 2)")):
         assert main([which, *OWN_FLAGS[which], "--ns", *ns, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"configuration error: {error}\n"
@@ -245,6 +248,10 @@ BAD_CONFIGS = [
     (["exp2", "--uniform-interval", "-1"], "uniform_interval must be >= 0, got -1"),
     (["exp2", "--solve-start", "-1"], "solve_start must be >= 0, got -1"),
     (["exp2", "--solve-factor", "0.5"], "solve_factor must be >= 1, got 0.5"),
+    (["stokes", "--quadrature", "gauss:101"], "gauss rule needs 1 <= n <= 100, got 101"),
+    (["biharmonic-eig", "--quadrature", "gauss:101"],
+     "gauss rule needs 1 <= n <= 100, got 101"),
+    (["stokes", "--quadrature", "gauss:0"], "gauss rule needs 1 <= n <= 100, got 0"),
 ]
 
 
@@ -257,6 +264,8 @@ def test_bad_run_configurations_are_rejected_before_any_work(
     monkeypatch.setattr(experiments, "assemble_biharmonic", started)
     monkeypatch.setattr(experiments, "assemble_stokes", started)
     monkeypatch.setattr(guzman_neilan, "assemble_stokes", started)
+    monkeypatch.setattr(cli, "stokes_mesh", started)
+    monkeypatch.setattr(quadrature, "gauss_legendre_01", started)
     out = tmp_path / "rows.csv"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
@@ -559,11 +568,11 @@ def _data_digest(text):
 #: argv, SHA-256 of the CSV data lines and of the SVG, and the header keys of
 #: each run command.  The data digests were taken when every sparse entry came
 #: to be summed in element order, and the exp3 and stokes ones again when the
-#: Stokes velocity became the curl of a stream function; the SVG digests
-#: before each command was given only its own options.  They hold under 1 and
-#: 2 OpenBLAS threads.  At 32 elements grad_err's sum is insensitive to its
-#: order; the 128-element run pins that order (a sum over the free dofs alone
-#: moves it).
+#: Stokes velocity became element coefficients E C psi, measured by element
+#: energies and divergences; the SVG digests before each command was given
+#: only its own options.  They hold under 1 and 2 OpenBLAS threads.  Both
+#: exp3 runs pin the order of grad_err's element-energy sum (summing per
+#: element first moves them).
 GOLDEN_RUNS = {
     "exp1": (["exp1", "--levels", "2", "--ns", "2", "4"],
              "451e549a9ed285a690b9f1c6984ebdfce1fb4579d6df3c2055d4a324f84c9a17",
@@ -575,11 +584,11 @@ GOLDEN_RUNS = {
              "budget command guide_fast guide_slow ns solve_factor solve_start "
              "theta uniform_interval variant"),
     "exp3": (["exp3", "--elements", "32", "--ns", "1", "2", "3"],
-             "a8da1580f40196e0eb6d871ac63326e8490924f144fef27ff520479ce2dd30ec",
+             "84188f2d8de7416dbca02bb3a41d6b44543cfc6cc4e40e0f6dfe45bc212dd860",
              "9fb6dc7466cf758947cb4a5ca92e451c98b0d7fb2f2acae9a62d8b35cc8b8cd4",
              "command elements ns taylor_hood_ref variant"),
     "exp3-128": (["exp3", "--elements", "128", "--ns", "1", "2", "16"],
-                 "f44975c8e5c1244c343284f598ed136c72c01ac91462e44d22146ec7a8c448aa",
+                 "f32ad5bcca7b7460bce820afa09b099d3b637633eafab0c05411468660ab7917",
                  "000c3ea158aed155d8cb89680c67c6ec05a56cb80efa988afdbcdb5e870e8112",
                  "command elements ns taylor_hood_ref variant"),
     "biharmonic-eig": (["biharmonic-eig", "--domain", "lshape", "--levels", "2",
@@ -587,7 +596,7 @@ GOLDEN_RUNS = {
                        "9c768632cf170048d51e593c210309374940f6fc976fb241263dfc80daa804a9",
                        None, "command domain levels quadrature variant"),
     "stokes": (["stokes", "--elements", "32", "--quadrature", "gauss:2"],
-               "ed073d1e3d278e9e0fd7c63561aadf3c3b02cc1835ee9de850d4241497693245",
+               "345b1a10157c99a9823f296b71a499c50119d202c6c1f2403d4de9f20fa9fb19",
                None, "command elements quadrature taylor_hood_ref variant"),
 }
 
@@ -671,12 +680,12 @@ def _out_of_range(dest, kind):
     """Values of option `dest` outside its bound, as command-line words.
 
     The lower bounds come from cli.BOUNDS; theta must lie in (0, 1] and each
-    rule n in --ns be at least 1.
+    rule n in --ns in [1, cli.MAX_RULE].
     """
     nan = st.just(float("nan"))
     if dest == "ns":
-        return st.tuples(st.lists(st.integers(1, 3), max_size=2),
-                         st.integers(max_value=0)).map(
+        bad = st.integers(max_value=0) | st.integers(min_value=cli.MAX_RULE + 1)
+        return st.tuples(st.lists(st.integers(1, 3), max_size=2), bad).map(
             lambda t: ["--ns", *map(str, t[0] + [t[1]])])
     if dest == "theta":
         values = st.floats(max_value=0) | st.floats(min_value=1,

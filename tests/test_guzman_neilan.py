@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 from felib import (bary_coords, divergence_pointwise, eval_float,
                    hessian_values, random_shape_regular_triangle,
-                   velocity_eval)
+                   velocity_dofs, velocity_eval)
 from ratfem.fecore import ZeroBubbleDofError, dof_layout, edge_corrections
 from ratfem.guzman_neilan import (LAYOUTS, ROT, assemble_stokes,
                                   divergence_l2, get_tables, grad_norm,
@@ -238,12 +238,15 @@ def test_solve_stokes_gauge(variant, quadrature):
     mesh = refine_uniform(refine_uniform(unit_square_mesh()))
     system = assemble_stokes(mesh, f=lambda x, y: (y * y, f52(x, y)[1]),
                              variant=variant, quadrature=quadrature)
-    u, p = solve_stokes(system)
-    assert np.abs(u).max() > 0 and np.abs(p).max() > 0
+    w, p = solve_stokes(system)
+    assert np.abs(w).max() > 0 and np.abs(p).max() > 0
     # the pressure has zero area-weighted mean, to roundoff
     areas = system.areas
     assert abs(np.sum(areas * p)) <= 1e-14 * np.abs(p).max() * areas.sum()
-    assert np.all(u[~system.free] == 0.0)
+    # the element coefficients agree on shared dofs and vanish on the boundary
+    u, spread = velocity_dofs(system, w)
+    assert spread <= 1e-13 * np.abs(u).max()
+    assert np.abs(u[~system.free]).max() <= 1e-13 * np.abs(u).max()
 
 
 def test_pressure_error_first_order():

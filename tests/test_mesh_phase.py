@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from felib import stokes_velocity_system
 from ratfem import guzman_neilan as gn
 from ratfem import solvers
 from ratfem import zienkiewicz as zk
@@ -53,15 +54,19 @@ def case_system(case):
 
 def case_digest(case):
     s = case_system(case)
-    return matrix_digest(s.A, s.M) if case[0] == "plate" else matrix_digest(
-        s.A, s.B, s.b)
+    if case[0] == "plate":
+        return matrix_digest(s.A, s.M)
+    A, b = stokes_velocity_system(s)
+    return matrix_digest(A, s.B, b)
 
 
 #: The systems' plate (A, M) and Stokes (A, B, b): stiffness and mass on
 #: free x free, the divergence matrix on free rows, the load on all dofs, over
 #: every mesh of exp2 at budget 10000 (full variant, its largest also reduced)
 #: and the 2048-element Stokes mesh, both variants; taken when every sparse
-#: entry came to be summed from 0.0 in element order.
+#: entry came to be summed from 0.0 in element order.  The Stokes solve
+#: assembles neither A nor b; fecore sums them here from the system's element
+#: tensors A_T and b_T, so these digests pin those tensors' bytes.
 MATRIX_DIGESTS = {
     ("plate", 0, "full", "exact"): "02342a2f6e760db254c391047690c04e3a0aac3646ee00aa8b57ffcfe23045d9",
     ("plate", 0, "full", 2): "95cd650232db0b47559243f79c14350887d4f0dcd08ee3f31c38e580d578ce92",

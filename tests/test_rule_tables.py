@@ -194,7 +194,7 @@ def test_constant_loads_broadcast():
         full = gn.assemble_stokes(
             mesh, f=lambda x, y: (np.full_like(x, 0.5), np.full_like(x, 2.0)),
             quadrature=quadrature)
-        assert np.array_equal(const.b, full.b)
+        assert np.array_equal(const.b_T, full.b_T)
 
 
 @pytest.mark.parametrize("bad", [

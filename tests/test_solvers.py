@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from felib import curl_matrix, stokes_velocity_system, velocity_dofs
 from ratfem import solvers
-from ratfem.fecore import pad_free
-from ratfem.guzman_neilan import assemble_stokes, discrete_curl, solve_stokes
+from ratfem.guzman_neilan import assemble_stokes, solve_stokes
 from ratfem.mesh import refine_uniform, unit_square_mesh
 from ratfem.solvers import (NoConvergenceError, NotPositiveDefiniteError,
                             SingularSystemError, factorize_spd,
@@ -38,25 +38,22 @@ def _stokes(variant="reduced", quadrature="exact", seed=0):
         variant=variant, quadrature=quadrature)
 
 
-def _curl_matrix(system):
-    """D on the free dofs, dense: discrete_curl of each free stream dof."""
-    free = system.stream_free
-    return np.column_stack([discrete_curl(system.tria, pad_free(free, e))[system.free]
-                            for e in np.eye(np.count_nonzero(free))])
-
-
 def test_saddle_solve():
     assert np.allclose(factorize_spd(sp.eye(3, format="csc")).solve(np.ones(3)),
                        1.0)
     # the stream-function solve and the pressure recovery solve the gauged
-    # saddle system K x = rhs
+    # saddle system K x = rhs, whose A_n and b_n fecore sums from the
+    # element tensors, at the dofs of the solved velocity
     for variant in ("full", "reduced"):
         for quadrature in ("exact", 2):
             system = _stokes(variant, quadrature)
-            u, p = solve_stokes(system)
+            w, p = solve_stokes(system)
+            A, b = stokes_velocity_system(system)
+            u, spread = velocity_dofs(system, w)
+            assert spread <= 1e-13 * np.abs(u).max()
             B = system.B[:, 1:]
-            K = sp.bmat([[system.A, -B], [-B.T, None]], format="csr")
-            rhs = np.concatenate([system.b[system.free], np.zeros(B.shape[1])])
+            K = sp.bmat([[A, -B], [-B.T, None]], format="csr")
+            rhs = np.concatenate([b[system.free], np.zeros(B.shape[1])])
             x = np.concatenate([u[system.free], p[1:] - p[0]])
             assert np.linalg.norm(K @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -66,19 +63,19 @@ def test_saddle_with_indefinite_a_block_raises():
     # the stream-function system D^T A D is then indefinite, and its own LU
     # rejects it
     system = _stokes()
-    D = _curl_matrix(system)
-    A = system.A.toarray()
+    D, _ = curl_matrix(system.tria, "reduced")
+    A = stokes_velocity_system(system)[0].toarray()
     shift = 2 * sla.eigh(D.T @ A @ D, D.T @ D, eigvals_only=True)[0]
-    system.A = sp.csr_matrix(A - shift * np.eye(A.shape[0]))
-    system.S = sp.csr_matrix(D.T @ system.A @ D)
+    system.S = sp.csr_matrix(D.T @ (A - shift * np.eye(A.shape[0])) @ D)
     with pytest.raises(NotPositiveDefiniteError, match="inertia"):
         solve_stokes(system)
 
 
 def test_ungauged_saddle_raises():
     # B's columns sum to zero (a constant pressure has no divergence), so
-    # B^T B is singular: its last pivot is roundoff, negative here, and the
-    # certification rejects it; pinning pressure dof 0 leaves B_1^T B_1 SPD
+    # B^T B is singular: its last pivot is roundoff, negative on this mesh
+    # and so rejected, but its sign is luck (it rounds positive on the
+    # 384-element L-shape); pinning pressure dof 0 leaves B_1^T B_1 SPD
     system = _stokes()
     assert np.abs(system.B @ np.ones(system.B.shape[1])).max() <= 1e-15
     with pytest.raises(NotPositiveDefiniteError, match="inertia"):
@@ -108,8 +105,8 @@ def test_a_nearby_a_indefinite_on_the_kernel_of_bt_raises():
     # curvature
     system = _stokes(quadrature=2)
     lu = factorize_spd(system.S)
-    D = _curl_matrix(system)
-    A = system.A.toarray()
+    D, _ = curl_matrix(system.tria, "reduced")
+    A = stokes_velocity_system(system)[0].toarray()
     pencil = sla.eigh(D.T @ A @ D, D.T @ D, eigvals_only=True)
     system.S = sp.csr_matrix(D.T @ (A - np.median(pencil) * np.eye(A.shape[0])) @ D)
     with pytest.raises(NotPositiveDefiniteError, match="curvature"):

@@ -4,10 +4,11 @@ The Guzman-Neilan curl fields are the curls of Zienkiewicz basis functions
 6..11, so the curl maps the clamped singular Zienkiewicz space into the
 Guzman-Neilan velocities (Falk & Neilan, SIAM J. Numer. Anal. 51(2), 2013;
 Guzman & Neilan, Math. Comp. 83, 2014).  D, the matrix of that map from free
-Zienkiewicz dofs to free Guzman-Neilan dofs, is built here element by element
-from both elements' Vandermondes, shape coefficients and dof layouts: it
-spans the kernel of B^T, and D^T A D is the plate stiffness, since
-int grad curl psi : grad curl phi = int lap psi lap phi for clamped psi, phi.
+Zienkiewicz dofs to free Guzman-Neilan dofs, is built element by element from
+both elements' Vandermondes, shape coefficients and dof layouts
+(`felib.curl_matrix`): it spans the kernel of B^T, and D^T A D is the plate
+stiffness, since int grad curl psi : grad curl phi = int lap psi lap phi for
+clamped psi, phi.
 """
 
 import functools
@@ -15,7 +16,9 @@ import functools
 import numpy as np
 import pytest
 
+from felib import curl_matrix, stokes_velocity_system
 from ratfem import guzman_neilan as gn
+from ratfem import solvers
 from ratfem import zienkiewicz as zk
 from ratfem.experiments import graded_lshape_meshes
 from ratfem.mesh import (Triangulation, lshape_mesh, refine_uniform,
@@ -30,27 +33,6 @@ def meshes():
         theta=0.5, budget=3000, uniform_interval=2, solve_start=120,
         solve_factor=1.3) if mesh.num_elements > 400)
     return {"square": square, "lshape": lshape, "graded": graded}
-
-
-def curl_matrix(mesh, variant):
-    """D, dense: the Guzman-Neilan dof values V_GN E C_Z of the curl of every
-    Zienkiewicz shape function, where E maps Zienkiewicz 12-basis coefficients
-    to Guzman-Neilan ones (the P1 curls of the six quadratics, from their
-    gradients at the vertices; the identity on the potentials 6..11); and the
-    largest disagreement between two elements on a shared dof."""
-    _, G, _, C, ndof, l2g, free, *_ = gn.mesh_phase(mesh, variant)
-    _, _, _, CZ, zndof, zl2g, zfree, _ = zk.mesh_phase(mesh, variant)
-    V = gn.local_vandermonde(G, mesh.normal4s[mesh.s4e], mesh.tangent4s[mesh.s4e])
-    rot_grads = np.einsum("ab,ekb->eak", gn.ROT, G)
-    E = np.zeros((mesh.num_elements, 12, 12))
-    E[:, :6, :6] = np.einsum("eck,isk->ecis", rot_grads,
-                             zk.get_tables().That_gv[:, :6]).reshape(-1, 6, 6)
-    E[:, 6:, 6:] = np.eye(6)
-    local = V[:, :l2g.shape[1]] @ E @ CZ
-    D = np.zeros((ndof, zndof))
-    D[l2g[:, :, None], zl2g[:, None, :]] = local
-    spread = np.abs(D[l2g[:, :, None], zl2g[:, None, :]] - local).max()
-    return D[np.ix_(free, zfree)], spread
 
 
 CASES = [(name, variant) for name in ("square", "lshape", "graded")
@@ -74,32 +56,43 @@ def test_the_stream_function_stiffness_is_the_plate_stiffness(name, variant):
     mesh = meshes()[name]
     D, _ = curl_matrix(mesh, variant)
     plate = zk.assemble_biharmonic(mesh, variant=variant).A.toarray()
-    stokes = gn.assemble_stokes(mesh, variant=variant).A.toarray()
+
+    def stiffness(quadrature):
+        system = gn.assemble_stokes(mesh, variant=variant, quadrature=quadrature)
+        return stokes_velocity_system(system)[0].toarray()
+    stokes = stiffness("exact")
     assert np.abs(D.T @ stokes @ D - plate).max() <= 1e-15 * np.abs(plate).max()
     # a Gauss rule does not integrate by parts: the identity needs exact means
-    rule = gn.assemble_stokes(mesh, variant=variant, quadrature=3).A.toarray()
+    rule = stiffness(3)
     assert np.abs(D.T @ rule @ D - plate).max() >= 1e-4 * np.abs(plate).max()
 
 
 @pytest.mark.parametrize("name, variant", CASES)
-def test_the_stokes_solve_takes_this_curl_matrix(name, variant):
-    # discrete_curl, from psi's Hermite trace on each edge, is D; and the
-    # stream-function system, assembled element by element through E C, is
-    # D^T A_n D and D^T b_n under exact means and under a rule alike
+def test_the_stokes_solve_takes_this_curl_matrix(name, variant, monkeypatch):
+    # the stream-function system, assembled element by element through E C,
+    # is D^T A_n D and D^T b_n under exact means and under a rule alike, and
+    # the solved velocity's element coefficients are w_T = C_T (D psi)|_T
     mesh = meshes()[name]
     D, _ = curl_matrix(mesh, variant)
-    system = gn.assemble_stokes(mesh, variant=variant)
-    stream_free = system.stream_free
-    curl = np.column_stack([gn.discrete_curl(mesh, psi)[system.free]
-                            for psi in np.eye(stream_free.size)[:, stream_free].T])
-    assert np.abs(curl - D).max() <= 1e-13 * np.abs(D).max()
+    solved = []
+
+    def recorded(*args, _pcg=solvers.pcg):
+        solved.append(_pcg(*args))
+        return solved[-1]
+    monkeypatch.setattr(solvers, "pcg", recorded)
     for quadrature in ("exact", 3):
         system = gn.assemble_stokes(mesh, f=lambda x, y: (y * y, x), variant=variant,
                                     quadrature=quadrature)
-        S = D.T @ system.A.toarray() @ D
+        A, b = stokes_velocity_system(system)
+        S = D.T @ A.toarray() @ D
         assert np.abs(system.S.toarray() - S).max() <= 1e-14 * np.abs(S).max()
-        s = D.T @ system.b[system.free]
+        s = D.T @ b[system.free]
         assert np.abs(system.s - s).max() <= 1e-14 * np.abs(s).max()
+        w, _ = gn.solve_stokes(system)
+        u = np.zeros(system.ndof)
+        u[system.free] = D @ solved[-1]
+        expected = np.einsum("eij,ej->ei", system.coeffs, u[system.l2g])
+        assert np.abs(w - expected).max() <= 1e-13 * np.abs(w).max()
 
 
 def grid_mesh(cells):
