@@ -41,13 +41,15 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_midx(text):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"need three comma-separated indices, got {text!r}")
-    idx = tuple(int(p) for p in parts)
-    if min(idx) < 0:
-        raise ConfigError(f"indices must be nonnegative: {text!r}")
+def _parse_midx(text, option):
+    """The multi-index that `option` gives as 'i,j,k'."""
+    try:
+        idx = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        idx = ()
+    if len(idx) != 3 or min(idx) < 0:
+        raise ConfigError(f"{option} needs the form 'i,j,k' of three nonnegative "
+                          f"integers, got {text!r}")
     return idx
 
 
@@ -55,12 +57,16 @@ def _parse_quadrature(text):
     """Rule n of 'gauss:N', or 0 (the exact system's row n) for 'exact'."""
     if text == "exact":
         return 0
-    if text.startswith("gauss:"):
-        n = int(text.split(":", 1)[1])
-        if not 1 <= n <= MAX_RULE:
-            raise ConfigError(f"gauss rule needs 1 <= n <= {MAX_RULE}, got {n}")
-        return n
-    raise ConfigError(f"quadrature must be 'exact' or 'gauss:N', got {text!r}")
+    try:
+        n = int(text.removeprefix("gauss:")) if text.startswith("gauss:") else None
+    except ValueError:
+        n = None
+    if n is None:
+        raise ConfigError("--quadrature needs 'exact' or the form 'gauss:N' with an "
+                          f"integer N, got {text!r}")
+    if not 1 <= n <= MAX_RULE:
+        raise ConfigError(f"gauss rule needs 1 <= n <= {MAX_RULE}, got {n}")
+    return n
 
 
 def _write(path, text):
@@ -135,7 +141,8 @@ def cmd_quad(args):
         _write(args.out, "\n".join([header] + rows) + "\n")
         return 0
     _reject_unread(args, "--alpha/--beta", "amax", "bmax")
-    val = integral_mean(_parse_midx(args.alpha), _parse_midx(args.beta))
+    val = integral_mean(_parse_midx(args.alpha, "--alpha"),
+                        _parse_midx(args.beta, "--beta"))
     try:
         _write(args.out, f"{val} = {val.to_float()!r}\n")
     except InfiniteValueError:

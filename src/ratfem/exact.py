@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 
 
 class InfiniteValueError(ArithmeticError):
@@ -44,11 +45,19 @@ def _pi_squared_bracket(bits: int) -> tuple[int, int]:
     return (pi - err) ** 2, (pi + err) ** 2
 
 
+def _rational(x) -> Fraction:
+    if not isinstance(x, Rational):
+        raise TypeError(f"exact values take rationals, got {type(x).__name__} {x!r}")
+    return Fraction(x)
+
+
 class ExactValue:
     """An element of Q + Q*pi^2, or +infinity.
 
     Supports addition and scaling by rationals; both are exact.  The only
-    rounding in the whole pipeline happens in :meth:`to_float`.
+    rounding in the whole pipeline happens in :meth:`to_float`.  A float,
+    whose binary expansion would be taken for the intended rational, is a
+    TypeError.
     """
 
     __slots__ = ("q0", "q1", "infinite")
@@ -58,8 +67,15 @@ class ExactValue:
             self.q0 = self.q1 = None
             self.infinite = True
         else:
-            self.q0, self.q1 = Fraction(q0), Fraction(q1)
+            self.q0, self.q1 = _rational(q0), _rational(q1)
             self.infinite = False
+
+    @classmethod
+    def from_numerators(cls, n0: int, n1: int, den: int) -> "ExactValue":
+        """n0/den + (n1/den)*pi^2 for integers with den > 0, normalised once."""
+        self = object.__new__(cls)
+        self.q0, self.q1, self.infinite = Fraction(n0, den), Fraction(n1, den), False
+        return self
 
     def __add__(self, other: "ExactValue") -> "ExactValue":
         if not isinstance(other, ExactValue):
@@ -70,7 +86,7 @@ class ExactValue:
 
     def scale(self, c) -> "ExactValue":
         """Multiply by a rational scalar c; infinity only admits c > 0."""
-        c = Fraction(c)
+        c = _rational(c)
         if self.infinite:
             if c <= 0:
                 raise ScaleInfiniteByNonpositiveError(

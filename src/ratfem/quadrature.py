@@ -13,13 +13,16 @@ triangle used by the quadrature-error experiments.
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import numpy as np
 
 from .exact import INFINITE, ExactValue
 from .ratfun import _E, RatCombo, midx_add, midx_sub
+
+_HALF = Fraction(1, 2)
 
 
 class IndexNotFiniteError(ArithmeticError):
@@ -32,7 +35,7 @@ class InfiniteTermError(ArithmeticError):
 
 def is_finite_index(alpha, beta) -> bool:
     """True iff the integral mean of lam^alpha/(1-lam)^beta is finite."""
-    return max(a + b for a, b in zip(alpha, beta)) <= sum(alpha) + 1
+    return max(map(operator.add, alpha, beta)) <= sum(alpha) + 1
 
 
 def integral_mean_poly(alpha, d: int | None = None) -> ExactValue:
@@ -83,13 +86,12 @@ def _reduction(alpha, beta):
     """
     if not is_finite_index(alpha, beta):
         return INFINITE
-    alpha, beta = zip(*sorted(zip(alpha, beta), key=lambda ab: (ab[1], ab[0])))
+    beta, alpha = zip(*sorted(zip(beta, alpha)))
     a0, a1, a2 = alpha
     if beta[1] == 0:
         return integral_mean_beta2(alpha, beta[2])
-    half = Fraction(1, 2)
     if beta[0] >= 1:
-        return 0, [(half, alpha, midx_sub(beta, e)) for e in _E]
+        return 0, [(_HALF, alpha, midx_sub(beta, e)) for e in _E]
     if a0 == 0:
         if beta[2] == 1:
             # the y-integral of log(y)/(1-y) gives the pi^2/3 term
@@ -107,7 +109,7 @@ def _reduction(alpha, beta):
         if alpha[j] + beta[j] <= a0 + a1 + a2:
             return 0, [(1, lowered, midx_sub(beta, _E[k])),
                        (-1, midx_add(lowered, _E[j]), beta)]
-    return 0, [(half, a, midx_sub(beta, _E[j]))
+    return 0, [(_HALF, a, midx_sub(beta, _E[j]))
                for j in (1, 2) for a in (alpha, midx_add(lowered, _E[j]))
                ] + [(-1, midx_add(lowered, (0, 1, 1)), beta)]
 
@@ -149,32 +151,38 @@ def integral_mean(alpha, beta, cache: MemoCache | None = None) -> ExactValue:
     Works through :func:`_reduction` with an explicit stack instead of
     recursion, so the index size is limited by time and memory alone.  Each
     index pair is reduced once; its terms are looked up in, or computed into,
-    the memo one after the other.  The terms of a finite mean are finite, so
-    they combine as plain fractions q0 + q1*pi^2.
+    the memo one after the other.  A finite mean's terms are finite: each
+    (p/q)*(a/b + (c/d)*pi^2) joins the integer numerators of q0 and q1 over
+    their shared denominator, lifted to the lcm with q*b*d by one gcd, and the
+    mean is normalised into two fractions once, when it is finished.
     """
     if cache is None:
         cache = DEFAULT_CACHE
     value = cache.get(alpha, beta)
-    stack = []      # frames [alpha, beta, q0, q1, terms left, pending c]
+    stack = []      # frames [alpha, beta, n0, den, n1, terms left, pending c]
     while True:
         if value is None:
             step = _reduction(alpha, beta)
             if isinstance(step, ExactValue):
                 value = cache.put(alpha, beta, step)
                 continue
-            stack.append([alpha, beta, step[0], 0, iter(step[1]), None])
+            stack.append([alpha, beta, *step[0].as_integer_ratio(), 0,
+                          iter(step[1]), None])
         elif not stack:
             return value
         else:
-            frame = stack[-1]
-            frame[2] += frame[5] * value.q0
-            frame[3] += frame[5] * value.q1
-        term = next(stack[-1][4], None)
+            frame, q0, q1 = stack[-1], value.q0, value.q1
+            b, d, den = q0.denominator, q1.denominator, frame[3]
+            g = gcd(den, t := frame[6].denominator * b * d)
+            up, p = t // g, frame[6].numerator * (den // g)
+            frame[2:5] = (frame[2] * up + p * q0.numerator * d, den * up,
+                          frame[4] * up + p * q1.numerator * b)
+        term = next(stack[-1][5], None)
         if term is None:
-            alpha, beta, q0, q1 = stack.pop()[:4]
-            value = cache.put(alpha, beta, ExactValue(q0, q1))
+            alpha, beta, n0, den, n1 = stack.pop()[:5]
+            value = cache.put(alpha, beta, ExactValue.from_numerators(n0, n1, den))
         else:
-            stack[-1][5], alpha, beta = term
+            stack[-1][6], alpha, beta = term
             value = cache.get(alpha, beta)
 
 

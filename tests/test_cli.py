@@ -252,6 +252,17 @@ BAD_CONFIGS = [
     (["biharmonic-eig", "--quadrature", "gauss:101"],
      "gauss rule needs 1 <= n <= 100, got 101"),
     (["stokes", "--quadrature", "gauss:0"], "gauss rule needs 1 <= n <= 100, got 0"),
+    # option text that is no integer is named with the form it needs
+    (["stokes", "--quadrature", "gauss:x"],
+     "--quadrature needs 'exact' or the form 'gauss:N' with an integer N, got 'gauss:x'"),
+    (["stokes", "--quadrature", "gauss:2.0"],
+     "--quadrature needs 'exact' or the form 'gauss:N' with an integer N, got 'gauss:2.0'"),
+    (["quad", "--alpha", "a,b,c", "--beta", "0,0,0"],
+     "--alpha needs the form 'i,j,k' of three nonnegative integers, got 'a,b,c'"),
+    (["quad", "--alpha", "1.5,2,3", "--beta", "0,0,0"],
+     "--alpha needs the form 'i,j,k' of three nonnegative integers, got '1.5,2,3'"),
+    (["quad", "--alpha", "0,0,0", "--beta", "0,x,0"],
+     "--beta needs the form 'i,j,k' of three nonnegative integers, got '0,x,0'"),
 ]
 
 
@@ -305,6 +316,16 @@ def test_quad_table_matches_golden_digest(tmp_path):
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "f9f3293342159e4573b07a36922c5c7c16459657b18df1cde486df7b9d83d7ce")
+
+
+def test_quad_table_reaches_a_fixed_set_of_pairs(monkeypatch, tmp_path):
+    # the memo holds one entry per index pair the recursion reaches; a faster
+    # recursion must reach the same pairs, or the memo's size and hit ratio move
+    cache = quadrature.MemoCache()
+    monkeypatch.setattr(quadrature, "DEFAULT_CACHE", cache)
+    assert main(["quad", "--table", "--amax", "4", "--bmax", "3",
+                 "--out", str(tmp_path / "table.csv")]) == 0
+    assert len(cache) == 1651
 
 
 def test_biharmonic_eig_keeps_the_exp1_rows_of_its_rule(tmp_path):

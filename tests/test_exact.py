@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,3 +129,18 @@ def test_equality_and_hash():
     assert hash(ExactValue(1, 2)) == hash(ExactValue(1, 2))
     assert INFINITE == INFINITE
     assert INFINITE != ExactValue(1, 0)
+
+
+@pytest.mark.parametrize("make", [lambda: ExactValue(0.1), lambda: ExactValue(0, 0.5),
+                                  lambda: ExactValue(1).scale(0.1),
+                                  lambda: INFINITE.scale(2.0),
+                                  lambda: ExactValue("1/3")])
+def test_only_rationals_make_exact_values(make):
+    # Fraction(0.1) would silently store 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_numpy_integers_are_rational():
+    assert ExactValue(np.int64(3), np.uint8(1)) == ExactValue(3, 1)
+    assert ExactValue(1).scale(np.int32(2)) == ExactValue(2)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -167,6 +168,30 @@ def test_memoized_and_fresh_agree():
         v2 = integral_mean(alpha, beta, MemoCache())
         assert v1 == v2
     assert len(shared) > 2
+
+
+def test_recursion_pins_its_exact_value_and_memo_size():
+    cache = MemoCache()
+    value = integral_mean((11, 16, 10), (7, 3, 8), cache)
+    assert value.q0 == F(1127538525711054978824993, 118842929805600)
+    assert value.q1 == F(-15749915708931, 16384)
+    assert len(cache) == 8163
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=indices(6), beta=indices(4))
+def test_stored_means_are_normalised_fractions(alpha, beta):
+    cache = MemoCache()
+    integral_mean(alpha, beta, cache)
+    for value in cache.table.values():
+        if value.infinite:
+            continue
+        for q in (value.q0, value.q1):
+            assert type(q) is Fraction
+            assert q.denominator > 0
+            assert math.gcd(q.numerator, q.denominator) == 1
+        rebuilt = ExactValue(Fraction(value.q0), Fraction(value.q1))
+        assert value == rebuilt and hash(value) == hash(rebuilt)
 
 
 def test_oracle_spot_checks():
