@@ -129,14 +129,17 @@ def cmd_quad(args):
         amax = 4 if args.amax is None else args.amax
         bmax = 3 if args.bmax is None else args.bmax
         rows = []
+        betas = [(beta, ",".join(map(str, beta)))
+                 for beta in itertools.product(range(bmax + 1), repeat=3)]
         for alpha in itertools.product(range(amax + 1), repeat=3):
-            for beta in itertools.product(range(bmax + 1), repeat=3):
+            a = ",".join(map(str, alpha))
+            for beta, b in betas:
                 if not is_finite_index(alpha, beta):
                     continue
                 val = integral_mean(alpha, beta)
-                rows.append(",".join(map(str, alpha + beta)) + "," +
-                            f"{val.q0.numerator},{val.q0.denominator},"
-                            f"{val.q1.numerator},{val.q1.denominator}")
+                n0, d0 = val.q0.as_integer_ratio()
+                n1, d1 = val.q1.as_integer_ratio()
+                rows.append(f"{a},{b},{n0},{d0},{n1},{d1}")
         header = "a0,a1,a2,b0,b1,b2,q0_num,q0_den,q1_num,q1_den"
         _write(args.out, "\n".join([header] + rows) + "\n")
         return 0

@@ -47,7 +47,7 @@ def _pi_squared_bracket(bits: int) -> tuple[int, int]:
 
 def _rational(x) -> Fraction:
     if not isinstance(x, Rational):
-        raise TypeError(f"exact values take rationals, got {type(x).__name__} {x!r}")
+        raise TypeError(f"expected a rational, got {type(x).__name__} {x!r}")
     return Fraction(x)
 
 
@@ -105,8 +105,8 @@ class ExactValue:
         """
         if self.infinite:
             raise InfiniteValueError("infinite value has no float")
-        a, b = self.q0.numerator, self.q0.denominator
-        c, d = self.q1.numerator, self.q1.denominator
+        a, b = self.q0.as_integer_ratio()
+        c, d = self.q1.as_integer_ratio()
         if c == 0:
             return a / b
         bits = 128

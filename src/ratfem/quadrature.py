@@ -13,7 +13,6 @@ triangle used by the quadrature-error experiments.
 from __future__ import annotations
 
 import functools
-import operator
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -21,9 +20,6 @@ import numpy as np
 
 from .exact import INFINITE, ExactValue
 from .ratfun import _E, RatCombo, midx_add, midx_sub
-
-_HALF = Fraction(1, 2)
-
 
 class IndexNotFiniteError(ArithmeticError):
     """A closed form was requested outside its finiteness range."""
@@ -34,8 +30,9 @@ class InfiniteTermError(ArithmeticError):
 
 
 def is_finite_index(alpha, beta) -> bool:
-    """True iff the integral mean of lam^alpha/(1-lam)^beta is finite."""
-    return max(map(operator.add, alpha, beta)) <= sum(alpha) + 1
+    """True iff the mean of lam^alpha/(1-lam)^beta, three indices each, is finite."""
+    (a0, a1, a2), (b0, b1, b2) = alpha, beta
+    return max(a0 + b0, a1 + b1, a2 + b2) <= a0 + a1 + a2 + 1
 
 
 def integral_mean_poly(alpha, d: int | None = None) -> ExactValue:
@@ -74,10 +71,11 @@ def compute_J(a1: int, a2: int, b1: int, b2: int) -> ExactValue:
 def _reduction(alpha, beta):
     """One step of the recursive formula for the mean I(alpha, beta).
 
-    Returns INFINITE, a closed-form ExactValue, or (c0, terms), meaning
-    I = c0 + sum(c * I(alpha', beta') for c, alpha', beta' in terms).  After
-    sorting the index pairs so the beta entries increase, the branches are:
-    the factorial closed form when the two smallest beta vanish; a four-term
+    Returns INFINITE, a closed-form ExactValue, or ((n, d), terms), meaning
+    I = n/d + sum(p/q * I(alpha', beta') for (p, q), alpha', beta' in terms)
+    with integers d, q > 0, so a reduction builds no Fraction.  After sorting
+    the index pairs so the beta entries increase, the branches are: the
+    factorial closed form when the two smallest beta vanish; a four-term
     reduction when all beta are positive; for alpha0 = 0, the Fubini case
     J(a1, a2, b1, b2) of :func:`compute_J`, the pi^2/3 (polygamma) base case
     b1 = b2 = 1 or a first-order recurrence lowering b1 (b2 when b1 = 1); two
@@ -91,7 +89,7 @@ def _reduction(alpha, beta):
     if beta[1] == 0:
         return integral_mean_beta2(alpha, beta[2])
     if beta[0] >= 1:
-        return 0, [(_HALF, alpha, midx_sub(beta, e)) for e in _E]
+        return (0, 1), [((1, 2), alpha, midx_sub(beta, e)) for e in _E]
     if a0 == 0:
         if beta[2] == 1:
             # the y-integral of log(y)/(1-y) gives the pi^2/3 term
@@ -99,26 +97,29 @@ def _reduction(alpha, beta):
                 Fraction(2 * factorial(a2) * factorial(j - 1), j * factorial(a2 + j))
                 for j in range(1, a1 + 1))
             return ExactValue(q0, Fraction(1, 3))
+        # bk >= 2 here: b1 = 1 lowers b2, and b1 = b2 = 1 was the base case
         k, o = (1, 2) if beta[1] > 1 else (2, 1)
         ak, bk, ao, bo = alpha[k], beta[k], alpha[o], beta[o]
-        extra = Fraction(2 * factorial(ao - bk + 1) * factorial(ak - bo + 1),
-                         (bk - 1) * factorial(ao - bk + ak - bo + 3))
-        return extra, [(Fraction(bk - ak - 2, bk - 1), alpha, midx_sub(beta, _E[k]))]
+        extra = (2 * factorial(ao - bk + 1) * factorial(ak - bo + 1),
+                 (bk - 1) * factorial(ao - bk + ak - bo + 3))
+        return extra, [((bk - ak - 2, bk - 1), alpha, midx_sub(beta, _E[k]))]
     lowered = midx_sub(alpha, _E[0])
     for j, k in ((1, 2), (2, 1)):
         if alpha[j] + beta[j] <= a0 + a1 + a2:
-            return 0, [(1, lowered, midx_sub(beta, _E[k])),
-                       (-1, midx_add(lowered, _E[j]), beta)]
-    return 0, [(_HALF, a, midx_sub(beta, _E[j]))
-               for j in (1, 2) for a in (alpha, midx_add(lowered, _E[j]))
-               ] + [(-1, midx_add(lowered, (0, 1, 1)), beta)]
+            return (0, 1), [((1, 1), lowered, midx_sub(beta, _E[k])),
+                            ((-1, 1), midx_add(lowered, _E[j]), beta)]
+    return (0, 1), [((1, 2), a, midx_sub(beta, _E[j]))
+                    for j in (1, 2) for a in (alpha, midx_add(lowered, _E[j]))
+                    ] + [((-1, 1), midx_add(lowered, (0, 1, 1)), beta)]
 
 
 class MemoCache:
-    """Memo table for integral means, keyed by the sorted (alpha_i, beta_i) pairs.
+    """Memo table for integral means under permutation symmetry.
 
-    Sorting is justified by the permutation invariance of the mean and shrinks
-    the table by up to a factor six.
+    A key is the sorted (alpha_i, beta_i) pairs flattened into one 6-tuple
+    (a0, b0, a1, b1, a2, b2).  Sorting is justified by the permutation
+    invariance of the mean and shrinks the table by up to a factor six; a flat
+    tuple of small ints is smaller and hashes faster than a tuple of pairs.
     """
 
     __slots__ = ("table",)
@@ -128,7 +129,16 @@ class MemoCache:
 
     @staticmethod
     def key(alpha, beta):
-        return tuple(sorted(zip(alpha, beta)))
+        # a three-comparison sorting network on the (alpha_i, beta_i) pairs
+        (a0, a1, a2), (b0, b1, b2) = alpha, beta
+        p, q, r = (a0, b0), (a1, b1), (a2, b2)
+        if p > q:
+            p, q = q, p
+        if q > r:
+            q, r = r, q
+            if p > q:
+                p, q = q, p
+        return (*p, *q, *r)
 
     def get(self, alpha, beta):
         return self.table.get(self.key(alpha, beta))
@@ -148,42 +158,54 @@ DEFAULT_CACHE = MemoCache()
 def integral_mean(alpha, beta, cache: MemoCache | None = None) -> ExactValue:
     """Mean of lam^alpha/(1-lam)^beta over any triangle (exact).
 
-    Works through :func:`_reduction` with an explicit stack instead of
-    recursion, so the index size is limited by time and memory alone.  Each
-    index pair is reduced once; its terms are looked up in, or computed into,
-    the memo one after the other.  A finite mean's terms are finite: each
-    (p/q)*(a/b + (c/d)*pi^2) joins the integer numerators of q0 and q1 over
-    their shared denominator, lifted to the lcm with q*b*d by one gcd, and the
-    mean is normalised into two fractions once, when it is finished.
+    A memo hit returns at once.  Otherwise the mean is worked through
+    :func:`_reduction` with an explicit stack instead of recursion, so the
+    index size is limited by time and memory alone.  Each index pair is
+    reduced once; its terms are looked up through ``cache.get`` one after the
+    other, and every new mean is stored through ``cache.put``.  A finite
+    mean's terms are finite: each (p/q)*(a/b + (c/d)*pi^2) joins the integer
+    numerators n0, n1 of the frame over their shared denominator, lifted to
+    the lcm with q*b*d by one gcd, and the mean is normalised into two
+    fractions once, when it is finished.
     """
     if cache is None:
         cache = DEFAULT_CACHE
     value = cache.get(alpha, beta)
-    stack = []      # frames [alpha, beta, n0, den, n1, terms left, pending c]
+    if value is not None:
+        return value
+    # the current frame lives in locals; a frame waiting on its term p/q * I(...)
+    # is pushed as (alpha, beta, n0, den, n1, terms left, p, q)
+    stack = []
     while True:
-        if value is None:
-            step = _reduction(alpha, beta)
-            if isinstance(step, ExactValue):
-                value = cache.put(alpha, beta, step)
+        step = _reduction(alpha, beta)
+        if isinstance(step, ExactValue):
+            value = cache.put(alpha, beta, step)
+            if not stack:
+                return value
+            alpha, beta, n0, den, n1, terms, p, q = stack.pop()
+        else:
+            (n0, den), terms = step
+            n1, terms, value = 0, iter(terms), None
+        while True:
+            if value is not None:
+                a, b = value.q0.as_integer_ratio()
+                c, d = value.q1.as_integer_ratio()
+                g = gcd(den, t := q * b * d)
+                up, s = t // g, p * (den // g)
+                n0, den, n1 = n0 * up + s * a * d, den * up, n1 * up + s * c * b
+            term = next(terms, None)
+            if term is None:
+                value = cache.put(alpha, beta, ExactValue.from_numerators(n0, n1, den))
+                if not stack:
+                    return value
+                alpha, beta, n0, den, n1, terms, p, q = stack.pop()
                 continue
-            stack.append([alpha, beta, *step[0].as_integer_ratio(), 0,
-                          iter(step[1]), None])
-        elif not stack:
-            return value
-        else:
-            frame, q0, q1 = stack[-1], value.q0, value.q1
-            b, d, den = q0.denominator, q1.denominator, frame[3]
-            g = gcd(den, t := frame[6].denominator * b * d)
-            up, p = t // g, frame[6].numerator * (den // g)
-            frame[2:5] = (frame[2] * up + p * q0.numerator * d, den * up,
-                          frame[4] * up + p * q1.numerator * b)
-        term = next(stack[-1][5], None)
-        if term is None:
-            alpha, beta, n0, den, n1 = stack.pop()[:5]
-            value = cache.put(alpha, beta, ExactValue.from_numerators(n0, n1, den))
-        else:
-            stack[-1][6], alpha, beta = term
-            value = cache.get(alpha, beta)
+            (p, q), lower_alpha, lower_beta = term
+            value = cache.get(lower_alpha, lower_beta)
+            if value is None:
+                stack.append((alpha, beta, n0, den, n1, terms, p, q))
+                alpha, beta = lower_alpha, lower_beta
+                break
 
 
 def integral_mean_combo(f: RatCombo, cache: MemoCache | None = None) -> ExactValue:

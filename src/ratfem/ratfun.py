@@ -2,18 +2,22 @@
 
 A :class:`RatCombo` is a finite linear combination of terms
 ``coeff * lam0^a0 lam1^a1 lam2^a2 / ((1-lam0)^b0 (1-lam1)^b1 (1-lam2)^b2)``
-with rational coefficients.  The class is closed under multiplication and
-differentiation with respect to the barycentric coordinates, which is all the
-finite element tables need.  :func:`combo_values` and its gradient form
-evaluate lists of them in floating point at arrays of points.
+with rational coefficients; a float coefficient or scalar, whose binary
+expansion would be taken for the intended rational, is a TypeError.  The
+class is closed under multiplication and differentiation with respect to the
+barycentric coordinates, which is all the finite element tables need.
+:func:`combo_values` and its gradient form evaluate lists of them in floating
+point at arrays of points.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from numbers import Number
 
 import numpy as np
+
+from .exact import _rational
 
 
 class SingularEvaluationError(ArithmeticError):
@@ -48,8 +52,9 @@ class RatCombo:
         self._grad = self._hessian = None
         if terms:
             for (alpha, beta), coeff in terms.items():
+                coeff = _rational(coeff)
                 if coeff != 0:
-                    self.terms[(tuple(alpha), tuple(beta))] = Fraction(coeff)
+                    self.terms[(tuple(alpha), tuple(beta))] = coeff
 
     @classmethod
     def monomial(cls, alpha, beta=(0, 0, 0), coeff=1) -> "RatCombo":
@@ -57,7 +62,7 @@ class RatCombo:
         alpha, beta = tuple(alpha), tuple(beta)
         if min(alpha) < 0 or min(beta) < 0:
             raise ValueError(f"negative multi-index: {alpha}, {beta}")
-        return cls({(alpha, beta): Fraction(coeff)})
+        return cls({(alpha, beta): coeff})
 
     @classmethod
     def one(cls) -> "RatCombo":
@@ -84,27 +89,25 @@ class RatCombo:
         return self + (-other)
 
     def scale(self, c) -> "RatCombo":
-        c = Fraction(c)
+        """Multiply by a rational scalar c; any other number is a TypeError."""
+        c = _rational(c)
         if c == 0:
             return RatCombo()
         out = RatCombo()
         out.terms = {key: c * coeff for key, coeff in self.terms.items()}
         return out
 
-    def __rmul__(self, c):
-        if isinstance(c, (int, float, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
     def __mul__(self, other):
         """Product; multi-indices add termwise (both numerator and denominator)."""
-        if isinstance(other, (int, float, Fraction)):
+        if isinstance(other, Number):
             return self.scale(other)
         if not isinstance(other, RatCombo):
             return NotImplemented
         return _collect(((midx_add(a1, a2), midx_add(b1, b2)), c1 * c2)
                         for (a1, b1), c1 in self.terms.items()
                         for (a2, b2), c2 in other.terms.items())
+
+    __rmul__ = __mul__
 
     def diff(self, j: int) -> "RatCombo":
         """Partial derivative with respect to lam_j.

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -73,14 +75,15 @@ def test_bubble_stiffness_entry_against_oracle():
     rho4 = stream_potentials()[3]
     hess = rho4.hessian()
     combo = RatCombo()
-    # |Hess_x B|^2 = sum_ab (G^T H G)_ab^2 expanded in lam-Hessian entries
+    # |Hess_x B|^2 = sum_ab (G^T H G)_ab^2 expanded in lam-Hessian entries;
+    # a combo takes the float weights only as the exact rationals they hold
     Gm = G[0]
     for a in range(2):
         for b in range(2):
             entry = RatCombo()
             for i in range(3):
                 for k in range(3):
-                    entry = entry + (Gm[i, a] * Gm[k, b]) * hess[i][k]
+                    entry = entry + Fraction(Gm[i, a] * Gm[k, b]) * hess[i][k]
             combo = combo + entry * entry
     ref = area[0] * sum(
         float(c) * duffy_mean(al, be) for (al, be), c in combo.terms.items())

@@ -178,6 +178,50 @@ def test_recursion_pins_its_exact_value_and_memo_size():
     assert len(cache) == 8163
 
 
+def test_cold_deep_mean_pins_its_value_and_memo_size():
+    cache = MemoCache()
+    value = integral_mean((24, 24, 24), (12, 12, 12), cache)
+    assert len(cache) == 37187
+    assert value.to_float() == 3.588250607318153e-30
+
+
+index_pairs = st.tuples(*[st.tuples(st.integers(0, 3000), st.integers(0, 3000))] * 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(triple=index_pairs)
+def test_memo_key_is_the_flat_sorted_pairs_under_every_permutation(triple):
+    keys = {MemoCache.key(tuple(triple[i][0] for i in sigma),
+                          tuple(triple[i][1] for i in sigma))
+            for sigma in itertools.permutations(range(3))}
+    assert keys == {tuple(x for pair in sorted(triple) for x in pair)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(triple=index_pairs, which=st.integers(0, 5), bump=st.integers(0, 3000),
+       sigma=st.permutations(range(3)))
+def test_memo_key_separates_pairs_that_are_no_permutation(triple, which, bump, sigma):
+    # bump one index, or (bump = 0) trade the betas of two pairs, then permute
+    changed = [list(pair) for pair in triple]
+    i, j = which // 2, which % 2
+    if bump:
+        changed[i][j] += bump
+    else:
+        k = (i + 1) % 3
+        changed[i][1], changed[k][1] = changed[k][1], changed[i][1]
+    other = [tuple(changed[m]) for m in sigma]
+    same = sorted(triple) == sorted(other)
+    assert same == (MemoCache.key(*zip(*triple)) == MemoCache.key(*zip(*other)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.tuples(*[st.integers(0, 3000)] * 3),
+       beta=st.tuples(*[st.integers(0, 3000)] * 3))
+def test_finite_index_matches_its_definition(alpha, beta):
+    assert is_finite_index(alpha, beta) == (
+        max(a + b for a, b in zip(alpha, beta)) <= sum(alpha) + 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(alpha=indices(6), beta=indices(4))
 def test_stored_means_are_normalised_fractions(alpha, beta):

@@ -147,6 +147,24 @@ def test_negative_multiindex_rejected():
         RatCombo.monomial((-1, 0, 0))
 
 
+@pytest.mark.parametrize("make", [lambda: RatCombo.one().scale(0.5),
+                                  lambda: 0.1 * RatCombo.one(),
+                                  lambda: RatCombo.one() * 0.1,
+                                  lambda: RatCombo.monomial((1, 0, 0), coeff=0.5),
+                                  lambda: RatCombo({((0, 0, 0), (0, 0, 0)): 0.0})])
+def test_only_rationals_make_combos(make):
+    # Fraction(0.1) would silently store 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_numpy_integers_scale_combos():
+    lam0 = RatCombo.lam(0)
+    three = RatCombo.monomial((1, 0, 0), coeff=3)
+    assert np.int64(3) * lam0 == lam0 * np.int32(3) == three
+    assert RatCombo.monomial((1, 0, 0), coeff=np.uint8(2)) == lam0.scale(2)
+
+
 def _evaluation_points(seed=21, count=8):
     """Vertices, edge midpoints and seeded rational interior points."""
     from ratfem.fecore import MIDS, VERTS
