@@ -212,9 +212,9 @@ LAYOUTS = {"full": "vvee", "reduced": "vve"}
 def mesh_phase(tria: Triangulation, variant: str):
     """:func:`fecore.mesh_phase` of this element, its divergence vectors B_T,
     the read-only divergence matrix B on the free rows (column e for element
-    e), the Zienkiewicz phase with C mapped by :func:`curl_coefficients` and
-    its free x free scatter plan, and the LU of B_1^T B_1, B_1 = B[:, 1:],
-    once per simply connected (mesh, variant) for all rules."""
+    e), the stream function's zienkiewicz.mesh_phase(tria, variant,
+    curl_coefficients) and the LU of B_1^T B_1, B_1 = B[:, 1:], once per
+    simply connected (mesh, variant) for all rules."""
     if tria.num_vertices - tria.num_edges + tria.num_elements != 1:
         raise MultiplyConnectedError("the Stokes solve needs a simply connected mesh")
     phase = fecore.mesh_phase(
@@ -227,15 +227,10 @@ def mesh_phase(tria: Triangulation, variant: str):
     plan = scatter_plan(l2g, np.arange(p)[:, None], (ndof, p), free, np.ones(p, bool))
     B = assemble_matrix(plan, C, B_T[..., None], np.ones((p, 1, 1)))
     B.data.setflags(write=False)
-    stream = fecore.mesh_phase(
-        tria, variant, zienkiewicz.LAYOUTS, lambda G, normals, _: curl_coefficients(
-            G, zienkiewicz.shape_coefficients(zienkiewicz.local_vandermonde_batch(
-                G, normals), variant, normals)))
-    zndof, zl2g, zfree = stream[4:]
-    zplan = scatter_plan(zl2g, zl2g, (zndof, zndof), zfree, zfree)
+    stream = zienkiewicz.mesh_phase(tria, variant, curl_coefficients)
     # one element leaves no pressure unknown beside the pinned one
     pressure_lu = solvers.factorize_spd(B[:, 1:].T @ B[:, 1:]) if p > 1 else None
-    return *phase, B_T, B, *stream[3:], zplan, pressure_lu
+    return *phase, B_T, B, *stream[3:], pressure_lu
 
 
 def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",

@@ -125,11 +125,13 @@ LAYOUTS = {"full": "vvve", "reduced": "vvv"}
 
 
 @lru_cache(maxsize=1)
-def mesh_phase(tria: Triangulation, variant: str):
-    """:func:`fecore.mesh_phase` and its free x free plan, once per (mesh, variant)."""
-    phase = fecore.mesh_phase(
-        tria, variant, LAYOUTS, lambda G, normals, _: shape_coefficients(
-            local_vandermonde_batch(G, normals), variant, normals))
+def mesh_phase(tria: Triangulation, variant: str, curl=None):
+    """:func:`fecore.mesh_phase` and its free x free plan, once per (mesh,
+    variant, curl); `curl` maps C to curl(G, C), as for the stream function."""
+    def coefficients(G, normals, _):
+        C = shape_coefficients(local_vandermonde_batch(G, normals), variant, normals)
+        return C if curl is None else curl(G, C)
+    phase = fecore.mesh_phase(tria, variant, LAYOUTS, coefficients)
     ndof, l2g, free = phase[4:]
     return *phase, scatter_plan(l2g, l2g, (ndof, ndof), free, free)
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -7,7 +9,9 @@ from ratfem import solvers
 from ratfem.experiments import (TAYLOR_HOOD_REF, csv_text, eigen_rows,
                                 graded_lshape_meshes, run_exp1_square,
                                 run_exp2_lshape, run_exp3_stokes,
-                                stokes_exact_pressure, stokes_load)
+                                stokes_exact_pressure, stokes_load,
+                                stokes_mesh, stokes_rows)
+from ratfem.guzman_neilan import assemble_stokes
 from ratfem.mesh import lshape_mesh, refine_uniform, unit_square_mesh
 from ratfem.zienkiewicz import assemble_biharmonic
 
@@ -79,6 +83,45 @@ def test_one_factorization_per_eigen_mesh(monkeypatch):
     calls.clear()
     rows = run_exp2_lshape(budget=400, solve_start=60, ns=(2, 3))
     assert len(calls) == len(rows) // 3 > 1
+
+
+def test_stokes_rows_factor_rule_1_first_and_only_what_they_solve(monkeypatch):
+    # B_1^T B_1 with the mesh phase, then rule 1's own S, whose LU is gone
+    # before the exact S's is made; rule 1 alone never factors the exact S
+    factored, splu = [], solvers.spla.splu
+
+    class Held:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+    def counted(A, *args, **kwargs):
+        live = [ref() is not None for _, ref, _ in factored]
+        held = Held(splu(A, *args, **kwargs))
+        factored.append((A, weakref.ref(held), live))
+        return held
+    monkeypatch.setattr(solvers.spla, "splu", counted)
+
+    def expected(mesh):
+        exact = assemble_stokes(mesh, variant="reduced")
+        B_1 = exact.B[:, 1:]
+        return [B_1.T @ B_1, assemble_stokes(
+            mesh, variant="reduced", quadrature=1).S, exact.S]
+
+    def same(A, B):
+        return A.shape == B.shape and (A != B).nnz == 0
+    mesh = stokes_mesh(128)
+    stokes_rows(mesh, (0, 1, 2), "reduced")
+    assert [same(A, B) for (A, _, _), B in zip(factored, expected(mesh),
+                                                 strict=True)] == [True] * 3
+    assert factored[2][2] == [True, False]
+    factored.clear()
+    mesh = stokes_mesh(128)
+    stokes_rows(mesh, (1,), "reduced")
+    assert [same(A, B) for (A, _, _), B in zip(factored, expected(mesh)[:2],
+                                                 strict=True)] == [True] * 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

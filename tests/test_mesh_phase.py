@@ -179,3 +179,23 @@ def test_mesh_phase_arrays_are_shared_and_read_only():
     assert gn.assemble_stokes(mesh, quadrature=3).B is stokes.B
     with pytest.raises(ValueError):
         stokes.B.data[...] = 0
+
+
+@pytest.mark.parametrize("variant", ["full", "reduced"])
+def test_the_stream_function_takes_the_plates_mesh_phase(variant):
+    # one builder of a Zienkiewicz-space phase: the Stokes stream function's
+    # is the plate's with C mapped to E C before it is made read-only
+    mesh = refine_uniform(refine_uniform(unit_square_mesh()))
+    stream = gn.mesh_phase(mesh, variant)[9:14]      # E C, ndof, l2g, free, plan
+    mapped = zk.mesh_phase(mesh, variant, gn.curl_coefficients)
+    assert all(a is b for a, b in zip(stream, mapped[3:], strict=True))
+    plate = zk.mesh_phase(mesh, variant)
+    _, G, _, C = plate[:4]
+    EC = stream[0]
+    assert EC.tobytes() == gn.curl_coefficients(G, C).tobytes()
+    with pytest.raises(ValueError):
+        EC[...] = 0
+    normals = mesh.normal4s[mesh.s4e]
+    assert C.tobytes() == zk.shape_coefficients(
+        zk.local_vandermonde_batch(G, normals), variant, normals).tobytes()
+    assert C.tobytes() != EC.tobytes()

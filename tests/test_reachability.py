@@ -150,7 +150,10 @@ def test_every_function_in_src_is_reached_public_or_allowed(tmp_path):
 #: and B; the Stokes velocity space keeps its element tensors and has no
 #: matrix) through the wrapped `assemble_matrix`, or the fill layer drops out
 #: of the trace; B is the mesh's, so a second Stokes rule on that mesh fills
-#: S alone; the exact and the rule-2 solve go through the wrapped
+#: S alone; the plate phase and the stream function's, built by the one
+#: `zienkiewicz.mesh_phase`, each open two wrapped `zienkiewicz.vandermonde`
+#: spans (Vandermonde, shape coefficients), and a second rule opens none;
+#: the exact and the rule-2 solve go through the wrapped
 #: `solve_biharmonic_eigen` and `gen_eig_smallest`, on one factorization by
 #: the wrapped `splu`; exp3 calls the wrapped `stokes_load` once per
 #: assembly, on arrays, solves each row through the wrapped `solve_stokes`,
@@ -170,13 +173,15 @@ from ratfem.quadrature import DEFAULT_CACHE, MemoCache
 value = ratfem.integral_mean((1, 2, 2), (0, 1, 1))
 assert ratfem.is_finite_index((1, 2, 2), (0, 1, 1))
 mesh = refine_uniform(unit_square_mesh())
-for assemble, quadrature, matrices in ((experiments.assemble_biharmonic, 2, 2),
-                                       (experiments.assemble_stokes, 2, 2),
-                                       (experiments.assemble_stokes, 3, 1)):
+for assemble, quadrature, matrices, phases in (
+        (experiments.assemble_biharmonic, 2, 2, 2),
+        (experiments.assemble_stokes, 2, 2, 2),
+        (experiments.assemble_stokes, 3, 1, 0)):
     before = len(tracer.spans)
     assemble(mesh, quadrature=quadrature)
     names = [span[0] for span in tracer.spans[before:]]
     assert names.count("fecore.assemble_matrix") == matrices, names
+    assert names.count("zienkiewicz.vandermonde") == phases, names
 assert tracer.maxima["fecore.nnz_max"] > 0, dict(tracer.maxima)
 before, factored = len(tracer.spans), tracer.counts["solvers.factor_count"]
 experiments.eigen_rows(mesh, 1, (2,), "full")
