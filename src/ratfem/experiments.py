@@ -128,12 +128,16 @@ def stokes_exact_pressure(x, y):
     return 100.0 * (y ** 3 - y * y / 2.0 + y - 7.0 / 12.0)
 
 
-def _pressure_error(mesh, pressure):
+def _pressure_samples(mesh):
+    """What every row's :func:`_pressure_error` on this mesh shares: the exact
+    pressure at rule 4's points of every element, the weights and the areas."""
     bary, w2 = gauss_points(4)
-    verts = mesh.c4n[mesh.n4e]
-    pts = np.einsum("qk,ekc->eqc", bary, verts)
-    pv = stokes_exact_pressure(pts[..., 0], pts[..., 1])
-    areas = mesh.areas()
+    pts = np.einsum("qk,ekc->eqc", bary, mesh.c4n[mesh.n4e])
+    return stokes_exact_pressure(pts[..., 0], pts[..., 1]), w2, mesh.areas()
+
+
+def _pressure_error(samples, pressure):
+    pv, w2, areas = samples
     # int (p_h - p)^2 elementwise; p_h constant per element
     sq = areas * np.einsum("eq,q->e", (pv - pressure[:, None]) ** 2, w2)
     return float(np.sqrt(sq.sum()))
@@ -157,20 +161,25 @@ def stokes_rows(mesh, ns, variant):
     rule 1's one Gauss point moves its S too far for that, so its own LU is
     made first and dropped before the exact one: held side by side, as rows
     run in the order asked would hold them, they raised the peak RSS of
-    exp3 --elements 8192 from 183-184 MB to 207-208 MB (2-core Xeon VM).
+    exp3 --elements 8192 from 183-184 MB to 207-208 MB (2-core Xeon VM).  A
+    solver failure is re-raised as its own class, named by its row.
     """
     exact = assemble_stokes(mesh, f=stokes_load, variant=variant)
+    samples = _pressure_samples(mesh)
     rows, lu = {}, None
     for n in sorted(ns, key=lambda n: n != 1):
         system = exact if n == 0 else assemble_stokes(
             mesh, f=stokes_load, variant=variant, quadrature=n)
-        if n != 1 and lu is None and exact.s.size:
-            lu = factorize_spd(exact.S)
-        u, pressure = solve_stokes(system, None if n == 1 else lu)
+        try:
+            if n != 1 and lu is None and exact.s.size:
+                lu = factorize_spd(exact.S)
+            u, pressure = solve_stokes(system, None if n == 1 else lu)
+        except (np.linalg.LinAlgError, NoConvergenceError) as exc:
+            raise type(exc)(f"n={n}, {mesh.num_elements} elements: {exc}") from exc
         del system
         rows[n] = {"n": n, "grad_err": grad_norm(exact, u),
                    "div_err": divergence_l2(exact, u),
-                   "pressure_err": _pressure_error(mesh, pressure)}
+                   "pressure_err": _pressure_error(samples, pressure)}
     return [rows[n] for n in ns]
 
 

@@ -139,15 +139,23 @@ def dof_layout(tria, variant: str, layouts: dict):
 
 def mesh_phase(tria, variant: str, layouts: dict, coefficients):
     """What assembly needs that no quadrature changes: area, G = Dlam, G G^T,
-    the shape coefficients C = coefficients(G, normals, tangents) (edge frames
-    in local order) and (ndof, l2g, free); read-only, as systems share them."""
+    the shape coefficients C, (ndof, l2g, free) and the class map (first, inv)
+    of the elements whose area, G, normals and tangents agree byte for byte;
+    read-only, as systems share them.  C = coefficients(G, normals, tangents)
+    (edge frames in local order) runs on each class's first element and is
+    gathered by inv: bitwise a per-element C, as it treats each by itself."""
     ndof, l2g, free = dof_layout(tria, variant, layouts)
     _, area, G = tria.geometry_arrays()
-    C = coefficients(G, tria.normal4s[tria.s4e], tria.tangent4s[tria.s4e])
+    normals, tangents = tria.normal4s[tria.s4e], tria.tangent4s[tria.s4e]
+    key = np.hstack([area[:, None],
+                     *(a.reshape(len(area), 6) for a in (G, normals, tangents))])
+    key = key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0]
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    C = coefficients(G[first], normals[first], tangents[first])[inv]
     GG = np.einsum("eic,ejc->eij", G, G)
-    for array in (area, G, GG, C, l2g, free):
+    for array in (area, G, GG, C, l2g, free, first, inv):
         array.setflags(write=False)
-    return area, G, GG, C, ndof, l2g, free
+    return area, G, GG, C, ndof, l2g, free, (first, inv)
 
 
 def pad_free(free, x) -> np.ndarray:

@@ -213,14 +213,15 @@ def mesh_phase(tria: Triangulation, variant: str):
     """:func:`fecore.mesh_phase` of this element, its divergence vectors B_T,
     the read-only divergence matrix B on the free rows (column e for element
     e), the stream function's zienkiewicz.mesh_phase(tria, variant,
-    curl_coefficients) and the LU of B_1^T B_1, B_1 = B[:, 1:], once per
-    simply connected (mesh, variant) for all rules."""
+    curl_coefficients) but for its class map, which is this one, and the LU
+    of B_1^T B_1, B_1 = B[:, 1:], once per simply connected (mesh, variant)
+    for all rules."""
     if tria.num_vertices - tria.num_edges + tria.num_elements != 1:
         raise MultiplyConnectedError("the Stokes solve needs a simply connected mesh")
     phase = fecore.mesh_phase(
         tria, variant, LAYOUTS, lambda G, normals, tangents: shape_coefficients(
             local_vandermonde(G, normals, tangents), variant, tangents))
-    area, G, _, C, ndof, l2g, free = phase
+    area, G, _, C, ndof, l2g, free, _ = phase
     p = tria.num_elements
     B_T = local_divergence(area, G)
     B_T.setflags(write=False)
@@ -230,7 +231,7 @@ def mesh_phase(tria: Triangulation, variant: str):
     stream = zienkiewicz.mesh_phase(tria, variant, curl_coefficients)
     # one element leaves no pressure unknown beside the pinned one
     pressure_lu = solvers.factorize_spd(B[:, 1:].T @ B[:, 1:]) if p > 1 else None
-    return *phase, B_T, B, *stream[3:], pressure_lu
+    return *phase, B_T, B, *stream[3:7], stream[8], pressure_lu
 
 
 def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
@@ -240,14 +241,15 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
 
     `quadrature` is "exact" or an integer n selecting the tensorized Gauss
     rule, which on affine elements only selects the reference tables
-    (:func:`get_tables`); the exact basis changes are :func:`mesh_phase`'s.
-    The load `f` returns the pair (f_x, f_y); it is called once, as f(X, Y)
-    on coordinate arrays of the P2 nodes (see :func:`local_load`).
+    (:func:`get_tables`); the exact basis changes are :func:`mesh_phase`'s,
+    and A_T is computed once per class of its class map.  The load `f`
+    returns the pair (f_x, f_y); it is called once, as f(X, Y) on coordinate
+    arrays of the P2 nodes (see :func:`local_load`).
     """
-    (area, G, GG, C, ndof, l2g, free, B_T, B, EC, stream_ndof, stream_l2g,
-     stream_free, stream_plan, pressure_lu) = mesh_phase(tria, variant)
+    (area, G, GG, C, ndof, l2g, free, (first, inv), B_T, B, EC, stream_ndof,
+     stream_l2g, stream_free, stream_plan, pressure_lu) = mesh_phase(tria, variant)
     tables = get_tables(quadrature)
-    A_T = local_matrices(area, G, GG, tables)
+    A_T = local_matrices(area[first], G[first], GG[first], tables)[inv]
     b_T = np.zeros((len(area), 12)) if f is None else local_load(f, tria, G, tables)
     return StokesSystem(
         tria, ndof, l2g, free, C, area, A_T, b_T, B_T, B, EC, stream_l2g,

@@ -127,12 +127,15 @@ LAYOUTS = {"full": "vvve", "reduced": "vvv"}
 @lru_cache(maxsize=1)
 def mesh_phase(tria: Triangulation, variant: str, curl=None):
     """:func:`fecore.mesh_phase` and its free x free plan, once per (mesh,
-    variant, curl); `curl` maps C to curl(G, C), as for the stream function."""
+    variant, curl); `curl` maps C to curl(G, C), as for the stream function.
+    One entry is cached, so plate and Stokes work on one mesh (no command
+    mixes them) rebuild each in turn, at the cost of the plan and of one
+    Vandermonde per element class."""
     def coefficients(G, normals, _):
         C = shape_coefficients(local_vandermonde_batch(G, normals), variant, normals)
         return C if curl is None else curl(G, C)
     phase = fecore.mesh_phase(tria, variant, LAYOUTS, coefficients)
-    ndof, l2g, free = phase[4:]
+    ndof, l2g, free = phase[4:7]
     return *phase, scatter_plan(l2g, l2g, (ndof, ndof), free, free)
 
 
@@ -147,7 +150,7 @@ def assemble_biharmonic(tria: Triangulation, variant: str = "full",
     the same contraction with rule-n tables.  The exact basis change is
     :func:`mesh_phase`'s, shared by every quadrature.
     """
-    area, _, GG, C, ndof, l2g, free, plan = mesh_phase(tria, variant)
+    area, _, GG, C, ndof, l2g, free, _, plan = mesh_phase(tria, variant)
     tables = get_tables(quadrature)
     # A's local tensors are scattered, and freed, before M's are built
     A = assemble_matrix(plan, C, local_stiffness(area, GG, tables.Ahat), C)

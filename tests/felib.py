@@ -371,7 +371,7 @@ def curl_matrix(mesh, variant):
     from ratfem import guzman_neilan as gn
     from ratfem import zienkiewicz as zk
     _, G, _, C, ndof, l2g, free, *_ = gn.mesh_phase(mesh, variant)
-    _, _, _, CZ, zndof, zl2g, zfree, _ = zk.mesh_phase(mesh, variant)
+    _, _, _, CZ, zndof, zl2g, zfree, *_ = zk.mesh_phase(mesh, variant)
     V = gn.local_vandermonde(G, mesh.normal4s[mesh.s4e], mesh.tangent4s[mesh.s4e])
     rot_grads = np.einsum("ab,ekb->eak", gn.ROT, G)
     E = np.zeros((mesh.num_elements, 12, 12))

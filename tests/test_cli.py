@@ -590,10 +590,11 @@ def _data_digest(text):
 #: each run command.  The data digests were taken when every sparse entry came
 #: to be summed in element order, and the exp3 and stokes ones again when the
 #: Stokes velocity became element coefficients E C psi, measured by element
-#: energies and divergences; the SVG digests before each command was given
-#: only its own options.  They hold under 1 and 2 OpenBLAS threads.  Both
-#: exp3 runs pin the order of grad_err's element-energy sum (summing per
-#: element first moves them).
+#: energies and divergences, and exp3-128's again when the Stokes element
+#: tensors came to be computed once per class of identical elements; the SVG
+#: digests before each command was given only its own options.  They hold
+#: under 1 and 2 OpenBLAS threads.  Both exp3 runs pin the order of
+#: grad_err's element-energy sum (summing per element first moves them).
 GOLDEN_RUNS = {
     "exp1": (["exp1", "--levels", "2", "--ns", "2", "4"],
              "451e549a9ed285a690b9f1c6984ebdfce1fb4579d6df3c2055d4a324f84c9a17",
@@ -609,7 +610,7 @@ GOLDEN_RUNS = {
              "9fb6dc7466cf758947cb4a5ca92e451c98b0d7fb2f2acae9a62d8b35cc8b8cd4",
              "command elements ns taylor_hood_ref variant"),
     "exp3-128": (["exp3", "--elements", "128", "--ns", "1", "2", "16"],
-                 "f32ad5bcca7b7460bce820afa09b099d3b637633eafab0c05411468660ab7917",
+                 "9ed25217247fa60421750e9f7fcaa0ff9f6165e1649cde7d43c636351b28dbe8",
                  "000c3ea158aed155d8cb89680c67c6ec05a56cb80efa988afdbcdb5e870e8112",
                  "command elements ns taylor_hood_ref variant"),
     "biharmonic-eig": (["biharmonic-eig", "--domain", "lshape", "--levels", "2",

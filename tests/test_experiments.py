@@ -124,6 +124,26 @@ def test_stokes_rows_factor_rule_1_first_and_only_what_they_solve(monkeypatch):
                                                  strict=True)] == [True] * 2
 
 
+@pytest.mark.parametrize("error", [solvers.NoConvergenceError,
+                                   solvers.NotPositiveDefiniteError])
+def test_a_failing_stokes_row_is_named(monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("the solver gave up")
+    monkeypatch.setattr(solvers, "pcg", fail)
+    # rule 1 runs first
+    with pytest.raises(error, match="^n=1, 32 elements: the solver gave up$"):
+        stokes_rows(stokes_mesh(32), (0, 1, 2), "reduced")
+
+
+def test_exp1_exact_rows_approach_the_clamped_plate_from_above():
+    # conforming Ritz values bound the clamped plate's first eigenvalue on the
+    # unit square, 1294.9339795917 (Bjorstad & Tjostheim, Computing 63, 1999),
+    # from above, and fall under refinement
+    lams = [r["lambda"] for r in run_exp1_square(levels=5, ns=()) if r["level"] >= 3]
+    assert lams == pytest.approx([1310.07, 1296.84, 1295.24], abs=0.005)
+    assert lams[0] > lams[1] > lams[2] > 1294.9339795917
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("variant", ["full", "reduced"])
 @pytest.mark.parametrize("level", [1, 2])

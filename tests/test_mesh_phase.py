@@ -18,7 +18,7 @@ from ratfem import solvers
 from ratfem import zienkiewicz as zk
 from ratfem.experiments import (eigen_rows, graded_lshape_meshes,
                                 run_exp3_stokes, stokes_load, stokes_mesh)
-from ratfem.mesh import refine_uniform, unit_square_mesh
+from ratfem.mesh import Triangulation, refine_uniform, unit_square_mesh
 
 QUADRATURES = ("exact", 2, 11)
 STOKES_QUADRATURES = ("exact", 1, 16)
@@ -64,7 +64,9 @@ def case_digest(case):
 #: free x free, the divergence matrix on free rows, the load on all dofs, over
 #: every mesh of exp2 at budget 10000 (full variant, its largest also reduced)
 #: and the 2048-element Stokes mesh, both variants; taken when every sparse
-#: entry came to be summed from 0.0 in element order.  The Stokes solve
+#: entry came to be summed from 0.0 in element order, and the Stokes ones
+#: again when A_T came to be computed once per class of identical elements
+#: (a GEMM over fewer rows rounds some rows differently).  The Stokes solve
 #: assembles neither A nor b; fecore sums them here from the system's element
 #: tensors A_T and b_T, so these digests pin those tensors' bytes.
 MATRIX_DIGESTS = {
@@ -89,12 +91,12 @@ MATRIX_DIGESTS = {
     ("plate", 5, "reduced", "exact"): "8ca17dedb0665806667de3333fe4e290edf2bca4987fb700fb1b03b145a2d87e",
     ("plate", 5, "reduced", 2): "a94981ae2dc8fc03ec73b7ca976574ec5ca032644abdb9f2baade8670c565ea6",
     ("plate", 5, "reduced", 11): "39b4dd11f69c1df01e0eb1bf9709af4a6aa6144b4917fe2f71f3a852a583a1b5",
-    ("stokes", 2048, "full", "exact"): "7767b2b2a9e3942e4e356360e8539f960b92f90570eed9da7aef2d7317f8fb2b",
-    ("stokes", 2048, "full", 1): "f60bad939e7937824cb81d9f788f383a6bf5e02fad922022d4e7a7a6631ad663",
-    ("stokes", 2048, "full", 16): "b5dcc26e5c6385e262e1f86f5c3d39de786addbc8f80ca6ab19935b10478bf52",
-    ("stokes", 2048, "reduced", "exact"): "2263b2b09a8ee018baa3d1d45437482bb5eb51cda4a102a1563164be7de8dd68",
-    ("stokes", 2048, "reduced", 1): "35b0a5c7918983159fda2f65c8217ba44d4cbe80221c7ca879e46dc5ceb93994",
-    ("stokes", 2048, "reduced", 16): "d5009fc5f24e8e50faafe66e850213bbcc8d93a9029ecf6b07edf202236c0c6d",
+    ("stokes", 2048, "full", "exact"): "35255f6f734e0cdc96e250f859e51352835a483d781ba5d42499068fa9092632",
+    ("stokes", 2048, "full", 1): "e927980b7cf06243da4b7df769f6398d63a8edff02846d32d63e7191d8d7c5b5",
+    ("stokes", 2048, "full", 16): "fceacbd3552f5c4e59b4effae102e221b3b6aa6073a36e718e5fef1116e159ae",
+    ("stokes", 2048, "reduced", "exact"): "97f24cfb1961a56a433cacca016d5ae033c65af36cf824e11a15360aca1a4fb9",
+    ("stokes", 2048, "reduced", 1): "e8813c0d9d1cacbd32d25ad10da97b11805194bf43fa99384c7a98c22af7b58a",
+    ("stokes", 2048, "reduced", 16): "b9b60eddb4b7ae7e8adf2bc600c75266dbc692392c39f3aa4bdc1c0ffdbb022e",
 }
 
 
@@ -107,14 +109,14 @@ def test_assembled_matrices_match_golden_digests(case):
 #: The stream-function system (S, s) each Stokes solve hands to its solver:
 #: S = D^T A D on the free Zienkiewicz dofs, each element block mapped by
 #: E C, and s = D^T b; taken when the stream function replaced the saddle
-#: solve.
+#: solve, and again when A_T came to be computed once per element class.
 FREE_BLOCK_DIGESTS = {
-    ("stokes", 2048, "full", "exact"): "0fbf150c7e2904eceba7aa0ed82d02f41e6dc4ae549f890c94aacedd937ee217",
-    ("stokes", 2048, "full", 1): "b360b9c0b6aecd53925ffca09c553cc8681605ead6c7462e226ff3520e3c919e",
-    ("stokes", 2048, "full", 16): "0ab342cf937e040a52fcca942cd1b3c9216bcc5da509e189578dac69ffc74f70",
-    ("stokes", 2048, "reduced", "exact"): "179ec44bf382d3e86c3c205831931da2c2369e6899a0ede307b101015fc8794e",
-    ("stokes", 2048, "reduced", 1): "e7e6be8642a81912b6ba97a97c369aed0c55874746212548493978810111c586",
-    ("stokes", 2048, "reduced", 16): "f44505c305f9a7456c1a6d24b2fcf1f11ce8d4b9f15d6eefe9a19c7856e5814c",
+    ("stokes", 2048, "full", "exact"): "eddf095764728ab63b3cb5667827f67da585e414dff6adf86370777299e6c2ae",
+    ("stokes", 2048, "full", 1): "b7ee3a87ad45164cd2bea9ad59a026006927a05f5eb6c6ac43980655aa811a54",
+    ("stokes", 2048, "full", 16): "f6d6a4aa524421b999b0ee0c49c5dcd37389270bbeaaf2f1948dade5b8be6b8b",
+    ("stokes", 2048, "reduced", "exact"): "85ea259ad9819f4d01c280f8a1c354e1d94744c7f3319634ffa250fcd79de77a",
+    ("stokes", 2048, "reduced", 1): "948afe52f72fec14f908bdc9e6ac28f66d71ea5ed557af2d0ff156da56eaac00",
+    ("stokes", 2048, "reduced", 16): "bf70cf1510b9147205d32e532e8c718043ad79701e27ea3f7cff45b8f82d5610",
 }
 
 
@@ -186,9 +188,12 @@ def test_the_stream_function_takes_the_plates_mesh_phase(variant):
     # one builder of a Zienkiewicz-space phase: the Stokes stream function's
     # is the plate's with C mapped to E C before it is made read-only
     mesh = refine_uniform(refine_uniform(unit_square_mesh()))
-    stream = gn.mesh_phase(mesh, variant)[9:14]      # E C, ndof, l2g, free, plan
+    phase = gn.mesh_phase(mesh, variant)
+    stream = phase[10:15]      # E C, ndof, l2g, free, plan
     mapped = zk.mesh_phase(mesh, variant, gn.curl_coefficients)
-    assert all(a is b for a, b in zip(stream, mapped[3:], strict=True))
+    assert all(a is b for a, b in zip(stream, (*mapped[3:7], mapped[8]), strict=True))
+    # one class map serves the velocity and the stream function
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(phase[7], mapped[7]))
     plate = zk.mesh_phase(mesh, variant)
     _, G, _, C = plate[:4]
     EC = stream[0]
@@ -199,3 +204,69 @@ def test_the_stream_function_takes_the_plates_mesh_phase(variant):
     assert C.tobytes() == zk.shape_coefficients(
         zk.local_vandermonde_batch(G, normals), variant, normals).tobytes()
     assert C.tobytes() != EC.tobytes()
+
+
+def per_element_coefficients(mesh, variant):
+    """Today's per-element path: the plate's C, the velocity's C and the
+    stream function's E C from every element's own Vandermonde."""
+    _, _, G = mesh.geometry_arrays()
+    normals, tangents = mesh.normal4s[mesh.s4e], mesh.tangent4s[mesh.s4e]
+    plate = zk.shape_coefficients(zk.local_vandermonde_batch(G, normals),
+                                  variant, normals)
+    velocity = gn.shape_coefficients(gn.local_vandermonde(G, normals, tangents),
+                                     variant, tangents)
+    return plate, velocity, gn.curl_coefficients(G, plate)
+
+
+@pytest.mark.parametrize("variant", ["full", "reduced"])
+@pytest.mark.parametrize("which", [*range(6), "stokes"])
+def test_class_path_keeps_every_shape_coefficient_byte(which, variant):
+    # C is computed once per class of identical elements and gathered; each
+    # matrix inverse, product and curl map acts on one element at a time
+    mesh = stokes_mesh(2048) if which == "stokes" else lshape_meshes()[which]
+    plate, velocity, curl = per_element_coefficients(mesh, variant)
+    assert zk.mesh_phase(mesh, variant)[3].tobytes() == plate.tobytes()
+    if which == "stokes":
+        phase = gn.mesh_phase(mesh, variant)
+        assert phase[3].tobytes() == velocity.tobytes()
+        assert phase[10].tobytes() == curl.tobytes()
+
+
+def test_class_counts_of_the_benchmark_meshes():
+    first, inv = gn.mesh_phase(stokes_mesh(2048), "reduced")[7]
+    assert first.size == 12 and inv.size == 2048
+    assert np.array_equal(inv[first], np.arange(12))
+    mesh = lshape_meshes()[5]
+    first, inv = zk.mesh_phase(mesh, "full")[7]
+    assert (first.size, mesh.num_elements) == (102, 4592)
+    with pytest.raises(ValueError):
+        inv[...] = 0
+
+
+def test_a_moved_vertex_gives_its_elements_classes_of_their_own():
+    mesh = lshape_meshes()[1]
+    before = zk.mesh_phase(mesh, "full")[7][1]
+    vertex = int(np.flatnonzero(~mesh.boundary_vertex)[3])
+    c4n = mesh.c4n.copy()
+    c4n[vertex] += [1e-3 / 3, 1e-3 / 7]
+    moved = Triangulation(c4n, mesh.n4e)
+    after = zk.mesh_phase(moved, "full")[7][1]
+    touched = np.any(mesh.n4e == vertex, axis=1)
+    assert 3 <= np.count_nonzero(touched) and np.all(np.bincount(after)[after[touched]] == 1)
+    # every other element keeps its class: the two partitions agree there
+    pairs = np.unique(np.stack([before[~touched], after[~touched]]), axis=1)
+    assert pairs.shape[1] == np.unique(before[~touched]).size == np.unique(after[~touched]).size
+    assert zk.mesh_phase(moved, "full")[3].tobytes() == per_element_coefficients(
+        moved, "full")[0].tobytes()
+
+
+@pytest.mark.parametrize("quadrature", ["exact", *range(1, 17)])
+def test_stokes_local_tensors_once_per_class(quadrature):
+    # the class representatives' A_T, gathered, against every element's own;
+    # a GEMM may round a row differently over fewer rows
+    mesh = stokes_mesh(2048)
+    area, G, GG = gn.mesh_phase(mesh, "reduced")[:3]
+    gathered = gn.assemble_stokes(mesh, variant="reduced", quadrature=quadrature).A_T
+    own = gn.local_matrices(area, G, GG, gn.get_tables(quadrature))
+    assert np.all(np.abs(gathered - own).max(axis=(1, 2))
+                  <= 1e-15 * np.abs(own).max(axis=(1, 2)))
