@@ -48,7 +48,7 @@ def eigen_rows(mesh, level, ns, variant):
     solver failure is re-raised as its own class, named by its row.
     """
     system = assemble_biharmonic(mesh, variant=variant)
-    ndof, n = system.ndof, 0
+    ndof, n = system.phase.ndof, 0
     try:
         lu = factorize_spd(system.A)
         lam, vec = solve_biharmonic_eigen(system, lu)

@@ -9,6 +9,8 @@ quadrature and floated at the very end, so recomputation is bit-reproducible.
 
 from __future__ import annotations
 
+import operator
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +47,7 @@ def moment_tensor(left, right, quadrature="exact") -> np.ndarray:
     larr = np.asarray(left, dtype=object)
     rarr = larr if right is left else np.asarray(right, dtype=object)
     if quadrature != "exact":
-        bary, w2 = gauss_points(int(quadrature))
+        bary, w2 = gauss_points(operator.index(quadrature))
         L = combo_values(larr.ravel(), bary)
         R = L if right is left else combo_values(rarr.ravel(), bary)
         # einsum sums over q in one fixed order; a BLAS GEMM's order can
@@ -137,13 +139,18 @@ def dof_layout(tria, variant: str, layouts: dict):
     return ndof, np.hstack(l2g), ~np.concatenate(boundary)
 
 
-def mesh_phase(tria, variant: str, layouts: dict, coefficients):
-    """What assembly needs that no quadrature changes: area, G = Dlam, G G^T,
-    the shape coefficients C, (ndof, l2g, free) and the class map (first, inv)
-    of the elements whose area, G, normals and tangents agree byte for byte;
-    read-only, as systems share them.  C = coefficients(G, normals, tangents)
-    (edge frames in local order) runs on each class's first element and is
-    gathered by inv: bitwise a per-element C, as it treats each by itself."""
+MeshPhase = namedtuple("MeshPhase", "area G GG C ndof l2g free first inv plan",
+                       defaults=(None,))
+
+
+def mesh_phase(tria, variant: str, layouts: dict, coefficients) -> MeshPhase:
+    """The :class:`MeshPhase`, read-only as systems share it: area, G = Dlam,
+    GG = G G^T, the shape coefficients C, the dof layout (ndof, l2g, free), the
+    class map (first, inv) of the elements whose area, G, normals and tangents
+    agree byte for byte, and no plan (an element adds its own).  C =
+    coefficients(G, normals, tangents) (edge frames in local order) runs on
+    each class's first element and is gathered by inv: bitwise a per-element
+    C, as it treats each by itself."""
     ndof, l2g, free = dof_layout(tria, variant, layouts)
     _, area, G = tria.geometry_arrays()
     normals, tangents = tria.normal4s[tria.s4e], tria.tangent4s[tria.s4e]
@@ -155,7 +162,7 @@ def mesh_phase(tria, variant: str, layouts: dict, coefficients):
     GG = np.einsum("eic,ejc->eij", G, G)
     for array in (area, G, GG, C, l2g, free, first, inv):
         array.setflags(write=False)
-    return area, G, GG, C, ndof, l2g, free, (first, inv)
+    return MeshPhase(area, G, GG, C, ndof, l2g, free, first, inv)
 
 
 def pad_free(free, x) -> np.ndarray:

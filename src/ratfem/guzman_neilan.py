@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
+from operator import index
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class GNTables:
 def get_tables(quadrature="exact") -> GNTables:
     """Exact tables, or those of the n-point Gauss rule for an integer n;
     each is built on first use and kept for the process."""
-    return _compute_tables("exact" if quadrature == "exact" else int(quadrature))
+    return _compute_tables("exact" if quadrature == "exact" else index(quadrature))
 
 
 @cache
@@ -187,21 +188,15 @@ def curl_coefficients(G, C) -> np.ndarray:
 @dataclass
 class StokesSystem:
     tria: Triangulation
-    ndof: int
-    l2g: np.ndarray
-    free: np.ndarray
-    coeffs: np.ndarray     # C (p, 12, L)
-    areas: np.ndarray
-    A_T: np.ndarray        # element stiffnesses (p, 12, 12) of the quadrature
-    b_T: np.ndarray        # element load means (p, 12) of the quadrature
+    phase: fecore.MeshPhase    # the velocity's, see :func:`mesh_phase`
     B_T: np.ndarray        # element divergence vectors (p, 12)
     B: "object"            # divergence matrix, csr free x p
-    curl: np.ndarray       # E C (p, 12, L_Z), see curl_coefficients
-    stream_l2g: np.ndarray     # the Zienkiewicz local-to-global map
-    stream_free: np.ndarray    # the free Zienkiewicz dofs
+    stream: fecore.MeshPhase   # the stream function's; its C is E C
+    pressure_lu: "object"      # factorize_spd of B_1^T B_1, B_1 = B[:, 1:]
+    A_T: np.ndarray        # element stiffnesses (p, 12, 12) of the quadrature
+    b_T: np.ndarray        # element load means (p, 12) of the quadrature
     S: "object"            # stream-function stiffness D^T A D, csr
     s: np.ndarray          # its load D^T b, on the free Zienkiewicz dofs
-    pressure_lu: "object"      # factorize_spd of B_1^T B_1, B_1 = B[:, 1:]
 
 
 #: Dof blocks (fecore.dof_layout): vertex vectors, edge normals, tangentials.
@@ -210,28 +205,28 @@ LAYOUTS = {"full": "vvee", "reduced": "vve"}
 
 @lru_cache(maxsize=1)
 def mesh_phase(tria: Triangulation, variant: str):
-    """:func:`fecore.mesh_phase` of this element, its divergence vectors B_T,
-    the read-only divergence matrix B on the free rows (column e for element
-    e), the stream function's zienkiewicz.mesh_phase(tria, variant,
-    curl_coefficients) but for its class map, which is this one, and the LU
-    of B_1^T B_1, B_1 = B[:, 1:], once per simply connected (mesh, variant)
-    for all rules."""
+    """(phase, B_T, B, stream, pressure_lu) once per simply connected (mesh,
+    variant) for all rules: this element's :func:`fecore.mesh_phase`, its
+    divergence vectors B_T, the read-only divergence matrix B on the free rows
+    (column e for element e), the stream function's zienkiewicz.mesh_phase(tria,
+    variant, curl_coefficients), whose C is E C and whose class map is this
+    one, and the LU of B_1^T B_1, B_1 = B[:, 1:]."""
     if tria.num_vertices - tria.num_edges + tria.num_elements != 1:
         raise MultiplyConnectedError("the Stokes solve needs a simply connected mesh")
     phase = fecore.mesh_phase(
         tria, variant, LAYOUTS, lambda G, normals, tangents: shape_coefficients(
             local_vandermonde(G, normals, tangents), variant, tangents))
-    area, G, _, C, ndof, l2g, free, _ = phase
     p = tria.num_elements
-    B_T = local_divergence(area, G)
+    B_T = local_divergence(phase.area, phase.G)
     B_T.setflags(write=False)
-    plan = scatter_plan(l2g, np.arange(p)[:, None], (ndof, p), free, np.ones(p, bool))
-    B = assemble_matrix(plan, C, B_T[..., None], np.ones((p, 1, 1)))
+    plan = scatter_plan(phase.l2g, np.arange(p)[:, None], (phase.ndof, p),
+                        phase.free, np.ones(p, bool))
+    B = assemble_matrix(plan, phase.C, B_T[..., None], np.ones((p, 1, 1)))
     B.data.setflags(write=False)
     stream = zienkiewicz.mesh_phase(tria, variant, curl_coefficients)
     # one element leaves no pressure unknown beside the pinned one
     pressure_lu = solvers.factorize_spd(B[:, 1:].T @ B[:, 1:]) if p > 1 else None
-    return *phase, B_T, B, *stream[3:7], stream[8], pressure_lu
+    return phase, B_T, B, stream, pressure_lu
 
 
 def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
@@ -246,16 +241,14 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
     returns the pair (f_x, f_y); it is called once, as f(X, Y) on coordinate
     arrays of the P2 nodes (see :func:`local_load`).
     """
-    (area, G, GG, C, ndof, l2g, free, (first, inv), B_T, B, EC, stream_ndof,
-     stream_l2g, stream_free, stream_plan, pressure_lu) = mesh_phase(tria, variant)
-    tables = get_tables(quadrature)
-    A_T = local_matrices(area[first], G[first], GG[first], tables)[inv]
+    phase, B_T, B, stream, pressure_lu = mesh_phase(tria, variant)
+    area, G, first, tables = phase.area, phase.G, phase.first, get_tables(quadrature)
+    A_T = local_matrices(area[first], G[first], phase.GG[first], tables)[phase.inv]
     b_T = np.zeros((len(area), 12)) if f is None else local_load(f, tria, G, tables)
     return StokesSystem(
-        tria, ndof, l2g, free, C, area, A_T, b_T, B_T, B, EC, stream_l2g,
-        stream_free, assemble_matrix(stream_plan, EC, A_T, EC),
-        assemble_vector(stream_l2g, area, EC, b_T, stream_ndof)[stream_free],
-        pressure_lu)
+        tria, phase, B_T, B, stream, pressure_lu, A_T, b_T,
+        assemble_matrix(stream.plan, stream.C, A_T, stream.C),
+        assemble_vector(stream.l2g, area, stream.C, b_T, stream.ndof)[stream.free])
 
 
 def solve_stokes(system: StokesSystem, lu=None):
@@ -267,15 +260,15 @@ def solve_stokes(system: StokesSystem, lu=None):
     psi = system.s      # empty where no Zienkiewicz dof is free: w = 0
     if psi.size:
         psi = solvers.pcg(system.S, psi, lu or solvers.factorize_spd(system.S))
-    psi = pad_free(system.stream_free, psi)[system.stream_l2g]
-    w = np.einsum("eri,ei->er", system.curl, psi)
-    r = assemble_vector(system.l2g, np.ones_like(system.areas), system.coeffs,
+    phase, stream, area = system.phase, system.stream, system.phase.area
+    w = np.einsum("eri,ei->er", stream.C, pad_free(stream.free, psi)[stream.l2g])
+    r = assemble_vector(phase.l2g, np.ones_like(area), phase.C,
                         np.einsum("ers,es->er", system.A_T, w)
-                        - system.areas[:, None] * system.b_T, system.ndof)
-    rhs = system.B[:, 1:].T @ r[system.free]
+                        - area[:, None] * system.b_T, phase.ndof)
+    rhs = system.B[:, 1:].T @ r[phase.free]
     pressure = np.concatenate([[0.0], system.pressure_lu.solve(rhs) if rhs.size else rhs])
     # einsum, not a BLAS dot, whose sum order depends on the thread count
-    pressure -= np.einsum("i,i->", system.areas, pressure) / system.areas.sum()
+    pressure -= np.einsum("i,i->", area, pressure) / area.sum()
     return w, pressure
 
 
@@ -295,5 +288,5 @@ def grad_norm(system: StokesSystem, w: np.ndarray) -> float:
 def divergence_l2(exact_system: StokesSystem, w: np.ndarray) -> float:
     """L2 norm of div u_h for element coefficients w (p, 12); the divergence
     on T is the constant B_T . w_T / |T|."""
-    means = np.einsum("ei,ei->e", exact_system.B_T, w) / exact_system.areas
-    return float(np.sqrt(np.sum(exact_system.areas * means ** 2)))
+    means = np.einsum("ei,ei->e", exact_system.B_T, w) / exact_system.phase.area
+    return float(np.sqrt(np.sum(exact_system.phase.area * means ** 2)))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
+from operator import index
 
 import numpy as np
 
@@ -55,7 +56,7 @@ class ZienkiewiczTables:
 def get_tables(quadrature="exact") -> ZienkiewiczTables:
     """Exact tables, or those of the n-point Gauss rule for an integer n;
     each is built on first use and kept for the process."""
-    return _compute_tables("exact" if quadrature == "exact" else int(quadrature))
+    return _compute_tables("exact" if quadrature == "exact" else index(quadrature))
 
 
 @cache
@@ -112,12 +113,9 @@ def shape_coefficients(V, variant: str, normals=None) -> np.ndarray:
 @dataclass
 class BiharmonicSystem:
     tria: Triangulation
-    ndof: int
-    l2g: np.ndarray       # (p, L)
-    free: np.ndarray      # (ndof,) bool
+    phase: fecore.MeshPhase   # :func:`mesh_phase`'s, shared by every rule
     A: "object"           # csr stiffness (Laplacian products), free x free
     M: "object"           # csr mass, free x free
-    coeffs: np.ndarray    # (p, 12, L) shape-function coefficients
 
 
 #: Dof blocks (fecore.dof_layout): vertex values and gradients, edge normals.
@@ -125,8 +123,8 @@ LAYOUTS = {"full": "vvve", "reduced": "vvv"}
 
 
 @lru_cache(maxsize=1)
-def mesh_phase(tria: Triangulation, variant: str, curl=None):
-    """:func:`fecore.mesh_phase` and its free x free plan, once per (mesh,
+def mesh_phase(tria: Triangulation, variant: str, curl=None) -> fecore.MeshPhase:
+    """:func:`fecore.mesh_phase` with its free x free plan, once per (mesh,
     variant, curl); `curl` maps C to curl(G, C), as for the stream function.
     One entry is cached, so plate and Stokes work on one mesh (no command
     mixes them) rebuild each in turn, at the cost of the plan and of one
@@ -135,8 +133,8 @@ def mesh_phase(tria: Triangulation, variant: str, curl=None):
         C = shape_coefficients(local_vandermonde_batch(G, normals), variant, normals)
         return C if curl is None else curl(G, C)
     phase = fecore.mesh_phase(tria, variant, LAYOUTS, coefficients)
-    ndof, l2g, free = phase[4:7]
-    return *phase, scatter_plan(l2g, l2g, (ndof, ndof), free, free)
+    l2g, free = phase.l2g, phase.free
+    return phase._replace(plan=scatter_plan(l2g, l2g, (phase.ndof,) * 2, free, free))
 
 
 def assemble_biharmonic(tria: Triangulation, variant: str = "full",
@@ -150,19 +148,19 @@ def assemble_biharmonic(tria: Triangulation, variant: str = "full",
     the same contraction with rule-n tables.  The exact basis change is
     :func:`mesh_phase`'s, shared by every quadrature.
     """
-    area, _, GG, C, ndof, l2g, free, _, plan = mesh_phase(tria, variant)
-    tables = get_tables(quadrature)
+    phase = mesh_phase(tria, variant)
+    area, C, plan, tables = phase.area, phase.C, phase.plan, get_tables(quadrature)
     # A's local tensors are scattered, and freed, before M's are built
-    A = assemble_matrix(plan, C, local_stiffness(area, GG, tables.Ahat), C)
+    A = assemble_matrix(plan, C, local_stiffness(area, phase.GG, tables.Ahat), C)
     M = assemble_matrix(plan, C, area[:, None, None] * tables.Mhat[None, :, :], C)
-    return BiharmonicSystem(tria, ndof, l2g, free, A, M, C)
+    return BiharmonicSystem(tria, phase, A, M)
 
 
 def solve_biharmonic_eigen(system: BiharmonicSystem, lu,
                            x0: np.ndarray | None = None):
     """Smallest clamped-plate eigenpair on the free dofs; vector is padded.
     `lu` preconditions the solve (see :func:`solvers.gen_eig_smallest`)."""
-    free = system.free
+    free = system.phase.free
     lam, x = solvers.gen_eig_smallest(system.A, system.M, lu,
                                       None if x0 is None else x0[free])
     return lam, pad_free(free, x)

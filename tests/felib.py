@@ -204,7 +204,7 @@ def element_eval_reference(system, e, u, bary_pts):
     """Values and physical gradients of element e, one point at a time."""
     from ratfem.zienkiewicz import zienkiewicz_basis
     basis = zienkiewicz_basis()
-    w = system.coeffs[e] @ u[system.l2g[e]]
+    w = system.phase.C[e] @ u[system.phase.l2g[e]]
     G = system.tria.geometry_arrays()[2][e]
     vals, grads, size = [], [], 0.0
     for pt in bary_pts:
@@ -224,7 +224,7 @@ def velocity_eval_reference(system, e, u, bary_pts):
     """Guzman-Neilan velocity vectors of element e, one point at a time."""
     from ratfem.guzman_neilan import ROT, stream_potentials
     rho = stream_potentials()
-    w = system.coeffs[e] @ u[system.l2g[e]]
+    w = system.phase.C[e] @ u[system.phase.l2g[e]]
     G = system.tria.geometry_arrays()[2][e]
     out, size = [], 0.0
     for pt in bary_pts:
@@ -247,7 +247,7 @@ def divergence_pointwise_reference(system, e, u, bary_pts):
     """div u_h of element e, one point at a time."""
     from ratfem.guzman_neilan import stream_potentials
     rho = stream_potentials()
-    w = system.coeffs[e] @ u[system.l2g[e]]
+    w = system.phase.C[e] @ u[system.phase.l2g[e]]
     G = system.tria.geometry_arrays()[2][e]
     out, size = [], 0.0
     for pt in bary_pts:
@@ -274,7 +274,7 @@ def element_eval(system, e, u, bary_pts):
     """Zienkiewicz values and physical gradients of u on element e."""
     from ratfem.zienkiewicz import zienkiewicz_basis
     basis = zienkiewicz_basis()
-    w = system.coeffs[e] @ u[system.l2g[e]]
+    w = system.phase.C[e] @ u[system.phase.l2g[e]]
     G = system.tria.geometry_arrays()[2][e]
     glam = np.einsum("qrk,r->qk", gradient_values(basis, bary_pts), w)
     return combo_values(basis, bary_pts) @ w, glam @ G
@@ -315,7 +315,7 @@ def divergence_pointwise(system, e, u, bary_pts):
     from ratfem.guzman_neilan import stream_potentials
     rho = stream_potentials()
     G = system.tria.geometry_arrays()[2][e]
-    w = system.coeffs[e] @ u[system.l2g[e]]
+    w = system.phase.C[e] @ u[system.phase.l2g[e]]
     S = np.einsum("ia,qsik,kb->qsab", G, hessian_values(rho, bary_pts), G)
     # P1 field r = (comp, node) has divergence G[node, comp]
     return w[:6] @ G.T.ravel() + (S[:, :, 1, 0] - S[:, :, 0, 1]) @ w[6:]
@@ -326,7 +326,7 @@ def velocity_eval(system, e, u, bary_pts):
     from ratfem.guzman_neilan import ROT, stream_potentials
     rho = stream_potentials()
     G = system.tria.geometry_arrays()[2][e]
-    w = system.coeffs[e] @ u[system.l2g[e]]
+    w = system.phase.C[e] @ u[system.phase.l2g[e]]
     lam = np.asarray(bary_pts, dtype=float)
     glam = gradient_values(rho, lam)
     curl = np.einsum("ab,kb,qsk,s->qa", ROT, G, glam, w[6:])
@@ -342,10 +342,11 @@ def velocity_eval(system, e, u, bary_pts):
 def stokes_velocity_system(system):
     """The velocity stiffness A_n (csr, free x free) and load b_n (on all
     dofs) of a Stokes system, summed from its A_T and b_T by fecore."""
-    l2g, free, C = system.l2g, system.free, system.coeffs
-    plan = scatter_plan(l2g, l2g, (system.ndof, system.ndof), free, free)
+    phase = system.phase
+    l2g, free, C, ndof = phase.l2g, phase.free, phase.C, phase.ndof
+    plan = scatter_plan(l2g, l2g, (ndof, ndof), free, free)
     return (assemble_matrix(plan, C, system.A_T, C),
-            assemble_vector(l2g, system.areas, C, system.b_T, system.ndof))
+            assemble_vector(l2g, phase.area, C, system.b_T, ndof))
 
 
 def velocity_dofs(system, w):
@@ -353,11 +354,11 @@ def velocity_dofs(system, w):
     coefficients w (p, 12), each element's from its Vandermonde, and the
     largest disagreement between two elements on a shared dof."""
     from ratfem.guzman_neilan import local_vandermonde
-    tria, l2g = system.tria, system.l2g
+    tria, l2g = system.tria, system.phase.l2g
     V = local_vandermonde(tria.geometry_arrays()[2], tria.normal4s[tria.s4e],
                           tria.tangent4s[tria.s4e])
     local = np.einsum("eij,ej->ei", V[:, :l2g.shape[1]], w)
-    u = np.zeros(system.ndof)
+    u = np.zeros(system.phase.ndof)
     u[l2g] = local
     return u, np.abs(u[l2g] - local).max()
 
@@ -370,19 +371,20 @@ def curl_matrix(mesh, variant):
     largest disagreement between two elements on a shared dof."""
     from ratfem import guzman_neilan as gn
     from ratfem import zienkiewicz as zk
-    _, G, _, C, ndof, l2g, free, *_ = gn.mesh_phase(mesh, variant)
-    _, _, _, CZ, zndof, zl2g, zfree, *_ = zk.mesh_phase(mesh, variant)
+    phase, *_ = gn.mesh_phase(mesh, variant)
+    plate = zk.mesh_phase(mesh, variant)
+    G, ndof, l2g, zl2g = phase.G, phase.ndof, phase.l2g, plate.l2g
     V = gn.local_vandermonde(G, mesh.normal4s[mesh.s4e], mesh.tangent4s[mesh.s4e])
     rot_grads = np.einsum("ab,ekb->eak", gn.ROT, G)
     E = np.zeros((mesh.num_elements, 12, 12))
     E[:, :6, :6] = np.einsum("eck,isk->ecis", rot_grads,
                              zk.get_tables().That_gv[:, :6]).reshape(-1, 6, 6)
     E[:, 6:, 6:] = np.eye(6)
-    local = V[:, :l2g.shape[1]] @ E @ CZ
-    D = np.zeros((ndof, zndof))
+    local = V[:, :l2g.shape[1]] @ E @ plate.C
+    D = np.zeros((ndof, plate.ndof))
     D[l2g[:, :, None], zl2g[:, None, :]] = local
     spread = np.abs(D[l2g[:, :, None], zl2g[:, None, :]] - local).max()
-    return D[np.ix_(free, zfree)], spread
+    return D[np.ix_(phase.free, plate.free)], spread
 
 
 @dataclass

@@ -126,8 +126,8 @@ def test_criterion_5_c1_conformity():
     pa, pb = mesh.c4n[a], mesh.c4n[b]
     worst = 0.0
     system = assemble_biharmonic(mesh, variant="full")
-    for dof in range(system.ndof):
-        u = np.zeros(system.ndof)
+    for dof in range(system.phase.ndof):
+        u = np.zeros(system.phase.ndof)
         u[dof] = 1.0
         for t in (0.1, 0.3, 0.5, 0.7, 0.9):
             xy = (1 - t) * pa + t * pb
@@ -146,8 +146,8 @@ def test_criterion_5_c1_conformity():
         for j in range(3):
             adj.setdefault(mesh.s4e[e, j], (e, j))
     worst_aff = 0.0
-    for dof in range(reduced.ndof):
-        u = np.zeros(reduced.ndof)
+    for dof in range(reduced.phase.ndof):
+        u = np.zeros(reduced.phase.ndof)
         u[dof] = 1.0
         for s in range(mesh.num_edges):
             e, j = adj[s]
@@ -178,13 +178,13 @@ def test_criterion_6_guzman_neilan_divergence():
     assert np.all(B_T[:, 6:] == 0.0)
 
     system = assemble_stokes(mesh)
-    free = system.free
+    free = system.phase.free
     kernel = sla.null_space(system.B.toarray().T)
     assert kernel.shape[1] > 0
     rng = np.random.default_rng(7)
     worst = 0.0
     for k in range(min(5, kernel.shape[1])):
-        u = np.zeros(system.ndof)
+        u = np.zeros(system.phase.ndof)
         u[free] = kernel[:, k]
         for e in range(mesh.num_elements):
             pts = [tuple(rng.dirichlet([2, 2, 2])) for _ in range(10)]

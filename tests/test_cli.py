@@ -8,6 +8,7 @@ import io
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -536,6 +537,14 @@ def test_single_solve_headers_hold_only_the_configuration(tmp_path):
         assert any(ln.startswith("# variant = ") for ln in header)
 
 
+def _child_env():
+    """This environment with src/ first on PYTHONPATH, so that a child
+    interpreter imports the checkout's ratfem without an install."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         os.environ.get("PYTHONPATH", "")]))
+
+
 def test_rerun_byte_identical_in_fresh_processes(tmp_path):
     # fresh interpreter each time: exercises table recomputation determinism
     outputs = []
@@ -544,7 +553,7 @@ def test_rerun_byte_identical_in_fresh_processes(tmp_path):
         code = subprocess.run(
             [sys.executable, "-m", "ratfem.cli", "exp1", "--levels", "1",
              "--ns", "2", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_child_env())
         assert code.returncode == 0, code.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
@@ -571,7 +580,7 @@ def test_csv_bytes_independent_of_blas_threads(tmp_path, args):
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"{args[0]}_{threads}.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+        env = dict(_child_env(), OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads)
         code = subprocess.run(
             [sys.executable, "-m", "ratfem.cli", *args, "--out", str(out)],

@@ -199,12 +199,12 @@ def test_reduced_element():
 def test_discretely_divfree_is_pointwise_divfree():
     mesh = refine_uniform(refine_uniform(unit_square_mesh()))
     system = assemble_stokes(mesh)
-    free = system.free
+    free = system.phase.free
     kernel = sla.null_space(system.B.toarray().T)
     assert kernel.shape[1] > 0
     rng = np.random.default_rng(4)
     for k in range(min(4, kernel.shape[1])):
-        u = np.zeros(system.ndof)
+        u = np.zeros(system.phase.ndof)
         u[free] = kernel[:, k]
         assert np.abs(system.B.T @ u[free]).max() <= 1e-11
         for e in range(0, mesh.num_elements, 7):
@@ -244,12 +244,12 @@ def test_solve_stokes_gauge(variant, quadrature):
     w, p = solve_stokes(system)
     assert np.abs(w).max() > 0 and np.abs(p).max() > 0
     # the pressure has zero area-weighted mean, to roundoff
-    areas = system.areas
+    areas = system.phase.area
     assert abs(np.sum(areas * p)) <= 1e-14 * np.abs(p).max() * areas.sum()
     # the element coefficients agree on shared dofs and vanish on the boundary
     u, spread = velocity_dofs(system, w)
     assert spread <= 1e-13 * np.abs(u).max()
-    assert np.abs(u[~system.free]).max() <= 1e-13 * np.abs(u).max()
+    assert np.abs(u[~system.phase.free]).max() <= 1e-13 * np.abs(u).max()
 
 
 def test_pressure_error_first_order():
@@ -290,7 +290,7 @@ def test_velocity_trace_quadratic_on_edges():
     a, b = mesh.n4s[shared]
     pa, pb = mesh.c4n[a], mesh.c4n[b]
     rng = np.random.default_rng(6)
-    u = rng.standard_normal(system.ndof)
+    u = rng.standard_normal(system.phase.ndof)
     for t in (0.2, 0.5, 0.8):
         xy = (1 - t) * pa + t * pb
         vals = []
@@ -352,5 +352,5 @@ def test_constant_field_has_zero_divergence_action():
         mesh.normal4s @ const, mesh.tangent4s @ const])
     # B^T u element by element: the contraction of B_T,e C_e with u[l2g[e]]
     _, area, G = mesh.geometry_arrays()
-    bt = np.einsum("eri,er->ei", system.coeffs, local_divergence(area, G))
-    assert np.abs(np.einsum("ei,ei->e", bt, u[system.l2g])).max() <= 1e-13
+    bt = np.einsum("eri,er->ei", system.phase.C, local_divergence(area, G))
+    assert np.abs(np.einsum("ei,ei->e", bt, u[system.phase.l2g])).max() <= 1e-13

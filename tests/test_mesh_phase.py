@@ -171,16 +171,23 @@ def test_vandermonde_built_once_per_mesh_and_variant(monkeypatch):
 def test_mesh_phase_arrays_are_shared_and_read_only():
     mesh = refine_uniform(unit_square_mesh())
     exact = zk.assemble_biharmonic(mesh)
-    rule = zk.assemble_biharmonic(mesh, quadrature=3)
-    assert rule.coeffs is exact.coeffs and rule.l2g is exact.l2g
-    for array in (exact.coeffs, exact.l2g, exact.free):
+    # every plate system of a mesh holds the one phase record, copying nothing
+    assert all(zk.assemble_biharmonic(mesh, quadrature=n).phase is exact.phase
+               for n in (1, 3, 11))
+    phase = exact.phase
+    for array in (phase.C, phase.l2g, phase.free, phase.first, phase.inv):
         with pytest.raises(ValueError):
             array[...] = 0
-    # every rule integrates the divergences exactly: one B per mesh
+    # every rule integrates the divergences exactly: one B per mesh, and every
+    # Stokes system holds the velocity's and the stream function's records
     stokes = gn.assemble_stokes(mesh)
-    assert gn.assemble_stokes(mesh, quadrature=3).B is stokes.B
-    with pytest.raises(ValueError):
-        stokes.B.data[...] = 0
+    for n in (1, 3, 16):
+        rule = gn.assemble_stokes(mesh, stokes_load, quadrature=n)
+        assert rule.B is stokes.B and rule.phase is stokes.phase
+        assert rule.stream is stokes.stream
+    for array in (stokes.B.data, stokes.phase.first, stokes.phase.inv, stokes.stream.C):
+        with pytest.raises(ValueError):
+            array[...] = 0
 
 
 @pytest.mark.parametrize("variant", ["full", "reduced"])
@@ -188,15 +195,13 @@ def test_the_stream_function_takes_the_plates_mesh_phase(variant):
     # one builder of a Zienkiewicz-space phase: the Stokes stream function's
     # is the plate's with C mapped to E C before it is made read-only
     mesh = refine_uniform(refine_uniform(unit_square_mesh()))
-    phase = gn.mesh_phase(mesh, variant)
-    stream = phase[10:15]      # E C, ndof, l2g, free, plan
-    mapped = zk.mesh_phase(mesh, variant, gn.curl_coefficients)
-    assert all(a is b for a, b in zip(stream, (*mapped[3:7], mapped[8]), strict=True))
+    phase, _, _, stream, _ = gn.mesh_phase(mesh, variant)
+    assert stream is zk.mesh_phase(mesh, variant, gn.curl_coefficients)
     # one class map serves the velocity and the stream function
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(phase[7], mapped[7]))
+    assert stream.first.tobytes() == phase.first.tobytes()
+    assert stream.inv.tobytes() == phase.inv.tobytes()
     plate = zk.mesh_phase(mesh, variant)
-    _, G, _, C = plate[:4]
-    EC = stream[0]
+    G, C, EC = plate.G, plate.C, stream.C
     assert EC.tobytes() == gn.curl_coefficients(G, C).tobytes()
     with pytest.raises(ValueError):
         EC[...] = 0
@@ -225,19 +230,21 @@ def test_class_path_keeps_every_shape_coefficient_byte(which, variant):
     # matrix inverse, product and curl map acts on one element at a time
     mesh = stokes_mesh(2048) if which == "stokes" else lshape_meshes()[which]
     plate, velocity, curl = per_element_coefficients(mesh, variant)
-    assert zk.mesh_phase(mesh, variant)[3].tobytes() == plate.tobytes()
+    assert zk.mesh_phase(mesh, variant).C.tobytes() == plate.tobytes()
     if which == "stokes":
-        phase = gn.mesh_phase(mesh, variant)
-        assert phase[3].tobytes() == velocity.tobytes()
-        assert phase[10].tobytes() == curl.tobytes()
+        phase, _, _, stream, _ = gn.mesh_phase(mesh, variant)
+        assert phase.C.tobytes() == velocity.tobytes()
+        assert stream.C.tobytes() == curl.tobytes()
 
 
 def test_class_counts_of_the_benchmark_meshes():
-    first, inv = gn.mesh_phase(stokes_mesh(2048), "reduced")[7]
+    phase, *_ = gn.mesh_phase(stokes_mesh(2048), "reduced")
+    first, inv = phase.first, phase.inv
     assert first.size == 12 and inv.size == 2048
     assert np.array_equal(inv[first], np.arange(12))
     mesh = lshape_meshes()[5]
-    first, inv = zk.mesh_phase(mesh, "full")[7]
+    phase = zk.mesh_phase(mesh, "full")
+    first, inv = phase.first, phase.inv
     assert (first.size, mesh.num_elements) == (102, 4592)
     with pytest.raises(ValueError):
         inv[...] = 0
@@ -245,18 +252,18 @@ def test_class_counts_of_the_benchmark_meshes():
 
 def test_a_moved_vertex_gives_its_elements_classes_of_their_own():
     mesh = lshape_meshes()[1]
-    before = zk.mesh_phase(mesh, "full")[7][1]
+    before = zk.mesh_phase(mesh, "full").inv
     vertex = int(np.flatnonzero(~mesh.boundary_vertex)[3])
     c4n = mesh.c4n.copy()
     c4n[vertex] += [1e-3 / 3, 1e-3 / 7]
     moved = Triangulation(c4n, mesh.n4e)
-    after = zk.mesh_phase(moved, "full")[7][1]
+    after = zk.mesh_phase(moved, "full").inv
     touched = np.any(mesh.n4e == vertex, axis=1)
     assert 3 <= np.count_nonzero(touched) and np.all(np.bincount(after)[after[touched]] == 1)
     # every other element keeps its class: the two partitions agree there
     pairs = np.unique(np.stack([before[~touched], after[~touched]]), axis=1)
     assert pairs.shape[1] == np.unique(before[~touched]).size == np.unique(after[~touched]).size
-    assert zk.mesh_phase(moved, "full")[3].tobytes() == per_element_coefficients(
+    assert zk.mesh_phase(moved, "full").C.tobytes() == per_element_coefficients(
         moved, "full")[0].tobytes()
 
 
@@ -265,8 +272,8 @@ def test_stokes_local_tensors_once_per_class(quadrature):
     # the class representatives' A_T, gathered, against every element's own;
     # a GEMM may round a row differently over fewer rows
     mesh = stokes_mesh(2048)
-    area, G, GG = gn.mesh_phase(mesh, "reduced")[:3]
-    gathered = gn.assemble_stokes(mesh, variant="reduced", quadrature=quadrature).A_T
-    own = gn.local_matrices(area, G, GG, gn.get_tables(quadrature))
+    system = gn.assemble_stokes(mesh, variant="reduced", quadrature=quadrature)
+    phase, gathered = system.phase, system.A_T
+    own = gn.local_matrices(phase.area, phase.G, phase.GG, gn.get_tables(quadrature))
     assert np.all(np.abs(gathered - own).max(axis=(1, 2))
                   <= 1e-15 * np.abs(own).max(axis=(1, 2)))

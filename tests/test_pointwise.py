@@ -37,7 +37,7 @@ def sample(seed):
 def test_element_eval_matches_per_point_formula(seed, variant):
     tri, u, pts = sample(seed)
     system = zk.assemble_biharmonic(tri, variant=variant)
-    u = u[:system.ndof]
+    u = u[:system.phase.ndof]
     pts = np.vstack([VERTEX_POINTS, pts])
     vals, grads = element_eval(system, 0, u, pts)
     ref_vals, ref_grads, size = element_eval_reference(system, 0, u, pts)
@@ -51,7 +51,7 @@ def test_element_eval_matches_per_point_formula(seed, variant):
 def test_stokes_evaluators_match_per_point_formulas(seed, variant):
     tri, u, pts = sample(100 + seed)
     system = gn.assemble_stokes(tri, variant=variant)
-    u = u[:system.ndof]
+    u = u[:system.phase.ndof]
     with_vertices = np.vstack([VERTEX_POINTS, pts])
     vel = velocity_eval(system, 0, u, with_vertices)
     ref_vel, size = velocity_eval_reference(system, 0, u, with_vertices)

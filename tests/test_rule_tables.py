@@ -17,6 +17,7 @@ from felib import (gauss_reference_guzman_neilan, gauss_reference_zienkiewicz,
 from ratfem import guzman_neilan as gn
 from ratfem import zienkiewicz as zk
 from ratfem.experiments import stokes_load
+from ratfem.fecore import lagrange_basis, moment_tensor
 from ratfem.mesh import refine_uniform, unit_square_mesh
 
 RULES = (1, 2, 5, 11, 16)
@@ -89,9 +90,24 @@ def test_stokes_rule_load_of_a_p2_field_is_the_sampled_rule(n):
             assert _rel(b_T, sampled) <= REL
 
 
+@pytest.mark.parametrize("rule", [2.5, 3.9, 3.0, "3"])
+def test_a_rule_that_is_no_integer_is_rejected(rule):
+    # truncating would hand 2.5 rule 2's system and 3.9 rule 3's, silently
+    mesh = unit_square_mesh()
+    with pytest.raises(TypeError):
+        zk.assemble_biharmonic(mesh, quadrature=rule)
+    with pytest.raises(TypeError):
+        gn.assemble_stokes(mesh, quadrature=rule)
+    with pytest.raises(TypeError):
+        moment_tensor(lagrange_basis(1), lagrange_basis(1), rule)
+
+
 def test_rule_tables_are_cached_and_share_the_exact_point_tables():
     assert zk.get_tables(3) is zk.get_tables(3)
     assert gn.get_tables(3) is gn.get_tables(np.int64(3))
+    basis = lagrange_basis(1)
+    assert moment_tensor(basis, basis, np.int64(3)).tobytes() == moment_tensor(
+        basis, basis, 3).tobytes()
     exact, rule = gn.get_tables(), gn.get_tables(3)
     assert rule.That_gv is exact.That_gv and rule.val_mid is exact.val_mid
     zexact, zrule = zk.get_tables(), zk.get_tables(3)

@@ -53,8 +53,8 @@ def test_saddle_solve():
             assert spread <= 1e-13 * np.abs(u).max()
             B = system.B[:, 1:]
             K = sp.bmat([[A, -B], [-B.T, None]], format="csr")
-            rhs = np.concatenate([b[system.free], np.zeros(B.shape[1])])
-            x = np.concatenate([u[system.free], p[1:] - p[0]])
+            rhs = np.concatenate([b[system.phase.free], np.zeros(B.shape[1])])
+            x = np.concatenate([u[system.phase.free], p[1:] - p[0]])
             assert np.linalg.norm(K @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 

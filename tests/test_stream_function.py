@@ -86,12 +86,12 @@ def test_the_stokes_solve_takes_this_curl_matrix(name, variant, monkeypatch):
         A, b = stokes_velocity_system(system)
         S = D.T @ A.toarray() @ D
         assert np.abs(system.S.toarray() - S).max() <= 1e-14 * np.abs(S).max()
-        s = D.T @ b[system.free]
+        s = D.T @ b[system.phase.free]
         assert np.abs(system.s - s).max() <= 1e-14 * np.abs(s).max()
         w, _ = gn.solve_stokes(system)
-        u = np.zeros(system.ndof)
-        u[system.free] = D @ solved[-1]
-        expected = np.einsum("eij,ej->ei", system.coeffs, u[system.l2g])
+        u = np.zeros(system.phase.ndof)
+        u[system.phase.free] = D @ solved[-1]
+        expected = np.einsum("eij,ej->ei", system.phase.C, u[system.phase.l2g])
         assert np.abs(w - expected).max() <= 1e-13 * np.abs(w).max()
 
 

@@ -184,8 +184,8 @@ def test_c1_conformity_two_elements():
         shared = int(np.where(~mesh.boundary_edge)[0][0])
         a, b = mesh.n4s[shared]
         pa, pb = mesh.c4n[a], mesh.c4n[b]
-        for dof in range(system.ndof):
-            u = np.zeros(system.ndof)
+        for dof in range(system.phase.ndof):
+            u = np.zeros(system.phase.ndof)
             u[dof] = 1.0
             for t in (0.1, 0.3, 0.5, 0.7, 0.9):
                 xy = (1 - t) * pa + t * pb
@@ -204,13 +204,13 @@ def test_assembled_nullspace_and_spd():
     # the kernel element by element: C_e^T A_T,e C_e annihilates u[l2g[e]]
     _, area, G = mesh.geometry_arrays()
     GG = np.einsum("eic,ejc->eij", G, G)
-    C = system.coeffs
+    C = system.phase.C
     A_T = local_stiffness(area, GG, get_tables().Ahat)
     A_loc = np.einsum("eri,ers,esj->eij", C, A_T, C)
     for g, gg in [(lambda x, y: 1.0, lambda x, y: np.zeros(2)),
                   (lambda x, y: x, lambda x, y: np.array([1.0, 0.0]))]:
         u = nodal_interpolant(mesh, g, gg)
-        Au = np.einsum("eij,ej->ei", A_loc, u[system.l2g])
+        Au = np.einsum("eij,ej->ei", A_loc, u[system.phase.l2g])
         resid = np.abs(Au).max() / np.abs(A_loc).max()
         assert resid <= 1e-9
     assert np.linalg.eigvalsh(system.A.toarray()).min() > 0
@@ -220,7 +220,7 @@ def test_eigen_solve():
     mesh = refine_uniform(refine_uniform(unit_square_mesh()))
     system = assemble_biharmonic(mesh)
     from ratfem.solvers import gen_eig_smallest
-    free = system.free
+    free = system.phase.free
     M = system.M.tocsc()
     lam, x = gen_eig_smallest(M, M, factorize_spd(M))
     assert lam == pytest.approx(1.0, rel=1e-10)
@@ -238,7 +238,7 @@ def test_eigen_solve():
 def test_reduced_global_dofs_and_affine_normal_derivative():
     mesh = refine_uniform(unit_square_mesh())
     system = assemble_biharmonic(mesh, variant="reduced")
-    assert system.ndof == 3 * mesh.num_vertices
+    assert system.phase.ndof == 3 * mesh.num_vertices
     lam, u = solve_biharmonic_eigen(system, factorize_spd(system.A))
     adj = {}
     for e in range(mesh.num_elements):
