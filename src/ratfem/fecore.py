@@ -1,7 +1,7 @@
 """Element-type-independent machinery: moment tensors (exact or by a Gauss
-rule), reduced-element bubble corrections, shape coefficients, dof layouts,
-the mesh phase, scatter plans and assembly, which maps blocks through C and
-sums every sparse and every load entry in element order.
+rule), shape coefficients (reduced = full with interpolated edge dofs), dof
+layouts, the mesh phase, scatter plans and assembly, which maps blocks through
+C and sums every sparse and every load entry in element order.
 
 All exact reference tensors are computed once per process by exact rational
 quadrature and floated at the very end, so recomputation is bit-reproducible.
@@ -31,8 +31,12 @@ MIDS = [(Fraction(0), _HALF, _HALF),
 P2_NODES = VERTS + MIDS
 
 
-class ZeroBubbleDofError(ArithmeticError):
-    """A bubble's own edge dof vanished (a degenerate element)."""
+def quadrature_rule(quadrature):
+    """"exact", or the integer n of the n-point Gauss rule; a float, a string
+    or a bool is a TypeError, never a truncated or an implied rule."""
+    if isinstance(quadrature, bool):
+        raise TypeError("a bool is no quadrature rule")
+    return quadrature if quadrature == "exact" else operator.index(quadrature)
 
 
 def moment_tensor(left, right, quadrature="exact") -> np.ndarray:
@@ -46,8 +50,9 @@ def moment_tensor(left, right, quadrature="exact") -> np.ndarray:
     """
     larr = np.asarray(left, dtype=object)
     rarr = larr if right is left else np.asarray(right, dtype=object)
+    quadrature = quadrature_rule(quadrature)
     if quadrature != "exact":
-        bary, w2 = gauss_points(operator.index(quadrature))
+        bary, w2 = gauss_points(quadrature)
         L = combo_values(larr.ravel(), bary)
         R = L if right is left else combo_values(rarr.ravel(), bary)
         # einsum sums over q in one fixed order; a BLAS GEMM's order can
@@ -79,44 +84,23 @@ def lagrange_basis(degree: int):
     raise ValueError(f"unsupported Lagrange degree {degree}")
 
 
-def edge_corrections(V, frames, rows) -> np.ndarray:
-    """Bubble weights gamma (p,3,3) that make an edge dof affine.
-
-    Rows 9+j of the Vandermonde V hold a dof on edge j (opposite vertex j):
-    a vector quantity taken along frames[:, j] at the edge midpoint.  Rows
-    rows[0]+i and rows[1]+i hold its x and y components at vertex i.  For
-    cubic column 6+k the weight on bubble j is (that midpoint dof minus the
-    endpoint average) divided by the bubble's own dof; ZeroBubbleDofError is
-    raised if that vanishes.
-    """
-    if np.any(np.abs(np.diagonal(V[:, 9:, 9:], axis1=1, axis2=2)) < 1e-14):
-        raise ZeroBubbleDofError(
-            "a bubble's own edge dof vanished at an edge midpoint")
-    rx, ry = rows
-    gamma = np.empty((V.shape[0], 3, 3))
-    for j in range(3):
-        i1, i2 = (j + 1) % 3, (j + 2) % 3
-        avg = 0.5 * (
-            frames[:, j, 0, None] * (V[:, rx + i1, 6:9] + V[:, rx + i2, 6:9])
-            + frames[:, j, 1, None] * (V[:, ry + i1, 6:9] + V[:, ry + i2, 6:9]))
-        gamma[:, j, :] = (V[:, 9 + j, 6:9] - avg) / V[:, 9 + j, 9 + j, None]
-    return gamma
-
-
 def shape_coefficients(V, variant: str, frames, rows) -> np.ndarray:
     """Coefficient matrices of the nodal shape functions in the 12-basis.
 
-    Full element: inv(V), shape (p,12,12).  Reduced element: (p,12,9), the
-    identity on the first nine basis functions with cubic columns 6..8
-    corrected by the bubbles with weights -gamma, the :func:`edge_corrections`
-    of (V, frames, rows), times inv(V[:, :9, :9]).
+    Full element: inv(V), shape (p,12,12).  Reduced element: inv(V) R,
+    (p,12,9), the full basis with each edge dof interpolated from its
+    endpoints.  R is the identity on the first nine dofs; edge dof 9+j (edge
+    j, opposite vertex j) is a vector quantity taken along frames[:, j] at the
+    midpoint, whose x and y components at vertex i are dofs rows[0]+i and
+    rows[1]+i, so row 9+j of R averages them over the edge's endpoints.
     """
     if variant == "full":
         return np.linalg.inv(V)
-    red = np.zeros((V.shape[0], 12, 9))
-    red[:, :9, :] = np.eye(9)[None, :, :]
-    red[:, 9:12, 6:9] = -edge_corrections(V, frames, rows)
-    return red @ np.linalg.inv(V[:, :9, :9])
+    R = np.tile(np.eye(12, 9), (V.shape[0], 1, 1))
+    for j in range(3):
+        for i in ((j + 1) % 3, (j + 2) % 3):
+            R[:, 9 + j, [rows[0] + i, rows[1] + i]] = 0.5 * frames[:, j]
+    return np.linalg.inv(V) @ R
 
 
 def dof_layout(tria, variant: str, layouts: dict):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
-from operator import index
 
 import numpy as np
 
@@ -56,7 +55,7 @@ class ZienkiewiczTables:
 def get_tables(quadrature="exact") -> ZienkiewiczTables:
     """Exact tables, or those of the n-point Gauss rule for an integer n;
     each is built on first use and kept for the process."""
-    return _compute_tables("exact" if quadrature == "exact" else index(quadrature))
+    return _compute_tables(fecore.quadrature_rule(quadrature))
 
 
 @cache

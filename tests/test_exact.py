@@ -129,6 +129,10 @@ def test_equality_and_hash():
     assert hash(ExactValue(1, 2)) == hash(ExactValue(1, 2))
     assert INFINITE == INFINITE
     assert INFINITE != ExactValue(1, 0)
+    # an int is no ExactValue: equality is False and addition a TypeError
+    assert (ExactValue(1, 0) == 1) is False
+    with pytest.raises(TypeError):
+        ExactValue(1, 0) + 1
 
 
 @pytest.mark.parametrize("make", [lambda: ExactValue(0.1), lambda: ExactValue(0, 0.5),

@@ -1,13 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from felib import evaluate
+from felib import evaluate, random_shape_regular_triangle
 from oracle import duffy_mean
+from ratfem import guzman_neilan, zienkiewicz
 from ratfem.fecore import (P2_NODES, VERTS, assemble_matrix, assemble_vector,
                            lagrange_basis, moment_tensor, scatter_plan)
+from ratfem.mesh import Triangulation, refine_uniform, unit_square_mesh
 from ratfem.quadrature import integral_mean_combo
 from ratfem.ratfun import RatCombo
 
@@ -197,6 +201,71 @@ def test_scatter_plan_sums_in_element_order(data):
             data.draw(st.sampled_from([-1, shape[axis]]))
         with pytest.raises(IndexError):
             scatter_plan(*index, shape, keep_rows, keep_cols)
+
+
+@functools.cache
+def node_gradients():
+    """Exact lam-gradients (6, 12, 3) of the Zienkiewicz basis at the P2
+    nodes, evaluated from the rational functions, then floated."""
+    return np.array([[[float(evaluate(b.diff(m), node)) for m in range(3)]
+                      for b in zienkiewicz.zienkiewicz_basis()] for node in P2_NODES])
+
+
+def reduced_element(name, tri):
+    """(V, C, F): one element's Vandermonde, reduced shape coefficients and
+    the physical vector field (6, 12, 2) of each basis function at the P2
+    nodes whose edge dofs the reduced element interpolates: the gradient for
+    the plate, the velocity for Stokes."""
+    _, _, G = tri.geometry_arrays()
+    normals, tangents = tri.normal4s[tri.s4e], tri.tangent4s[tri.s4e]
+    F = node_gradients() @ G[0]
+    if name == "zienkiewicz":
+        V = zienkiewicz.local_vandermonde_batch(G, normals)
+        return V[0], zienkiewicz.shape_coefficients(V, "reduced", normals)[0], F
+    V = guzman_neilan.local_vandermonde(G, normals, tangents)
+    lam = np.array(P2_NODES, dtype=float)
+    P1 = np.zeros((6, 6, 2))
+    P1[:, 0:3, 0] = P1[:, 3:6, 1] = lam
+    curls = F[:, 6:] @ guzman_neilan.ROT.T
+    return (V[0], guzman_neilan.shape_coefficients(V, "reduced", tangents)[0],
+            np.concatenate([P1, curls], axis=1))
+
+
+@pytest.mark.parametrize("name", ["zienkiewicz", "guzman_neilan"])
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_reduced_nodal_basis_is_the_full_one_with_interpolated_edge_dofs(
+        name, seed):
+    tri = random_shape_regular_triangle(np.random.default_rng(seed))
+    V, C, F = reduced_element(name, tri)
+    # nodal on the nine kept dofs, and it reproduces the polynomial part: the
+    # quadratics of the plate, the P1 fields of Stokes, basis functions 0..5
+    assert np.abs(V[:9] @ C - np.eye(9)).max() <= 1e-12
+    for r in range(6):
+        assert np.abs(C @ V[:9, r] - np.eye(12)[r]).max() <= 1e-12
+    # along each edge's frame (the plate's normal, the Stokes tangent) every
+    # shape function's midpoint value is the average of its endpoint values
+    frames = (tri.normal4s if name == "zienkiewicz" else tri.tangent4s)[tri.s4e[0]]
+    for j in range(3):
+        along = np.einsum("nrc,c,rk->nk", F, frames[j], C)   # (node, shape)
+        average = 0.5 * (along[(j + 1) % 3] + along[(j + 2) % 3])
+        assert np.abs(along[3 + j] - average).max() <= 1e-11
+
+
+@pytest.mark.parametrize("variant", ["full", "reduced"])
+def test_both_elements_assemble_on_a_mesh_scaled_by_1e15(variant):
+    # the bubbles' edge dofs are of order 1e-15 there, yet the Vandermondes
+    # are regular; a value dof's shape function keeps its size and a
+    # derivative dof's grows by s, so each stiffness entry is the unit
+    # mesh's times d_i d_j / s^2, d = 1 for a value dof and s otherwise
+    mesh, s = refine_uniform(unit_square_mesh()), 1e15
+    big = Triangulation(s * mesh.c4n, mesh.n4e)
+    phase = zienkiewicz.mesh_phase(mesh, variant)
+    d = np.where(np.arange(phase.ndof) < mesh.num_vertices, 1.0, s)[phase.free]
+    for assemble in (lambda m: zienkiewicz.assemble_biharmonic(m, variant).A,
+                     lambda m: guzman_neilan.assemble_stokes(m, variant=variant).S):
+        A, A_big = assemble(mesh).toarray(), assemble(big).toarray()
+        assert np.abs(A_big * s ** 2 / np.outer(d, d) - A).max() <= 1e-12 * np.abs(A).max()
 
 
 def test_global_matrix_symmetry():

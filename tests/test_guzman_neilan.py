@@ -7,8 +7,7 @@ import scipy.linalg as sla
 from felib import (bary_coords, divergence_pointwise, eval_float,
                    hessian_values, random_shape_regular_triangle,
                    velocity_dofs, velocity_eval)
-from ratfem.fecore import ZeroBubbleDofError, dof_layout, edge_corrections
-from ratfem.guzman_neilan import (LAYOUTS, ROT, assemble_stokes,
+from ratfem.guzman_neilan import (ROT, assemble_stokes,
                                   divergence_l2, get_tables, grad_norm,
                                   local_divergence, local_matrices,
                                   local_vandermonde,
@@ -166,36 +165,6 @@ def test_exact_sequence_curl_membership():
         assert resid <= 1e-9 * max(1.0, np.linalg.norm(target))
 
 
-def test_reduced_element():
-    rng = np.random.default_rng(3)
-    tri = random_shape_regular_triangle(rng)
-    area, G, GG, normals, tangents, V = element_setup(tri)
-    gamma = edge_corrections(V, tangents, (0, 3))[0]
-    rho = stream_potentials()
-    v = tri.c4n[tri.n4e[0]]
-    for k in range(3):
-        coeffs = np.zeros(12)
-        coeffs[6 + k] = 1.0
-        coeffs[9:12] = -gamma[:, k]
-        def vel(xy):
-            lam = bary_coords(v, xy)
-            vec = np.zeros(2)
-            for s in range(6):
-                glam = np.array([eval_float(rho[s].diff(m), lam)
-                                 for m in range(3)])
-                vec += coeffs[6 + s] * (ROT @ (G[0].T @ glam))
-            return vec
-        for j in range(3):
-            tau = tri.tangent4s[tri.s4e[0, j]]
-            i1, i2 = (j + 1) % 3, (j + 2) % 3
-            mid_t = vel((v[i1] + v[i2]) / 2) @ tau
-            avg_t = 0.5 * (vel(v[i1]) + vel(v[i2])) @ tau
-            assert mid_t == pytest.approx(avg_t, abs=1e-10)
-    mesh = refine_uniform(unit_square_mesh())
-    ndof, _, _ = dof_layout(mesh, "reduced", LAYOUTS)
-    assert ndof == 2 * mesh.num_vertices + mesh.num_edges
-
-
 def test_discretely_divfree_is_pointwise_divfree():
     mesh = refine_uniform(refine_uniform(unit_square_mesh()))
     system = assemble_stokes(mesh)
@@ -338,8 +307,8 @@ def test_reduced_rejects_vanishing_tangential_trace():
     _, _, _, _, tangents, V = element_setup(REF)
     bad = V.copy()
     bad[:, 10, 10] = 0.0
-    with pytest.raises(ZeroBubbleDofError):
-        edge_corrections(bad, tangents, (0, 3))
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        shape_coefficients(bad, "reduced", tangents)
 
 
 def test_constant_field_has_zero_divergence_action():

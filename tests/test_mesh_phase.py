@@ -64,11 +64,13 @@ def case_digest(case):
 #: free x free, the divergence matrix on free rows, the load on all dofs, over
 #: every mesh of exp2 at budget 10000 (full variant, its largest also reduced)
 #: and the 2048-element Stokes mesh, both variants; taken when every sparse
-#: entry came to be summed from 0.0 in element order, and the Stokes ones
-#: again when A_T came to be computed once per class of identical elements
-#: (a GEMM over fewer rows rounds some rows differently).  The Stokes solve
-#: assembles neither A nor b; fecore sums them here from the system's element
-#: tensors A_T and b_T, so these digests pin those tensors' bytes.
+#: entry came to be summed from 0.0 in element order, the Stokes ones again
+#: when A_T came to be computed once per class of identical elements (a GEMM
+#: over fewer rows rounds some rows differently), and the reduced ones again
+#: when their shape coefficients became inv(V) R, which moves entries by at
+#: most 1.3e-16 of the largest.  The Stokes solve assembles neither A nor b;
+#: fecore sums them here from the system's element tensors A_T and b_T, so
+#: these digests pin those tensors' bytes.
 MATRIX_DIGESTS = {
     ("plate", 0, "full", "exact"): "02342a2f6e760db254c391047690c04e3a0aac3646ee00aa8b57ffcfe23045d9",
     ("plate", 0, "full", 2): "95cd650232db0b47559243f79c14350887d4f0dcd08ee3f31c38e580d578ce92",
@@ -88,15 +90,15 @@ MATRIX_DIGESTS = {
     ("plate", 5, "full", "exact"): "c0a7dd5ab03c7b344fd91341b114e479ffa0dc8072ee2aa2cd793876434efad4",
     ("plate", 5, "full", 2): "19c84c9b763c7b810639612729206505f94ac3a7ce44b8caecc0a62814eb7d96",
     ("plate", 5, "full", 11): "9f87d1f0ac5150cb9156891001e1e2ec78ec4b7f51cbc48d4d40083495f43567",
-    ("plate", 5, "reduced", "exact"): "8ca17dedb0665806667de3333fe4e290edf2bca4987fb700fb1b03b145a2d87e",
-    ("plate", 5, "reduced", 2): "a94981ae2dc8fc03ec73b7ca976574ec5ca032644abdb9f2baade8670c565ea6",
-    ("plate", 5, "reduced", 11): "39b4dd11f69c1df01e0eb1bf9709af4a6aa6144b4917fe2f71f3a852a583a1b5",
+    ("plate", 5, "reduced", "exact"): "4c390f026363c685fcd3ac0baf0f3b70784f90784aa5bf1c1b191e216856ae44",
+    ("plate", 5, "reduced", 2): "68cd0ee3d1dec8730099f31d0300c9fe00dbb20a14881593fff23c5faac7fe98",
+    ("plate", 5, "reduced", 11): "8e687bb352c1e8890c49daf9e98ddad37728d4b2286c1bad1b02c694232c8747",
     ("stokes", 2048, "full", "exact"): "35255f6f734e0cdc96e250f859e51352835a483d781ba5d42499068fa9092632",
     ("stokes", 2048, "full", 1): "e927980b7cf06243da4b7df769f6398d63a8edff02846d32d63e7191d8d7c5b5",
     ("stokes", 2048, "full", 16): "fceacbd3552f5c4e59b4effae102e221b3b6aa6073a36e718e5fef1116e159ae",
-    ("stokes", 2048, "reduced", "exact"): "97f24cfb1961a56a433cacca016d5ae033c65af36cf824e11a15360aca1a4fb9",
-    ("stokes", 2048, "reduced", 1): "e8813c0d9d1cacbd32d25ad10da97b11805194bf43fa99384c7a98c22af7b58a",
-    ("stokes", 2048, "reduced", 16): "b9b60eddb4b7ae7e8adf2bc600c75266dbc692392c39f3aa4bdc1c0ffdbb022e",
+    ("stokes", 2048, "reduced", "exact"): "6bcbcf7b3e8811151a69cd266ea06affdcd64148175db893cb3602d22d6ee4be",
+    ("stokes", 2048, "reduced", 1): "2e0e6a0181a6f105764ebb8475d18c9b3f0f9010f0d87b69d5b9d8043221dc09",
+    ("stokes", 2048, "reduced", 16): "3e6dfe35b898e7562e074ccfc3a6aaafcbd828efb7a3c47825d42643a5338533",
 }
 
 
@@ -109,14 +111,15 @@ def test_assembled_matrices_match_golden_digests(case):
 #: The stream-function system (S, s) each Stokes solve hands to its solver:
 #: S = D^T A D on the free Zienkiewicz dofs, each element block mapped by
 #: E C, and s = D^T b; taken when the stream function replaced the saddle
-#: solve, and again when A_T came to be computed once per element class.
+#: solve, again when A_T came to be computed once per element class, and the
+#: reduced ones again when their shape coefficients became inv(V) R.
 FREE_BLOCK_DIGESTS = {
     ("stokes", 2048, "full", "exact"): "eddf095764728ab63b3cb5667827f67da585e414dff6adf86370777299e6c2ae",
     ("stokes", 2048, "full", 1): "b7ee3a87ad45164cd2bea9ad59a026006927a05f5eb6c6ac43980655aa811a54",
     ("stokes", 2048, "full", 16): "f6d6a4aa524421b999b0ee0c49c5dcd37389270bbeaaf2f1948dade5b8be6b8b",
-    ("stokes", 2048, "reduced", "exact"): "85ea259ad9819f4d01c280f8a1c354e1d94744c7f3319634ffa250fcd79de77a",
-    ("stokes", 2048, "reduced", 1): "948afe52f72fec14f908bdc9e6ac28f66d71ea5ed557af2d0ff156da56eaac00",
-    ("stokes", 2048, "reduced", 16): "bf70cf1510b9147205d32e532e8c718043ad79701e27ea3f7cff45b8f82d5610",
+    ("stokes", 2048, "reduced", "exact"): "7ea9a82d7e2d1e4deb236d81ac0ef2e9362145337ab9525ee7ce2a790cb53347",
+    ("stokes", 2048, "reduced", 1): "b8d60bca2f6e40c6f4ba58ef2aba5a8634208c1dd68e7eaa0c5a561c8ca49b9c",
+    ("stokes", 2048, "reduced", 16): "2cd0bb9f7da77b1fce0ac3a4eeee4cbfea64c05d408508a1169083ae724525cb",
 }
 
 

@@ -36,6 +36,16 @@ def test_multiply_commutative_associative():
         assert (f * g) * h == f * (g * h)
 
 
+def test_combos_hash_by_value_and_refuse_other_operands():
+    a, b = RatCombo.lam(0), bubble(1)
+    assert len({a * b, b * a}) == 1
+    with pytest.raises(TypeError):
+        a + 1
+    with pytest.raises(TypeError):
+        a - 1
+    assert (a == 1) is False
+
+
 def test_diff_examples():
     lam0 = RatCombo.lam(0)
     assert lam0.diff(0) == RatCombo.one()

@@ -90,9 +90,10 @@ def test_stokes_rule_load_of_a_p2_field_is_the_sampled_rule(n):
             assert _rel(b_T, sampled) <= REL
 
 
-@pytest.mark.parametrize("rule", [2.5, 3.9, 3.0, "3"])
+@pytest.mark.parametrize("rule", [2.5, 3.9, 3.0, "3", True, False])
 def test_a_rule_that_is_no_integer_is_rejected(rule):
-    # truncating would hand 2.5 rule 2's system and 3.9 rule 3's, silently
+    # truncating would hand 2.5 rule 2's system and 3.9 rule 3's, silently,
+    # and a bool is an int: True would be rule 1
     mesh = unit_square_mesh()
     with pytest.raises(TypeError):
         zk.assemble_biharmonic(mesh, quadrature=rule)

@@ -192,6 +192,12 @@ def test_gen_eig_examples():
     assert lam == pytest.approx(1.0, rel=1e-12)
 
 
+def test_gen_eig_start_vector_of_m_norm_zero():
+    A = sp.csc_matrix(np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(NoConvergenceError, match="start vector of M-norm zero"):
+        gen_eig_smallest(A, sp.eye(3, format="csc"), factorize_spd(A), np.zeros(3))
+
+
 def test_gen_eig_against_dense():
     rng = np.random.default_rng(2)
     B = rng.standard_normal((30, 30))

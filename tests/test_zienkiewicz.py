@@ -4,9 +4,7 @@ import pytest
 from felib import (bary_coords, element_eval, element_geometry, eval_float,
                    hermite_psi, nodal_interpolant,
                    random_shape_regular_triangle)
-from ratfem.fecore import ZeroBubbleDofError, edge_corrections
 from ratfem.mesh import Triangulation, refine_uniform, unit_square_mesh
-from ratfem.quadrature import integral_mean_combo
 from ratfem.ratfun import RatCombo, bubble
 from ratfem.solvers import factorize_spd
 from ratfem.zienkiewicz import (assemble_biharmonic, get_tables,
@@ -145,38 +143,6 @@ def test_bubble_edge_gradient_identity():
             assert grad @ nu == pytest.approx(expect, rel=1e-10, abs=1e-12)
 
 
-def test_reduced_basis_properties():
-    rng = np.random.default_rng(3)
-    tri = random_shape_regular_triangle(rng)
-    _, G, GG, normals, V = element_setup(tri)
-    gamma = edge_corrections(V, normals, (3, 6))[0]
-    C = shape_coefficients(V, "reduced", normals)
-    basis = zienkiewicz_basis()
-    v = tri.c4n[tri.n4e[0]]
-    # corrected cubics: normal derivative at midpoints equals endpoint average
-    for k in range(3):
-        corrected = [(1.0 if r == 6 + k else 0.0) for r in range(12)]
-        for j in range(3):
-            corrected[9 + j] = -gamma[j, k]
-        for j in range(3):
-            nu = tri.normal4s[tri.s4e[0, j]]
-            def grad_at(xy):
-                lam = bary_coords(v, xy)
-                glam = np.array([sum(c * eval_float(basis[r].diff(m), lam)
-                                     for r, c in enumerate(corrected))
-                                 for m in range(3)])
-                return G[0].T @ glam
-            i1, i2 = (j + 1) % 3, (j + 2) % 3
-            mid_nd = grad_at((v[i1] + v[i2]) / 2) @ nu
-            avg_nd = 0.5 * (grad_at(v[i1]) + grad_at(v[i2])) @ nu
-            assert mid_nd == pytest.approx(avg_nd, abs=1e-10)
-    # quadratic columns need no correction; psi_l(b-bar_k) = psi_l(b_k), l,k <= 9
-    b6 = np.zeros(12); b6[:6] = 1.0
-    # (quadratics carry no bubble correction by construction: gamma acts on 7..9)
-    Vc = V[0][:9, :9]
-    assert np.allclose(Vc @ C[0][:9, :], np.eye(9), atol=1e-10)
-
-
 def test_c1_conformity_two_elements():
     mesh = unit_square_mesh()
     for variant in ("full", "reduced"):
@@ -284,5 +250,5 @@ def test_reduced_rejects_vanishing_bubble_normal_derivative():
     _, _, _, normals, V = element_setup(REF)
     bad = V.copy()
     bad[:, 9, 9] = 0.0
-    with pytest.raises(ZeroBubbleDofError):
-        edge_corrections(bad, normals, (3, 6))
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        shape_coefficients(bad, "reduced", normals)
