@@ -1,7 +1,7 @@
 """Element-type-independent machinery: moment tensors (exact or by a Gauss
 rule), shape coefficients (reduced = full with interpolated edge dofs), dof
-layouts, the mesh phase, scatter plans and assembly, which maps blocks through
-C and sums every sparse and every load entry in element order.
+layouts, the mesh phase, scatter plans and assembly, which forms blocks once
+per element class and sums every sparse and every load entry in element order.
 
 All exact reference tensors are computed once per process by exact rational
 quadrature and floated at the very end, so recomputation is bit-reproducible.
@@ -182,12 +182,13 @@ def scatter_plan(rows: np.ndarray, cols: np.ndarray, shape, keep_rows, keep_cols
     return slot, (indptr, indices, (m, n))
 
 
-def assemble_matrix(plan, left, local, right) -> sp.csr_matrix:
-    """Sum the element blocks left^T local right, (p, R, K) from maps left
-    (p, r, R), right (p, s, K) and local tensors (p, r, s), into the CSR of a
-    :func:`scatter_plan`: each slot from 0.0, in element order."""
+def assemble_matrix(plan, inv, left, local, right) -> sp.csr_matrix:
+    """Sum element e's block, class inv[e]'s left^T local right (R, K) from
+    maps left (c, r, R), right (c, s, K) and local tensors (c, r, s), formed
+    once per class, into the CSR of a :func:`scatter_plan`: each slot from
+    0.0, in element order (without classes, inv = arange(p))."""
     slot, (indptr, indices, shape) = plan
-    block = np.einsum("eri,ers,esj->eij", left, local, right, optimize=True)
+    block = np.einsum("eri,ers,esj->eij", left, local, right, optimize=True)[inv]
     data = np.bincount(slot, block.ravel(), minlength=indices.size + 1)[:-1]
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 

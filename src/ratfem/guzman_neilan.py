@@ -83,7 +83,8 @@ def _compute_tables(quadrature) -> GNTables:
 
 def local_matrices(area, G, GG, tables):
     """Batched stiffness A_T (p,12,12).  The P1 block's integrand is
-    constant, so it takes no table."""
+    constant, so it takes no table.  Its GEMMs round a row by their row count
+    (:func:`zienkiewicz.local_stiffness`): pass all class representatives."""
     p = G.shape[0]
     RGt = np.einsum("ab,ekb->eak", ROT, G)          # (p,2,3)
     A_T = np.zeros((p, 12, 12))
@@ -215,12 +216,14 @@ def mesh_phase(tria: Triangulation, variant: str):
     phase = fecore.mesh_phase(
         tria, variant, LAYOUTS, lambda G, normals, tangents: shape_coefficients(
             local_vandermonde(G, normals, tangents), variant, tangents))
-    p = tria.num_elements
-    B_T = local_divergence(phase.area, phase.G)
+    p, first, inv = tria.num_elements, phase.first, phase.inv
+    B_c = local_divergence(phase.area[first], phase.G[first])
+    B_T = B_c[inv]
     B_T.setflags(write=False)
     plan = scatter_plan(phase.l2g, np.arange(p)[:, None], (phase.ndof, p),
                         phase.free, np.ones(p, bool))
-    B = assemble_matrix(plan, phase.C, B_T[..., None], np.ones((p, 1, 1)))
+    B = assemble_matrix(plan, inv, phase.C[first], B_c[..., None],
+                        np.ones((len(first), 1, 1)))
     B.data.setflags(write=False)
     stream = zienkiewicz.mesh_phase(tria, variant, curl_coefficients)
     # one element leaves no pressure unknown beside the pinned one
@@ -236,17 +239,17 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
     `quadrature` is "exact" or an integer n selecting the tensorized Gauss
     rule, which on affine elements only selects the reference tables
     (:func:`get_tables`); the exact basis changes are :func:`mesh_phase`'s,
-    and A_T is computed once per class of its class map.  The load `f`
+    and A_T and S's blocks are formed once per element class.  The load `f`
     returns the pair (f_x, f_y); it is called once, as f(X, Y) on coordinate
     arrays of the P2 nodes (see :func:`local_load`).
     """
     phase, B_T, B, stream, pressure_lu = mesh_phase(tria, variant)
     area, G, first, tables = phase.area, phase.G, phase.first, get_tables(quadrature)
-    A_T = local_matrices(area[first], G[first], phase.GG[first], tables)[phase.inv]
+    A_c = local_matrices(area[first], G[first], phase.GG[first], tables)
     b_T = np.zeros((len(area), 12)) if f is None else local_load(f, tria, G, tables)
     return StokesSystem(
-        tria, phase, B_T, B, stream, pressure_lu, A_T, b_T,
-        assemble_matrix(stream.plan, stream.C, A_T, stream.C),
+        tria, phase, B_T, B, stream, pressure_lu, A_c[phase.inv], b_T,
+        assemble_matrix(stream.plan, phase.inv, stream.C[first], A_c, stream.C[first]),
         assemble_vector(stream.l2g, area, stream.C, b_T, stream.ndof)[stream.free])
 
 

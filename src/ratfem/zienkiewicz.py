@@ -80,7 +80,9 @@ def _compute_tables(quadrature) -> ZienkiewiczTables:
 
 def local_stiffness(area, GG, table) -> np.ndarray:
     """Batched |T| * table : (GG x GG) with GG = G G^T per element, for a
-    table (r,r,3,3,3,3) of Hessian-product means such as Ahat."""
+    table (r,r,3,3,3,3) of Hessian-product means such as Ahat.  Under
+    OpenBLAS a row's bits depend on the GEMM's row count, so callers pass all
+    of a mesh's class representatives in one call, the shape tests pin."""
     p, r = GG.shape[0], table.shape[0]
     Q = np.einsum("eij,ekl->eijkl", GG, GG).reshape(p, 81)
     return area[:, None, None] * (Q @ table.reshape(r * r, 81).T).reshape(p, r, r)
@@ -145,13 +147,14 @@ def assemble_biharmonic(tria: Triangulation, variant: str = "full",
     rule.  It only selects the reference tables (:func:`get_tables`): on
     affine elements the rule applied to the stiffness and mass integrands is
     the same contraction with rule-n tables.  The exact basis change is
-    :func:`mesh_phase`'s, shared by every quadrature.
+    :func:`mesh_phase`'s, shared by every quadrature, and A and M are
+    formed once per element class.
     """
     phase = mesh_phase(tria, variant)
-    area, C, plan, tables = phase.area, phase.C, phase.plan, get_tables(quadrature)
-    # A's local tensors are scattered, and freed, before M's are built
-    A = assemble_matrix(plan, C, local_stiffness(area, phase.GG, tables.Ahat), C)
-    M = assemble_matrix(plan, C, area[:, None, None] * tables.Mhat[None, :, :], C)
+    first, plan, tables = phase.first, phase.plan, get_tables(quadrature)
+    area, GG, C = phase.area[first], phase.GG[first], phase.C[first]
+    A = assemble_matrix(plan, phase.inv, C, local_stiffness(area, GG, tables.Ahat), C)
+    M = assemble_matrix(plan, phase.inv, C, area[:, None, None] * tables.Mhat, C)
     return BiharmonicSystem(tria, phase, A, M)
 
 

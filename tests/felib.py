@@ -345,8 +345,22 @@ def stokes_velocity_system(system):
     phase = system.phase
     l2g, free, C, ndof = phase.l2g, phase.free, phase.C, phase.ndof
     plan = scatter_plan(l2g, l2g, (ndof, ndof), free, free)
-    return (assemble_matrix(plan, C, system.A_T, C),
+    return (assemble_matrix(plan, np.arange(len(C)), C, system.A_T, C),
             assemble_vector(l2g, phase.area, C, system.b_T, ndof))
+
+
+def per_element_biharmonic(phase, quadrature):
+    """The plate's (A, M) data on phase's plan from every element's own local
+    tensors: local_stiffness over all p elements and the block einsum C^T X C
+    per element, each slot summed from 0.0 in element order."""
+    from ratfem.zienkiewicz import get_tables, local_stiffness
+    tables, C, area = get_tables(quadrature), phase.C, phase.area
+    slot, (_, indices, _) = phase.plan
+    return [np.bincount(slot, np.einsum("eri,ers,esj->eij", C, local, C,
+                                        optimize=True).ravel(),
+                        minlength=indices.size + 1)[:-1]
+            for local in (local_stiffness(area, phase.GG, tables.Ahat),
+                          area[:, None, None] * tables.Mhat[None, :, :])]
 
 
 def velocity_dofs(system, w):

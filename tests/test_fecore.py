@@ -80,7 +80,7 @@ def test_assemble_matrix():
         keep = np.ones(ndof, bool)
         I = np.broadcast_to(np.eye(l2g.shape[1]), local.shape)
         return assemble_matrix(scatter_plan(l2g, l2g, (ndof, ndof), keep, keep),
-                               I, local, I)
+                               np.arange(len(l2g)), I, local, I)
     l2g = np.array([[0, 1, 2]])
     local = np.arange(9.0).reshape(1, 3, 3)
     A = assemble(l2g, local, 3)
@@ -102,7 +102,7 @@ def test_assemble_matrix():
     expected = np.zeros((5, 3))
     for e in range(2):
         expected[np.ix_(rows[e], cols[e])] += left[e].T @ local[e] @ right[e]
-    assert np.allclose(assemble_matrix(plan, left, local, right).toarray(),
+    assert np.allclose(assemble_matrix(plan, np.arange(2), left, local, right).toarray(),
                        expected, rtol=1e-14, atol=1e-14)
     # 1e16, eight ones and -1e16 in each of two interleaved columns of one
     # row: in element order every 1e16 + 1 rounds back to 1e16 (a column sort
@@ -111,7 +111,8 @@ def test_assemble_matrix():
     local[0], local[-1] = 1e16, -1e16
     plan = scatter_plan(np.zeros((10, 1), int), np.tile([1, 0], (10, 1)), (1, 2),
                         np.ones(1, bool), np.ones(2, bool))
-    A = assemble_matrix(plan, np.ones((10, 1, 1)), local, np.ones((10, 1, 2)))
+    A = assemble_matrix(plan, np.arange(10), np.ones((10, 1, 1)), local,
+                        np.ones((10, 1, 2)))
     assert A.toarray().tolist() == [[0.0, 0.0]]
     # identity coefficients: each element adds area * b_T into its dofs
     vec = assemble_vector(np.array([[0, 1], [1, 2]]), np.array([1.0, 2.0]),
@@ -153,26 +154,30 @@ def test_scatter_plan_sums_in_element_order(data):
     # dofs no element uses
     l2g = np.array(data.draw(st.lists(st.integers(0, ndof - 1), min_size=p * L,
                                       max_size=p * L))).reshape(p, L)
-    # local tensors (p, r, s) mapped to blocks (p, L, L) on (l2g, l2g) like
-    # A and M, or as the Stokes B, (p, r, 1) through ones (p, 1, 1) to blocks
-    # (p, L, 1) on (l2g, element index)
+    # c classes, element e of class inv[e], classes that no element has
+    # included: local tensors (c, r, s) mapped to blocks (c, L, L) on (l2g,
+    # l2g) like A and M, or as the Stokes B, (c, r, 1) through ones (c, 1, 1)
+    # to blocks (c, L, 1) on (l2g, element index)
+    c = data.draw(st.integers(1, 5), label="c")
+    inv = np.array(data.draw(st.lists(st.integers(0, c - 1), min_size=p,
+                                      max_size=p), label="inv"))
     r = data.draw(st.integers(1, 3), label="r")
     if data.draw(st.booleans(), label="rectangular"):
         cols, shape, s = np.arange(p)[:, None], (ndof, p), 1
-        right = np.ones((p, 1, 1))
+        right = np.ones((c, 1, 1))
     else:
         cols, shape, s = l2g, (ndof, ndof), data.draw(st.integers(1, 3), label="s")
-        right = selection_map(data, p, s, L, "right")
+        right = selection_map(data, c, s, L, "right")
     K = cols.shape[1]
-    left = selection_map(data, p, r, L, "left")
-    local = np.array(data.draw(st.lists(SUMMANDS, min_size=p * r * s,
-                                        max_size=p * r * s))).reshape(p, r, s)
-    block = np.stack([left[e].T @ local[e] @ right[e] for e in range(p)])
+    left = selection_map(data, c, r, L, "left")
+    local = np.array(data.draw(st.lists(SUMMANDS, min_size=c * r * s,
+                                        max_size=c * r * s))).reshape(c, r, s)
+    block = np.stack([left[k].T @ local[k] @ right[k] for k in inv])
     keep_rows = keep_mask(data, shape[0], "keep_rows")
     keep_cols = (keep_rows if cols is l2g and data.draw(st.booleans())
                  else keep_mask(data, shape[1], "keep_cols"))
     plan = scatter_plan(l2g, cols, shape, keep_rows, keep_cols)
-    A = assemble_matrix(plan, left, local, right)
+    A = assemble_matrix(plan, inv, left, local, right)
     # the pattern is SciPy's
     ref = sp.coo_matrix((block.ravel(), (np.repeat(l2g, K, axis=1).ravel(),
                                          np.tile(cols, (1, L)).ravel())),

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from felib import stokes_velocity_system
+from felib import per_element_biharmonic, stokes_velocity_system
 from ratfem import guzman_neilan as gn
 from ratfem import solvers
 from ratfem import zienkiewicz as zk
 from ratfem.experiments import (eigen_rows, graded_lshape_meshes,
                                 run_exp3_stokes, stokes_load, stokes_mesh)
-from ratfem.mesh import Triangulation, refine_uniform, unit_square_mesh
+from ratfem.mesh import DOMAINS, Triangulation, refine_uniform, unit_square_mesh
 
 QUADRATURES = ("exact", 2, 11)
 STOKES_QUADRATURES = ("exact", 1, 16)
@@ -280,3 +280,51 @@ def test_stokes_local_tensors_once_per_class(quadrature):
     own = gn.local_matrices(phase.area, phase.G, phase.GG, gn.get_tables(quadrature))
     assert np.all(np.abs(gathered - own).max(axis=(1, 2))
                   <= 1e-15 * np.abs(own).max(axis=(1, 2)))
+
+
+@functools.cache
+def square_meshes():
+    """exp1's square meshes, levels 1-5."""
+    meshes = [DOMAINS["square"]()]
+    for _ in range(5):
+        meshes.append(refine_uniform(meshes[-1]))
+    return tuple(meshes[1:])
+
+
+@pytest.mark.parametrize("variant", ["full", "reduced"])
+def test_plate_class_blocks_keep_every_per_element_byte(variant):
+    # A and M from class blocks, gathered, against every element's own
+    # local_stiffness and block einsum on the same plan.  Under OpenBLAS a
+    # GEMM may round a row differently over another row count, so this pins
+    # that one call on all of a mesh's class representatives rounds each row
+    # as the whole mesh's call does, on every exp1 square and exp2 mesh
+    for mesh in (*square_meshes(), *lshape_meshes()):
+        for quadrature in ("exact", *range(1, 12)):
+            system = zk.assemble_biharmonic(mesh, variant, quadrature)
+            A, M = per_element_biharmonic(system.phase, quadrature)
+            case = (mesh.num_elements, quadrature)
+            assert A.tobytes() == system.A.data.tobytes(), case
+            assert M.tobytes() == system.M.data.tobytes(), case
+
+
+def test_element_tensors_are_formed_once_per_class(monkeypatch):
+    rows = []
+    for module, name in ((zk, "local_stiffness"), (gn, "local_matrices"),
+                         (gn, "local_divergence")):
+        def counted(area, *args, _fn=getattr(module, name), _name=name):
+            rows.append((_name, len(area)))
+            return _fn(area, *args)
+        monkeypatch.setattr(module, name, counted)
+    for mesh in (stokes_mesh(2048), lshape_meshes()[4]):
+        zk.mesh_phase.cache_clear()
+        gn.mesh_phase.cache_clear()
+        for assemble, names in (
+                (zk.assemble_biharmonic, {"local_stiffness"}),
+                (gn.assemble_stokes, {"local_divergence", "local_matrices",
+                                      "local_stiffness"}),
+                (gn.assemble_stokes, {"local_matrices", "local_stiffness"})):
+            rows.clear()
+            classes = len(assemble(mesh).phase.first)
+            assert classes < mesh.num_elements
+            assert {name for name, _ in rows} == names
+            assert all(count == classes for _, count in rows), rows
