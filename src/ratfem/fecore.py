@@ -123,18 +123,17 @@ def dof_layout(tria, variant: str, layouts: dict):
     return ndof, np.hstack(l2g), ~np.concatenate(boundary)
 
 
-MeshPhase = namedtuple("MeshPhase", "area G GG C ndof l2g free first inv plan",
+MeshPhase = namedtuple("MeshPhase", "area G GG C ndof l2g free inv plan",
                        defaults=(None,))
 
 
 def mesh_phase(tria, variant: str, layouts: dict, coefficients) -> MeshPhase:
-    """The :class:`MeshPhase`, read-only as systems share it: area, G = Dlam,
-    GG = G G^T, the shape coefficients C, the dof layout (ndof, l2g, free), the
-    class map (first, inv) of the elements whose area, G, normals and tangents
-    agree byte for byte, and no plan (an element adds its own).  C =
-    coefficients(G, normals, tangents) (edge frames in local order) runs on
-    each class's first element and is gathered by inv: bitwise a per-element
-    C, as it treats each by itself."""
+    """The :class:`MeshPhase`, read-only as systems share it: one row per class
+    of the elements whose area, G = Dlam, normals and tangents agree byte for
+    byte, inv mapping each element to its class, of area, G, GG = G G^T and
+    the shape coefficients C = coefficients(G, normals, tangents) (edge frames
+    in local order), which treats each element by itself; the dof layout
+    (ndof, l2g, free); and no plan (an element adds its own)."""
     ndof, l2g, free = dof_layout(tria, variant, layouts)
     _, area, G = tria.geometry_arrays()
     normals, tangents = tria.normal4s[tria.s4e], tria.tangent4s[tria.s4e]
@@ -142,11 +141,12 @@ def mesh_phase(tria, variant: str, layouts: dict, coefficients) -> MeshPhase:
                      *(a.reshape(len(area), 6) for a in (G, normals, tangents))])
     key = key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0]
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    C = coefficients(G[first], normals[first], tangents[first])[inv]
+    area, G = area[first], G[first]
+    C = coefficients(G, normals[first], tangents[first])
     GG = np.einsum("eic,ejc->eij", G, G)
-    for array in (area, G, GG, C, l2g, free, first, inv):
+    for array in (area, G, GG, C, l2g, free, inv):
         array.setflags(write=False)
-    return MeshPhase(area, G, GG, C, ndof, l2g, free, first, inv)
+    return MeshPhase(area, G, GG, C, ndof, l2g, free, inv)
 
 
 def pad_free(free, x) -> np.ndarray:
@@ -193,7 +193,8 @@ def assemble_matrix(plan, inv, left, local, right) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
-def assemble_vector(l2g: np.ndarray, area, C, b_T, ndof: int) -> np.ndarray:
-    """The load on all dofs: each element's area * C^T b_T summed into l2g."""
-    local = area[:, None] * np.einsum("eri,er->ei", C, b_T)
+def assemble_vector(l2g: np.ndarray, inv, area, C, b_T, ndof: int) -> np.ndarray:
+    """The load on all dofs: element e's area * C^T b_T, of its class inv[e]'s
+    area and C (c rows) and its own b_T (p rows), summed into l2g."""
+    local = area[inv, None] * np.einsum("eri,er->ei", C[inv], b_T)
     return np.bincount(l2g.ravel(), local.ravel(), minlength=ndof)

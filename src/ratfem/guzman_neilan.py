@@ -127,6 +127,8 @@ def local_load(f, tria, G, tables) -> np.ndarray:
     if len(parts) != 2:
         raise TypeError(f"load callback returned {len(parts)} components, "
                         "expected 2")
+    if any(np.iscomplexobj(v) for v in parts):
+        raise TypeError("load callback values must be real, not complex")
     try:
         fvals = np.stack([np.broadcast_to(np.asarray(v, dtype=float), X.shape)
                           for v in parts], axis=1)                 # (p,2,6)
@@ -189,11 +191,10 @@ def curl_coefficients(G, C) -> np.ndarray:
 class StokesSystem:
     tria: Triangulation
     phase: fecore.MeshPhase    # the velocity's, see :func:`mesh_phase`
-    B_T: np.ndarray        # element divergence vectors (p, 12)
     B: "object"            # divergence matrix, csr free x p
     stream: fecore.MeshPhase   # the stream function's; its C is E C
     pressure_lu: "object"      # factorize_spd of B_1^T B_1, B_1 = B[:, 1:]
-    A_T: np.ndarray        # element stiffnesses (p, 12, 12) of the quadrature
+    A_T: np.ndarray        # class stiffnesses (c, 12, 12) of the quadrature
     b_T: np.ndarray        # element load means (p, 12) of the quadrature
     S: "object"            # stream-function stiffness D^T A D, csr
     s: np.ndarray          # its load D^T b, on the free Zienkiewicz dofs
@@ -205,30 +206,26 @@ LAYOUTS = {"full": "vvee", "reduced": "vve"}
 
 @lru_cache(maxsize=1)
 def mesh_phase(tria: Triangulation, variant: str):
-    """(phase, B_T, B, stream, pressure_lu) once per simply connected (mesh,
-    variant) for all rules: this element's :func:`fecore.mesh_phase`, its
-    divergence vectors B_T, the read-only divergence matrix B on the free rows
-    (column e for element e), the stream function's zienkiewicz.mesh_phase(tria,
-    variant, curl_coefficients), whose C is E C and whose class map is this
-    one, and the LU of B_1^T B_1, B_1 = B[:, 1:]."""
+    """(phase, B, stream, pressure_lu) once per simply connected (mesh,
+    variant) for all rules: this element's :func:`fecore.mesh_phase`, the
+    read-only divergence matrix B on the free rows (column e for element e),
+    the stream function's zienkiewicz.mesh_phase(tria, variant,
+    curl_coefficients), whose C is E C and whose class map is this one, and
+    the LU of B_1^T B_1, B_1 = B[:, 1:]."""
     if tria.num_vertices - tria.num_edges + tria.num_elements != 1:
         raise MultiplyConnectedError("the Stokes solve needs a simply connected mesh")
     phase = fecore.mesh_phase(
         tria, variant, LAYOUTS, lambda G, normals, tangents: shape_coefficients(
             local_vandermonde(G, normals, tangents), variant, tangents))
-    p, first, inv = tria.num_elements, phase.first, phase.inv
-    B_c = local_divergence(phase.area[first], phase.G[first])
-    B_T = B_c[inv]
-    B_T.setflags(write=False)
+    p, B_c = tria.num_elements, local_divergence(phase.area, phase.G)[..., None]
     plan = scatter_plan(phase.l2g, np.arange(p)[:, None], (phase.ndof, p),
                         phase.free, np.ones(p, bool))
-    B = assemble_matrix(plan, inv, phase.C[first], B_c[..., None],
-                        np.ones((len(first), 1, 1)))
+    B = assemble_matrix(plan, phase.inv, phase.C, B_c, np.ones((len(B_c), 1, 1)))
     B.data.setflags(write=False)
     stream = zienkiewicz.mesh_phase(tria, variant, curl_coefficients)
     # one element leaves no pressure unknown beside the pinned one
     pressure_lu = solvers.factorize_spd(B[:, 1:].T @ B[:, 1:]) if p > 1 else None
-    return phase, B_T, B, stream, pressure_lu
+    return phase, B, stream, pressure_lu
 
 
 def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
@@ -243,14 +240,14 @@ def assemble_stokes(tria: Triangulation, f=None, variant: str = "full",
     returns the pair (f_x, f_y); it is called once, as f(X, Y) on coordinate
     arrays of the P2 nodes (see :func:`local_load`).
     """
-    phase, B_T, B, stream, pressure_lu = mesh_phase(tria, variant)
-    area, G, first, tables = phase.area, phase.G, phase.first, get_tables(quadrature)
-    A_c = local_matrices(area[first], G[first], phase.GG[first], tables)
-    b_T = np.zeros((len(area), 12)) if f is None else local_load(f, tria, G, tables)
+    phase, B, stream, pressure_lu = mesh_phase(tria, variant)
+    inv, G, C, tables = phase.inv, phase.G, stream.C, get_tables(quadrature)
+    A_T = local_matrices(phase.area, G, phase.GG, tables)
+    b_T = np.zeros((len(inv), 12)) if f is None else local_load(f, tria, G[inv], tables)
     return StokesSystem(
-        tria, phase, B_T, B, stream, pressure_lu, A_c[phase.inv], b_T,
-        assemble_matrix(stream.plan, phase.inv, stream.C[first], A_c, stream.C[first]),
-        assemble_vector(stream.l2g, area, stream.C, b_T, stream.ndof)[stream.free])
+        tria, phase, B, stream, pressure_lu, A_T, b_T,
+        assemble_matrix(stream.plan, inv, C, A_T, C),
+        assemble_vector(stream.l2g, inv, phase.area, C, b_T, stream.ndof)[stream.free])
 
 
 def solve_stokes(system: StokesSystem, lu=None):
@@ -262,10 +259,11 @@ def solve_stokes(system: StokesSystem, lu=None):
     psi = system.s      # empty where no Zienkiewicz dof is free: w = 0
     if psi.size:
         psi = solvers.pcg(system.S, psi, lu or solvers.factorize_spd(system.S))
-    phase, stream, area = system.phase, system.stream, system.phase.area
-    w = np.einsum("eri,ei->er", stream.C, pad_free(stream.free, psi)[stream.l2g])
-    r = assemble_vector(phase.l2g, np.ones_like(area), phase.C,
-                        np.einsum("ers,es->er", system.A_T, w)
+    phase, stream, inv = system.phase, system.stream, system.phase.inv
+    area = phase.area[inv]
+    w = np.einsum("eri,ei->er", stream.C[inv], pad_free(stream.free, psi)[stream.l2g])
+    r = assemble_vector(phase.l2g, inv, np.ones_like(phase.area), phase.C,
+                        np.einsum("ers,es->er", system.A_T[inv], w)
                         - area[:, None] * system.b_T, phase.ndof)
     rhs = system.B[:, 1:].T @ r[phase.free]
     pressure = np.concatenate([[0.0], system.pressure_lu.solve(rhs) if rhs.size else rhs])
@@ -283,12 +281,15 @@ def grad_norm(system: StokesSystem, w: np.ndarray) -> float:
     Pass a system assembled with exact quadrature so the measurement does not
     inherit the defect of an inexact solve.
     """
+    A_T = system.A_T[system.phase.inv]
     # einsum, not BLAS, whose sum order depends on the thread count
-    return float(np.sqrt(max(np.einsum("ei,eij,ej->", w, system.A_T, w), 0.0)))
+    return float(np.sqrt(max(np.einsum("ei,eij,ej->", w, A_T, w), 0.0)))
 
 
 def divergence_l2(exact_system: StokesSystem, w: np.ndarray) -> float:
     """L2 norm of div u_h for element coefficients w (p, 12); the divergence
     on T is the constant B_T . w_T / |T|."""
-    means = np.einsum("ei,ei->e", exact_system.B_T, w) / exact_system.phase.area
-    return float(np.sqrt(np.sum(exact_system.phase.area * means ** 2)))
+    phase = exact_system.phase
+    area, B_T = phase.area[phase.inv], local_divergence(phase.area, phase.G)[phase.inv]
+    means = np.einsum("ei,ei->e", B_T, w) / area
+    return float(np.sqrt(np.sum(area * means ** 2)))

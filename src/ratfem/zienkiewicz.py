@@ -150,11 +150,10 @@ def assemble_biharmonic(tria: Triangulation, variant: str = "full",
     :func:`mesh_phase`'s, shared by every quadrature, and A and M are
     formed once per element class.
     """
-    phase = mesh_phase(tria, variant)
-    first, plan, tables = phase.first, phase.plan, get_tables(quadrature)
-    area, GG, C = phase.area[first], phase.GG[first], phase.C[first]
-    A = assemble_matrix(plan, phase.inv, C, local_stiffness(area, GG, tables.Ahat), C)
-    M = assemble_matrix(plan, phase.inv, C, area[:, None, None] * tables.Mhat, C)
+    phase, tables = mesh_phase(tria, variant), get_tables(quadrature)
+    plan, inv, area, C = phase.plan, phase.inv, phase.area, phase.C
+    A = assemble_matrix(plan, inv, C, local_stiffness(area, phase.GG, tables.Ahat), C)
+    M = assemble_matrix(plan, inv, C, area[:, None, None] * tables.Mhat, C)
     return BiharmonicSystem(tria, phase, A, M)
 
 

@@ -204,7 +204,7 @@ def element_eval_reference(system, e, u, bary_pts):
     """Values and physical gradients of element e, one point at a time."""
     from ratfem.zienkiewicz import zienkiewicz_basis
     basis = zienkiewicz_basis()
-    w = system.phase.C[e] @ u[system.phase.l2g[e]]
+    w = system.phase.C[system.phase.inv[e]] @ u[system.phase.l2g[e]]
     G = system.tria.geometry_arrays()[2][e]
     vals, grads, size = [], [], 0.0
     for pt in bary_pts:
@@ -224,7 +224,7 @@ def velocity_eval_reference(system, e, u, bary_pts):
     """Guzman-Neilan velocity vectors of element e, one point at a time."""
     from ratfem.guzman_neilan import ROT, stream_potentials
     rho = stream_potentials()
-    w = system.phase.C[e] @ u[system.phase.l2g[e]]
+    w = system.phase.C[system.phase.inv[e]] @ u[system.phase.l2g[e]]
     G = system.tria.geometry_arrays()[2][e]
     out, size = [], 0.0
     for pt in bary_pts:
@@ -247,7 +247,7 @@ def divergence_pointwise_reference(system, e, u, bary_pts):
     """div u_h of element e, one point at a time."""
     from ratfem.guzman_neilan import stream_potentials
     rho = stream_potentials()
-    w = system.phase.C[e] @ u[system.phase.l2g[e]]
+    w = system.phase.C[system.phase.inv[e]] @ u[system.phase.l2g[e]]
     G = system.tria.geometry_arrays()[2][e]
     out, size = [], 0.0
     for pt in bary_pts:
@@ -274,7 +274,7 @@ def element_eval(system, e, u, bary_pts):
     """Zienkiewicz values and physical gradients of u on element e."""
     from ratfem.zienkiewicz import zienkiewicz_basis
     basis = zienkiewicz_basis()
-    w = system.phase.C[e] @ u[system.phase.l2g[e]]
+    w = system.phase.C[system.phase.inv[e]] @ u[system.phase.l2g[e]]
     G = system.tria.geometry_arrays()[2][e]
     glam = np.einsum("qrk,r->qk", gradient_values(basis, bary_pts), w)
     return combo_values(basis, bary_pts) @ w, glam @ G
@@ -315,7 +315,7 @@ def divergence_pointwise(system, e, u, bary_pts):
     from ratfem.guzman_neilan import stream_potentials
     rho = stream_potentials()
     G = system.tria.geometry_arrays()[2][e]
-    w = system.phase.C[e] @ u[system.phase.l2g[e]]
+    w = system.phase.C[system.phase.inv[e]] @ u[system.phase.l2g[e]]
     S = np.einsum("ia,qsik,kb->qsab", G, hessian_values(rho, bary_pts), G)
     # P1 field r = (comp, node) has divergence G[node, comp]
     return w[:6] @ G.T.ravel() + (S[:, :, 1, 0] - S[:, :, 0, 1]) @ w[6:]
@@ -326,7 +326,7 @@ def velocity_eval(system, e, u, bary_pts):
     from ratfem.guzman_neilan import ROT, stream_potentials
     rho = stream_potentials()
     G = system.tria.geometry_arrays()[2][e]
-    w = system.phase.C[e] @ u[system.phase.l2g[e]]
+    w = system.phase.C[system.phase.inv[e]] @ u[system.phase.l2g[e]]
     lam = np.asarray(bary_pts, dtype=float)
     glam = gradient_values(rho, lam)
     curl = np.einsum("ab,kb,qsk,s->qa", ROT, G, glam, w[6:])
@@ -343,23 +343,25 @@ def stokes_velocity_system(system):
     """The velocity stiffness A_n (csr, free x free) and load b_n (on all
     dofs) of a Stokes system, summed from its A_T and b_T by fecore."""
     phase = system.phase
-    l2g, free, C, ndof = phase.l2g, phase.free, phase.C, phase.ndof
+    l2g, free, C, ndof, inv = phase.l2g, phase.free, phase.C, phase.ndof, phase.inv
     plan = scatter_plan(l2g, l2g, (ndof, ndof), free, free)
-    return (assemble_matrix(plan, np.arange(len(C)), C, system.A_T, C),
-            assemble_vector(l2g, phase.area, C, system.b_T, ndof))
+    return (assemble_matrix(plan, inv, C, system.A_T, C),
+            assemble_vector(l2g, inv, phase.area, C, system.b_T, ndof))
 
 
 def per_element_biharmonic(phase, quadrature):
     """The plate's (A, M) data on phase's plan from every element's own local
-    tensors: local_stiffness over all p elements and the block einsum C^T X C
-    per element, each slot summed from 0.0 in element order."""
+    tensors: the class rows gathered by inv to one row per element,
+    local_stiffness over all p elements and the block einsum C^T X C per
+    element, each slot summed from 0.0 in element order."""
     from ratfem.zienkiewicz import get_tables, local_stiffness
-    tables, C, area = get_tables(quadrature), phase.C, phase.area
+    tables, inv = get_tables(quadrature), phase.inv
+    C, area, GG = phase.C[inv], phase.area[inv], phase.GG[inv]
     slot, (_, indices, _) = phase.plan
     return [np.bincount(slot, np.einsum("eri,ers,esj->eij", C, local, C,
                                         optimize=True).ravel(),
                         minlength=indices.size + 1)[:-1]
-            for local in (local_stiffness(area, phase.GG, tables.Ahat),
+            for local in (local_stiffness(area, GG, tables.Ahat),
                           area[:, None, None] * tables.Mhat[None, :, :])]
 
 
@@ -387,14 +389,14 @@ def curl_matrix(mesh, variant):
     from ratfem import zienkiewicz as zk
     phase, *_ = gn.mesh_phase(mesh, variant)
     plate = zk.mesh_phase(mesh, variant)
-    G, ndof, l2g, zl2g = phase.G, phase.ndof, phase.l2g, plate.l2g
+    G, ndof, l2g, zl2g = phase.G[phase.inv], phase.ndof, phase.l2g, plate.l2g
     V = gn.local_vandermonde(G, mesh.normal4s[mesh.s4e], mesh.tangent4s[mesh.s4e])
     rot_grads = np.einsum("ab,ekb->eak", gn.ROT, G)
     E = np.zeros((mesh.num_elements, 12, 12))
     E[:, :6, :6] = np.einsum("eck,isk->ecis", rot_grads,
                              zk.get_tables().That_gv[:, :6]).reshape(-1, 6, 6)
     E[:, 6:, 6:] = np.eye(6)
-    local = V[:, :l2g.shape[1]] @ E @ plate.C
+    local = V[:, :l2g.shape[1]] @ E @ plate.C[plate.inv]
     D = np.zeros((ndof, plate.ndof))
     D[l2g[:, :, None], zl2g[:, None, :]] = local
     spread = np.abs(D[l2g[:, :, None], zl2g[:, None, :]] - local).max()

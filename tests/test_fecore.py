@@ -115,9 +115,14 @@ def test_assemble_matrix():
                         np.ones((10, 1, 2)))
     assert A.toarray().tolist() == [[0.0, 0.0]]
     # identity coefficients: each element adds area * b_T into its dofs
-    vec = assemble_vector(np.array([[0, 1], [1, 2]]), np.array([1.0, 2.0]),
+    l2g = np.array([[0, 1], [1, 2]])
+    vec = assemble_vector(l2g, np.arange(2), np.array([1.0, 2.0]),
                           np.broadcast_to(np.eye(2), (2, 2, 2)), np.ones((2, 2)), 3)
     assert np.allclose(vec, [1, 3, 2])
+    # two elements of one class: its one area and C serve both
+    vec = assemble_vector(l2g, np.zeros(2, int), np.array([2.0]), np.eye(2)[None],
+                          np.array([[1.0, 2.0], [3.0, 4.0]]), 3)
+    assert vec.tolist() == [2.0, 10.0, 8.0]
 
 
 #: Signed zeros, and magnitudes whose sums round differently in another order.

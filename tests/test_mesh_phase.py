@@ -178,7 +178,8 @@ def test_mesh_phase_arrays_are_shared_and_read_only():
     assert all(zk.assemble_biharmonic(mesh, quadrature=n).phase is exact.phase
                for n in (1, 3, 11))
     phase = exact.phase
-    for array in (phase.C, phase.l2g, phase.free, phase.first, phase.inv):
+    for array in (phase.area, phase.G, phase.GG, phase.C, phase.l2g, phase.free,
+                  phase.inv):
         with pytest.raises(ValueError):
             array[...] = 0
     # every rule integrates the divergences exactly: one B per mesh, and every
@@ -188,7 +189,7 @@ def test_mesh_phase_arrays_are_shared_and_read_only():
         rule = gn.assemble_stokes(mesh, stokes_load, quadrature=n)
         assert rule.B is stokes.B and rule.phase is stokes.phase
         assert rule.stream is stokes.stream
-    for array in (stokes.B.data, stokes.phase.first, stokes.phase.inv, stokes.stream.C):
+    for array in (stokes.B.data, stokes.phase.C, stokes.phase.inv, stokes.stream.C):
         with pytest.raises(ValueError):
             array[...] = 0
 
@@ -198,10 +199,11 @@ def test_the_stream_function_takes_the_plates_mesh_phase(variant):
     # one builder of a Zienkiewicz-space phase: the Stokes stream function's
     # is the plate's with C mapped to E C before it is made read-only
     mesh = refine_uniform(refine_uniform(unit_square_mesh()))
-    phase, _, _, stream, _ = gn.mesh_phase(mesh, variant)
+    phase, _, stream, _ = gn.mesh_phase(mesh, variant)
     assert stream is zk.mesh_phase(mesh, variant, gn.curl_coefficients)
-    # one class map serves the velocity and the stream function
-    assert stream.first.tobytes() == phase.first.tobytes()
+    # one class map, and class rows in one order, serve the velocity and the
+    # stream function
+    assert stream.G.tobytes() == phase.G.tobytes()
     assert stream.inv.tobytes() == phase.inv.tobytes()
     plate = zk.mesh_phase(mesh, variant)
     G, C, EC = plate.G, plate.C, stream.C
@@ -209,9 +211,30 @@ def test_the_stream_function_takes_the_plates_mesh_phase(variant):
     with pytest.raises(ValueError):
         EC[...] = 0
     normals = mesh.normal4s[mesh.s4e]
-    assert C.tobytes() == zk.shape_coefficients(
-        zk.local_vandermonde_batch(G, normals), variant, normals).tobytes()
+    assert C[plate.inv].tobytes() == zk.shape_coefficients(
+        zk.local_vandermonde_batch(G[plate.inv], normals), variant, normals).tobytes()
     assert C.tobytes() != EC.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["full", "reduced"])
+@pytest.mark.parametrize("which", ["stokes", "lshape"])
+def test_phases_and_stokes_systems_hold_one_row_per_class(which, variant):
+    # one layout: every geometric and shape array and the Stokes A_T have a
+    # row per class, gathered by inv only where per-element data is needed
+    mesh = stokes_mesh(2048) if which == "stokes" else lshape_meshes()[5]
+    plate = zk.mesh_phase(mesh, variant)
+    system = gn.assemble_stokes(mesh, stokes_load, variant)
+    for phase in (plate, system.phase, system.stream):
+        assert "first" not in phase._fields
+        classes = phase.inv.max() + 1
+        assert classes < mesh.num_elements == phase.inv.size
+        rows = [len(a) for a in (phase.area, phase.G, phase.GG, phase.C)]
+        assert rows == [classes] * 4
+    assert system.A_T.shape == (system.phase.inv.max() + 1, 12, 12)
+    assert not hasattr(system, "B_T")
+    held = [*plate, *system.phase, *system.stream, *vars(system).values()]
+    assert not any(np.shape(a) == (mesh.num_elements, 12, 12) for a in held
+                   if isinstance(a, np.ndarray))
 
 
 def per_element_coefficients(mesh, variant):
@@ -229,26 +252,28 @@ def per_element_coefficients(mesh, variant):
 @pytest.mark.parametrize("variant", ["full", "reduced"])
 @pytest.mark.parametrize("which", [*range(6), "stokes"])
 def test_class_path_keeps_every_shape_coefficient_byte(which, variant):
-    # C is computed once per class of identical elements and gathered; each
-    # matrix inverse, product and curl map acts on one element at a time
+    # C is computed once per class of identical elements; gathered by inv,
+    # it is every element's own, as each matrix inverse, product and curl map
+    # acts on one element at a time
     mesh = stokes_mesh(2048) if which == "stokes" else lshape_meshes()[which]
     plate, velocity, curl = per_element_coefficients(mesh, variant)
-    assert zk.mesh_phase(mesh, variant).C.tobytes() == plate.tobytes()
+    phase = zk.mesh_phase(mesh, variant)
+    assert phase.C[phase.inv].tobytes() == plate.tobytes()
     if which == "stokes":
-        phase, _, _, stream, _ = gn.mesh_phase(mesh, variant)
-        assert phase.C.tobytes() == velocity.tobytes()
-        assert stream.C.tobytes() == curl.tobytes()
+        phase, _, stream, _ = gn.mesh_phase(mesh, variant)
+        assert phase.C[phase.inv].tobytes() == velocity.tobytes()
+        assert stream.C[stream.inv].tobytes() == curl.tobytes()
 
 
 def test_class_counts_of_the_benchmark_meshes():
     phase, *_ = gn.mesh_phase(stokes_mesh(2048), "reduced")
-    first, inv = phase.first, phase.inv
-    assert first.size == 12 and inv.size == 2048
-    assert np.array_equal(inv[first], np.arange(12))
+    inv = phase.inv
+    assert len(phase.C) == 12 and inv.size == 2048
+    assert np.array_equal(np.unique(inv), np.arange(12))
     mesh = lshape_meshes()[5]
     phase = zk.mesh_phase(mesh, "full")
-    first, inv = phase.first, phase.inv
-    assert (first.size, mesh.num_elements) == (102, 4592)
+    inv = phase.inv
+    assert (len(phase.C), inv.size) == (102, 4592)
     with pytest.raises(ValueError):
         inv[...] = 0
 
@@ -266,7 +291,8 @@ def test_a_moved_vertex_gives_its_elements_classes_of_their_own():
     # every other element keeps its class: the two partitions agree there
     pairs = np.unique(np.stack([before[~touched], after[~touched]]), axis=1)
     assert pairs.shape[1] == np.unique(before[~touched]).size == np.unique(after[~touched]).size
-    assert zk.mesh_phase(moved, "full").C.tobytes() == per_element_coefficients(
+    phase = zk.mesh_phase(moved, "full")
+    assert phase.C[phase.inv].tobytes() == per_element_coefficients(
         moved, "full")[0].tobytes()
 
 
@@ -276,8 +302,10 @@ def test_stokes_local_tensors_once_per_class(quadrature):
     # a GEMM may round a row differently over fewer rows
     mesh = stokes_mesh(2048)
     system = gn.assemble_stokes(mesh, variant="reduced", quadrature=quadrature)
-    phase, gathered = system.phase, system.A_T
-    own = gn.local_matrices(phase.area, phase.G, phase.GG, gn.get_tables(quadrature))
+    phase, inv = system.phase, system.phase.inv
+    gathered = system.A_T[inv]
+    own = gn.local_matrices(phase.area[inv], phase.G[inv], phase.GG[inv],
+                            gn.get_tables(quadrature))
     assert np.all(np.abs(gathered - own).max(axis=(1, 2))
                   <= 1e-15 * np.abs(own).max(axis=(1, 2)))
 
@@ -324,7 +352,7 @@ def test_element_tensors_are_formed_once_per_class(monkeypatch):
                                       "local_stiffness"}),
                 (gn.assemble_stokes, {"local_matrices", "local_stiffness"})):
             rows.clear()
-            classes = len(assemble(mesh).phase.first)
+            classes = assemble(mesh).phase.inv.max() + 1
             assert classes < mesh.num_elements
             assert {name for name, _ in rows} == names
             assert all(count == classes for _, count in rows), rows

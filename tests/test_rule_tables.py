@@ -16,7 +16,7 @@ from felib import (gauss_reference_guzman_neilan, gauss_reference_zienkiewicz,
                    gauss_stokes_load, random_shape_regular_triangle)
 from ratfem import guzman_neilan as gn
 from ratfem import zienkiewicz as zk
-from ratfem.experiments import stokes_load
+from ratfem.experiments import stokes_load, stokes_mesh
 from ratfem.fecore import lagrange_basis, moment_tensor
 from ratfem.mesh import refine_uniform, unit_square_mesh
 
@@ -237,3 +237,12 @@ def test_malformed_load_values_raise_type_error():
     # a scalar is one component, not an iterable that fails to unpack
     with pytest.raises(TypeError, match="returned 1 components, expected 2"):
         gn.assemble_stokes(mesh, f=lambda x, y: 1.0)
+
+
+@pytest.mark.parametrize("quadrature", ["exact", 2])
+def test_complex_load_values_raise_type_error(quadrature):
+    # a cast to float would drop the imaginary part behind a warning
+    mesh = stokes_mesh(8)
+    for f in (lambda x, y: (0 * x + 1j, 0 * y), lambda x, y: (x, complex(1, 0))):
+        with pytest.raises(TypeError, match="real, not complex"):
+            gn.assemble_stokes(mesh, f=f, quadrature=quadrature)

@@ -170,7 +170,7 @@ def test_assembled_nullspace_and_spd():
     # the kernel element by element: C_e^T A_T,e C_e annihilates u[l2g[e]]
     _, area, G = mesh.geometry_arrays()
     GG = np.einsum("eic,ejc->eij", G, G)
-    C = system.phase.C
+    C = system.phase.C[system.phase.inv]
     A_T = local_stiffness(area, GG, get_tables().Ahat)
     A_loc = np.einsum("eri,ers,esj->eij", C, A_T, C)
     for g, gg in [(lambda x, y: 1.0, lambda x, y: np.zeros(2)),
